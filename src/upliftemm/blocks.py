@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NullMark
+from .errors import NullMark, UnboundedIntensity
 
 if TYPE_CHECKING:
     from .stochastic import SimulationContext, StreamPool
@@ -202,8 +202,16 @@ def _draw_events(ctx: SimulationContext, pool: StreamPool, sids: list):
     pad[filled] = T * np.concatenate(cands)
     pad.sort(axis=1)
     cand = pad[filled]
-    accept = np.concatenate(thins) * ctx.majorant <= ctx.total_intensity_at(cand)
+    lam = ctx.total_intensity_at(cand)
+    _check_majorant(lam, ctx.majorant)
+    accept = np.concatenate(thins) * ctx.majorant <= lam
     return cand[accept], np.repeat(np.arange(count), n_cand)[accept]
+
+
+def _check_majorant(lam: np.ndarray, majorant: float) -> None:
+    """Thinning is exact only below the majorant: check, do not trust it."""
+    if np.any(lam > majorant):
+        raise UnboundedIntensity("intensity exceeds the thinning majorant")
 
 
 def _counts_below(times, pid, count: int, out: np.ndarray, side: str) -> np.ndarray:
@@ -247,20 +255,16 @@ def _draw_marks_and_increments(ctx, pool, sids, ev_times, pid, ev_off, n_seg, dt
     D = ctx.n_brownians
     k = ctx.mark_draws
     u = np.empty(k * ev_times.size)
-    seq_marks = []
     z = np.zeros(dt.shape + (D,))
     bg_m, gen_m, st_m, ctr_m = pool._slots["marks"]
     bg_b, gen_b, st_b, ctr_b = pool._slots["brownian"]
     normal = gen_b.standard_normal
     offs = ev_off.tolist()
     for p, (sid, lo, hi, ns) in enumerate(zip(sids, offs, offs[1:], n_seg.tolist())):
-        if hi > lo:
+        if k and hi > lo:
             ctr_m[2] = sid
             bg_m.state = st_m
-            if k:
-                gen_m.random(out=u[k * lo:k * hi])
-            else:
-                seq_marks.append(ctx.sample_marks(gen_m, ev_times[lo:hi]))
+            gen_m.random(out=u[k * lo:k * hi])
         if D:
             ctr_b[2] = sid
             bg_b.state = st_b
@@ -269,7 +273,13 @@ def _draw_marks_and_increments(ctx, pool, sids, ev_times, pid, ev_off, n_seg, dt
     if ctx.kind == "none":
         return np.zeros(0, dtype=np.int64), z
     if not k:
-        return np.concatenate([np.zeros(0)] + seq_marks), z
+
+        def draw(p: int, n: int) -> np.ndarray:  # the first n of path p's marks
+            ctr_m[2] = sids[p]
+            bg_m.state = st_m
+            return gen_m.random(n)
+
+        return ctx.mark_measure.marks_from_streams(ev_times, ev_off, draw), z
     if k == 1:
         return ctx.marks_from_uniforms(u[None, :], ev_times), z
     # path p's uniforms form a (k, n_ev[p]) array

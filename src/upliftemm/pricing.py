@@ -24,7 +24,9 @@ from .reduction import (
 from .stochastic import (
     DEFAULT_SEED,
     RngStreamSpec,
+    SimulationContext,
     TerminalSample,
+    _terminal_sample,
     run_paths,
     simulate_terminal,
 )
@@ -515,16 +517,19 @@ def restriction_check(
                     "individual counts are not reduced-information"
                 )
 
-    full = simulate_terminal(
-        spec, [spec.horizon], n_paths, seed, density_emm=emm, workers=workers
-    )
+    # on a continuous market the reduced drivers are the plan's cells, so
+    # the full market's marks are counted cell by cell
+    cells = plan.cells if isinstance(plan, ContinuousPlan) else ()
+    ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
+    full, in_cells = _terminal_sample(ctx, n_paths, seed, workers, 0, cells)
+    full_counts = in_cells if cells else full.counts
     reduced = simulate_terminal(
         fict.spec, [spec.horizon], n_paths, seed,
         density_emm=fict_emm, workers=workers, stream_offset=n_paths,
     )
     lines = []
     for ev in events:
-        va = full.z_terminal() * ev.indicator(full.counts, full.w_terminal)
+        va = full.z_terminal() * ev.indicator(full_counts, full.w_terminal)
         vb = reduced.z_terminal() * ev.indicator(
             reduced.counts,
             reduced.w_terminal,

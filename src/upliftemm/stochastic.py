@@ -27,6 +27,7 @@ from .blocks import (
     PathBundle,
     _Block,
     _block_size,
+    _check_majorant,
     _event_log_factors,
     _event_log_phi,
     _simulate_block,
@@ -34,7 +35,7 @@ from .blocks import (
 from .errors import FactorAtMinusOne, NullMark, UnboundedIntensity
 from .model import ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
 from .timefns import TimeFunction, integrate_product, merged_breakpoints, sum_max_value
-from .uplift import Emm
+from .uplift import Emm, cell_index
 
 __all__ = [
     "RngStreamSpec",
@@ -117,14 +118,6 @@ class StreamPool:
 # -- simulation context ---------------------------------------------------------
 
 
-def _fn_or_sample(callable_t, horizon: float, constant_probe: bool) -> TimeFunction:
-    """Wrap a scalar callable of time as a TimeFunction (const fast path)."""
-    if constant_probe:
-        return TimeFunction.constant(float(callable_t(0.0)))
-    grid = np.linspace(0.0, horizon, 513)
-    return TimeFunction.samples(grid, [float(callable_t(t)) for t in grid])
-
-
 class SimulationContext:
     """Prepared, path-independent data for simulating one market.
 
@@ -174,13 +167,8 @@ class SimulationContext:
             if measure_emm is not None and measure_emm.jump_measure is not None:
                 mm = measure_emm.jump_measure
                 self.mark_measure = mm
-                const = (
-                    not mm.base.is_time_varying
-                    and mm.physical_intensity.is_constant
-                    and all(fn.is_constant for fn in mm.cell_intensities)
-                )
-                self.sim_total_fn = _fn_or_sample(mm.total_intensity, T, const)
-                safety = 1 + (1e-9 if const else 1e-2)
+                self.sim_total_fn = mm.sampled("total_intensity", T)
+                safety = 1 + (1e-9 if mm._is_constant else 1e-2)
                 self.majorant = self.sim_total_fn.max_value(0.0, T) * safety
             else:
                 self.sim_total_fn = jumps.total_intensity
@@ -212,7 +200,7 @@ class SimulationContext:
         elif self.kind == "continuous" and self.sim_total_fn.is_constant:
             self.const_total = self.sim_total_fn.constant_value
         # uniforms per event when marks are a function of uniforms; 0 when
-        # a time-varying cell measure draws them one event at a time
+        # a time-varying cell measure reads a varying number per event
         self.mark_draws = 1
         if self.mark_measure is not None:
             self.mark_draws = 2 if self.mark_measure._is_constant else 0
@@ -278,13 +266,7 @@ class SimulationContext:
                 total += integrate_product(spec.jumps.loadings[i][m], lam, 0.0, tau)
             return total
         if self.mark_measure is not None:
-            mm = self.mark_measure
-            const = (
-                not mm.base.is_time_varying
-                and mm.physical_intensity.is_constant
-                and all(fn.is_constant for fn in mm.cell_intensities)
-            )
-            fn = _fn_or_sample(mm.mean_jump_intensity, self.horizon, const)
+            fn = self.mark_measure.sampled("mean_jump_intensity", self.horizon)
             return fn.integral(0.0, tau)
         dens = self.spec.jumps.density
         mean_fn = dens.mean_timefunction(
@@ -303,13 +285,7 @@ class SimulationContext:
             for lam, lam_t in zip(spec.jumps.intensities, emm.intensities):
                 total += lam.integral(0.0, tau) - lam_t.integral(0.0, tau)
             return total
-        mm = emm.jump_measure
-        const = (
-            not mm.base.is_time_varying
-            and mm.physical_intensity.is_constant
-            and all(fn.is_constant for fn in mm.cell_intensities)
-        )
-        rn_total = _fn_or_sample(mm.total_intensity, self.horizon, const)
+        rn_total = emm.jump_measure.sampled("total_intensity", self.horizon)
         return spec.jumps.total_intensity.integral(0.0, tau) - rn_total.integral(
             0.0, tau
         )
@@ -373,6 +349,7 @@ def _thinned_times(
     if n_cand == 0:
         return times
     lam = np.atleast_1d(total_at(times))
+    _check_majorant(lam, majorant)
     return times[u * majorant <= lam]
 
 
@@ -712,18 +689,34 @@ def simulate_terminal(
     ctx = SimulationContext(
         spec, out_times, measure_emm=measure_emm, density_emm=density_emm
     )
+    return _terminal_sample(ctx, n_paths, master_seed, workers, stream_offset)[0]
+
+
+def _terminal_sample(ctx, n_paths, master_seed, workers, stream_offset, cells=()):
+    """:func:`simulate_terminal` on a built context, plus each path's
+    number of marks in each of ``cells`` ((n_paths, len(cells)); a mark
+    on a shared edge counts in the first cell)."""
+    spec = ctx.spec
     out_times = ctx.out_times
     n, n_out = spec.n, len(out_times)
     cw = _count_width(spec)
     D = spec.n_brownians
-    with_z = density_emm is not None
+    with_z = ctx.density_emm is not None
     pos_z = n * n_out
     pos_c = pos_z + (n_out if with_z else 0)
     pos_w = pos_c + cw
     rows = np.empty((n_paths, pos_w + D))
+    in_cells = np.zeros((n_paths, len(cells)))
 
     def consume(row: int, block: _Block):
         lo, hi = row, row + len(block)
+        if cells:
+            k = cell_index(cells, block.ev_marks)
+            inside = k >= 0
+            in_cells[lo:hi] = np.bincount(
+                block.pid[inside] * len(cells) + k[inside],
+                minlength=(hi - lo) * len(cells),
+            ).reshape(hi - lo, len(cells))
         rows[lo:hi, :pos_z] = block.stocks.transpose(0, 2, 1).reshape(hi - lo, pos_z)
         if with_z:
             rows[lo:hi, pos_z:pos_c] = block.z
@@ -736,15 +729,16 @@ def simulate_terminal(
         rows[lo:hi, pos_w:] = np.cumsum(block.dw, axis=1)[:, -1]
 
     _run_blocks(ctx, n_paths, master_seed, stream_offset, workers, consume)
-    return TerminalSample(
+    sample = TerminalSample(
         out_times=out_times,
         stocks=rows[:, :pos_z].reshape(n_paths, n, n_out),
         z=rows[:, pos_z:pos_c] if with_z else None,
         counts=rows[:, pos_c:pos_w],
         w_terminal=rows[:, pos_w:],
         seed=master_seed,
-        measure="Q" if measure_emm is not None else "P",
+        measure="Q" if ctx.measure_emm is not None else "P",
     )
+    return sample, in_cells
 
 
 def iterate_bundles(

@@ -57,6 +57,50 @@ VERIFY_TOL_DISCRETE = 1e-9
 VERIFY_TOL_CONTINUOUS = 1e-7
 
 
+def cell_index(cells, y) -> np.ndarray:
+    """Index of the cell holding each mark in ``y``, -1 outside every cell;
+    a mark on a shared cell edge belongs to the first cell."""
+    y = np.asarray(y, dtype=float)
+    idx = np.full(y.shape, -1)
+    for k in reversed(range(len(cells))):
+        a, b = cells[k]
+        idx[(y >= a) & (y <= b)] = k
+    return idx
+
+
+class _Uniforms:
+    """Random access to the uniforms of several paths' streams.
+
+    Each path's first uniforms are drawn ahead in one call; a path that
+    runs short is drawn again, longer (``draw(p, n)`` returns the first n
+    uniforms of path p's stream).
+    """
+
+    def __init__(self, draw, counts: np.ndarray):
+        self.draw = draw
+        self.have = np.where(counts > 0, 4 * counts + 8, 0)
+        self.buf = np.empty((len(counts), int(self.have.max(initial=0))))
+        for p in np.flatnonzero(counts).tolist():
+            self.buf[p, :self.have[p]] = draw(p, int(self.have[p]))
+
+    def take(self, rows: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
+        """(len(rows), n) uniforms ``start[i] .. start[i] + n - 1`` of each row."""
+        for i in np.flatnonzero(start + n > self.have[rows]).tolist():
+            p = rows[i]
+            size = max(int(start[i]) + n, 2 * int(self.have[p]))
+            if size > self.buf.shape[1]:
+                grow = np.empty((len(self.buf), size - self.buf.shape[1]))
+                self.buf = np.concatenate([self.buf, grow], axis=1)
+            self.buf[p, :size] = self.draw(p, size)
+            self.have[p] = size
+        return self.buf[rows[:, None], start[:, None] + np.arange(n)]
+
+
+# rejection tries drawn at once per remainder event, and the most tried
+_REJECT_WINDOW = 8
+_REJECT_LIMIT = 10000
+
+
 @dataclass(frozen=True)
 class CellMeasure:
     """Risk-neutral jump measure of a continuous mark space.
@@ -72,28 +116,35 @@ class CellMeasure:
     cell_intensities: tuple[TimeFunction, ...]
     remainder_physical: bool = False
 
-    def cell_of(self, y) -> int:
-        for k, (a, b) in enumerate(self.cells):
-            if a <= y <= b:
-                return k
-        return -1
+    def _region_intensities(self, t: np.ndarray) -> np.ndarray:
+        """(R, len(t)) intensity of each sampling region at times t: the
+        cells, then the remainder when it keeps the physical measure."""
+        rows = [np.asarray(fn.value(t), dtype=float) for fn in self.cell_intensities]
+        if self.remainder_physical:
+            covered = 0  # cell masses added in cell order
+            for a, b in self.cells:
+                covered = covered + (self.base.cdf(b, t) - self.base.cdf(a, t))
+            phys = self.physical_intensity.value(t)
+            rows.append(phys * np.maximum(1.0 - covered, 0.0))
+        return np.array(rows)
 
-    def remainder_intensity(self, t: float) -> float:
-        if not self.remainder_physical:
-            return 0.0
-        covered = sum(self.base.mass(a, b, t) for a, b in self.cells)
-        return float(self.physical_intensity.value(t)) * max(1.0 - covered, 0.0)
+    def _region_probabilities(self, t: np.ndarray) -> np.ndarray:
+        """(len(t), R) region intensities over the total, one row per time.
 
-    def total_intensity(self, t: float) -> float:
-        tot = sum(float(fn.value(t)) for fn in self.cell_intensities)
-        return tot + self.remainder_intensity(t)
+        Rows are contiguous, so a sum along them adds each row the way the
+        sum of that row alone does (which is not in sequence for R > 2).
+        """
+        rates = self._region_intensities(t)
+        return np.ascontiguousarray((rates / sum(rates)).T)
+
+    def total_intensity(self, t):
+        """Total intensity at a time, or at each of an array of times."""
+        total = sum(self._region_intensities(np.atleast_1d(np.asarray(t, float))))
+        return total if np.ndim(t) else float(total[0])
 
     def cell_probabilities(self, t: float) -> np.ndarray:
         """p~*(cell) = cell intensity / total intensity (remainder last)."""
-        vals = [float(fn.value(t)) for fn in self.cell_intensities]
-        if self.remainder_physical:
-            vals.append(self.remainder_intensity(t))
-        return np.asarray(vals) / self.total_intensity(t)
+        return self._region_probabilities(np.array([float(t)]))[0]
 
     def phi(self, y: float, t: float) -> float:
         """Intensity ratio d(lambda~)/d(lambda) at mark y."""
@@ -103,10 +154,9 @@ class CellMeasure:
         """:meth:`phi` at each pair (y[j], t[j]); a mark on a shared cell
         edge belongs to the first cell."""
         out = np.full(y.shape, 1.0 if self.remainder_physical else 0.0)
-        free = np.ones(y.shape, dtype=bool)
-        for (a, b), lam in zip(self.cells, self.cell_intensities):
-            sel = free & (y >= a) & (y <= b)
-            free &= ~sel
+        idx = cell_index(self.cells, y)
+        for k, ((a, b), lam) in enumerate(zip(self.cells, self.cell_intensities)):
+            sel = idx == k
             if not sel.any():
                 continue
             ts = t[sel]
@@ -168,6 +218,30 @@ class CellMeasure:
         )
 
     @cached_property
+    def _sampled(self) -> dict:
+        return {}
+
+    def sampled(self, name: str, horizon: float) -> TimeFunction:
+        """The method ``name`` (``"total_intensity"`` or
+        ``"mean_jump_intensity"``) as a TimeFunction on [0, horizon]: exact
+        on a constant measure, else linear through 513 samples.  Sampled
+        once per measure and horizon and shared by every simulation
+        context built from this measure."""
+        key = (name, float(horizon))
+        if key not in self._sampled:
+            fn = getattr(self, name)
+            if self._is_constant:
+                self._sampled[key] = TimeFunction.constant(float(fn(0.0)))
+            else:
+                grid = np.linspace(0.0, horizon, 513)
+                if name == "total_intensity":  # takes the whole grid at once
+                    vals = fn(grid)
+                else:
+                    vals = [float(fn(t)) for t in grid]
+                self._sampled[key] = TimeFunction.samples(grid, vals)
+        return self._sampled[key]
+
+    @cached_property
     def _pieces(self):
         """Sampling pieces at t=0: (prob, cdf_lo, cdf_hi) per region.
 
@@ -212,40 +286,80 @@ class CellMeasure:
     def sample_marks(self, rng: np.random.Generator, times: np.ndarray) -> np.ndarray:
         """One mark per event time, drawn from the reweighted density.
 
-        Each region (cell or remainder gap) keeps the physical shape, so a
-        mark is an inverse-CDF draw of the base density restricted to the
-        chosen region.
+        Each region (cell or remainder) keeps the physical shape, so a mark
+        is an inverse-CDF draw of the base density restricted to the chosen
+        region.  On a time-varying measure ``rng`` may be drawn past the
+        last uniform the marks use.
         """
         times = np.asarray(times, dtype=float)
         if times.size == 0:
             return np.zeros(0)
         if self._is_constant:
             return self.marks_from_uniforms(rng.uniform(size=(2, times.size)))
+        drawn = [np.zeros(0)]
+
+        def draw(p, n):  # one path: the stream continues where it stopped
+            drawn[0] = np.concatenate([drawn[0], rng.random(n - drawn[0].size)])
+            return drawn[0]
+
+        return self.marks_from_streams(times, np.array([0, times.size]), draw)
+
+    def marks_from_streams(self, times: np.ndarray, off: np.ndarray, draw) -> np.ndarray:
+        """Marks of several paths' events, path p owning the sorted
+        ``times[off[p]:off[p + 1]]``, from each path's uniforms in order.
+
+        Per event a path reads a region uniform and a quantile uniform, then,
+        for a remainder event, rejection tries: physical draws until one
+        falls outside every cell.  ``draw(p, n)`` returns the first n
+        uniforms of path p's stream.  The region and cell-bound tables are
+        computed for all events at once, and the walk takes event r of
+        every path together.
+        """
+        times = np.asarray(times, dtype=float)
         marks = np.empty(times.shape)
+        counts = np.diff(off)
+        if times.size == 0:
+            return marks
+        probs = self._region_probabilities(times)
+        cum = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
         n_cells = len(self.cells)
-        for j, t in enumerate(times):
-            probs = self.cell_probabilities(float(t))
-            cum = np.cumsum(probs) / probs.sum()
-            k = int(
-                min(np.searchsorted(cum, rng.uniform(), side="left"), len(probs) - 1)
-            )
-            u = rng.uniform()
-            if k < n_cells:
-                a, b = self.cells[k]
-                clo = self.base.cdf(a, float(t))
-                chi = self.base.cdf(b, float(t))
-            else:  # remainder: physical conditional on the uncovered set
-                marks[j] = self._sample_remainder(rng, float(t))
-                continue
-            marks[j] = self.base.ppf(clo + u * (chi - clo), float(t))
+        streams = _Uniforms(draw, counts)
+        region = np.empty(times.size, dtype=np.int64)
+        quantile = np.empty(times.size)
+        cursor = np.zeros(len(counts), dtype=np.int64)
+        for r in range(int(counts.max())):
+            rows = np.flatnonzero(counts > r)
+            ev = off[rows] + r
+            u = streams.take(rows, cursor[rows], 2)
+            cursor[rows] += 2
+            # the first region whose cumulative probability reaches u
+            k = np.minimum((cum[ev] < u[:, :1]).sum(axis=1), cum.shape[1] - 1)
+            region[ev] = k
+            quantile[ev] = u[:, 1]
+            rem = k == n_cells
+            if rem.any():
+                self._remainder_marks(times, rows[rem], ev[rem], cursor, streams, marks)
+        ev = np.flatnonzero(region < n_cells)
+        t = times[ev]
+        a, b = np.array(self.cells, dtype=float).reshape(-1, 2)[region[ev]].T
+        lo, hi = self.base.cdf(a, t), self.base.cdf(b, t)
+        marks[ev] = self.base.ppf(lo + quantile[ev] * (hi - lo), t)
         return marks
 
-    def _sample_remainder(self, rng: np.random.Generator, t: float) -> float:
-        # rejection against the base density off the covered cells
-        for _ in range(10000):
-            y = float(self.base.ppf(rng.uniform(), t))
-            if self.cell_of(y) < 0:
-                return y
+    def _remainder_marks(self, times, rows, ev, cursor, streams, marks):
+        """Remainder events ``ev`` (of paths ``rows``): the first physical
+        draw outside every cell, trying a window of uniforms at a time."""
+        w = _REJECT_WINDOW
+        for _ in range(0, _REJECT_LIMIT, w):
+            y = self.base.ppf(streams.take(rows, cursor[rows], w), times[ev][:, None])
+            out = cell_index(self.cells, y) < 0
+            hit = out.any(axis=1)
+            first = out.argmax(axis=1)
+            marks[ev[hit]] = y[hit, first[hit]]
+            cursor[rows] += np.where(hit, first + 1, w)
+            rows, ev = rows[~hit], ev[~hit]
+            if not rows.size:
+                return
         raise EmptyCell("remainder has ~zero probability; cannot sample")
 
     def to_json(self):

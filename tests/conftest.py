@@ -72,6 +72,27 @@ def uniform_mark_market() -> MarketSpec:
     return make_uniform_mark_market()
 
 
+def make_piecewise_mark_market() -> MarketSpec:
+    """The uniform-mark market with total intensity 4 on [0, 0.5) and 5 on
+    [0.5, 1]: its uplifted cell measure varies in time."""
+    return MarketSpec(
+        horizon=1.0,
+        s0=[100.0, 80.0],
+        alpha=[0.08, 0.03],
+        rate=RATE,
+        sigma=[[0.25], [0.4]],
+        jumps=ContinuousJumpSpec(
+            density=Density("uniform", (-0.5, 0.5), {}),
+            total_intensity=TimeFunction.piecewise([0.0, 0.5, 1.0], [4.0, 5.0]),
+        ),
+    )
+
+
+@pytest.fixture
+def piecewise_mark_market() -> MarketSpec:
+    return make_piecewise_mark_market()
+
+
 def make_time_varying_market() -> MarketSpec:
     """The three-stock market with lambda_2(t) = 1 + t and matching drift.
 

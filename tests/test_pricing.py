@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import norm, poisson
 
 from upliftemm import (
+    ContinuousPlan,
     DiscreteJumpSpec,
     Emm,
     MarketEvent,
@@ -21,7 +22,9 @@ from upliftemm import (
     simulate_terminal,
     two_route_check,
 )
+from upliftemm.cli import verify_suite
 from upliftemm.errors import BudgetExceeded, NonReducedEvent, PlanMismatch
+from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
 
 N_MC = 20_000
 
@@ -160,6 +163,28 @@ class TestRestriction:
         omega = report.lines[0]
         assert abs(omega.a.estimate - 1.0) < 3 * omega.a.std_error
         assert abs(omega.b.estimate - 1.0) < 3 * omega.b.std_error
+
+    def test_continuous_market_counts_marks_in_retained_cell(self, uniform_mark_market):
+        spec = uniform_mark_market
+        plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        seed = 2001
+        report = verify_suite(
+            spec, plan, paths=N_MC, seed=seed, grid_points=256, checks=["restriction"]
+        )
+        lines = {ln["label"]: ln for ln in report["checks"]["restriction"]["lines"]}
+        assert lines["first_retained_quiet"]["passed"], lines
+        # the full market's side counts the marks inside cell 0, not every event
+        emm, _, _ = build_uplifted_emm(spec, plan)
+        ctx = SimulationContext(spec, [1.0], density_emm=emm)
+        full, in_cells = _terminal_sample(ctx, N_MC, seed, 1, 0, plan.cells)
+        quiet = full.z_terminal() * (in_cells[:, 0] == 0)
+        assert lines["first_retained_quiet"]["a"]["estimate"] == np.sum(quiet) / N_MC
+        assert np.all(in_cells[:, 0] <= full.counts[:, 0])
+        assert np.any(in_cells[:, 0] < full.counts[:, 0])
+        bundles = iterate_bundles(spec, [1.0], 300, seed, density_emm=emm)
+        for k, bundle in enumerate(bundles):
+            y = bundle.event_marks
+            assert in_cells[k, 0] == np.sum((y >= -0.5) & (y <= 0.0)), k
 
     def test_neglected_event_rejected(self, uplifted):
         spec, plan, emm, fict, fict_emm = uplifted

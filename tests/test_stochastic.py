@@ -22,9 +22,10 @@ from upliftemm import (
     simulate_terminal,
     stock_path_exact,
 )
-from upliftemm.errors import FactorAtMinusOne, NullMark, UnboundedIntensity
+from upliftemm.errors import EmptyCell, FactorAtMinusOne, NullMark, UnboundedIntensity
 from upliftemm.blocks import _block_size
-from upliftemm.stochastic import SimulationContext, StreamPool
+from upliftemm.stochastic import SimulationContext, StreamPool, iterate_bundles
+from upliftemm.uplift import CellMeasure
 
 N_STAT = 30_000
 
@@ -59,6 +60,20 @@ class TestPoissonSampling:
         counts = _sample_counts(lam, 2.0, 3, N_STAT)
         z = (counts.mean() - 2.0) / np.sqrt(2.0 / N_STAT)
         assert abs(z) < 4.0
+
+    def test_majorant_is_checked(self, three_stock_market, uniform_mark_market):
+        # thinning below an intensity it cannot bound would be biased
+        for spec in (three_stock_market, uniform_mark_market):
+            ctx = SimulationContext(spec, [1.0])
+            ctx.majorant = 0.9 * ctx.const_total
+            with pytest.raises(UnboundedIntensity):
+                for sid in range(5):
+                    simulate_path(ctx, RngStreamSpec(3, sid))
+            with pytest.raises(UnboundedIntensity):
+                for sid in range(5):
+                    sample_marked_point_process(
+                        spec.jumps, 1.0, RngStreamSpec(3, sid), _ctx=ctx
+                    )
 
     def test_nonfinite_intensity_rejected(self):
         with pytest.raises(UnboundedIntensity):
@@ -108,6 +123,105 @@ class TestMarkedSampling:
         times, marks = sample_marked_point_process(jumps, 1.0, RngStreamSpec(8, 0))
         assert np.all((marks >= -0.5) & (marks <= 0.5))
         assert np.all(np.diff(times) > 0)
+
+
+def _reference_marks(mm: CellMeasure, rng, times) -> np.ndarray:
+    """Time-varying cell-measure marks drawn one event at a time: region
+    probabilities, cell bounds and quantiles from scalar calls."""
+    marks = np.empty(len(times))
+    n_cells = len(mm.cells)
+    for j, t in enumerate(times):
+        t = float(t)
+        vals = [float(fn.value(t)) for fn in mm.cell_intensities]
+        if mm.remainder_physical:
+            covered = sum(mm.base.mass(a, b, t) for a, b in mm.cells)
+            vals.append(float(mm.physical_intensity.value(t)) * max(1.0 - covered, 0.0))
+        probs = np.asarray(vals) / sum(vals)
+        cum = np.cumsum(probs) / probs.sum()
+        k = int(min(np.searchsorted(cum, rng.uniform(), side="left"), len(probs) - 1))
+        u = rng.uniform()
+        if k < n_cells:
+            a, b = mm.cells[k]
+            clo, chi = mm.base.cdf(a, t), mm.base.cdf(b, t)
+            marks[j] = mm.base.ppf(clo + u * (chi - clo), t)
+            continue
+        for _ in range(10000):  # remainder: physical draws off every cell
+            y = float(mm.base.ppf(rng.uniform(), t))
+            if not any(a <= y <= b for a, b in mm.cells):
+                marks[j] = y
+                break
+        else:
+            raise EmptyCell("remainder has ~zero probability")
+    return marks
+
+
+def _varying_cell_measures():
+    """Truncnorm marks with time-varying mu, three cells and a remainder;
+    the second measure leaves the remainder little mass, so rejection runs
+    long and paths run past their first uniforms."""
+    base = Density("truncnorm", (-0.6, 0.6), {
+        "mu": TimeFunction.samples([0.0, 0.3, 1.0], [0.0, 0.1, -0.05]), "sigma": 0.3,
+    })
+    phys = TimeFunction.piecewise([0.0, 0.5, 1.0], [6.0, 9.0])
+    lams = (
+        TimeFunction.samples([0.0, 1.0], [1.0, 2.0]),
+        TimeFunction.constant(1.5),
+        TimeFunction.piecewise([0.0, 0.4, 1.0], [0.7, 1.1]),
+    )
+    cells = (((-0.6, -0.3), (-0.3, 0.0), (0.1, 0.3)),
+             ((-0.6, -0.2), (-0.2, 0.3), (0.3, 0.58)))
+    return [
+        (base, phys, CellMeasure(base=base, physical_intensity=phys, cells=c,
+                                 cell_intensities=lams, remainder_physical=True))
+        for c in cells
+    ]
+
+
+class TestVaryingCellMarks:
+    def test_block_marks_match_scalar_reference(self):
+        for base, phys, mm in _varying_cell_measures():
+            spec = MarketSpec(
+                horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+                jumps=ContinuousJumpSpec(density=base, total_intensity=phys),
+            )
+            emm = Emm(theta=(0.1,), jump_measure=mm)
+            ctx = SimulationContext(spec, [0.5, 1.0], measure_emm=emm)
+            n_paths = _block_size(ctx) + 5  # across a block boundary
+            seed, offset, n_remainder = 31, 7, 0
+            bundles = iterate_bundles(
+                spec, [0.5, 1.0], n_paths, seed, measure_emm=emm, stream_offset=offset
+            )
+            for k, bundle in enumerate(bundles):
+                rng = RngStreamSpec(seed, offset + k).generator("marks")
+                ref = _reference_marks(mm, rng, bundle.event_times)
+                assert np.array_equal(bundle.event_marks, ref), k
+                n_remainder += np.sum(
+                    mm.phi_values(bundle.event_marks, bundle.event_times) == 1.0
+                )
+            assert n_remainder > 5
+            # the one-path sampler reads the same tables
+            times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 40))
+            got = mm.sample_marks(RngStreamSpec(5, 2).generator("marks"), times)
+            ref = _reference_marks(mm, RngStreamSpec(5, 2).generator("marks"), times)
+            assert np.array_equal(got, ref)
+
+    def test_measure_functions_sampled_once(self, piecewise_mark_market, monkeypatch):
+        plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        emm, _, _ = build_uplifted_emm(piecewise_mark_market, plan)
+        calls = {"mean_jump_intensity": 0, "total_intensity": 0}
+        for name in calls:
+            method = getattr(CellMeasure, name)
+
+            def counted(self, t, _method=method, _name=name):
+                calls[_name] += np.size(t)
+                return _method(self, t)
+
+            monkeypatch.setattr(CellMeasure, name, counted)
+        times = np.linspace(0.0, 1.0, 9)
+        SimulationContext(piecewise_mark_market, times, measure_emm=emm)
+        SimulationContext(piecewise_mark_market, times, measure_emm=emm, density_emm=emm)
+        # each function at 513 times, once for both contexts
+        assert calls == {"mean_jump_intensity": 513, "total_intensity": 513}
 
 
 class TestStockPathExactness:
@@ -172,7 +286,8 @@ class TestStockPathExactness:
         assert sample.w_terminal.shape == (10_000, 0)
 
     def test_determinism_across_workers_and_pool(
-        self, three_stock_market, time_varying_market, uniform_mark_market
+        self, three_stock_market, time_varying_market, uniform_mark_market,
+        piecewise_mark_market,
     ):
         a = simulate_terminal(three_stock_market, [1.0], 500, 77, workers=1)
         b = simulate_terminal(three_stock_market, [1.0], 500, 77, workers=3)
@@ -194,6 +309,11 @@ class TestStockPathExactness:
                 uniform_mark_market,
                 ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True),
             ),
+            # a time-varying cell measure: marks read a varying number of draws
+            "cont_cells": (
+                piecewise_mark_market,
+                ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True),
+            ),
         }
         times, seed, offset = [0.5, 1.0], 78, 40
         for label, (spec, plan) in markets.items():
@@ -212,7 +332,7 @@ class TestStockPathExactness:
                     if whole.z is not None:
                         assert np.array_equal(whole.z[k], bundle.z_values), case
                     counts = (
-                        [bundle.event_times.size] if label == "continuous"
+                        [bundle.event_times.size] if label.startswith("cont")
                         else bundle.counts_by_driver(spec.jumps.n_drivers)
                     )
                     assert np.array_equal(whole.counts[k], counts), case

@@ -23,6 +23,7 @@ from upliftemm import (
     verify_uplift,
 )
 from upliftemm.errors import InvalidIntensities, NotComplete, PlanMismatch
+from upliftemm.uplift import cell_index
 
 from conftest import (
     INTENSITIES,
@@ -246,6 +247,10 @@ class TestContinuousUplift:
         emm = uplift_continuous(given, spec, plan)
         assert emm.jump_measure.density_value(0.45) == 0.0
         assert emm.jump_measure.density_value(1.5) == 0.0
+
+    def test_shared_cell_edge_belongs_to_first_cell(self):
+        cells = ((-0.5, 0.0), (0.0, 0.5))
+        assert cell_index(cells, [-0.5, 0.0, 0.25, 0.5, 0.7]).tolist() == [0, 0, 1, 1, -1]
 
     def test_remainder_keeps_physical_measure(self, uniform_mark_market):
         plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
