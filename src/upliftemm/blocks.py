@@ -3,9 +3,10 @@
 Per path, only the draws from its own Philox substreams run in a Python
 loop; sorting, thinning, marking, grid merging and the Brownian, jump and
 density sums run on whole-block arrays, with every per-path sum taken in
-the order the path's own arrays give it.  A path's values therefore
-depend neither on the block size nor on the worker count.  The public
-entry points (``simulate_path``, ``run_paths``, ``simulate_terminal``,
+the order the path's own arrays give it.  A path's values therefore do
+not depend on the block size (``_SEGMENT_BUDGET``, read at call time).
+Blocks run one after another on one thread.  The public entry points
+(``simulate_path``, ``run_paths``, ``simulate_terminal``,
 ``iterate_bundles``) live in :mod:`upliftemm.stochastic`.
 """
 

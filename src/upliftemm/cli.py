@@ -2,7 +2,7 @@
 
 Subcommands: validate, solve, reduce, uplift, simulate, price, verify.
 Every report can be emitted as canonical JSON (sorted keys), which is
-byte-identical across runs and worker counts for a fixed seed.  Exit
+byte-identical across runs and block sizes for a fixed seed.  Exit
 codes: 0 success/PASS, 1 FAIL or domain error, 2 usage/config error.
 """
 
@@ -185,9 +185,7 @@ def _cmd_price(args) -> int:
     spec = _load_market(args.market)
     emm = Emm.from_json(load_json(args.emm))
     payoff = Payoff.from_json(load_json(args.payoff))
-    report = price_mc(
-        spec, emm, payoff, args.paths, args.seed, workers=args.threads
-    )
+    report = price_mc(spec, emm, payoff, args.paths, args.seed)
     doc = report.to_json()
     text = (
         f"estimate  {report.estimate:.6f}\n"
@@ -199,15 +197,13 @@ def _cmd_price(args) -> int:
     return 0
 
 
-def verify_suite(
-    spec, plan, *, paths, seed, grid_points, threads=1, checks=None, emm=None
-):
+def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None):
     """Run the uplift checks end to end and aggregate PASS/FAIL.
 
     The measure is derived by reduce/solve/uplift unless one is supplied
     explicitly (to audit a stored measure file).  Returns a JSON-ready
     report; the same (market, plan, paths, seed) produce byte-identical
-    reports for any thread count.
+    reports for any block size.
     """
     selected = tuple(checks) if checks else ALL_CHECKS
     grid = default_grid(spec.horizon, grid_points)
@@ -244,7 +240,7 @@ def verify_suite(
             )
         rc = restriction_check(
             spec, plan, emm, fict_emm, tuple(events), paths,
-            seed=seed, workers=threads, fict=fict,
+            seed=seed, fict=fict,
         )
         report["checks"]["restriction"] = rc.to_json()
         ok = ok and rc.passed
@@ -261,12 +257,12 @@ def verify_suite(
             ok = ok and pr.passed
 
     if "martingale" in selected:
-        mc = martingale_check(spec, emm, paths, seed=seed, workers=threads)
+        mc = martingale_check(spec, emm, paths, seed=seed)
         report["checks"]["martingale"] = mc.to_json()
         ok = ok and mc.passed
 
     if "density_mass" in selected:
-        dm = density_mass_check(spec, emm, paths, seed=seed, workers=threads)
+        dm = density_mass_check(spec, emm, paths, seed=seed)
         report["checks"]["density_mass"] = dm.to_json()
         ok = ok and dm.passed
 
@@ -287,7 +283,7 @@ def _cmd_verify(args) -> int:
     report = verify_suite(
         spec, plan,
         paths=args.paths, seed=args.seed,
-        grid_points=args.grid, threads=args.threads, checks=checks, emm=emm,
+        grid_points=args.grid, checks=checks, emm=emm,
     )
     lines = []
     for name, body in report["checks"].items():
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         if mc:
             p.add_argument("--paths", type=int, default=10_000)
             p.add_argument("--seed", type=_parse_seed, default=_default_seed())
-            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the JSON report to this path")
 

@@ -2,7 +2,7 @@
 
 Every estimator reduces an (n_paths,)-vector of per-path values with a
 single pairwise sum over the path index, so estimates are byte-identical
-for any worker count.  Two-estimator comparisons always use disjoint
+for any block size.  Two-estimator comparisons always use disjoint
 substream ranges, making the "within 4 combined standard errors" criteria
 meaningful.
 """
@@ -26,6 +26,7 @@ from .stochastic import (
     RngStreamSpec,
     SimulationContext,
     TerminalSample,
+    _count_width,
     _terminal_sample,
     run_paths,
     simulate_terminal,
@@ -307,7 +308,6 @@ def price_mc(
     payoff: Payoff,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
     verify: bool = True,
     stream_offset: int = 0,
 ) -> McReport:
@@ -321,7 +321,7 @@ def price_mc(
             )
     sample = simulate_terminal(
         spec, [spec.horizon], n_paths, seed,
-        measure_emm=emm, workers=workers, stream_offset=stream_offset,
+        measure_emm=emm, stream_offset=stream_offset,
     )
     return _mc_report(payoff.values(sample, spec), seed, "Q*")
 
@@ -332,13 +332,12 @@ def zweighted_price_mc(
     payoff: Payoff,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
     stream_offset: int = 0,
 ) -> McReport:
     """E[payoff] as a density-weighted physical-measure expectation."""
     sample = simulate_terminal(
         spec, [spec.horizon], n_paths, seed,
-        density_emm=emm, workers=workers, stream_offset=stream_offset,
+        density_emm=emm, stream_offset=stream_offset,
     )
     values = sample.z_terminal() * payoff.values(sample, spec)
     return _mc_report(values, seed, "P,Z-weighted")
@@ -403,7 +402,6 @@ def two_route_check(
     payoffs: dict,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> CheckReport:
     """Direct simulation under the measure vs density-weighted physical.
 
@@ -413,12 +411,9 @@ def two_route_check(
     """
     lines = []
     for label, payoff in payoffs.items():
-        direct = price_mc(
-            spec, emm, payoff, n_paths, seed, workers=workers, verify=False
-        )
+        direct = price_mc(spec, emm, payoff, n_paths, seed, verify=False)
         weighted = zweighted_price_mc(
-            spec, emm, payoff, n_paths, seed,
-            workers=workers, stream_offset=n_paths,
+            spec, emm, payoff, n_paths, seed, stream_offset=n_paths
         )
         lines.append(ComparisonLine(label=label, a=direct, b=weighted))
     return CheckReport(
@@ -433,12 +428,9 @@ def density_mass_check(
     emm: Emm,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> CheckReport:
     """E[Z(T)] = 1 under the physical measure, within 4 standard errors."""
-    sample = simulate_terminal(
-        spec, [spec.horizon], n_paths, seed, density_emm=emm, workers=workers
-    )
+    sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, density_emm=emm)
     rep = _mc_report(sample.z_terminal(), seed, "P")
     z = abs(rep.estimate - 1.0) / rep.std_error if rep.std_error else 0.0
     return CheckReport(
@@ -453,12 +445,9 @@ def martingale_check(
     emm: Emm,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> CheckReport:
     """Discounted terminal prices average to the initial prices under emm."""
-    sample = simulate_terminal(
-        spec, [spec.horizon], n_paths, seed, measure_emm=emm, workers=workers
-    )
+    sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, measure_emm=emm)
     disc = spec.discount_factor(spec.horizon)
     zs = {}
     ok = True
@@ -486,7 +475,6 @@ def restriction_check(
     events: tuple[MarketEvent, ...],
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
     fict: FictitiousMarket | None = None,
 ) -> CheckReport:
     """E_P[Z* 1_A] vs E_P[Z~ 1_A] for reduced-information events A.
@@ -521,11 +509,11 @@ def restriction_check(
     # the full market's marks are counted cell by cell
     cells = plan.cells if isinstance(plan, ContinuousPlan) else ()
     ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
-    full, in_cells = _terminal_sample(ctx, n_paths, seed, workers, 0, cells)
+    full, in_cells = _terminal_sample(ctx, n_paths, seed, 0, cells)
     full_counts = in_cells if cells else full.counts
     reduced = simulate_terminal(
         fict.spec, [spec.horizon], n_paths, seed,
-        density_emm=fict_emm, workers=workers, stream_offset=n_paths,
+        density_emm=fict_emm, stream_offset=n_paths,
     )
     lines = []
     for ev in events:
@@ -630,7 +618,6 @@ def cost_of_construction_check(
     n_direct: int = 100_000,
     seed: int = DEFAULT_SEED,
     budget: int = 20_000_000,
-    workers: int = 1,
     fict: FictitiousMarket | None = None,
 ) -> CheckReport:
     """Nested estimate of the fictitious-claim price vs the direct price.
@@ -653,9 +640,7 @@ def cost_of_construction_check(
     # under the consistent uplift the neglected intensities are physical
     model = _neglected_factor_model(spec, fict, emm.intensities, T)
 
-    outer = simulate_terminal(
-        fict.spec, [T], n_outer, seed, measure_emm=fict_emm, workers=workers
-    )
+    outer = simulate_terminal(fict.spec, [T], n_outer, seed, measure_emm=fict_emm)
     M = spec.n_jump_drivers
     D = spec.n_brownians
     retained_cols = {m: k for k, group in enumerate(fict.driver_groups) for m in group}
@@ -675,8 +660,7 @@ def cost_of_construction_check(
         inner_means[p] = np.sum(vals) / n_inner
     nested = _mc_report(inner_means, seed, "Q~ nested")
     direct = price_mc(
-        spec, emm, payoff, n_direct, seed,
-        workers=workers, verify=False, stream_offset=n_outer,
+        spec, emm, payoff, n_direct, seed, verify=False, stream_offset=n_outer
     )
     line = ComparisonLine(label="cost_of_construction", a=nested, b=direct)
     return CheckReport(
@@ -816,7 +800,6 @@ def hedging_error(
     payoff: Payoff,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> HedgingReport:
     """Terminal payoff minus initial value minus trading gains, under emm.
 
@@ -848,6 +831,8 @@ def hedging_error(
             else None
         )
 
+    n_count = _count_width(spec)
+
     def per_path(bundle) -> np.ndarray:
         disc_stocks = bundle.stock_values * disc[None, :]  # (n, n_times)
         increments = np.diff(disc_stocks, axis=1)  # (n, K)
@@ -868,21 +853,16 @@ def hedging_error(
                 paid = 0.0
             gain_jump = paid - compensator
         stocks = bundle.stock_values[:, -1][None, :]
-        counts = np.zeros((1, max(_n_count_cols(spec), 1)))
-        if bundle.event_marks.dtype.kind == "i" and _n_count_cols(spec):
-            counts[0, :] = np.bincount(
-                bundle.event_marks, minlength=_n_count_cols(spec)
-            )
+        counts = np.zeros((1, max(n_count, 1)))
+        if bundle.event_marks.dtype.kind == "i" and n_count:
+            counts[0, :] = np.bincount(bundle.event_marks, minlength=n_count)
         c = payoff.undiscounted_values(stocks, counts)[0]
         if payoff.discounted:
             c = c * disc[-1]
         gain = gain_stock + gain_jump
         return np.array([(c - strategy.v0) - gain, gain])
 
-    rows = run_paths(
-        spec, times, n_paths, seed, per_path, 2,
-        measure_emm=emm, workers=workers,
-    )
+    rows = run_paths(spec, times, n_paths, seed, per_path, 2, measure_emm=emm)
     err = _mc_report(rows[:, 0], seed, "Q*")
     gain = _mc_report(rows[:, 1], seed, "Q*")
     unpriced = (
@@ -891,9 +871,3 @@ def hedging_error(
         else gain.estimate == 0.0
     )
     return HedgingReport(error=err, gain=gain, gain_is_unpriced=bool(unpriced))
-
-
-def _n_count_cols(spec: MarketSpec) -> int:
-    if isinstance(spec.jumps, DiscreteJumpSpec):
-        return spec.jumps.n_drivers
-    return 1 if spec.jumps is not None else 0

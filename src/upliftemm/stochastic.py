@@ -5,19 +5,18 @@ an inhomogeneous Poisson process exactly; between events the log price is
 a Gaussian plus closed-form drift integrals, so there is no Euler error
 anywhere.  Randomness is organized as counter-based substreams keyed by
 (master seed, path index, role), which makes every path reproducible
-bit for bit independently of worker count or execution order.
+bit for bit independently of how the paths are chunked.
 
-Paths are simulated in blocks (:mod:`upliftemm.blocks`): per path, only
-the draws from its own Philox substreams run in a Python loop, and
-everything else runs on whole-block arrays.  A path's values depend
-neither on the block size nor on the worker count: :func:`simulate_path`
-is a block of one, and row k of :func:`simulate_terminal` equals it on
-stream ``stream_offset + k``.
+Paths are simulated in blocks (:mod:`upliftemm.blocks`), one block after
+another on one thread: per path, only the draws from its own Philox
+substreams run in a Python loop, and everything else runs on whole-block
+arrays.  A path's values do not depend on the block size:
+:func:`simulate_path` is a block of one, and row k of
+:func:`simulate_terminal` equals it on stream ``stream_offset + k``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from .blocks import (
     _MASK64,
     PathBundle,
-    _Block,
     _block_size,
     _check_majorant,
     _event_log_factors,
@@ -65,8 +63,7 @@ class RngStreamSpec:
     """Counter-based substream addressing: (seed, path stream, role).
 
     Distinct triples yield independent Philox streams; the same triple
-    always reproduces the same sequence, on any machine and under any
-    number of workers.
+    always reproduces the same sequence, on any machine and in any block.
     """
 
     master_seed: int
@@ -88,7 +85,8 @@ class StreamPool:
     per-path construction cost.  Each role keeps the state dict of a fresh
     generator (counter zero, buffer empty, held in plain lists, which load
     faster than arrays); a rewind writes the stream id into its counter
-    and loads the dict.  Not thread-safe: give each worker its own pool.
+    and loads the dict.  Each role has one generator, so a rewind also
+    rewinds any generator an earlier call returned for that role.
     """
 
     def __init__(self, master_seed: int):
@@ -574,24 +572,6 @@ def _blocks(ctx: SimulationContext, master_seed: int, first_stream: int, n_paths
         )
 
 
-def _run_blocks(ctx, n_paths, master_seed, stream_offset, workers, consume):
-    """Call ``consume(row, block)`` over rows [0, n_paths), split into one
-    contiguous range per worker (each with its own StreamPool)."""
-
-    def run(lo: int, hi: int):
-        for row, block in _blocks(ctx, master_seed, stream_offset + lo, hi - lo):
-            consume(lo + row, block)
-            del block  # free it before the next block is simulated
-
-    if workers <= 1 or n_paths < 2 * workers:
-        run(0, n_paths)
-    else:
-        step = (n_paths + workers - 1) // workers
-        ranges = [(lo, min(lo + step, n_paths)) for lo in range(0, n_paths, step)]
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            list(executor.map(lambda r: run(*r), ranges))
-
-
 # -- whole-path simulation ----------------------------------------------------------
 
 
@@ -645,7 +625,6 @@ def run_paths(
     width: int,
     measure_emm: Emm | None = None,
     density_emm: Emm | None = None,
-    workers: int = 1,
     stream_offset: int = 0,
 ) -> np.ndarray:
     """Run ``per_path`` over independent paths into an (n_paths, width) array.
@@ -653,19 +632,16 @@ def run_paths(
     Paths are simulated in blocks and handed to ``per_path`` one
     :class:`PathBundle` at a time.  Results depend only on
     (master_seed, stream_offset) and the per-path function, never on the
-    block size or the worker count: each path owns its substreams and
-    writes into its own row.
+    block size: each path owns its substreams and writes into its own row.
     """
     ctx = SimulationContext(
         spec, out_times, measure_emm=measure_emm, density_emm=density_emm
     )
     out = np.empty((n_paths, width))
-
-    def consume(row: int, block: _Block):
+    for row, block in _blocks(ctx, master_seed, stream_offset, n_paths):
         for p in range(len(block)):
             out[row + p, :] = per_path(block.bundle(ctx, p, master_seed))
-
-    _run_blocks(ctx, n_paths, master_seed, stream_offset, workers, consume)
+        del block  # free it before the next block is simulated
     return out
 
 
@@ -676,23 +652,21 @@ def simulate_terminal(
     master_seed: int = DEFAULT_SEED,
     measure_emm: Emm | None = None,
     density_emm: Emm | None = None,
-    workers: int = 1,
     stream_offset: int = 0,
 ) -> TerminalSample:
     """Simulate terminal state summaries for a batch of paths.
 
     Blocks of paths are reduced straight into the stacked arrays.  Row k
     is the path of stream ``stream_offset + k``, identical to
-    :func:`simulate_path` on that stream, for any block size or worker
-    count.
+    :func:`simulate_path` on that stream, for any block size.
     """
     ctx = SimulationContext(
         spec, out_times, measure_emm=measure_emm, density_emm=density_emm
     )
-    return _terminal_sample(ctx, n_paths, master_seed, workers, stream_offset)[0]
+    return _terminal_sample(ctx, n_paths, master_seed, stream_offset)[0]
 
 
-def _terminal_sample(ctx, n_paths, master_seed, workers, stream_offset, cells=()):
+def _terminal_sample(ctx, n_paths, master_seed, stream_offset, cells=()):
     """:func:`simulate_terminal` on a built context, plus each path's
     number of marks in each of ``cells`` ((n_paths, len(cells)); a mark
     on a shared edge counts in the first cell)."""
@@ -707,9 +681,8 @@ def _terminal_sample(ctx, n_paths, master_seed, workers, stream_offset, cells=()
     pos_w = pos_c + cw
     rows = np.empty((n_paths, pos_w + D))
     in_cells = np.zeros((n_paths, len(cells)))
-
-    def consume(row: int, block: _Block):
-        lo, hi = row, row + len(block)
+    for lo, block in _blocks(ctx, master_seed, stream_offset, n_paths):
+        hi = lo + len(block)
         if cells:
             k = cell_index(cells, block.ev_marks)
             inside = k >= 0
@@ -727,8 +700,7 @@ def _terminal_sample(ctx, n_paths, master_seed, workers, stream_offset, cells=()
         elif cw:
             rows[lo:hi, pos_c] = np.diff(block.ev_off)
         rows[lo:hi, pos_w:] = np.cumsum(block.dw, axis=1)[:, -1]
-
-    _run_blocks(ctx, n_paths, master_seed, stream_offset, workers, consume)
+        del block  # free it before the next block is simulated
     sample = TerminalSample(
         out_times=out_times,
         stocks=rows[:, :pos_z].reshape(n_paths, n, n_out),

@@ -169,12 +169,6 @@ class TimeFunction:
             return TimeFunction.piecewise(self.t, c * self.v)
         return TimeFunction.samples(self.t, c * self.v)
 
-    def values_equal(self, other: "TimeFunction", grid) -> bool:
-        """Exact pointwise equality on a grid (used by consistency checks)."""
-        a = np.atleast_1d(self.value(grid))
-        b = np.atleast_1d(other.value(grid))
-        return bool(np.array_equal(a, b))
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self):

@@ -38,6 +38,7 @@ from upliftemm import (
     uplift_complete_neglect,
     verify_uplift,
 )
+import upliftemm.blocks
 from upliftemm.cli import verify_suite
 from upliftemm.io import dump_json
 from upliftemm.stochastic import StreamPool
@@ -353,20 +354,20 @@ def test_driver_statistics():
     )
 
 
-def test_verify_suite_deterministic_across_thread_counts(canonical, tmp_path):
+def test_verify_suite_deterministic_across_block_sizes(canonical, monkeypatch):
     spec, plan, *_ = canonical
-    reports = []
-    for threads in (1, 4):
-        doc = verify_suite(
-            spec, plan, paths=10_000, seed=311, grid_points=256, threads=threads
+
+    def run():
+        return dump_json(
+            verify_suite(spec, plan, paths=10_000, seed=311, grid_points=256)
         )
-        reports.append(dump_json(doc))
-    assert reports[0] == reports[1]
-    parsed = json.loads(reports[0])
+
+    default = run()
+    parsed = json.loads(default)
     assert parsed["aggregate"] == "PASS"
-    # and a second run of the same configuration is byte-identical too
-    again = dump_json(
-        verify_suite(spec, plan, paths=10_000, seed=311, grid_points=256, threads=2)
-    )
-    assert again == reports[0]
-    report("verify_suite_deterministic_across_thread_counts")
+    # a second run of the same configuration is byte-identical
+    assert run() == default
+    # and so is a run in blocks of a few paths instead of a few hundred
+    monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", 100)
+    assert run() == default
+    report("verify_suite_deterministic_across_block_sizes")

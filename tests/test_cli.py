@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import upliftemm.blocks
 from upliftemm.cli import main
 from upliftemm.io import dump_json, market_to_json
 from upliftemm.model import DiscreteJumpSpec, MarketSpec
@@ -138,14 +139,16 @@ class TestSimulate:
 
 
 class TestVerifySuite:
-    def test_pass_and_byte_identical_across_threads(self, workdir):
+    def test_pass_and_byte_identical_across_block_sizes(self, workdir, monkeypatch):
         args = [
             "verify", "-m", workdir / "market.json", "-p", workdir / "plan.json",
             "--paths", "10000", "--seed", "42",
         ]
         out1, out2 = workdir / "r1.json", workdir / "r2.json"
-        assert run(*args, "--threads", "1", "--out", out1) == 0
-        assert run(*args, "--threads", "4", "--out", out2) == 0
+        assert run(*args, "--out", out1) == 0
+        # a few paths per block instead of a few hundred
+        monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", 100)
+        assert run(*args, "--out", out2) == 0
         b1, b2 = out1.read_bytes(), out2.read_bytes()
         assert b1 == b2
         doc = json.loads(b1)
@@ -153,6 +156,12 @@ class TestVerifySuite:
         assert set(doc["checks"]) == {
             "uplift", "restriction", "projection", "martingale", "density_mass",
         }
+
+    def test_threads_flag_is_usage_error(self, workdir):
+        assert run(
+            "verify", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--paths", "100", "--threads", "2",
+        ) == 2
 
     def test_check_filter(self, workdir):
         out = workdir / "only.json"

@@ -176,7 +176,7 @@ class TestRestriction:
         # the full market's side counts the marks inside cell 0, not every event
         emm, _, _ = build_uplifted_emm(spec, plan)
         ctx = SimulationContext(spec, [1.0], density_emm=emm)
-        full, in_cells = _terminal_sample(ctx, N_MC, seed, 1, 0, plan.cells)
+        full, in_cells = _terminal_sample(ctx, N_MC, seed, 0, plan.cells)
         quiet = full.z_terminal() * (in_cells[:, 0] == 0)
         assert lines["first_retained_quiet"]["a"]["estimate"] == np.sum(quiet) / N_MC
         assert np.all(in_cells[:, 0] <= full.counts[:, 0])
