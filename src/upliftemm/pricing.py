@@ -2,14 +2,16 @@
 
 Every estimator reduces an (n_paths,)-vector of per-path values with a
 single pairwise sum over the path index, so estimates are byte-identical
-for any block size.  Two-estimator comparisons always use disjoint
-substream ranges, making the "within 4 combined standard errors" criteria
-meaningful.
+for any block size; prices are reductions of a terminal sample through one
+estimator.  The two legs of a comparison always use disjoint substream
+ranges, making the "within 4 combined standard errors" criteria meaningful.
+All payoffs of one two-route report share its two samples, so its lines
+are correlated with each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -283,13 +285,7 @@ class McReport:
     measure: str
 
     def to_json(self):
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "measure": self.measure,
-        }
+        return asdict(self)
 
 
 def _mc_report(values: np.ndarray, seed: int, measure: str) -> McReport:
@@ -297,6 +293,24 @@ def _mc_report(values: np.ndarray, seed: int, measure: str) -> McReport:
     est = float(np.sum(values) / n)
     se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return McReport(estimate=est, std_error=se, n_paths=n, seed=seed, measure=measure)
+
+
+def _z(diff: float, se: float) -> float:
+    """|diff| in standard errors; 0 when the standard error is 0."""
+    return abs(diff) / se if se > 0 else 0.0
+
+
+def _agrees(diff: float, se: float) -> bool:
+    """Within Z_LIMIT standard errors of 0; exactly 0 when se is 0."""
+    return _z(diff, se) < Z_LIMIT if se > 0 else diff == 0.0
+
+
+def _price(sample: TerminalSample, spec: MarketSpec, payoff: Payoff) -> McReport:
+    """E[payoff] on one terminal sample, Z-weighted when it carries Z."""
+    values = payoff.values(sample, spec)
+    if sample.z is None:
+        return _mc_report(values, sample.seed, "Q*")
+    return _mc_report(sample.z_terminal() * values, sample.seed, "P,Z-weighted")
 
 
 # -- pricing ---------------------------------------------------------------------------
@@ -308,22 +322,17 @@ def price_mc(
     payoff: Payoff,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    verify: bool = True,
-    stream_offset: int = 0,
 ) -> McReport:
-    """E[payoff] by simulating directly under the pricing measure."""
-    if verify:
-        rep = verify_uplift(emm, spec)
-        if not rep.passed:
-            raise ValueError(
-                f"measure does not satisfy the risk-premium equations "
-                f"(residual {rep.max_residual:.3e})"
-            )
-    sample = simulate_terminal(
-        spec, [spec.horizon], n_paths, seed,
-        measure_emm=emm, stream_offset=stream_offset,
-    )
-    return _mc_report(payoff.values(sample, spec), seed, "Q*")
+    """E[payoff] by simulating directly under the pricing measure, after
+    checking that the measure solves the risk-premium equations."""
+    rep = verify_uplift(emm, spec)
+    if not rep.passed:
+        raise ValueError(
+            f"measure does not satisfy the risk-premium equations "
+            f"(residual {rep.max_residual:.3e})"
+        )
+    sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, measure_emm=emm)
+    return _price(sample, spec, payoff)
 
 
 def zweighted_price_mc(
@@ -332,15 +341,10 @@ def zweighted_price_mc(
     payoff: Payoff,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    stream_offset: int = 0,
 ) -> McReport:
     """E[payoff] as a density-weighted physical-measure expectation."""
-    sample = simulate_terminal(
-        spec, [spec.horizon], n_paths, seed,
-        density_emm=emm, stream_offset=stream_offset,
-    )
-    values = sample.z_terminal() * payoff.values(sample, spec)
-    return _mc_report(values, seed, "P,Z-weighted")
+    sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, density_emm=emm)
+    return _price(sample, spec, payoff)
 
 
 @dataclass(frozen=True)
@@ -359,14 +363,11 @@ class ComparisonLine:
 
     @property
     def z(self) -> float:
-        se = self.combined_se
-        return abs(self.difference) / se if se > 0 else 0.0
+        return _z(self.difference, self.combined_se)
 
     @property
     def passed(self) -> bool:
-        if self.combined_se == 0.0:
-            return self.difference == 0.0
-        return self.z < Z_LIMIT
+        return _agrees(self.difference, self.combined_se)
 
     def to_json(self):
         return {
@@ -405,17 +406,24 @@ def two_route_check(
 ) -> CheckReport:
     """Direct simulation under the measure vs density-weighted physical.
 
-    The two estimators use disjoint substream ranges, hence independent
-    samples; both estimate the same expectation when the measure change is
-    correct.
+    One sample per route prices every payoff: under the measure on
+    streams [0, n), under P with the density on [n, 2n).  The two legs of
+    a line are independent and estimate the same expectation when the
+    measure change is correct; the lines share samples, so are correlated.
     """
-    lines = []
-    for label, payoff in payoffs.items():
-        direct = price_mc(spec, emm, payoff, n_paths, seed, verify=False)
-        weighted = zweighted_price_mc(
-            spec, emm, payoff, n_paths, seed, stream_offset=n_paths
+    T = spec.horizon
+    direct = simulate_terminal(spec, [T], n_paths, seed, measure_emm=emm)
+    weighted = simulate_terminal(
+        spec, [T], n_paths, seed, density_emm=emm, stream_offset=n_paths
+    )
+    lines = [
+        ComparisonLine(
+            label=label,
+            a=_price(direct, spec, payoff),
+            b=_price(weighted, spec, payoff),
         )
-        lines.append(ComparisonLine(label=label, a=direct, b=weighted))
+        for label, payoff in payoffs.items()
+    ]
     return CheckReport(
         name="two_route",
         passed=all(ln.passed for ln in lines),
@@ -432,7 +440,7 @@ def density_mass_check(
     """E[Z(T)] = 1 under the physical measure, within 4 standard errors."""
     sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, density_emm=emm)
     rep = _mc_report(sample.z_terminal(), seed, "P")
-    z = abs(rep.estimate - 1.0) / rep.std_error if rep.std_error else 0.0
+    z = _z(rep.estimate - 1.0, rep.std_error)
     return CheckReport(
         name="density_mass",
         passed=bool(z < Z_LIMIT),
@@ -448,20 +456,14 @@ def martingale_check(
 ) -> CheckReport:
     """Discounted terminal prices average to the initial prices under emm."""
     sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, measure_emm=emm)
-    disc = spec.discount_factor(spec.horizon)
     zs = {}
-    ok = True
-    for i in range(spec.n):
-        rep = _mc_report(disc * sample.stocks[:, i, -1], seed, "Q*")
-        z = abs(rep.estimate - spec.s0[i]) / rep.std_error
-        zs[f"stock_{i}"] = {
-            "estimate": rep.estimate,
-            "target": spec.s0[i],
-            "std_error": rep.std_error,
-            "z": z,
-        }
-        ok = ok and z < Z_LIMIT
-    return CheckReport(name="martingale", passed=bool(ok), details=zs)
+    for i, target in enumerate(spec.s0):
+        rep = _price(sample, spec, Payoff.terminal(i))
+        z = _z(rep.estimate - target, rep.std_error)
+        zs[f"stock_{i}"] = {"estimate": rep.estimate, "target": target,
+                            "std_error": rep.std_error, "z": z}
+    passed = all(line["z"] < Z_LIMIT for line in zs.values())
+    return CheckReport(name="martingale", passed=passed, details=zs)
 
 
 # -- restriction of the uplift to the reduced information ---------------------------------
@@ -642,7 +644,6 @@ def cost_of_construction_check(
 
     outer = simulate_terminal(fict.spec, [T], n_outer, seed, measure_emm=fict_emm)
     M = spec.n_jump_drivers
-    D = spec.n_brownians
     retained_cols = {m: k for k, group in enumerate(fict.driver_groups) for m in group}
     inner_means = np.empty(n_outer)
     for p in range(n_outer):
@@ -659,10 +660,12 @@ def cost_of_construction_check(
             vals = vals * spec.discount_factor(T)
         inner_means[p] = np.sum(vals) / n_inner
     nested = _mc_report(inner_means, seed, "Q~ nested")
-    direct = price_mc(
-        spec, emm, payoff, n_direct, seed, verify=False, stream_offset=n_outer
+    direct = simulate_terminal(
+        spec, [T], n_direct, seed, measure_emm=emm, stream_offset=n_outer
     )
-    line = ComparisonLine(label="cost_of_construction", a=nested, b=direct)
+    line = ComparisonLine(
+        label="cost_of_construction", a=nested, b=_price(direct, spec, payoff)
+    )
     return CheckReport(
         name="cost_of_construction", passed=line.passed, lines=(line,)
     )
@@ -865,9 +868,5 @@ def hedging_error(
     rows = run_paths(spec, times, n_paths, seed, per_path, 2, measure_emm=emm)
     err = _mc_report(rows[:, 0], seed, "Q*")
     gain = _mc_report(rows[:, 1], seed, "Q*")
-    unpriced = (
-        abs(gain.estimate) < Z_LIMIT * gain.std_error
-        if gain.std_error > 0
-        else gain.estimate == 0.0
-    )
-    return HedgingReport(error=err, gain=gain, gain_is_unpriced=bool(unpriced))
+    unpriced = _agrees(gain.estimate, gain.std_error)
+    return HedgingReport(error=err, gain=gain, gain_is_unpriced=unpriced)

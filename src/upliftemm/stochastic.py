@@ -171,6 +171,8 @@ class SimulationContext:
             else:
                 self.sim_total_fn = jumps.total_intensity
                 self.majorant = jumps.total_intensity.max_value(0.0, T) * (1 + 1e-9)
+                grid = np.linspace(0, T, 513) if jumps.density.is_time_varying else None
+                self.mark_mean_fn = jumps.density.mean_timefunction(grid)
         else:
             self.majorant = 0.0
         if self.kind != "none" and not np.isfinite(self.majorant):
@@ -266,11 +268,7 @@ class SimulationContext:
         if self.mark_measure is not None:
             fn = self.mark_measure.sampled("mean_jump_intensity", self.horizon)
             return fn.integral(0.0, tau)
-        dens = self.spec.jumps.density
-        mean_fn = dens.mean_timefunction(
-            None if not dens.is_time_varying else np.linspace(0, self.horizon, 513)
-        )
-        return integrate_product(self.spec.jumps.total_intensity, mean_fn, 0.0, tau)
+        return integrate_product(spec.jumps.total_intensity, self.mark_mean_fn, 0.0, tau)
 
     def _density_drift(self, emm: Emm, tau: float) -> float:
         """log of the deterministic density factor: integral of

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, poisson
 
+import upliftemm.pricing
 from upliftemm import (
     ContinuousPlan,
     DiscreteJumpSpec,
@@ -140,6 +141,34 @@ class TestTwoRoute:
             n_paths=N_MC, seed=106,
         )
         assert report.passed, [ln.to_json() for ln in report.lines]
+
+    def test_one_sample_per_route_prices_the_whole_book(self, uplifted, monkeypatch):
+        spec, _, emm, _, _ = uplifted
+        book = {
+            "call": Payoff.call(0, 100.0),
+            "put": Payoff.put(1, 50.0),
+            "forward": Payoff.forward(2, 25.0),
+            "quiet": Payoff.indicator_count(0, 0),
+        }
+        n, seed = 500, 109
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return simulate_terminal(*args, **kwargs)
+
+        monkeypatch.setattr(upliftemm.pricing, "simulate_terminal", counting)
+        report = two_route_check(spec, emm, book, n, seed)
+        assert [kw.get("stream_offset", 0) for kw in calls] == [0, n]
+        monkeypatch.undo()
+        weighted = simulate_terminal(
+            spec, [1.0], n, seed, density_emm=emm, stream_offset=n
+        )
+        for line, payoff in zip(report.lines, book.values()):
+            assert line.a == price_mc(spec, emm, payoff, n, seed)
+            values = weighted.z_terminal() * payoff.values(weighted, spec)
+            assert line.b.estimate == np.sum(values) / n
+            assert line.b.measure == "P,Z-weighted"
 
     def test_density_mass(self, uplifted):
         spec, _, emm, _, _ = uplifted
@@ -335,3 +364,12 @@ class TestMartingaleSuite:
     def test_batch_emm(self, three_stock_market, batch_plan):
         emm, _, _ = build_uplifted_emm(three_stock_market, batch_plan)
         assert martingale_check(three_stock_market, emm, N_MC, seed=120).passed
+
+    def test_riskless_stock_has_zero_standard_error(self):
+        spec = MarketSpec(
+            horizon=1, s0=[10], alpha=[0.05], rate=0.05, sigma=[[0.0]], jumps=None
+        )
+        report = martingale_check(spec, Emm(theta=(0.0,)), 100, seed=1)
+        line = report.details["stock_0"]
+        assert line["std_error"] == 0.0 and line["z"] == 0.0
+        assert report.passed

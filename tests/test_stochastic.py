@@ -224,6 +224,28 @@ class TestVaryingCellMarks:
         assert calls == {"mean_jump_intensity": 513, "total_intensity": 513}
 
 
+class TestContextBuild:
+    def test_mark_mean_built_once_per_context(self, monkeypatch):
+        density = Density("truncnorm", (-0.6, 0.6), {
+            "mu": TimeFunction.samples([0.0, 1.0], [0.0, 0.1]), "sigma": 0.3,
+        })
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0, 80.0], alpha=[0.05, 0.03], rate=0.02,
+            sigma=[[0.2], [0.3]],
+            jumps=ContinuousJumpSpec(density=density, total_intensity=4.0),
+        )
+        calls = []
+        original = Density.mean_timefunction
+
+        def counting(self, grid=None):
+            calls.append(grid)
+            return original(self, grid)
+
+        monkeypatch.setattr(Density, "mean_timefunction", counting)
+        SimulationContext(spec, np.linspace(0.125, 1.0, 9))
+        assert len(calls) == 1
+
+
 class TestStockPathExactness:
     def test_pure_diffusion_closed_form(self):
         spec = MarketSpec(
