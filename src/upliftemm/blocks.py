@@ -5,9 +5,10 @@ loop; sorting, thinning, marking, grid merging and the Brownian, jump and
 density sums run on whole-block arrays, with every per-path sum taken in
 the order the path's own arrays give it.  A path's values therefore do
 not depend on the block size (``_SEGMENT_BUDGET``, read at call time).
-Blocks run one after another on one thread.  The public entry points
-(``simulate_path``, ``run_paths``, ``simulate_terminal``,
-``iterate_bundles``) live in :mod:`upliftemm.stochastic`.
+Blocks run one after another on one thread.  The entry points
+(``simulate_path``, ``simulate_terminal``, ``iterate_bundles`` and the
+private ``_terminal_sample`` that every Monte Carlo check and hedging
+reduce) live in :mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
@@ -64,14 +65,11 @@ def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray
     if ctx.kind == "continuous":
         row = np.log1p(ev_marks.astype(float))
         return np.tile(row, (n, 1))
-    if ctx.loadings_const is not None:
-        y = ctx.loadings_const[:, ev_marks]
-    else:
-        y = np.empty((n, ev_times.size))
-        for i, row in enumerate(ctx.spec.jumps.loadings):
-            for m, fn in enumerate(row):
-                sel = ev_marks == m
-                y[i, sel] = fn.value(ev_times[sel])
+    y = np.empty((n, ev_times.size))
+    for i, row in enumerate(ctx.spec.jumps.loadings):
+        for m, fn in enumerate(row):
+            sel = ev_marks == m
+            y[i, sel] = fn.value(ev_times[sel])
     return np.log1p(y)
 
 
@@ -339,10 +337,7 @@ def _density(ctx: SimulationContext, block: _Block, dt) -> np.ndarray:
     log_z1 = np.zeros(block.out_idx.shape)
     if D and emm.theta:
         dw = block.dw.transpose(2, 0, 1)  # (D, B, W)
-        if ctx.theta_const is not None:
-            th = ctx.theta_const
-        else:
-            th = np.array([fn.value(block.grid[:, :-1]) for fn in emm.theta])
+        th = np.array([fn.value(block.grid[:, :-1]) for fn in emm.theta])
         seg = -_sum_d(th, dw)
         seg -= 0.5 * _sum_d(th**2, [dt] * D)
         log_z1 = _prefix_sums(seg, block.out_idx)

@@ -27,6 +27,7 @@ from .mpr import assemble_mpr_system, solve_mpr
 from .pricing import (
     MarketEvent,
     Payoff,
+    _density_mass_report,
     density_mass_check,
     martingale_check,
     price_mc,
@@ -201,9 +202,11 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
     """Run the uplift checks end to end and aggregate PASS/FAIL.
 
     The measure is derived by reduce/solve/uplift unless one is supplied
-    explicitly (to audit a stored measure file).  Returns a JSON-ready
-    report; the same (market, plan, paths, seed) produce byte-identical
-    reports for any block size.
+    explicitly (to audit a stored measure file).  With the restriction
+    check selected, the density mass is leg a of its ``omega`` line, not a
+    second simulation of the same paths.  Returns a JSON-ready report; the
+    same (market, plan, paths, seed) produce byte-identical reports for
+    any block size.
     """
     selected = tuple(checks) if checks else ALL_CHECKS
     grid = default_grid(spec.horizon, grid_points)
@@ -262,7 +265,10 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
         ok = ok and mc.passed
 
     if "density_mass" in selected:
-        dm = density_mass_check(spec, emm, paths, seed=seed)
+        dm = (  # Z* 1_omega is Z*: reuse the restriction sample
+            _density_mass_report(rc.lines[0].a) if "restriction" in selected
+            else density_mass_check(spec, emm, paths, seed=seed)
+        )
         report["checks"]["density_mass"] = dm.to_json()
         ok = ok and dm.passed
 

@@ -6,7 +6,9 @@ for any block size; prices are reductions of a terminal sample through one
 estimator.  The two legs of a comparison always use disjoint substream
 ranges, making the "within 4 combined standard errors" criteria meaningful.
 All payoffs of one two-route report share its two samples, so its lines
-are correlated with each other.
+are correlated with each other.  In a verify run the density mass is leg a
+of the restriction check's ``omega`` line (Z* 1_omega is Z*); the
+restriction's own two legs stay on disjoint streams.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from .stochastic import (
     RngStreamSpec,
     SimulationContext,
     TerminalSample,
-    _count_width,
     _terminal_sample,
-    run_paths,
+    run_paths,  # unused here: the benchmark's tracer wraps pricing.run_paths
     simulate_terminal,
 )
 from .timefns import TimeFunction, integrate_product
-from .uplift import Emm, verify_uplift
+from .uplift import Emm, cell_index, verify_uplift
 
 __all__ = [
     "Payoff",
@@ -439,7 +440,11 @@ def density_mass_check(
 ) -> CheckReport:
     """E[Z(T)] = 1 under the physical measure, within 4 standard errors."""
     sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, density_emm=emm)
-    rep = _mc_report(sample.z_terminal(), seed, "P")
+    return _density_mass_report(_mc_report(sample.z_terminal(), seed, "P"))
+
+
+def _density_mass_report(rep: McReport) -> CheckReport:
+    """The density-mass verdict on an estimate of E_P[Z(T)]."""
     z = _z(rep.estimate - 1.0, rep.std_error)
     return CheckReport(
         name="density_mass",
@@ -509,10 +514,17 @@ def restriction_check(
 
     # on a continuous market the reduced drivers are the plan's cells, so
     # the full market's marks are counted cell by cell
-    cells = plan.cells if isinstance(plan, ContinuousPlan) else ()
     ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
-    full, in_cells = _terminal_sample(ctx, n_paths, seed, 0, cells)
-    full_counts = in_cells if cells else full.counts
+    if isinstance(plan, ContinuousPlan):
+        cols = np.arange(len(plan.cells))
+
+        def in_cells(times, marks):  # one-hot of each mark's cell
+            return (cell_index(plan.cells, marks)[:, None] == cols).astype(float)
+
+        full, full_counts = _terminal_sample(ctx, n_paths, seed, 0, in_cells)
+    else:
+        full, _ = _terminal_sample(ctx, n_paths, seed, 0)
+        full_counts = full.counts
     reduced = simulate_terminal(
         fict.spec, [spec.horizon], n_paths, seed,
         density_emm=fict_emm, stream_offset=n_paths,
@@ -821,52 +833,31 @@ def hedging_error(
     hold = np.vstack(
         [np.atleast_1d(fn.value(times[:-1])) for fn in strategy.holdings]
     )  # (n, K)
-    has_jump_leg = bool(strategy.jump_integrand)
-    if has_jump_leg:
+    ctx = SimulationContext(spec, times, measure_emm=emm)
+    paid = None
+    if strategy.jump_integrand:
         lam_sim = emm.intensities if emm is not None else spec.jumps.intensities
         compensator = sum(
             integrate_product(h, lam, 0.0, T)
             for h, lam in zip(strategy.jump_integrand, lam_sim)
         )
-        h_const = (
-            np.array([fn.constant_value for fn in strategy.jump_integrand])
-            if all(fn.is_constant for fn in strategy.jump_integrand)
-            else None
-        )
 
-    n_count = _count_width(spec)
+        def paid(times, marks):  # the integrand of each event's driver
+            out = np.zeros((times.size, 1))
+            for m, fn in enumerate(strategy.jump_integrand):
+                sel = marks == m
+                out[sel, 0] = fn.value(times[sel])
+            return out
 
-    def per_path(bundle) -> np.ndarray:
-        disc_stocks = bundle.stock_values * disc[None, :]  # (n, n_times)
-        increments = np.diff(disc_stocks, axis=1)  # (n, K)
-        gain_stock = float(np.sum(hold * increments))
-        gain_jump = 0.0
-        if has_jump_leg:
-            if bundle.event_times.size:
-                if h_const is not None:
-                    paid = float(np.sum(h_const[bundle.event_marks]))
-                else:
-                    paid = float(
-                        sum(
-                            strategy.jump_integrand[int(m)].value(float(u))
-                            for u, m in zip(bundle.event_times, bundle.event_marks)
-                        )
-                    )
-            else:
-                paid = 0.0
-            gain_jump = paid - compensator
-        stocks = bundle.stock_values[:, -1][None, :]
-        counts = np.zeros((1, max(n_count, 1)))
-        if bundle.event_marks.dtype.kind == "i" and n_count:
-            counts[0, :] = np.bincount(bundle.event_marks, minlength=n_count)
-        c = payoff.undiscounted_values(stocks, counts)[0]
-        if payoff.discounted:
-            c = c * disc[-1]
-        gain = gain_stock + gain_jump
-        return np.array([(c - strategy.v0) - gain, gain])
-
-    rows = run_paths(spec, times, n_paths, seed, per_path, 2, measure_emm=emm)
-    err = _mc_report(rows[:, 0], seed, "Q*")
-    gain = _mc_report(rows[:, 1], seed, "Q*")
+    sample, paid_sums = _terminal_sample(ctx, n_paths, seed, 0, paid)
+    # each path's stock gain is one sum over its (stock, interval) terms
+    terms = np.diff(sample.stocks * disc, axis=2)
+    terms *= hold
+    gain_jump = 0.0 if paid is None else paid_sums[:, 0] - compensator
+    gains = terms.reshape(n_paths, -1).sum(axis=1) + gain_jump
+    errors = (payoff.values(sample, spec) - strategy.v0) - gains
+    gain = _mc_report(gains, seed, "Q*")
     unpriced = _agrees(gain.estimate, gain.std_error)
-    return HedgingReport(error=err, gain=gain, gain_is_unpriced=unpriced)
+    return HedgingReport(
+        error=_mc_report(errors, seed, "Q*"), gain=gain, gain_is_unpriced=unpriced
+    )

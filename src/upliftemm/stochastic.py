@@ -12,7 +12,9 @@ another on one thread: per path, only the draws from its own Philox
 substreams run in a Python loop, and everything else runs on whole-block
 arrays.  A path's values do not depend on the block size:
 :func:`simulate_path` is a block of one, and row k of
-:func:`simulate_terminal` equals it on stream ``stream_offset + k``.
+:func:`simulate_terminal` equals it on stream ``stream_offset + k``.  It
+wraps ``_terminal_sample``, which also sums a per-event hook over each
+path's events in order (the restriction's cell counts, hedging's jump leg).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .blocks import (
 from .errors import FactorAtMinusOne, NullMark, UnboundedIntensity
 from .model import ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
 from .timefns import TimeFunction, integrate_product, merged_breakpoints, sum_max_value
-from .uplift import Emm, cell_index
+from .uplift import Emm
 
 __all__ = [
     "RngStreamSpec",
@@ -214,18 +216,6 @@ class SimulationContext:
             if all(fn.is_constant for row in spec.sigma for fn in row)
             else None
         )
-        self.loadings_const = None
-        if self.kind == "discrete" and all(
-            fn.is_constant for row in jumps.loadings for fn in row
-        ):
-            self.loadings_const = jumps.loading_values(0.0)
-        theta_fns = density_emm.theta if density_emm is not None else ()
-        self.theta_const = (
-            np.array([fn.constant_value for fn in theta_fns])
-            if theta_fns and all(fn.is_constant for fn in theta_fns)
-            else None
-        )
-        self.theta_fns = theta_fns
         self.const_log_phi = None
         if (
             self.kind == "discrete"
@@ -496,18 +486,13 @@ def _z_values_from_parts(
 ) -> np.ndarray:
     emm = ctx.density_emm
     dt = np.diff(grid)
-    K = len(dt)
     D = ctx.n_brownians
     if D and emm.theta:
-        if ctx.theta_const is not None:
-            th = np.repeat(ctx.theta_const[:, None], K, axis=1)
-        else:
-            left = grid[:-1]
-            th = np.vstack([np.atleast_1d(fn.value(left)) for fn in emm.theta])
+        th = np.vstack([np.atleast_1d(fn.value(grid[:-1])) for fn in emm.theta])
         seg = -np.einsum("dk,kd->k", th, dw) - 0.5 * np.einsum("dk,k->k", th**2, dt)
         cum_z1 = np.concatenate([[0.0], np.cumsum(seg)])
     else:
-        cum_z1 = np.zeros(K + 1)
+        cum_z1 = np.zeros(len(dt) + 1)
     log_phi = _event_log_phi(ctx, ev_times, ev_marks)
     cum_phi = np.concatenate([[0.0], np.cumsum(log_phi)])
     n_ev_before = np.searchsorted(ev_times, ctx.out_times, side="right")
@@ -664,10 +649,10 @@ def simulate_terminal(
     return _terminal_sample(ctx, n_paths, master_seed, stream_offset)[0]
 
 
-def _terminal_sample(ctx, n_paths, master_seed, stream_offset, cells=()):
-    """:func:`simulate_terminal` on a built context, plus each path's
-    number of marks in each of ``cells`` ((n_paths, len(cells)); a mark
-    on a shared edge counts in the first cell)."""
+def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None):
+    """:func:`simulate_terminal` on a built context, plus each path's sums
+    of ``event_values(times, marks)``, an (n_events, k) array, over its
+    events ((n_paths, k), added in event order; None without the hook)."""
     spec = ctx.spec
     out_times = ctx.out_times
     n, n_out = spec.n, len(out_times)
@@ -678,16 +663,15 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, cells=()):
     pos_c = pos_z + (n_out if with_z else 0)
     pos_w = pos_c + cw
     rows = np.empty((n_paths, pos_w + D))
-    in_cells = np.zeros((n_paths, len(cells)))
+    sums = None
     for lo, block in _blocks(ctx, master_seed, stream_offset, n_paths):
         hi = lo + len(block)
-        if cells:
-            k = cell_index(cells, block.ev_marks)
-            inside = k >= 0
-            in_cells[lo:hi] = np.bincount(
-                block.pid[inside] * len(cells) + k[inside],
-                minlength=(hi - lo) * len(cells),
-            ).reshape(hi - lo, len(cells))
+        if event_values is not None:
+            values = event_values(block.ev_times, block.ev_marks)
+            if sums is None:
+                sums = np.zeros((n_paths, values.shape[1]))
+            for c, col in enumerate(values.T):
+                sums[lo:hi, c] = np.bincount(block.pid, weights=col, minlength=hi - lo)
         rows[lo:hi, :pos_z] = block.stocks.transpose(0, 2, 1).reshape(hi - lo, pos_z)
         if with_z:
             rows[lo:hi, pos_z:pos_c] = block.z
@@ -708,7 +692,7 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, cells=()):
         seed=master_seed,
         measure="Q" if ctx.measure_emm is not None else "P",
     )
-    return sample, in_cells
+    return sample, sums
 
 
 def iterate_bundles(

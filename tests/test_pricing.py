@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm, poisson
 
+import upliftemm.blocks
 import upliftemm.pricing
+import upliftemm.stochastic
 from upliftemm import (
     ContinuousPlan,
     DiscreteJumpSpec,
@@ -26,6 +28,8 @@ from upliftemm import (
 from upliftemm.cli import verify_suite
 from upliftemm.errors import BudgetExceeded, NonReducedEvent, PlanMismatch
 from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
+from upliftemm.timefns import integrate_product
+from upliftemm.uplift import cell_index
 
 N_MC = 20_000
 
@@ -205,7 +209,10 @@ class TestRestriction:
         # the full market's side counts the marks inside cell 0, not every event
         emm, _, _ = build_uplifted_emm(spec, plan)
         ctx = SimulationContext(spec, [1.0], density_emm=emm)
-        full, in_cells = _terminal_sample(ctx, N_MC, seed, 0, plan.cells)
+        full, in_cells = _terminal_sample(
+            ctx, N_MC, seed, 0,
+            lambda t, y: (cell_index(plan.cells, y) == 0)[:, None].astype(float),
+        )
         quiet = full.z_terminal() * (in_cells[:, 0] == 0)
         assert lines["first_retained_quiet"]["a"]["estimate"] == np.sum(quiet) / N_MC
         assert np.all(in_cells[:, 0] <= full.counts[:, 0])
@@ -214,6 +221,46 @@ class TestRestriction:
         for k, bundle in enumerate(bundles):
             y = bundle.event_marks
             assert in_cells[k, 0] == np.sum((y >= -0.5) & (y <= 0.0)), k
+
+    @pytest.mark.parametrize(
+        "market, plan, simulations",
+        [
+            ("three_stock_market", "neglect_plan", 4),
+            ("three_stock_market", "batch_plan", 3),
+            ("uniform_mark_market", "cell_plan", 3),
+        ],
+    )
+    def test_verify_takes_density_mass_from_the_restriction_sample(
+        self, request, monkeypatch, market, plan, simulations
+    ):
+        spec = request.getfixturevalue(market)
+        plan = (
+            ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+            if plan == "cell_plan" else request.getfixturevalue(plan)
+        )
+        n, seed = 400, 122
+        calls = []
+        blocks = upliftemm.stochastic._blocks
+
+        def counting(*args):
+            calls.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(upliftemm.stochastic, "_blocks", counting)
+        report = verify_suite(spec, plan, paths=n, seed=seed, grid_points=256)
+        # restriction (full and reduced), projection when it applies,
+        # martingale; the density mass is the restriction's omega line
+        assert len(calls) == simulations
+        monkeypatch.undo()
+        alone = verify_suite(
+            spec, plan, paths=n, seed=seed, grid_points=256, checks=["density_mass"]
+        )
+        mass = report["checks"]["density_mass"]
+        assert alone["checks"]["density_mass"] == mass
+        omega = report["checks"]["restriction"]["lines"][0]
+        assert omega["label"] == "omega"
+        assert mass["details"]["estimate"] == omega["a"]["estimate"]
+        assert mass["details"]["std_error"] == omega["a"]["std_error"]
 
     def test_neglected_event_rejected(self, uplifted):
         spec, plan, emm, fict, fict_emm = uplifted
@@ -351,9 +398,83 @@ class TestHedging:
         report = hedging_error(spec, emm, strat, Payoff.terminal(0), 500, seed=118)
         assert abs(report.error.estimate) < 1e-12
 
+    @pytest.mark.parametrize(
+        "integrand",
+        [
+            (0.5, -0.25, 0.0),
+            (
+                TimeFunction.piecewise([0.0, 0.4, 1.0], [0.3, -0.2]),
+                0.25,
+                TimeFunction.piecewise([0.0, 0.7, 1.0], [-0.1, 0.6]),
+            ),
+        ],
+        ids=["constant", "piecewise"],
+    )
+    def test_matches_per_path_reference(self, uplifted, monkeypatch, integrand):
+        spec, _, emm, _, _ = uplifted
+        knots = np.linspace(0.0, 1.0, 9)
+        strat = Strategy(
+            holdings=(
+                TimeFunction.piecewise(knots, np.linspace(0.6, 0.4, 8)),
+                TimeFunction.piecewise(knots, np.linspace(0.1, 0.3, 8)),
+                0.0,
+            ),
+            jump_integrand=integrand,
+            v0=10.0,
+        )
+        payoff = Payoff.call(0, 100.0)
+        n, seed = 600, 123
+        report = hedging_error(spec, emm, strat, payoff, n, seed)
+        assert report == _hedging_reference(spec, emm, strat, payoff, n, seed)
+        monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", 100)
+        assert hedging_error(spec, emm, strat, payoff, n, seed) == report
+
+    def test_continuous_market_counts_events(self, uniform_mark_market):
+        # the payoff's count is every event of the continuous market
+        spec = uniform_mark_market
+        plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        emm, _, _ = build_uplifted_emm(spec, plan)
+        payoff = Payoff.indicator_count(0, 0)
+        strat = Strategy(holdings=(0.0, 0.0), v0=0.0)
+        report = hedging_error(spec, emm, strat, payoff, 2_000, seed=5)
+        priced = price_mc(spec, emm, payoff, 2_000, seed=5)
+        assert report.error.estimate == priced.estimate
+        assert report.error.std_error == priced.std_error
+
     def test_interpolated_holdings_rejected(self):
         with pytest.raises(ValueError):
             Strategy(holdings=(TimeFunction.samples([0, 1], [0.0, 1.0]),))
+
+
+def _hedging_reference(spec, emm, strategy, payoff, n_paths, seed):
+    """hedging_error one path at a time: the jump leg adds the integrand
+    over the path's events in order, minus its compensator."""
+    T = spec.horizon
+    times = strategy.rebalance_times(T)
+    disc = np.array([spec.discount_factor(float(u)) for u in times])
+    hold = np.vstack([fn.value(times[:-1]) for fn in strategy.holdings])
+    compensator = sum(
+        integrate_product(h, lam, 0.0, T)
+        for h, lam in zip(strategy.jump_integrand, emm.intensities)
+    )
+    errors, gains = [], []
+    for bundle in iterate_bundles(spec, times, n_paths, seed, measure_emm=emm):
+        increments = np.diff(bundle.stock_values * disc[None, :], axis=1)
+        paid = 0.0
+        for u, m in zip(bundle.event_times, bundle.event_marks):
+            paid += strategy.jump_integrand[m].value(float(u))
+        gain = float(np.sum(hold * increments)) + (paid - compensator)
+        counts = bundle.counts_by_driver(spec.n_jump_drivers)[None, :]
+        c = payoff.undiscounted_values(bundle.stock_values[:, -1][None, :], counts)
+        c = c[0] * disc[-1] if payoff.discounted else c[0]
+        errors.append((c - strategy.v0) - gain)
+        gains.append(gain)
+    gain = upliftemm.pricing._mc_report(np.array(gains), seed, "Q*")
+    return upliftemm.pricing.HedgingReport(
+        error=upliftemm.pricing._mc_report(np.array(errors), seed, "Q*"),
+        gain=gain,
+        gain_is_unpriced=upliftemm.pricing._agrees(gain.estimate, gain.std_error),
+    )
 
 
 class TestMartingaleSuite:
