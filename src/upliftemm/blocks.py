@@ -2,7 +2,10 @@
 
 Per path, only the draws from its own Philox substreams run in a Python
 loop; sorting, thinning, marking, grid merging and the Brownian, jump and
-density sums run on whole-block arrays, with every per-path sum taken in
+density sums run on whole-block arrays.  Every mark is a function of a
+fixed number of its path's uniforms (``mark_draws`` per event: two for a
+cell measure, one otherwise), so all of a block's marks are computed in
+one call from the uniforms drawn for it.  Every per-path sum is taken in
 the order the path's own arrays give it.  A path's values therefore do
 not depend on the block size (``_SEGMENT_BUDGET``, read at call time).
 Blocks run one after another on one thread.  The entry points
@@ -260,7 +263,7 @@ def _draw_marks_and_increments(ctx, pool, sids, ev_times, pid, ev_off, n_seg, dt
     normal = gen_b.standard_normal
     offs = ev_off.tolist()
     for p, (sid, lo, hi, ns) in enumerate(zip(sids, offs, offs[1:], n_seg.tolist())):
-        if k and hi > lo:
+        if hi > lo:
             ctr_m[2] = sid
             bg_m.state = st_m
             gen_m.random(out=u[k * lo:k * hi])
@@ -271,16 +274,6 @@ def _draw_marks_and_increments(ctx, pool, sids, ev_times, pid, ev_off, n_seg, dt
     z *= np.sqrt(dt)[:, :, None]
     if ctx.kind == "none":
         return np.zeros(0, dtype=np.int64), z
-    if not k:
-
-        def draw(p: int, n: int) -> np.ndarray:  # the first n of path p's marks
-            ctr_m[2] = sids[p]
-            bg_m.state = st_m
-            return gen_m.random(n)
-
-        return ctx.mark_measure.marks_from_streams(ev_times, ev_off, draw), z
-    if k == 1:
-        return ctx.marks_from_uniforms(u[None, :], ev_times), z
     # path p's uniforms form a (k, n_ev[p]) array
     start = (k - 1) * ev_off[pid] + np.arange(ev_times.size)
     n_ev = ev_off[pid + 1] - ev_off[pid]

@@ -152,15 +152,23 @@ class Density:
 
     # -- cell quantities -----------------------------------------------------
 
-    def mass(self, lo: float, hi: float, t: float = 0.0) -> float:
-        """Probability of the cell [lo, hi] at time t."""
-        return float(self.cdf(hi, t) - self.cdf(lo, t))
+    def mass(self, lo: float, hi: float, t=0.0):
+        """Probability of the cell [lo, hi] at a time, or at each of an
+        array of times."""
+        m = np.full(np.shape(t), self.cdf(hi, t) - self.cdf(lo, t))
+        return m if np.ndim(t) else float(m)
 
-    def restricted_mean(self, lo: float, hi: float, t: float = 0.0) -> float:
-        """Conditional mean of the mark given it falls in [lo, hi]."""
+    def restricted_mean(self, lo: float, hi: float, t=0.0):
+        """Conditional mean of the mark given it falls in [lo, hi], at a
+        time or at each of an array of times."""
         m = self.mass(lo, hi, t)
-        if m <= 0.0:
+        if np.any(m <= 0.0):
             raise ZeroDivisionError("cell has zero mass")
+        num = self._partial_moment(lo, hi, t)
+        return num / m if np.ndim(t) else float(num) / m
+
+    def _partial_moment(self, lo: float, hi: float, t=0.0):
+        """integral of y f_t(y) over [lo, hi]."""
         slo, shi = self.support
         lo, hi = max(lo, slo), min(hi, shi)
         if self.family == "uniform":
@@ -186,9 +194,9 @@ class Density:
                 b = min(hi, edges[j + 1])
                 if b > a:
                     num += dens[j] * 0.5 * (b * b - a * a)
-        return float(num) / m
+        return num
 
-    def mean(self, t: float = 0.0) -> float:
+    def mean(self, t=0.0):
         return self.restricted_mean(*self.support, t)
 
     def mean_timefunction(self, grid=None) -> TimeFunction:
@@ -196,7 +204,7 @@ class Density:
         if not self.is_time_varying:
             return TimeFunction.constant(self.mean(0.0))
         grid = np.asarray(grid, dtype=float)
-        return TimeFunction.samples(grid, [self.mean(t) for t in grid])
+        return TimeFunction.samples(grid, self.mean(grid))
 
     def quad_breakpoints(self) -> tuple[float, ...]:
         """Interior discontinuities; quadrature must split there."""
@@ -222,10 +230,7 @@ class Density:
     def sample(self, rng: np.random.Generator, times) -> np.ndarray:
         """Draw one mark per entry of ``times`` from f_t at that time."""
         times = np.asarray(times, dtype=float)
-        u = rng.uniform(size=times.shape)
-        if not self.is_time_varying:
-            return np.asarray(self.ppf(u, 0.0))
-        return np.array([self.ppf(ui, ti) for ui, ti in zip(u, times)])
+        return np.asarray(self.ppf(rng.uniform(size=times.shape), times))
 
     # -- serialization ---------------------------------------------------------
 

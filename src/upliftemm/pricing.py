@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, NonReducedEvent, PlanMismatch
+from .errors import BudgetExceeded, NonReducedEvent, PlanMismatch, ShapeMismatch
 from .model import DiscreteJumpSpec, MarketSpec
 from .reduction import (
     ContinuousPlan,
@@ -30,6 +30,7 @@ from .stochastic import (
     RngStreamSpec,
     SimulationContext,
     TerminalSample,
+    _count_width,
     _terminal_sample,
     run_paths,  # unused here: the benchmark's tracer wraps pricing.run_paths
     simulate_terminal,
@@ -215,6 +216,21 @@ class Payoff:
         )
 
 
+def _check_count_columns(spec: MarketSpec, payoff: Payoff) -> None:
+    """Raise ShapeMismatch, before anything is simulated, when ``payoff``
+    reads a count column that the market's terminal sample lacks."""
+    if payoff.kind == "linear":
+        for _, term in payoff.terms:
+            _check_count_columns(spec, term)
+    elif payoff.kind == "indicator_count":
+        width = _count_width(spec)
+        if not 0 <= payoff.driver < width:
+            raise ShapeMismatch(
+                f"payoff counts driver {payoff.driver}, but the market's "
+                f"sample has {width} count column(s)"
+            )
+
+
 def _asset_drivers(spec: MarketSpec, asset: int | None) -> set[int]:
     if asset is None:
         return set()
@@ -326,6 +342,7 @@ def price_mc(
 ) -> McReport:
     """E[payoff] by simulating directly under the pricing measure, after
     checking that the measure solves the risk-premium equations."""
+    _check_count_columns(spec, payoff)
     rep = verify_uplift(emm, spec)
     if not rep.passed:
         raise ValueError(
@@ -344,6 +361,7 @@ def zweighted_price_mc(
     seed: int = DEFAULT_SEED,
 ) -> McReport:
     """E[payoff] as a density-weighted physical-measure expectation."""
+    _check_count_columns(spec, payoff)
     sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, density_emm=emm)
     return _price(sample, spec, payoff)
 
@@ -412,6 +430,8 @@ def two_route_check(
     a line are independent and estimate the same expectation when the
     measure change is correct; the lines share samples, so are correlated.
     """
+    for payoff in payoffs.values():
+        _check_count_columns(spec, payoff)
     T = spec.horizon
     direct = simulate_terminal(spec, [T], n_paths, seed, measure_emm=emm)
     weighted = simulate_terminal(
@@ -644,6 +664,7 @@ def cost_of_construction_check(
     """
     if isinstance(plan, ContinuousPlan) or plan.batches:
         raise PlanMismatch("nested conditioning supports complete-neglect plans")
+    _check_count_columns(spec, payoff)
     if n_outer * n_inner > budget:
         raise BudgetExceeded(
             f"{n_outer} x {n_inner} inner paths exceed the budget {budget}"
@@ -825,6 +846,7 @@ def hedging_error(
     """
     if not isinstance(spec.jumps, (DiscreteJumpSpec, type(None))) and strategy.jump_integrand:
         raise PlanMismatch("jump integrands are defined per discrete driver")
+    _check_count_columns(spec, payoff)
     T = spec.horizon
     times = strategy.rebalance_times(T)
     if times[-1] < T:

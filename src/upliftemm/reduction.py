@@ -412,10 +412,10 @@ def reduce_continuous(
     loadings: list[TimeFunction] = []
     for a, b in plan.cells:
         if time_varying:
-            mass = np.array([dens.mass(a, b, float(t)) for t in grid])
+            mass = dens.mass(a, b, grid)
             if np.any(mass < 1e-12):
                 raise EmptyCell(f"cell ({a:g}, {b:g}) has ~zero probability")
-            mean = np.array([dens.restricted_mean(a, b, float(t)) for t in grid])
+            mean = dens.restricted_mean(a, b, grid)
             lam = TimeFunction.samples(
                 grid, np.atleast_1d(total.value(grid)) * mass
             )
@@ -448,9 +448,7 @@ def reduce_continuous(
         else None
     )
     if time_varying:
-        rem_vals = 1.0 - np.array(
-            [sum(dens.mass(a, b, float(t)) for a, b in plan.cells) for t in grid]
-        )
+        rem_vals = 1.0 - sum(dens.mass(a, b, grid) for a, b in plan.cells)
         remainder_mass = TimeFunction.samples(grid, np.maximum(rem_vals, 0.0))
     else:
         remainder_mass = TimeFunction.constant(max(1.0 - covered, 0.0))

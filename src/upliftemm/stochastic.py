@@ -201,11 +201,9 @@ class SimulationContext:
             self.const_mark_cum = np.cumsum(vals) / vals.sum()
         elif self.kind == "continuous" and self.sim_total_fn.is_constant:
             self.const_total = self.sim_total_fn.constant_value
-        # uniforms per event when marks are a function of uniforms; 0 when
-        # a time-varying cell measure reads a varying number per event
-        self.mark_draws = 1
-        if self.mark_measure is not None:
-            self.mark_draws = 2 if self.mark_measure._is_constant else 0
+        # uniforms per event: a cell-measure mark reads one to pick its
+        # region and one for its quantile, any other mark one
+        self.mark_draws = 1 if self.mark_measure is None else 2
         self.base_knots = np.unique(
             np.concatenate([self.extra_knots, self.out_times, [0.0, T]])
         )
@@ -297,16 +295,14 @@ class SimulationContext:
 
     def sample_marks(self, rng: np.random.Generator, times: np.ndarray) -> np.ndarray:
         """One mark per event time from the path's ``marks`` stream."""
-        if self.mark_draws == 0:
-            return self.mark_measure.sample_marks(rng, times)
         u = rng.uniform(size=(self.mark_draws, times.size))
         return self.marks_from_uniforms(u, times)
 
     def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Marks from ``mark_draws`` rows of uniforms, one column per event.
 
-        Row 0 picks the driver, or the mark's quantile; on a constant cell
-        measure row 0 picks the region and row 1 the quantile inside it.
+        Row 0 picks the driver, or the mark's quantile; on a cell measure
+        row 0 picks the region and row 1 the quantile inside it.
         """
         if self.kind == "discrete":
             if self.const_mark_cum is not None:
@@ -316,11 +312,8 @@ class SimulationContext:
                 idx = (u[0][None, :] > cum).sum(axis=0)
             return np.minimum(idx, len(self.sim_intensities) - 1).astype(np.int64)
         if self.mark_measure is not None:
-            return self.mark_measure.marks_from_uniforms(u)
-        dens = self.spec.jumps.density
-        return np.asarray(
-            dens.ppf(u[0], times if dens.is_time_varying else 0.0), dtype=float
-        )
+            return self.mark_measure.marks_from_uniforms(u, times)
+        return np.asarray(self.spec.jumps.density.ppf(u[0], times), dtype=float)
 
 
 def _thinned_times(

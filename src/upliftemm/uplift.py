@@ -68,46 +68,17 @@ def cell_index(cells, y) -> np.ndarray:
     return idx
 
 
-class _Uniforms:
-    """Random access to the uniforms of several paths' streams.
-
-    Each path's first uniforms are drawn ahead in one call; a path that
-    runs short is drawn again, longer (``draw(p, n)`` returns the first n
-    uniforms of path p's stream).
-    """
-
-    def __init__(self, draw, counts: np.ndarray):
-        self.draw = draw
-        self.have = np.where(counts > 0, 4 * counts + 8, 0)
-        self.buf = np.empty((len(counts), int(self.have.max(initial=0))))
-        for p in np.flatnonzero(counts).tolist():
-            self.buf[p, :self.have[p]] = draw(p, int(self.have[p]))
-
-    def take(self, rows: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
-        """(len(rows), n) uniforms ``start[i] .. start[i] + n - 1`` of each row."""
-        for i in np.flatnonzero(start + n > self.have[rows]).tolist():
-            p = rows[i]
-            size = max(int(start[i]) + n, 2 * int(self.have[p]))
-            if size > self.buf.shape[1]:
-                grow = np.empty((len(self.buf), size - self.buf.shape[1]))
-                self.buf = np.concatenate([self.buf, grow], axis=1)
-            self.buf[p, :size] = self.draw(p, size)
-            self.have[p] = size
-        return self.buf[rows[:, None], start[:, None] + np.arange(n)]
-
-
-# rejection tries drawn at once per remainder event, and the most tried
-_REJECT_WINDOW = 8
-_REJECT_LIMIT = 10000
-
-
 @dataclass(frozen=True)
 class CellMeasure:
     """Risk-neutral jump measure of a continuous mark space.
 
     Within each cell the density keeps the physical shape, scaled so that
     the cell carries intensity ``cell_intensities[k]``; the remainder (if
-    any) keeps the physical intensity measure unchanged.
+    any) keeps the physical intensity measure unchanged.  So the measure
+    is a finite mixture of the base density restricted to regions (the
+    cells, then the gaps of the remainder), and a mark is one exact
+    inverse-CDF draw from two uniforms: the region, then the quantile.
+    Every time-dependent quantity takes a time or an array of times.
     """
 
     base: Density
@@ -128,15 +99,6 @@ class CellMeasure:
             rows.append(phys * np.maximum(1.0 - covered, 0.0))
         return np.array(rows)
 
-    def _region_probabilities(self, t: np.ndarray) -> np.ndarray:
-        """(len(t), R) region intensities over the total, one row per time.
-
-        Rows are contiguous, so a sum along them adds each row the way the
-        sum of that row alone does (which is not in sequence for R > 2).
-        """
-        rates = self._region_intensities(t)
-        return np.ascontiguousarray((rates / sum(rates)).T)
-
     def total_intensity(self, t):
         """Total intensity at a time, or at each of an array of times."""
         total = sum(self._region_intensities(np.atleast_1d(np.asarray(t, float))))
@@ -144,7 +106,8 @@ class CellMeasure:
 
     def cell_probabilities(self, t: float) -> np.ndarray:
         """p~*(cell) = cell intensity / total intensity (remainder last)."""
-        return self._region_probabilities(np.array([float(t)]))[0]
+        rates = self._region_intensities(np.array([float(t)]))[:, 0]
+        return rates / sum(rates)
 
     def phi(self, y: float, t: float) -> float:
         """Intensity ratio d(lambda~)/d(lambda) at mark y."""
@@ -188,26 +151,25 @@ class CellMeasure:
             out = np.where(covered, out, base_pdf * phys / total)
         return out if out.ndim else float(out)
 
-    def mean_jump_intensity(self, t: float) -> float:
-        """integral of y d(lambda~_t)(y): the risk-neutral jump drift."""
+    def mean_jump_intensity(self, t):
+        """integral of y d(lambda~_t)(y), the risk-neutral jump drift, at a
+        time or at each of an array of times."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         total = 0.0
-        covered_mass = 0.0
+        covered = 0.0
+        cell_part = 0.0
         for (a, b), lam in zip(self.cells, self.cell_intensities):
-            mass = self.base.mass(a, b, t)
-            covered_mass += mass
-            if mass > 0.0:
-                total += float(lam.value(t)) * self.base.restricted_mean(a, b, t)
-        if self.remainder_physical and covered_mass < 1.0:
-            lo, hi = self.base.support
-            full_mean = self.base.mean(t)
-            cell_part = sum(
-                self.base.mass(a, b, t) * self.base.restricted_mean(a, b, t)
-                for a, b in self.cells
-            )
-            total += float(self.physical_intensity.value(t)) * (
-                full_mean - cell_part
-            )
-        return total
+            mass = self.base.mass(a, b, ts)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mean = self.base._partial_moment(a, b, ts) / mass
+            mean = np.where(mass > 0.0, mean, 0.0)  # a massless cell adds 0
+            covered = covered + mass
+            total = total + lam.value(ts) * mean
+            cell_part = cell_part + mass * mean
+        if self.remainder_physical:
+            rest = self.physical_intensity.value(ts) * (self.base.mean(ts) - cell_part)
+            total = total + np.where(covered < 1.0, rest, 0.0)
+        return total if np.ndim(t) else float(total[0])
 
     @cached_property
     def _is_constant(self) -> bool:
@@ -234,133 +196,52 @@ class CellMeasure:
                 self._sampled[key] = TimeFunction.constant(float(fn(0.0)))
             else:
                 grid = np.linspace(0.0, horizon, 513)
-                if name == "total_intensity":  # takes the whole grid at once
-                    vals = fn(grid)
-                else:
-                    vals = [float(fn(t)) for t in grid]
-                self._sampled[key] = TimeFunction.samples(grid, vals)
+                self._sampled[key] = TimeFunction.samples(grid, fn(grid))
         return self._sampled[key]
 
     @cached_property
-    def _pieces(self):
-        """Sampling pieces at t=0: (prob, cdf_lo, cdf_hi) per region.
-
-        Regions are the cells followed by the complement intervals of the
-        remainder (when it keeps the physical measure).  Only valid for
-        constant parameters.
-        """
-        total = self.total_intensity(0.0)
-        probs, los, his = [], [], []
-        for (a, b), lam in zip(self.cells, self.cell_intensities):
-            probs.append(float(lam.value(0.0)) / total)
-            los.append(self.base.cdf(a, 0.0))
-            his.append(self.base.cdf(b, 0.0))
+    def _regions(self) -> np.ndarray:
+        """(R, 2) mark intervals a mark is drawn in: the cells, then, when
+        the remainder keeps the physical measure, the gaps the cells leave
+        in the support."""
+        regions = list(self.cells)
         if self.remainder_physical:
-            phys = float(self.physical_intensity.value(0.0))
-            lo, hi = self.base.support
-            edges = sorted(self.cells)
-            cursor = lo
-            gaps = []
-            for a, b in edges:
+            cursor, hi = self.base.support
+            for a, b in sorted(self.cells):
                 if a > cursor:
-                    gaps.append((cursor, a))
+                    regions.append((cursor, a))
                 cursor = max(cursor, b)
             if hi > cursor:
-                gaps.append((cursor, hi))
-            for a, b in gaps:
-                mass = self.base.mass(a, b, 0.0)
-                if mass > 0.0:
-                    probs.append(phys * mass / total)
-                    los.append(self.base.cdf(a, 0.0))
-                    his.append(self.base.cdf(b, 0.0))
-        return np.asarray(probs), np.asarray(los), np.asarray(his)
+                regions.append((cursor, hi))
+        return np.array(regions, dtype=float)
 
-    def marks_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Marks from a (2, n) array of uniforms, constant parameters only:
-        row 0 picks the region, row 1 is the quantile inside it."""
-        probs, los, his = self._pieces
-        cum = np.cumsum(probs) / probs.sum()
-        ks = np.minimum(np.searchsorted(cum, u[0], side="left"), len(probs) - 1)
-        return np.asarray(self.base.ppf(los[ks] + u[1] * (his[ks] - los[ks]), 0.0))
+    def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Marks at event ``times`` from a (2, n) array of uniforms.
 
-    def sample_marks(self, rng: np.random.Generator, times: np.ndarray) -> np.ndarray:
-        """One mark per event time, drawn from the reweighted density.
-
-        Each region (cell or remainder) keeps the physical shape, so a mark
-        is an inverse-CDF draw of the base density restricted to the chosen
-        region.  On a time-varying measure ``rng`` may be drawn past the
-        last uniform the marks use.
+        Row 0 picks the region (a cell or a gap of the remainder) by its
+        intensity at the event's time over the total; row 1 is the
+        quantile of the base density restricted to that region, so a mark
+        is one inverse-CDF draw, with no rejection.
         """
         times = np.asarray(times, dtype=float)
         if times.size == 0:
             return np.zeros(0)
-        if self._is_constant:
-            return self.marks_from_uniforms(rng.uniform(size=(2, times.size)))
-        drawn = [np.zeros(0)]
-
-        def draw(p, n):  # one path: the stream continues where it stopped
-            drawn[0] = np.concatenate([drawn[0], rng.random(n - drawn[0].size)])
-            return drawn[0]
-
-        return self.marks_from_streams(times, np.array([0, times.size]), draw)
-
-    def marks_from_streams(self, times: np.ndarray, off: np.ndarray, draw) -> np.ndarray:
-        """Marks of several paths' events, path p owning the sorted
-        ``times[off[p]:off[p + 1]]``, from each path's uniforms in order.
-
-        Per event a path reads a region uniform and a quantile uniform, then,
-        for a remainder event, rejection tries: physical draws until one
-        falls outside every cell.  ``draw(p, n)`` returns the first n
-        uniforms of path p's stream.  The region and cell-bound tables are
-        computed for all events at once, and the walk takes event r of
-        every path together.
-        """
-        times = np.asarray(times, dtype=float)
-        marks = np.empty(times.shape)
-        counts = np.diff(off)
-        if times.size == 0:
-            return marks
-        probs = self._region_probabilities(times)
-        cum = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
+        a, b = self._regions.T
+        lo = np.broadcast_to(self.base.cdf(a[:, None], times), (len(a), times.size))
+        hi = np.broadcast_to(self.base.cdf(b[:, None], times), lo.shape)
         n_cells = len(self.cells)
-        streams = _Uniforms(draw, counts)
-        region = np.empty(times.size, dtype=np.int64)
-        quantile = np.empty(times.size)
-        cursor = np.zeros(len(counts), dtype=np.int64)
-        for r in range(int(counts.max())):
-            rows = np.flatnonzero(counts > r)
-            ev = off[rows] + r
-            u = streams.take(rows, cursor[rows], 2)
-            cursor[rows] += 2
-            # the first region whose cumulative probability reaches u
-            k = np.minimum((cum[ev] < u[:, :1]).sum(axis=1), cum.shape[1] - 1)
-            region[ev] = k
-            quantile[ev] = u[:, 1]
-            rem = k == n_cells
-            if rem.any():
-                self._remainder_marks(times, rows[rem], ev[rem], cursor, streams, marks)
-        ev = np.flatnonzero(region < n_cells)
-        t = times[ev]
-        a, b = np.array(self.cells, dtype=float).reshape(-1, 2)[region[ev]].T
-        lo, hi = self.base.cdf(a, t), self.base.cdf(b, t)
-        marks[ev] = self.base.ppf(lo + quantile[ev] * (hi - lo), t)
-        return marks
-
-    def _remainder_marks(self, times, rows, ev, cursor, streams, marks):
-        """Remainder events ``ev`` (of paths ``rows``): the first physical
-        draw outside every cell, trying a window of uniforms at a time."""
-        w = _REJECT_WINDOW
-        for _ in range(0, _REJECT_LIMIT, w):
-            y = self.base.ppf(streams.take(rows, cursor[rows], w), times[ev][:, None])
-            out = cell_index(self.cells, y) < 0
-            hit = out.any(axis=1)
-            first = out.argmax(axis=1)
-            marks[ev[hit]] = y[hit, first[hit]]
-            cursor[rows] += np.where(hit, first + 1, w)
-            rows, ev = rows[~hit], ev[~hit]
-            if not rows.size:
-                return
-        raise EmptyCell("remainder has ~zero probability; cannot sample")
+        rates = [np.asarray(fn.value(times), float) for fn in self.cell_intensities]
+        if len(a) > n_cells:
+            phys = self.physical_intensity.value(times)
+            rates.extend(phys * (hi[n_cells:] - lo[n_cells:]))
+        # contiguous rows: each sums the way that row alone would
+        probs = np.ascontiguousarray((np.array(rates) / self.total_intensity(times)).T)
+        cum = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
+        # the first region whose cumulative probability reaches u[0]
+        k = np.minimum((cum < u[0][:, None]).sum(axis=1), len(a) - 1)
+        col = np.arange(times.size)
+        lo, hi = lo[k, col], hi[k, col]
+        return np.asarray(self.base.ppf(lo + u[1] * (hi - lo), times))
 
     def to_json(self):
         return {
@@ -693,7 +574,13 @@ def verify_uplift(emm: Emm, spec: MarketSpec, grid=None) -> UpliftVerification:
     tol = VERIFY_TOL_CONTINUOUS if continuous else VERIFY_TOL_DISCRETE
     worst = 0.0
     check_grid = grid if not spec.is_constant or not _emm_constant(emm) else grid[:1]
-    for t in check_grid:
+    if continuous:  # physical minus risk-neutral jump drift at every node
+        jump_drift = (
+            spec.jumps.total_intensity.value(check_grid)
+            * spec.jumps.density.mean(check_grid)
+            - emm.jump_measure.mean_jump_intensity(check_grid)
+        )
+    for j, t in enumerate(check_grid):
         t = float(t)
         sig = spec.sigma_values(t)
         theta = np.array([fn.value(t) for fn in emm.theta])
@@ -705,9 +592,7 @@ def verify_uplift(emm: Emm, spec: MarketSpec, grid=None) -> UpliftVerification:
             ys = spec.jumps.loading_values(t)
             rhs = rhs + ys @ (lam - lam_t)
         elif continuous:
-            phys = spec.jumps.total_intensity.value(t) * spec.jumps.density.mean(t)
-            rn = emm.jump_measure.mean_jump_intensity(t)
-            rhs = rhs + (phys - rn)
+            rhs = rhs + jump_drift[j]
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return UpliftVerification(max_residual=worst, tolerance=tol, grid=grid)
 

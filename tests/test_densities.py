@@ -94,6 +94,27 @@ class TestTimeVarying:
         assert fn.is_constant and fn.constant_value == pytest.approx(0.0, abs=1e-15)
 
 
+    def test_array_times_match_scalar_calls(self):
+        grid = np.linspace(0.0, 1.0, 513)
+        for dens in (
+            Density("truncnorm", (-0.5, 1.0), {
+                "mu": {"samples": {"t": [0.0, 1.0], "v": [0.0, 0.3]}}, "sigma": 0.25,
+            }),
+            Density("truncexp", (0.0, 2.0), {
+                "rate": {"piecewise": {"t": [0.0, 0.5, 1.0], "v": [1.5, -0.7]}},
+            }),
+            Density("uniform", (-0.5, 0.5), {}),
+        ):
+            for name, args in (("mass", (-0.2, 0.4)), ("restricted_mean", (-0.2, 0.4)),
+                               ("mean", ())):
+                fn = getattr(dens, name)
+                scalar = [fn(*args, float(t)) for t in grid]
+                assert np.array_equal(fn(*args, grid), scalar)
+            u = np.random.default_rng(5).uniform(size=grid.size)
+            scalar = [dens.ppf(x, t) for x, t in zip(u, grid)]
+            assert np.array_equal(dens.ppf(u, grid), scalar)
+
+
 class TestValidationHooks:
     def test_unnormalized_histogram_detected(self):
         dens = Density(

@@ -24,9 +24,15 @@ from upliftemm import (
     restriction_check,
     simulate_terminal,
     two_route_check,
+    zweighted_price_mc,
 )
 from upliftemm.cli import verify_suite
-from upliftemm.errors import BudgetExceeded, NonReducedEvent, PlanMismatch
+from upliftemm.errors import (
+    BudgetExceeded,
+    NonReducedEvent,
+    PlanMismatch,
+    ShapeMismatch,
+)
 from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
 from upliftemm.timefns import integrate_product
 from upliftemm.uplift import cell_index
@@ -100,6 +106,58 @@ class TestPriceMc:
         )
         with pytest.raises(ValueError):
             price_mc(spec, bad, Payoff.terminal(0), 100, seed=1)
+
+
+def _forbid_simulation(monkeypatch):
+    def simulated(*args, **kwargs):
+        raise AssertionError("simulated before the payoff was checked")
+
+    monkeypatch.setattr(upliftemm.pricing, "simulate_terminal", simulated)
+    monkeypatch.setattr(upliftemm.pricing, "_terminal_sample", simulated)
+
+
+class TestCountColumns:
+    """A payoff counting a driver the sample has no column for is a typed
+    error, raised before anything is simulated."""
+
+    def test_jump_free_market(self, monkeypatch):
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]]
+        )
+        emm = Emm(theta=(0.15,))
+        quiet = Payoff.indicator_count(0, 0)
+        _forbid_simulation(monkeypatch)
+        calls = [
+            lambda: price_mc(spec, emm, quiet, 1000),
+            lambda: zweighted_price_mc(spec, emm, quiet, 1000),
+            lambda: two_route_check(spec, emm, {"quiet": quiet}, 1000),
+            lambda: hedging_error(spec, emm, Strategy(holdings=(0.0,)), quiet, 1000),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch, match="driver 0.* 0 count column"):
+                call()
+
+    def test_driver_out_of_range(self, uplifted, monkeypatch):
+        spec, plan, emm, fict, fict_emm = uplifted  # three drivers
+        bad = Payoff.linear(
+            [(1.0, Payoff.terminal(0)), (2.0, Payoff.indicator_count(3, 0))]
+        )
+        hold = Strategy(holdings=(0.0, 0.0, 0.0))
+        _forbid_simulation(monkeypatch)
+        calls = [
+            lambda: price_mc(spec, emm, bad, 1000),
+            lambda: zweighted_price_mc(spec, emm, bad, 1000),
+            lambda: two_route_check(
+                spec, emm, {"ok": Payoff.terminal(0), "bad": bad}, 1000
+            ),
+            lambda: cost_of_construction_check(
+                spec, plan, emm, fict_emm, bad, n_outer=10, n_inner=10, fict=fict
+            ),
+            lambda: hedging_error(spec, emm, hold, bad, 1000),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch, match="driver 3.* 3 count column"):
+                call()
 
 
 class TestMeasurability:

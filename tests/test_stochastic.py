@@ -22,9 +22,10 @@ from upliftemm import (
     simulate_terminal,
     stock_path_exact,
 )
-from upliftemm.errors import EmptyCell, FactorAtMinusOne, NullMark, UnboundedIntensity
+from upliftemm.errors import FactorAtMinusOne, NullMark, UnboundedIntensity
 from upliftemm.blocks import _block_size
 from upliftemm.stochastic import SimulationContext, StreamPool, iterate_bundles
+from upliftemm.timefns import adaptive_simpson
 from upliftemm.uplift import CellMeasure
 
 N_STAT = 30_000
@@ -125,40 +126,38 @@ class TestMarkedSampling:
         assert np.all(np.diff(times) > 0)
 
 
-def _reference_marks(mm: CellMeasure, rng, times) -> np.ndarray:
-    """Time-varying cell-measure marks drawn one event at a time: region
-    probabilities, cell bounds and quantiles from scalar calls."""
+def _reference_marks(mm: CellMeasure, u, times) -> np.ndarray:
+    """Cell-measure marks one event at a time from scalar calls: the first
+    region (a cell, then a gap the cells leave in the support) whose
+    cumulative probability reaches u[0, j], then the base quantile u[1, j]
+    between that region's CDF edges."""
+    regions = list(mm.cells)
+    if mm.remainder_physical:
+        edges = [mm.base.support[0], *sorted(x for c in mm.cells for x in c),
+                 mm.base.support[1]]
+        regions += [(a, b) for a, b in zip(edges[::2], edges[1::2]) if b > a]
     marks = np.empty(len(times))
-    n_cells = len(mm.cells)
     for j, t in enumerate(times):
         t = float(t)
-        vals = [float(fn.value(t)) for fn in mm.cell_intensities]
+        rates = [float(fn.value(t)) for fn in mm.cell_intensities]
+        total = sum(rates)
         if mm.remainder_physical:
             covered = sum(mm.base.mass(a, b, t) for a, b in mm.cells)
-            vals.append(float(mm.physical_intensity.value(t)) * max(1.0 - covered, 0.0))
-        probs = np.asarray(vals) / sum(vals)
+            phys = float(mm.physical_intensity.value(t))
+            total = sum([*rates, phys * max(1.0 - covered, 0.0)])
+            rates += [phys * mm.base.mass(a, b, t) for a, b in regions[len(mm.cells):]]
+        probs = np.asarray(rates) / total
         cum = np.cumsum(probs) / probs.sum()
-        k = int(min(np.searchsorted(cum, rng.uniform(), side="left"), len(probs) - 1))
-        u = rng.uniform()
-        if k < n_cells:
-            a, b = mm.cells[k]
-            clo, chi = mm.base.cdf(a, t), mm.base.cdf(b, t)
-            marks[j] = mm.base.ppf(clo + u * (chi - clo), t)
-            continue
-        for _ in range(10000):  # remainder: physical draws off every cell
-            y = float(mm.base.ppf(rng.uniform(), t))
-            if not any(a <= y <= b for a, b in mm.cells):
-                marks[j] = y
-                break
-        else:
-            raise EmptyCell("remainder has ~zero probability")
+        k = int(min(np.searchsorted(cum, u[0, j], side="left"), len(probs) - 1))
+        lo, hi = mm.base.cdf(regions[k][0], t), mm.base.cdf(regions[k][1], t)
+        marks[j] = mm.base.ppf(lo + u[1, j] * (hi - lo), t)
     return marks
 
 
 def _varying_cell_measures():
     """Truncnorm marks with time-varying mu, three cells and a remainder;
-    the second measure leaves the remainder little mass, so rejection runs
-    long and paths run past their first uniforms."""
+    the second measure leaves the remainder one narrow gap of little mass,
+    so its marks there are rare."""
     base = Density("truncnorm", (-0.6, 0.6), {
         "mu": TimeFunction.samples([0.0, 0.3, 1.0], [0.0, 0.1, -0.05]), "sigma": 0.3,
     })
@@ -177,6 +176,11 @@ def _varying_cell_measures():
     ]
 
 
+def _uniforms(seed, stream, n):
+    """A path's mark uniforms: one row to pick the region, one for the quantile."""
+    return RngStreamSpec(seed, stream).generator("marks").uniform(size=(2, n))
+
+
 class TestVaryingCellMarks:
     def test_block_marks_match_scalar_reference(self):
         for base, phys, mm in _varying_cell_measures():
@@ -192,18 +196,70 @@ class TestVaryingCellMarks:
                 spec, [0.5, 1.0], n_paths, seed, measure_emm=emm, stream_offset=offset
             )
             for k, bundle in enumerate(bundles):
-                rng = RngStreamSpec(seed, offset + k).generator("marks")
-                ref = _reference_marks(mm, rng, bundle.event_times)
+                times = bundle.event_times
+                u = _uniforms(seed, offset + k, times.size)
+                ref = _reference_marks(mm, u, times)
                 assert np.array_equal(bundle.event_marks, ref), k
-                n_remainder += np.sum(
-                    mm.phi_values(bundle.event_marks, bundle.event_times) == 1.0
-                )
+                n_remainder += np.sum(mm.phi_values(bundle.event_marks, times) == 1.0)
             assert n_remainder > 5
-            # the one-path sampler reads the same tables
+            # the one-path sampler reads the same rule
             times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 40))
-            got = mm.sample_marks(RngStreamSpec(5, 2).generator("marks"), times)
-            ref = _reference_marks(mm, RngStreamSpec(5, 2).generator("marks"), times)
-            assert np.array_equal(got, ref)
+            got = ctx.sample_marks(RngStreamSpec(5, 2).generator("marks"), times)
+            assert np.array_equal(got, _reference_marks(mm, _uniforms(5, 2, 40), times))
+
+    @pytest.mark.parametrize("t", [0.2, 0.75])
+    def test_marks_follow_reweighted_density(self, t):
+        n = 100_000
+        for i, (base, _, mm) in enumerate(_varying_cell_measures()):
+            u = np.random.default_rng(40 + i).uniform(size=(2, n))
+            marks = mm.marks_from_uniforms(u, np.full(n, t))
+            lo, hi = base.support
+            edges = np.unique(np.concatenate(
+                [np.linspace(lo, hi, 25), np.ravel(mm.cells)]
+            ))
+            observed, _ = np.histogram(marks, bins=edges)
+            for a, b, obs in zip(edges[:-1], edges[1:], observed):
+                eps = (b - a) * 1e-12  # the density jumps at cell edges
+                p = adaptive_simpson(
+                    lambda y: mm.density_value(np.clip(y, a + eps, b - eps), t),
+                    a, b, tol=1e-9,
+                )
+                z = (obs - n * p) / np.sqrt(n * p * (1.0 - p))
+                assert abs(z) < 4.0, (i, a, b, obs, n * p)
+
+    def test_constant_block_marks_match_one_path_sampler(self):
+        base = Density("truncnorm", (-0.5, 0.5), {"mu": 0.05, "sigma": 0.3})
+        mm = CellMeasure(
+            base=base, physical_intensity=TimeFunction.constant(4.0),
+            cells=((-0.4, -0.2), (-0.1, 0.05), (0.15, 0.3)),
+            cell_intensities=tuple(TimeFunction.constant(x) for x in (0.7, 1.2, 0.5)),
+            remainder_physical=True,
+        )
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=ContinuousJumpSpec(density=base, total_intensity=4.0),
+        )
+        emm = Emm(theta=(0.1,), jump_measure=mm)
+        ctx = SimulationContext(spec, [1.0], measure_emm=emm)
+        n_paths = _block_size(ctx) + 5
+        n_remainder = 0
+        bundles = iterate_bundles(spec, [1.0], n_paths, 8, measure_emm=emm)
+        for k, bundle in enumerate(bundles):
+            rng = RngStreamSpec(8, k).generator("marks")
+            got = ctx.sample_marks(rng, bundle.event_times)
+            assert np.array_equal(bundle.event_marks, got), k
+            n_remainder += np.sum(mm.phi_values(got, bundle.event_times) == 1.0)
+        assert n_remainder > 5
+
+    def test_mean_jump_intensity_on_a_grid_matches_scalar_calls(
+        self, piecewise_mark_market
+    ):
+        plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        uplifted = build_uplifted_emm(piecewise_mark_market, plan)[0].jump_measure
+        grid = np.linspace(0.0, 1.0, 513)
+        for mm in [m for _, _, m in _varying_cell_measures()] + [uplifted]:
+            got = mm.mean_jump_intensity(grid)
+            assert np.array_equal(got, [mm.mean_jump_intensity(float(t)) for t in grid])
 
     def test_measure_functions_sampled_once(self, piecewise_mark_market, monkeypatch):
         plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
