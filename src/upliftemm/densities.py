@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, ndtri
 
 from .timefns import TimeFunction, adaptive_simpson
 
@@ -26,6 +25,7 @@ def _phi(x):
 
 
 def _Phi(x):
+    from scipy.special import erf  # only truncated-normal marks need scipy
     return 0.5 * (1.0 + erf(x / _SQRT2))
 
 
@@ -135,6 +135,7 @@ class Density:
         if self.family == "uniform":
             out = lo + u * (hi - lo)
         elif self.family == "truncnorm":
+            from scipy.special import ndtri
             mu, sig, a, _, z = self._truncnorm_std(t)
             out = mu + sig * ndtri(_Phi(a) + u * z)
         elif self.family == "truncexp":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .densities import Density
 from .errors import ShapeMismatch
-from .timefns import TimeFunction, merged_breakpoints
+from .timefns import TimeFunction, merged_breakpoints, stack_values
 
 __all__ = [
     "DiscreteJumpSpec",
@@ -45,6 +45,13 @@ def default_grid(horizon: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarra
 
 def _coerce_fns(xs) -> tuple[TimeFunction, ...]:
     return tuple(TimeFunction.coerce(x) for x in xs)
+
+
+def _matrix_values(rows, shape: tuple[int, int], t) -> np.ndarray:
+    """A matrix of time functions at a time, shape ``shape``, or at each of
+    an array of K times, shape (K, *shape)."""
+    flat = stack_values([fn for row in rows for fn in row], t)
+    return flat.reshape(np.shape(t) + shape)
 
 
 @dataclass(frozen=True)
@@ -79,12 +86,13 @@ class DiscreteJumpSpec:
     def n_rows(self) -> int:
         return len(self.loadings)
 
-    def loading_values(self, t: float) -> np.ndarray:
-        """Loading matrix evaluated at time t, shape (n, M)."""
-        return np.array([[fn.value(t) for fn in row] for row in self.loadings])
+    def loading_values(self, t) -> np.ndarray:
+        """Loadings at a time, (n, M), or at each of K times, (K, n, M)."""
+        return _matrix_values(self.loadings, (self.n_rows, self.n_drivers), t)
 
     def intensity_values(self, t) -> np.ndarray:
-        return np.array([fn.value(t) for fn in self.intensities])
+        """Intensities at a time, (M,), or at each of K times, (K, M)."""
+        return stack_values(self.intensities, t)
 
     @property
     def is_constant(self) -> bool:
@@ -153,11 +161,9 @@ class MarketSpec:
             return self.jumps.n_drivers
         return 0
 
-    def sigma_values(self, t: float) -> np.ndarray:
-        """Volatility matrix at time t, shape (n, D)."""
-        if not self.sigma or self.n_brownians == 0:
-            return np.zeros((self.n, 0))
-        return np.array([[fn.value(t) for fn in row] for row in self.sigma])
+    def sigma_values(self, t) -> np.ndarray:
+        """Volatilities at a time, (n, D), or at each of K times, (K, n, D)."""
+        return _matrix_values(self.sigma, (self.n, self.n_brownians), t)
 
     @property
     def is_constant(self) -> bool:
@@ -214,10 +220,6 @@ class ValidationReport:
         return "\n".join(f"{v.code}: {v.message}" for v in self.violations)
 
 
-def _check_grid(spec: MarketSpec) -> np.ndarray:
-    return default_grid(spec.horizon, 65)
-
-
 def validate_market(spec: MarketSpec) -> ValidationReport:
     """Check every model invariant; returns OK or the list of violations."""
     bad: list[Violation] = []
@@ -249,7 +251,7 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
             )
             break
 
-    grid = _check_grid(spec)
+    grid = default_grid(spec.horizon, 65)
     jumps = spec.jumps
     if isinstance(jumps, DiscreteJumpSpec):
         if jumps.n_rows != spec.n:
@@ -318,9 +320,7 @@ def compensator_drift(spec: MarketSpec, i: int, t: float) -> float:
     if jumps is None:
         return 0.0
     if isinstance(jumps, DiscreteJumpSpec):
-        lams = jumps.intensity_values(t)
-        ys = np.array([fn.value(t) for fn in jumps.loadings[i]])
-        return float(np.dot(lams, ys))
+        return float(jumps.intensity_values(t) @ jumps.loading_values(t)[i])
     return float(jumps.total_intensity.value(t) * jumps.density.mean(t))
 
 

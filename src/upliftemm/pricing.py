@@ -35,7 +35,7 @@ from .stochastic import (
     run_paths,  # unused here: the benchmark's tracer wraps pricing.run_paths
     simulate_terminal,
 )
-from .timefns import TimeFunction, integrate_product
+from .timefns import TimeFunction, integrate_product, merged_breakpoints
 from .uplift import Emm, cell_index, verify_uplift
 
 __all__ = [
@@ -593,20 +593,12 @@ def _neglected_factor_model(
                     "nested conditioning needs constant neglected loadings"
                 )
     lam_int = np.array([intensities[m].integral(0.0, t) for m in neglected])
-    y = np.array(
-        [[jumps.loadings[i][m].constant_value for m in neglected]
-         for i in range(spec.n)]
-    )
-    if y.size == 0:
-        y = y.reshape(spec.n, 0)
+    y = np.zeros((spec.n, 0))
+    if neglected:
+        y = jumps.loading_values(0.0)[:, list(neglected)]
     dropped = [d for d in range(spec.n_brownians) if d not in fict.brownian_map]
     sig_fns = [[spec.sigma[i][d] for d in dropped] for i in range(spec.n)]
-    knot_parts = [np.array([0.0, t])]
-    for row in sig_fns:
-        for fn in row:
-            bp = fn.breakpoints()
-            knot_parts.append(bp[(bp > 0) & (bp < t)])
-    knots = np.unique(np.concatenate(knot_parts))
+    knots = merged_breakpoints([fn for row in sig_fns for fn in row], 0.0, t)
     return lam_int, y, np.log1p(y), dropped, sig_fns, knots
 
 
@@ -808,11 +800,7 @@ class Strategy:
                 )
 
     def rebalance_times(self, horizon: float) -> np.ndarray:
-        knots = [np.array([0.0, horizon])]
-        for fn in self.holdings:
-            bp = fn.breakpoints()
-            knots.append(bp[(bp > 0) & (bp < horizon)])
-        return np.unique(np.concatenate(knots))
+        return merged_breakpoints(self.holdings, 0.0, horizon)
 
 
 @dataclass(frozen=True)

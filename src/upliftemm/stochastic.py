@@ -401,12 +401,7 @@ def _sigma_on_grid(ctx: SimulationContext, grid: np.ndarray) -> np.ndarray:
     K = len(grid) - 1
     if ctx.sigma_const is not None:
         return np.repeat(ctx.sigma_const[:, :, None], K, axis=2)
-    left = grid[:-1]
-    sig = np.empty((ctx.n, ctx.n_brownians, K))
-    for i, row in enumerate(ctx.spec.sigma):
-        for d, fn in enumerate(row):
-            sig[i, d, :] = np.atleast_1d(fn.value(left))
-    return sig
+    return np.ascontiguousarray(np.moveaxis(ctx.spec.sigma_values(grid[:-1]), 0, -1))
 
 
 def _stock_values_from_parts(

@@ -20,6 +20,7 @@ __all__ = [
     "adaptive_simpson",
     "integrate_product",
     "merged_breakpoints",
+    "stack_values",
     "sum_values",
     "sum_max_value",
 ]
@@ -214,6 +215,14 @@ def merged_breakpoints(fns, a: float, b: float) -> np.ndarray:
         if len(bp):
             knots.append(bp[(bp > a) & (bp < b)])
     return np.unique(np.concatenate(knots))
+
+
+def stack_values(fns, t) -> np.ndarray:
+    """F time functions at a time, (F,), or at each of K times, (K, F)."""
+    vals = np.array([fn.value(t) for fn in fns], dtype=float)
+    if np.ndim(t) == 0:
+        return vals
+    return np.ascontiguousarray(vals.reshape(len(fns), np.size(t)).T)
 
 
 def sum_values(fns, t):

@@ -23,6 +23,7 @@ from .errors import (
     NonpositiveGamma,
     NotComplete,
     PlanMismatch,
+    ShapeMismatch,
 )
 from .model import (
     ContinuousJumpSpec,
@@ -37,7 +38,7 @@ from .reduction import (
     batch_weights,
     reduce_market,
 )
-from .timefns import TimeFunction
+from .timefns import TimeFunction, stack_values
 
 __all__ = [
     "Emm",
@@ -366,18 +367,14 @@ def solve_unique_emm(spec: MarketSpec, grid=None) -> Emm:
             f"(rank {bad.rank}, nullspace {bad.nullspace_dim})"
         )
     if not cls.all_emm_valid:
-        bad = next(e for e in cls.entries if e.nonpositive_intensities)
+        bad = cls.entry(int(np.argmax(cls.nonpositive.any(axis=1))))
         raise InvalidIntensities(
             f"unique solution has nonpositive intensities "
             f"{bad.nonpositive_intensities} at t={bad.t:g}"
         )
-    sol = cls.solution_matrix()
+    fns = tuple(_grid_to_fn(grid, col) for col in cls.solution_matrix().T)
     D = spec.n_brownians
-    theta = tuple(_grid_to_fn(grid, sol[:, d]) for d in range(D))
-    lams = tuple(
-        _grid_to_fn(grid, sol[:, D + m]) for m in range(spec.n_jump_drivers)
-    )
-    return Emm(theta=theta, intensities=lams or None, provenance="solved")
+    return Emm(theta=fns[:D], intensities=fns[D:] or None, provenance="solved")
 
 
 # -- uplift constructions -------------------------------------------------------
@@ -563,38 +560,47 @@ class UpliftVerification:
 def verify_uplift(emm: Emm, spec: MarketSpec, grid=None) -> UpliftVerification:
     """Substitute the measure into the original risk-premium equations.
 
-    Reports the largest absolute residual over all stocks and grid times.
-    Continuous mark spaces get a looser tolerance because their loadings
-    carry quadrature error.
+    Reports the largest absolute residual over all stocks and grid times,
+    computed on the whole check grid in one array pass.  Continuous mark
+    spaces get a looser tolerance because their loadings carry quadrature
+    error.  A measure of the wrong shape for the market raises ShapeMismatch.
     """
     if grid is None:
         grid = default_grid(spec.horizon)
     grid = np.asarray(grid, dtype=float)
+    _check_emm_shape(emm, spec)
     continuous = isinstance(spec.jumps, ContinuousJumpSpec)
     tol = VERIFY_TOL_CONTINUOUS if continuous else VERIFY_TOL_DISCRETE
-    worst = 0.0
-    check_grid = grid if not spec.is_constant or not _emm_constant(emm) else grid[:1]
-    if continuous:  # physical minus risk-neutral jump drift at every node
+    # a constant market and measure hold at one time: check it as a scalar
+    ts = grid if not spec.is_constant or not _emm_constant(emm) else float(grid[0])
+    theta = stack_values(emm.theta, ts)
+    lhs = stack_values(spec.alpha, ts) - np.asarray(spec.rate.value(ts))[..., None]
+    rhs = (spec.sigma_values(ts) @ theta[..., None])[..., 0]
+    if isinstance(spec.jumps, DiscreteJumpSpec):
+        lam = spec.jumps.intensity_values(ts) - stack_values(emm.intensities or (), ts)
+        rhs = rhs + (spec.jumps.loading_values(ts) @ lam[..., None])[..., 0]
+    elif continuous:  # physical minus risk-neutral jump drift
         jump_drift = (
-            spec.jumps.total_intensity.value(check_grid)
-            * spec.jumps.density.mean(check_grid)
-            - emm.jump_measure.mean_jump_intensity(check_grid)
+            spec.jumps.total_intensity.value(ts) * spec.jumps.density.mean(ts)
+            - emm.jump_measure.mean_jump_intensity(ts)
         )
-    for j, t in enumerate(check_grid):
-        t = float(t)
-        sig = spec.sigma_values(t)
-        theta = np.array([fn.value(t) for fn in emm.theta])
-        lhs = np.array([fn.value(t) for fn in spec.alpha]) - spec.rate.value(t)
-        rhs = sig @ theta if sig.size else np.zeros(spec.n)
-        if isinstance(spec.jumps, DiscreteJumpSpec):
-            lam = spec.jumps.intensity_values(t)
-            lam_t = np.array([fn.value(t) for fn in emm.intensities])
-            ys = spec.jumps.loading_values(t)
-            rhs = rhs + ys @ (lam - lam_t)
-        elif continuous:
-            rhs = rhs + jump_drift[j]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        rhs = rhs + np.asarray(jump_drift)[..., None]
+    worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
     return UpliftVerification(max_residual=worst, tolerance=tol, grid=grid)
+
+
+def _check_emm_shape(emm: Emm, spec: MarketSpec):
+    """ShapeMismatch unless ``emm`` has the parts the market's drivers need."""
+    need = {"theta functions": (len(emm.theta), spec.n_brownians)}
+    if isinstance(spec.jumps, DiscreteJumpSpec):
+        need["driver intensities"] = (len(emm.intensities or ()), spec.n_jump_drivers)
+    elif isinstance(spec.jumps, ContinuousJumpSpec):
+        need["jump measures"] = (int(emm.jump_measure is not None), 1)
+    for part, (given, expected) in need.items():
+        if given != expected:
+            raise ShapeMismatch(
+                f"measure has {given} {part}; the market needs {expected}"
+            )
 
 
 def _emm_constant(emm: Emm) -> bool:

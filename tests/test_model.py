@@ -14,7 +14,7 @@ from upliftemm import (
 )
 from upliftemm.errors import ShapeMismatch
 
-from conftest import make_three_stock_market
+from conftest import make_three_stock_market, make_time_varying_market
 
 
 class TestValidation:
@@ -155,6 +155,34 @@ class TestCompensatorDrift:
             assert compensator_drift(scaled, i, 0.4) == pytest.approx(
                 scale * compensator_drift(base, i, 0.4), rel=1e-12, abs=1e-12
             )
+
+
+class TestCoefficientArrays:
+    def test_array_of_times_stacks_the_scalar_values(self):
+        spec = make_time_varying_market()
+        spec = MarketSpec(
+            horizon=1.0, s0=spec.s0, alpha=spec.alpha, rate=spec.rate,
+            sigma=[[0.2, TimeFunction.piecewise([0.0, 0.5, 1.0], [0.1, 0.3])]] * 3,
+            jumps=spec.jumps,
+        )
+        ts = np.linspace(0.0, 1.0, 7)
+        jumps = spec.jumps
+        for method, shape in (
+            (spec.sigma_values, (3, 2)),
+            (jumps.loading_values, (3, 3)),
+            (jumps.intensity_values, (3,)),
+        ):
+            stacked = method(ts)
+            assert stacked.shape == (len(ts),) + shape
+            for k, t in enumerate(ts):
+                assert method(float(t)).shape == shape
+                assert np.array_equal(stacked[k], method(float(t)))
+
+    def test_no_brownians_gives_empty_columns(self):
+        spec = MarketSpec(horizon=1.0, s0=[1.0, 2.0], alpha=[0.05, 0.05],
+                          rate=0.02, sigma=[])
+        assert spec.sigma_values(0.3).shape == (2, 0)
+        assert spec.sigma_values(np.array([0.1, 0.3])).shape == (2, 2, 0)
 
 
 class TestCumulativeIntensity:

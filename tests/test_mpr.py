@@ -2,16 +2,23 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from upliftemm import (
+    ContinuousPlan,
     DiscreteJumpSpec,
+    DiscretePlan,
     MarketSpec,
+    TimeFunction,
     assemble_mpr_system,
     classify_over_grid,
+    reduce_market,
     solve_mpr,
+    solve_unique_emm,
 )
-from upliftemm.errors import ShapeMismatch
+from upliftemm import mpr
+from upliftemm.errors import InvalidIntensities, NotComplete, ShapeMismatch
 from upliftemm.mpr import ARBITRAGE, COMPLETE, INCOMPLETE_ARBITRAGE_FREE
 
 from conftest import (
@@ -20,6 +27,8 @@ from conftest import (
     RATE,
     SIGMA,
     TARGET_SOLUTION,
+    make_piecewise_mark_market,
+    make_three_stock_market,
     make_time_varying_market,
 )
 
@@ -191,3 +200,217 @@ class TestGrid:
         out = classify_over_grid(spec, np.array([0.0]))
         direct = solve_mpr(assemble_mpr_system(spec, 0.0))
         assert np.allclose(out.entries[0].solution, direct.solution)
+
+
+# -- the stacked grid solve against the one-node solve -------------------------
+
+
+def _fictitious(make, plan):
+    return lambda: reduce_market(make(), plan).spec
+
+
+# the fictitious markets of the benchmark's three workload shapes
+WORKLOAD_FICTITIOUS = {
+    "const-neglect": _fictitious(
+        make_three_stock_market, DiscretePlan(retain=(0, 1), neglect=(2,))
+    ),
+    "tv-batch": _fictitious(
+        make_time_varying_market, DiscretePlan(retain=(0,), batches=((1, 2),))
+    ),
+    "cont-cells": _fictitious(
+        make_piecewise_mark_market,
+        ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True),
+    ),
+}
+
+
+def _step(before, after):
+    return TimeFunction.piecewise([0.0, 0.5, 1.0], [before, after])
+
+
+def complete_then_deficient_market() -> MarketSpec:
+    """Complete on [0, 0.5); the jump loadings drop to 0 after, leaving a
+    zero column: incomplete but consistent (theta = 0.5, lam~ = 1.5)."""
+    sig, ys = (0.2, 0.3), (0.1, 0.2)
+    alpha = [_step(RATE + s * 0.5 + 0.5 * y, RATE + s * 0.5) for s, y in zip(sig, ys)]
+    return MarketSpec(
+        horizon=1.0, s0=[1.0, 1.0], alpha=alpha, rate=RATE,
+        sigma=[[s] for s in sig],
+        jumps=DiscreteJumpSpec(
+            intensities=[2.0], loadings=[[_step(y, 0.0)] for y in ys]
+        ),
+    )
+
+
+def sometimes_arbitrage_market() -> MarketSpec:
+    """Two stocks with the same exposure: consistent (overdetermined) on
+    [0, 0.5), different excess returns, so arbitrage, after."""
+    return MarketSpec(
+        horizon=1.0, s0=[1.0, 1.0], alpha=[0.08, _step(0.08, 0.05)], rate=RATE,
+        sigma=[[0.2], [0.2]],
+    )
+
+
+def overdetermined_consistent_market() -> MarketSpec:
+    """Three stocks, one Brownian, one driver, time-varying and consistent:
+    theta = 0.3 + 0.2 t, lam~ = 1.5 against lam = 2."""
+    t = np.linspace(0.0, 1.0, 5)
+    sig, ys = (0.2, 0.3, 0.1), (0.1, -0.2, 0.25)
+    alpha = [
+        TimeFunction.samples(t, RATE + s * (0.3 + 0.2 * t) + 0.5 * y)
+        for s, y in zip(sig, ys)
+    ]
+    return MarketSpec(
+        horizon=1.0, s0=[1.0] * 3, alpha=alpha, rate=RATE,
+        sigma=[[s] for s in sig],
+        jumps=DiscreteJumpSpec(intensities=[2.0], loadings=[[y] for y in ys]),
+    )
+
+
+def crossing_intensity_market() -> MarketSpec:
+    """Complete, with solved lam~(t) = 1 - 2t: nonpositive from t = 0.5."""
+    t = np.array([0.0, 1.0])
+    y, lam, sigma, theta = 0.2, 1.0, 0.25, 0.3
+    alpha0 = TimeFunction.samples(t, RATE + sigma * theta + (lam - (1.0 - 2.0 * t)) * y)
+    return MarketSpec(
+        horizon=1.0, s0=[1.0, 1.0], alpha=[alpha0, RATE + 0.4 * theta], rate=RATE,
+        sigma=[[sigma], [0.4]],
+        jumps=DiscreteJumpSpec(intensities=[lam], loadings=[[y], [0.0]]),
+    )
+
+
+STACK_FIXTURES = {
+    **WORKLOAD_FICTITIOUS,
+    "complete-then-deficient": complete_then_deficient_market,
+    "sometimes-arbitrage": sometimes_arbitrage_market,
+    "overdetermined-consistent": overdetermined_consistent_market,
+    "crossing-intensity": crossing_intensity_market,
+}
+
+
+def _per_node(spec, grid):
+    return [solve_mpr(assemble_mpr_system(spec, float(t))) for t in grid]
+
+
+class TestStackedGrid:
+    @pytest.mark.parametrize("name", sorted(STACK_FIXTURES))
+    def test_matches_one_node_solves(self, name):
+        spec = STACK_FIXTURES[name]()
+        grid = np.linspace(0.0, 1.0, 256)
+        stacked = classify_over_grid(spec, grid).entries
+        for got, want in zip(stacked, _per_node(spec, grid), strict=True):
+            assert got.t == want.t
+            assert got.tag == want.tag
+            assert got.rank == want.rank
+            assert got.nullspace_dim == want.nullspace_dim
+            assert got.nonpositive_intensities == want.nonpositive_intensities
+            assert got.solution_note == want.solution_note
+            if want.solution is None:
+                assert got.solution is None
+            else:
+                assert np.array_equal(got.solution, want.solution)
+
+    def test_fixtures_cover_every_outcome(self):
+        grid = np.linspace(0.0, 1.0, 256)
+
+        def tags(make):
+            return {e.tag for e in _per_node(make(), grid)}
+
+        assert tags(complete_then_deficient_market) == {
+            COMPLETE, INCOMPLETE_ARBITRAGE_FREE
+        }
+        assert tags(sometimes_arbitrage_market) == {COMPLETE, ARBITRAGE}
+        assert tags(overdetermined_consistent_market) == {COMPLETE}
+        nodes = _per_node(crossing_intensity_market(), grid)
+        assert any(e.nonpositive_intensities for e in nodes)
+        assert not all(e.nonpositive_intensities for e in nodes)
+
+    @pytest.mark.parametrize("name", sorted(STACK_FIXTURES))
+    def test_solve_unique_emm_names_the_first_bad_node(self, name):
+        spec = STACK_FIXTURES[name]()
+        grid = np.linspace(0.0, 1.0, 256)
+        nodes = _per_node(spec, grid)
+        bad = next((e for e in nodes if not e.is_complete), None)
+        if bad is not None:
+            error, message = NotComplete, (
+                f"market is {bad.tag} at t={bad.t:g} "
+                f"(rank {bad.rank}, nullspace {bad.nullspace_dim})"
+            )
+        else:
+            bad = next((e for e in nodes if e.nonpositive_intensities), None)
+            if bad is None:
+                solve_unique_emm(spec, grid)
+                return
+            error, message = InvalidIntensities, (
+                f"unique solution has nonpositive intensities "
+                f"{bad.nonpositive_intensities} at t={bad.t:g}"
+            )
+        with pytest.raises(error) as info:
+            solve_unique_emm(spec, grid)
+        assert str(info.value) == message
+
+    def test_grid_solve_makes_no_per_node_call(self, monkeypatch):
+        def refuse(system):
+            raise AssertionError("solve_mpr called per node")
+
+        monkeypatch.setattr(mpr, "solve_mpr", refuse)
+        spec = WORKLOAD_FICTITIOUS["tv-batch"]()
+        assert not spec.is_constant
+        out = classify_over_grid(spec, np.linspace(0.0, 1.0, 256))
+        assert out.all_complete
+        assert out.solution_matrix().shape == (256, 3)
+
+
+def _lu_rank(A: np.ndarray) -> int:
+    """The rank rule on scipy's LU factor of A without its zero columns:
+    the independent oracle.  (On the full matrix LU's diagonal can miss a
+    pivot: a zero column uses up a row.)"""
+    A = A[:, np.any(A != 0.0, axis=0)]
+    scale = np.max(np.abs(A), initial=0.0)
+    if scale == 0.0:
+        return 0
+    u = scipy.linalg.lu(A)[2]
+    return int(np.sum(np.abs(np.diag(u)) > mpr.PIVOT_RTOL * scale))
+
+
+# Vandermonde rows x^0..x^(p-1) on distinct positive nodes have only
+# nonzero minors, so every pivot of their elimination is far from zero.
+VANDERMONDE_NODES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+@st.composite
+def rank_test_matrices(draw):
+    """Scaled Vandermonde rows, with repeated nodes (duplicated rows) and
+    zeroed columns: every pivot is an exact zero or far above the
+    threshold, so the rank does not hang on rounding."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 5))
+    nodes = draw(st.lists(st.sampled_from(VANDERMONDE_NODES), min_size=n, max_size=n))
+    scales = draw(st.lists(st.sampled_from([-2.0, -0.3, 0.7, 1.0, 3.0]),
+                           min_size=n, max_size=n))
+    A = np.array(scales)[:, None] * np.array(nodes)[:, None] ** np.arange(p)
+    A[:, draw(st.lists(st.booleans(), min_size=p, max_size=p))] = 0.0
+    return A
+
+
+class TestPivotRank:
+    @given(rank_test_matrices())
+    def test_matches_scipy_lu(self, A):
+        assert mpr._pivot_ranks(A[None])[0] == _lu_rank(A)
+
+    @given(st.lists(rank_test_matrices(), min_size=2, max_size=6))
+    def test_stack_ranks_each_node_alone(self, mats):
+        shape = mats[0].shape
+        same = [A for A in mats if A.shape == shape]
+        stacked = mpr._pivot_ranks(np.stack(same))
+        assert list(stacked) == [_lu_rank(A) for A in same]
+
+    @pytest.mark.parametrize("A", [
+        [[0.0, 1.0]],
+        [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]],
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ])
+    def test_a_column_without_pivot_hides_no_later_pivot(self, A):
+        # scipy.linalg.lu's diagonal reads fewer pivots on each of these
+        A = np.array(A)
+        assert mpr._pivot_ranks(A[None])[0] == np.linalg.matrix_rank(A)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,12 @@ from upliftemm import (
     uplift_general,
     verify_uplift,
 )
-from upliftemm.errors import InvalidIntensities, NotComplete, PlanMismatch
+from upliftemm.errors import (
+    InvalidIntensities,
+    NotComplete,
+    PlanMismatch,
+    ShapeMismatch,
+)
 from upliftemm.uplift import cell_index
 
 from conftest import (
@@ -330,3 +339,87 @@ class TestGridwiseTimeVarying:
         gamma_star = np.atleast_1d(fict_emm.intensities[1].value(grid))
         assert np.max(np.abs(gamma_star - 0.8 * gamma)) < 1e-11
         assert verify_uplift(emm, time_varying_market, grid).passed
+
+
+class TestVerifyShapes:
+    def test_missing_intensities_on_a_discrete_market(self, three_stock_market):
+        emm = Emm(theta=(0.5,))
+        message = "0 driver intensities; the market needs 3"
+        with pytest.raises(ShapeMismatch, match=message):
+            verify_uplift(emm, three_stock_market)
+
+    def test_theta_count_differs_from_brownians(self, three_stock_market):
+        emm = Emm(theta=(0.5, 0.0), intensities=(1.5, 1.2, 3.0))
+        message = "2 theta functions; the market needs 1"
+        with pytest.raises(ShapeMismatch, match=message):
+            verify_uplift(emm, three_stock_market)
+
+    def test_continuous_market_without_jump_measure(self, uniform_mark_market):
+        with pytest.raises(ShapeMismatch, match="0 jump measures; the market needs 1"):
+            verify_uplift(Emm(theta=(0.0,)), uniform_mark_market)
+
+
+def test_verify_reads_sigma_once_per_check_grid(monkeypatch, time_varying_market):
+    plan = DiscretePlan(retain=(0,), batches=((1, 2),))
+    emm, _, _ = build_uplifted_emm(time_varying_market, plan)
+    calls = []
+    original = MarketSpec.sigma_values
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return original(self, t)
+
+    monkeypatch.setattr(MarketSpec, "sigma_values", counted)
+    assert verify_uplift(emm, time_varying_market).passed
+    assert calls == [256]
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import upliftemm
+from upliftemm import (
+    ContinuousJumpSpec, ContinuousPlan, Density, DiscretePlan, MarketSpec,
+    build_uplifted_emm, verify_uplift,
+)
+from conftest import make_three_stock_market, make_uniform_mark_market
+
+for spec, plan in (
+    (make_three_stock_market(), DiscretePlan(retain=(0, 1), neglect=(2,))),
+    (make_uniform_mark_market(),
+     ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)),
+):
+    emm, _, _ = build_uplifted_emm(spec, plan)
+    assert verify_uplift(emm, spec).passed
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+
+base = make_uniform_mark_market()
+spec = MarketSpec(
+    horizon=1.0, s0=base.s0, alpha=base.alpha, rate=base.rate, sigma=base.sigma,
+    jumps=ContinuousJumpSpec(
+        density=Density("truncnorm", (-0.5, 0.5), {"mu": 0.0, "sigma": 0.2}),
+        total_intensity=4.0,
+    ),
+)
+dens = spec.jumps.density
+print(dens.mass(-0.5, 0.0), dens.mass(0.0, 0.5))
+emm, _, _ = build_uplifted_emm(
+    spec, ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+)
+assert verify_uplift(emm, spec).passed
+"""
+
+
+def test_import_and_pipeline_load_no_scipy():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", NO_SCIPY_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # a symmetric truncated normal puts half its mass on each side of 0
+    masses = [float(x) for x in proc.stdout.split()]
+    assert masses == pytest.approx([0.5, 0.5], abs=1e-12)
