@@ -3,9 +3,11 @@
 Event times come from thinning against a constant majorant, which samples
 an inhomogeneous Poisson process exactly; between events the log price is
 a Gaussian plus closed-form drift integrals, so there is no Euler error
-anywhere.  Randomness is organized as counter-based substreams keyed by
-(master seed, path index, role), which makes every path reproducible
-bit for bit independently of how the paths are chunked.
+for constant and piecewise-constant sigma and theta (an interpolated one
+is held at each grid segment's left end).  Randomness is organized as
+counter-based substreams keyed by (master seed, path index, role), which
+makes every path reproducible bit for bit independently of how the paths
+are chunked.
 
 Paths are simulated in blocks (:mod:`upliftemm.blocks`), one block after
 another on one thread: per path, only the draws from its own Philox
@@ -168,7 +170,7 @@ class SimulationContext:
                 mm = measure_emm.jump_measure
                 self.mark_measure = mm
                 self.sim_total_fn = mm.sampled("total_intensity", T)
-                safety = 1 + (1e-9 if mm._is_constant else 1e-2)
+                safety = 1 + (1e-9 if self.sim_total_fn.is_piecewise_constant else 1e-2)
                 self.majorant = self.sim_total_fn.max_value(0.0, T) * safety
             else:
                 self.sim_total_fn = jumps.total_intensity
@@ -180,12 +182,11 @@ class SimulationContext:
         if self.kind != "none" and not np.isfinite(self.majorant):
             raise UnboundedIntensity("intensity has no finite majorant on the grid")
 
-        # grid knots beyond events/outputs: sigma always, theta when weighting
+        # grid knots beyond events/outputs, from the coefficients read on the
+        # grid: sigma always, theta when weighting (a Q* path never reads it)
         knot_fns = [fn for row in spec.sigma for fn in row]
         if density_emm is not None:
             knot_fns.extend(density_emm.theta)
-        if measure_emm is not None:
-            knot_fns.extend(measure_emm.theta)
         self.extra_knots = (
             merged_breakpoints(knot_fns, 0.0, T) if knot_fns else np.array([0.0, T])
         )

@@ -11,8 +11,9 @@ reweighted cell by cell while keeping its shape within each cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .model import (
     ContinuousJumpSpec,
     DiscreteJumpSpec,
     MarketSpec,
+    coefficient_breakpoints,
     default_grid,
 )
 from .mpr import classify_over_grid
@@ -38,7 +40,7 @@ from .reduction import (
     batch_weights,
     reduce_market,
 )
-from .timefns import TimeFunction, stack_values
+from .timefns import TimeFunction, merged_breakpoints, stack_values
 
 __all__ = [
     "Emm",
@@ -56,6 +58,9 @@ __all__ = [
 
 VERIFY_TOL_DISCRETE = 1e-9
 VERIFY_TOL_CONTINUOUS = 1e-7
+# solved node values this many ulp apart (of their largest magnitude) are
+# one constant up to rounding
+COLLAPSE_ULPS = 32
 
 
 def cell_index(cells, y) -> np.ndarray:
@@ -173,11 +178,10 @@ class CellMeasure:
         return total if np.ndim(t) else float(total[0])
 
     @cached_property
-    def _is_constant(self) -> bool:
-        return (
-            not self.base.is_time_varying
-            and self.physical_intensity.is_constant
-            and all(fn.is_constant for fn in self.cell_intensities)
+    def _is_piecewise_constant(self) -> bool:
+        return not self.base.is_time_varying and all(
+            fn.is_piecewise_constant
+            for fn in (self.physical_intensity, *self.cell_intensities)
         )
 
     @cached_property
@@ -187,14 +191,23 @@ class CellMeasure:
     def sampled(self, name: str, horizon: float) -> TimeFunction:
         """The method ``name`` (``"total_intensity"`` or
         ``"mean_jump_intensity"``) as a TimeFunction on [0, horizon]: exact
-        on a constant measure, else linear through 513 samples.  Sampled
-        once per measure and horizon and shared by every simulation
-        context built from this measure."""
+        when the base density does not vary in time and every intensity is
+        constant or piecewise constant (a constant, or a step function on
+        the intensities' merged breakpoints), else linear through 513
+        samples.  Built once per measure and horizon and shared by every
+        simulation context built from this measure."""
         key = (name, float(horizon))
         if key not in self._sampled:
             fn = getattr(self, name)
-            if self._is_constant:
-                self._sampled[key] = TimeFunction.constant(float(fn(0.0)))
+            if self._is_piecewise_constant:
+                knots = merged_breakpoints(
+                    (self.physical_intensity, *self.cell_intensities), 0.0, horizon
+                )
+                vals = fn(knots[:-1])
+                self._sampled[key] = (
+                    TimeFunction.constant(float(vals[0])) if len(vals) == 1
+                    else TimeFunction.piecewise(knots, vals)
+                )
             else:
                 grid = np.linspace(0.0, horizon, 513)
                 self._sampled[key] = TimeFunction.samples(grid, fn(grid))
@@ -343,23 +356,42 @@ def physical_emm(spec: MarketSpec) -> Emm:
 # -- solving the fictitious market --------------------------------------------
 
 
-def _grid_to_fn(grid: np.ndarray, values: np.ndarray) -> TimeFunction:
-    if np.all(values == values[0]):
+def _solved_fn(values: np.ndarray, make) -> TimeFunction:
+    """A solved coefficient from its node values: the constant values[0]
+    when they agree within COLLAPSE_ULPS ulp of their largest magnitude,
+    else ``make(values)``."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi - lo <= COLLAPSE_ULPS * math.ulp(max(-lo, hi)):  # max(-lo, hi) = max|v|
         return TimeFunction.constant(float(values[0]))
-    return TimeFunction.samples(grid, values)
+    return make(values)
 
 
 def solve_unique_emm(spec: MarketSpec, grid=None) -> Emm:
     """Solve a (reduced) market's risk-premium system into a measure.
 
+    When every coefficient is constant or piecewise constant, the system
+    is solved once per piece of the merged coefficient breakpoints, at the
+    piece's left end, and each solution is a step function on those
+    pieces: exact on all of [0, T].  Otherwise (interpolated samples) it
+    is solved at the grid nodes and interpolated linearly between them.
+    Either way, a solution whose node values agree within
+    ``COLLAPSE_ULPS`` = 32 ulp of their largest magnitude is stored as a
+    constant, so rounding in the solve adds no time dependence.
+
     Raises NotComplete unless the system is uniquely solvable at every
-    grid time, and InvalidIntensities if a solution exists but is not a
+    node, and InvalidIntensities if a solution exists but is not a
     positive intensity vector.
     """
-    if grid is None:
-        grid = default_grid(spec.horizon)
-    grid = np.asarray(grid, dtype=float)
-    cls = classify_over_grid(spec, grid)
+    if all(fn.is_piecewise_constant for fn in spec.coefficient_functions()):
+        knots = coefficient_breakpoints(spec)
+        nodes = knots[:-1]
+        make = partial(TimeFunction.piecewise, knots)
+    else:
+        nodes = np.asarray(
+            default_grid(spec.horizon) if grid is None else grid, dtype=float
+        )
+        make = partial(TimeFunction.samples, nodes)
+    cls = classify_over_grid(spec, nodes)
     if not cls.all_complete:
         bad = cls.first_failure()
         raise NotComplete(
@@ -372,7 +404,7 @@ def solve_unique_emm(spec: MarketSpec, grid=None) -> Emm:
             f"unique solution has nonpositive intensities "
             f"{bad.nonpositive_intensities} at t={bad.t:g}"
         )
-    fns = tuple(_grid_to_fn(grid, col) for col in cls.solution_matrix().T)
+    fns = tuple(_solved_fn(col, make) for col in cls.solution_matrix().T)
     D = spec.n_brownians
     return Emm(theta=fns[:D], intensities=fns[D:] or None, provenance="solved")
 
@@ -468,13 +500,18 @@ def uplift_batch(
 
 
 def _product_fn(f: TimeFunction, g: TimeFunction, grid: np.ndarray) -> TimeFunction:
-    """Pointwise product; exact for constants, grid-sampled otherwise."""
+    """Pointwise product; exact for constant and piecewise-constant
+    factors (a step function on their merged breakpoints), grid-sampled
+    otherwise."""
     if f.is_constant and g.is_constant:
         return TimeFunction.constant(f.constant_value * g.constant_value)
     if f.is_constant:
         return g.scaled(f.constant_value)
     if g.is_constant:
         return f.scaled(g.constant_value)
+    if f.is_piecewise_constant and g.is_piecewise_constant:
+        knots = merged_breakpoints((f, g), float(grid[0]), float(grid[-1]))
+        return TimeFunction.piecewise(knots, f.value(knots[:-1]) * g.value(knots[:-1]))
     vals = np.atleast_1d(f.value(grid)) * np.atleast_1d(g.value(grid))
     return TimeFunction.samples(grid, vals)
 
@@ -560,10 +597,12 @@ class UpliftVerification:
 def verify_uplift(emm: Emm, spec: MarketSpec, grid=None) -> UpliftVerification:
     """Substitute the measure into the original risk-premium equations.
 
-    Reports the largest absolute residual over all stocks and grid times,
-    computed on the whole check grid in one array pass.  Continuous mark
-    spaces get a looser tolerance because their loadings carry quadrature
-    error.  A measure of the wrong shape for the market raises ShapeMismatch.
+    Reports the largest absolute residual over all stocks, at the grid
+    nodes and at the midpoints of the grid's segments (so a measure that is
+    right only at the nodes fails), computed in one array pass.  Continuous
+    mark spaces get a looser tolerance because their loadings carry
+    quadrature error.  A measure of the wrong shape for the market raises
+    ShapeMismatch.
     """
     if grid is None:
         grid = default_grid(spec.horizon)
@@ -572,7 +611,10 @@ def verify_uplift(emm: Emm, spec: MarketSpec, grid=None) -> UpliftVerification:
     continuous = isinstance(spec.jumps, ContinuousJumpSpec)
     tol = VERIFY_TOL_CONTINUOUS if continuous else VERIFY_TOL_DISCRETE
     # a constant market and measure hold at one time: check it as a scalar
-    ts = grid if not spec.is_constant or not _emm_constant(emm) else float(grid[0])
+    if spec.is_constant and _emm_constant(emm):
+        ts = float(grid[0])
+    else:
+        ts = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
     theta = stack_values(emm.theta, ts)
     lhs = stack_values(spec.alpha, ts) - np.asarray(spec.rate.value(ts))[..., None]
     rhs = (spec.sigma_values(ts) @ theta[..., None])[..., 0]

@@ -19,6 +19,7 @@ from upliftemm import (
 )
 from upliftemm import mpr
 from upliftemm.errors import InvalidIntensities, NotComplete, ShapeMismatch
+from upliftemm.model import coefficient_breakpoints
 from upliftemm.mpr import ARBITRAGE, COMPLETE, INCOMPLETE_ARBITRAGE_FREE
 
 from conftest import (
@@ -329,7 +330,12 @@ class TestStackedGrid:
     def test_solve_unique_emm_names_the_first_bad_node(self, name):
         spec = STACK_FIXTURES[name]()
         grid = np.linspace(0.0, 1.0, 256)
-        nodes = _per_node(spec, grid)
+        # a market of constant and piecewise-constant coefficients is solved
+        # at the left end of each piece, any other at the grid nodes
+        stepwise = all(fn.is_piecewise_constant for fn in spec.coefficient_functions())
+        nodes = _per_node(
+            spec, coefficient_breakpoints(spec)[:-1] if stepwise else grid
+        )
         bad = next((e for e in nodes if not e.is_complete), None)
         if bad is not None:
             error, message = NotComplete, (

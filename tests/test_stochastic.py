@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from upliftemm.errors import FactorAtMinusOne, NullMark, UnboundedIntensity
 from upliftemm.blocks import _block_size
 from upliftemm.stochastic import SimulationContext, StreamPool, iterate_bundles
 from upliftemm.timefns import adaptive_simpson
-from upliftemm.uplift import CellMeasure
+from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn
 
 N_STAT = 30_000
 
@@ -263,7 +265,12 @@ class TestVaryingCellMarks:
 
     def test_measure_functions_sampled_once(self, piecewise_mark_market, monkeypatch):
         plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
-        emm, _, _ = build_uplifted_emm(piecewise_mark_market, plan)
+        uplifted, _, _ = build_uplifted_emm(piecewise_mark_market, plan)
+        base, phys, varying = _varying_cell_measures()[0]
+        varying_market = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=ContinuousJumpSpec(density=base, total_intensity=phys),
+        )
         calls = {"mean_jump_intensity": 0, "total_intensity": 0}
         for name in calls:
             method = getattr(CellMeasure, name)
@@ -274,10 +281,16 @@ class TestVaryingCellMarks:
 
             monkeypatch.setattr(CellMeasure, name, counted)
         times = np.linspace(0.0, 1.0, 9)
-        SimulationContext(piecewise_mark_market, times, measure_emm=emm)
-        SimulationContext(piecewise_mark_market, times, measure_emm=emm, density_emm=emm)
-        # each function at 513 times, once for both contexts
-        assert calls == {"mean_jump_intensity": 513, "total_intensity": 513}
+        # each function once for both contexts: a step measure at the left
+        # end of each of its two pieces, a time-varying density at 513 times
+        for spec, emm, n_times in (
+            (piecewise_mark_market, uplifted, 2),
+            (varying_market, Emm(theta=(0.1,), jump_measure=varying), 513),
+        ):
+            calls.update(mean_jump_intensity=0, total_intensity=0)
+            SimulationContext(spec, times, measure_emm=emm)
+            SimulationContext(spec, times, measure_emm=emm, density_emm=emm)
+            assert calls == {"mean_jump_intensity": n_times, "total_intensity": n_times}
 
 
 class TestContextBuild:
@@ -300,6 +313,38 @@ class TestContextBuild:
         monkeypatch.setattr(Density, "mean_timefunction", counting)
         SimulationContext(spec, np.linspace(0.125, 1.0, 9))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("market", ["time_varying", "piecewise_mark"])
+    def test_uplifted_time_varying_markets_run_wide_blocks(self, market, request):
+        # a solved theta that is constant up to rounding adds no grid knots
+        spec = request.getfixturevalue(f"{market}_market")
+        plan = (
+            DiscretePlan(retain=(0,), batches=((1, 2),)) if market == "time_varying"
+            else ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        )
+        emm, _, _ = build_uplifted_emm(spec, plan)
+        for kw in ({"measure_emm": emm}, {"density_emm": emm}):
+            ctx = SimulationContext(spec, [0.5, 1.0], **kw)
+            assert _block_size(ctx) >= 400, kw
+
+    def test_q_paths_skip_theta_knots(self, three_stock_market):
+        # a Q* path never reads theta; a Z-weighted path reads it per segment
+        knots = np.linspace(0.0, 1.0, 50)
+        theta = TimeFunction.samples(knots, np.linspace(0.4, 0.6, 50))
+        emm = Emm(theta=(theta,), intensities=(1.5, 1.2, 3.0))
+        q = SimulationContext(three_stock_market, [0.5, 1.0], measure_emm=emm)
+        assert q.base_knots.tolist() == [0.0, 0.5, 1.0]
+        pz = SimulationContext(three_stock_market, [0.5, 1.0], density_emm=emm)
+        assert np.isin(knots, pz.base_knots).all()
+
+    def test_solution_constant_up_to_rounding_collapses(self):
+        grid = np.linspace(0.0, 1.0, 256)
+        make = partial(TimeFunction.samples, grid)
+        ulp = np.spacing(0.5)
+        within = 0.5 + ulp * (np.arange(256) % (COLLAPSE_ULPS + 1))
+        assert _solved_fn(within, make) == TimeFunction.constant(0.5)
+        apart = 0.5 + ulp * 64 * (np.arange(256) % 2)
+        assert _solved_fn(apart, make) == TimeFunction.samples(grid, apart)
 
 
 class TestStockPathExactness:

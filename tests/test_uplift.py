@@ -9,7 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from upliftemm import (
+    ContinuousJumpSpec,
     ContinuousPlan,
+    Density,
     DiscretePlan,
     Emm,
     MarketSpec,
@@ -35,13 +37,18 @@ from upliftemm.errors import (
 from upliftemm.uplift import cell_index
 
 from conftest import (
+    EXCESS,
     INTENSITIES,
     LOADINGS,
     RATE,
     SIGMA,
+    make_piecewise_mark_market,
     make_three_stock_market,
     make_uniform_mark_market,
 )
+
+# probe times between the nodes of the default 256-point check grid
+PROBE = np.linspace(0.0, 1.0, 20_001)
 
 
 class TestCompleteNeglectUplift:
@@ -185,6 +192,24 @@ class TestBatchUplift:
             lam_m_star = np.atleast_1d(emm.intensities[m].value(grid))
             lam_m = np.atleast_1d(jumps.intensities[m].value(grid))
             assert np.max(np.abs(lam_m_star / gamma_star - lam_m / gamma)) < 1e-12
+
+    def test_piecewise_batch_is_exact_between_nodes(self, three_stock_market):
+        # lambda_2 steps at 0.4: the batch weights, the per-piece solve and
+        # the members' shares of gamma* are all step functions
+        lam2 = TimeFunction.piecewise([0.0, 0.4, 1.0], [3.0, 2.0])
+        spec = MarketSpec(
+            horizon=1.0, s0=three_stock_market.s0, alpha=three_stock_market.alpha,
+            rate=RATE, sigma=three_stock_market.sigma,
+            jumps=DiscreteJumpSpec(intensities=[2.0, 1.0, lam2], loadings=LOADINGS),
+        )
+        plan = DiscretePlan(retain=(0,), batches=((1, 2),))
+        emm, _, fict_emm = build_uplifted_emm(spec, plan)
+        assert fict_emm.intensities[1].kind == "piecewise"
+        for fn in emm.intensities[1:]:
+            assert fn.kind == "piecewise"
+            assert fn.breakpoints().tolist() == [0.0, 0.4, 1.0]
+        rep = verify_uplift(emm, spec, PROBE)
+        assert rep.passed, rep.max_residual
 
     def test_trinomial_structure(self):
         # one retained driver and one 2-member batch: the solved vector
@@ -341,6 +366,58 @@ class TestGridwiseTimeVarying:
         assert verify_uplift(emm, time_varying_market, grid).passed
 
 
+class TestBetweenNodes:
+    """The solved measure must hold between the check grid's nodes too."""
+
+    def test_cont_cells_intensity_step_is_exact(self, piecewise_mark_market):
+        # total intensity 4 on [0, 0.5), 5 after: the solved cell intensity
+        # steps at 0.5 instead of being interpolated across the step
+        plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        emm, _, _ = build_uplifted_emm(piecewise_mark_market, plan)
+        (cell,) = emm.jump_measure.cell_intensities
+        assert cell.kind == "piecewise"
+        assert cell.breakpoints().tolist() == [0.0, 0.5, 1.0]
+        assert verify_uplift(emm, piecewise_mark_market).max_residual < 1e-7
+        assert verify_uplift(emm, piecewise_mark_market, PROBE).max_residual < 1e-7
+
+    def test_alpha_step_off_the_grid_is_exact(self, three_stock_market):
+        # theta* steps at 0.3001, between the nodes 76/255 and 77/255
+        alpha = [
+            TimeFunction.piecewise([0.0, 0.3001, 1.0], [a, a + 0.1 * s])
+            for a, s in zip(EXCESS + RATE, SIGMA)
+        ]
+        spec = MarketSpec(
+            horizon=1.0, s0=three_stock_market.s0, alpha=alpha, rate=RATE,
+            sigma=three_stock_market.sigma, jumps=three_stock_market.jumps,
+        )
+        emm, _, _ = build_uplifted_emm(spec, DiscretePlan(retain=(0, 1), neglect=(2,)))
+        assert emm.theta[0].breakpoints().tolist() == [0.0, 0.3001, 1.0]
+        assert emm.theta[0].v == pytest.approx([0.5, 0.6], abs=1e-12)
+        rep = verify_uplift(emm, spec, PROBE)
+        assert rep.passed, rep.max_residual
+
+    def test_residual_between_nodes_is_reported(self, uniform_mark_market):
+        # a time-varying density has no closed-form solve: the grid solve
+        # interpolates across the intensity step at 0.5003, and the check's
+        # segment midpoint 0.5 sees it although every node is solved exactly
+        mu = TimeFunction.samples([0.0, 1.0], [-0.1, 0.1])
+        spec = MarketSpec(
+            horizon=1.0, s0=uniform_mark_market.s0, alpha=uniform_mark_market.alpha,
+            rate=RATE, sigma=uniform_mark_market.sigma,
+            jumps=ContinuousJumpSpec(
+                density=Density("truncnorm", (-0.5, 0.5), {"mu": mu, "sigma": 0.2}),
+                total_intensity=TimeFunction.piecewise([0.0, 0.5003, 1.0], [4.0, 5.0]),
+            ),
+        )
+        plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        emm, _, _ = build_uplifted_emm(spec, plan)
+        grid = np.linspace(0.0, 1.0, 256)
+        rep = verify_uplift(emm, spec, grid)
+        # a one-node grid has no midpoint: the two nodes around the step hold
+        at_nodes = [verify_uplift(emm, spec, grid[[k]]) for k in (127, 128)]
+        assert max(r.max_residual for r in at_nodes) < rep.tolerance < rep.max_residual
+
+
 class TestVerifyShapes:
     def test_missing_intensities_on_a_discrete_market(self, three_stock_market):
         emm = Emm(theta=(0.5,))
@@ -371,7 +448,7 @@ def test_verify_reads_sigma_once_per_check_grid(monkeypatch, time_varying_market
 
     monkeypatch.setattr(MarketSpec, "sigma_values", counted)
     assert verify_uplift(emm, time_varying_market).passed
-    assert calls == [256]
+    assert calls == [256 + 255]  # the nodes and the segment midpoints
 
 
 NO_SCIPY_SCRIPT = """
