@@ -96,4 +96,4 @@ from .uplift import (
     verify_uplift,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,17 +1,17 @@
-"""Block engine: many paths simulated together, each from its own streams.
+"""Block engine: many paths simulated together, each from its own counters.
 
-Per path, only the draws from its own Philox substreams run in a Python
-loop; sorting, thinning, marking, grid merging and the Brownian, jump and
-density sums run on whole-block arrays.  Every mark is a function of a
-fixed number of its path's uniforms (``mark_draws`` per event: two for a
-cell measure, one otherwise), so all of a block's marks are computed in
-one call from the uniforms drawn for it.  Every per-path sum is taken in
-the order the path's own arrays give it.  A path's values therefore do
-not depend on the block size (``_SEGMENT_BUDGET``, read at call time).
-Blocks run one after another on one thread.  The entry points
-(``simulate_path``, ``simulate_terminal``, ``iterate_bundles`` and the
-private ``_terminal_sample`` that every Monte Carlo check and hedging
-reduce) live in :mod:`upliftemm.stochastic`.
+Every draw is addressed by its path's stream id, its role and its index
+within the path (:mod:`upliftemm.philox`), so a block draws each kind of
+randomness for all of its paths in one kernel call, and sorting,
+thinning, marking, grid merging and the Brownian, jump and density sums
+run on whole-block arrays, with no loop over the paths.  Every draw is
+an inversion or a fixed-count transform of its own counters, and every
+per-path sum is taken in the order the path's own arrays give it, so a
+path's values do not depend on the block size (``_SEGMENT_BUDGET``, read
+at call time).  Blocks run one after another on one thread.  The entry
+points (``simulate_path``, ``simulate_terminal``, ``iterate_bundles``,
+the standalone samplers and the private ``_terminal_sample`` that every
+Monte Carlo check and hedging reduce) live in :mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NullMark, UnboundedIntensity
+from .philox import MASK64, box_muller, poisson_counts, uniforms
 
 if TYPE_CHECKING:
-    from .stochastic import SimulationContext, StreamPool
-
-_MASK64 = (1 << 64) - 1  # stream ids fill one 64-bit Philox counter word
+    from .stochastic import SimulationContext
 
 
 @dataclass
@@ -172,42 +171,55 @@ class _Block:
         )
 
 
-def _draw_events(ctx: SimulationContext, pool: StreamPool, sids: list):
+def _stream_ids(first: int, count: int) -> np.ndarray:
+    """The 64-bit stream ids ``first .. first + count - 1`` (wrapping)."""
+    return np.uint64(first & MASK64) + np.arange(count, dtype=np.uint64)
+
+
+def _ranks(n: np.ndarray):
+    """Row of each of ``n[p]`` consecutive items per row, and its index
+    within the row."""
+    pid = np.repeat(np.arange(len(n)), n)
+    return pid, np.arange(pid.size) - (np.cumsum(n) - n)[pid]
+
+
+def _draw_events(ctx: SimulationContext, seed: int, sids: np.ndarray):
     """Accepted event times (path-major, sorted within each path) and the
-    row of each.  Per path: a Poisson count and uniform candidate times
-    from its ``event_times`` stream, uniforms from its ``thinning`` stream."""
-    count = len(sids)
+    row of each.  Path p's candidate count inverts the context's Poisson
+    table at its ``count`` uniform; its candidate i takes its time and
+    its thinning uniform from its ``event_times`` counter i.  The thinning
+    uniforms are independent of every candidate time, so the sorted times
+    take them in counter order."""
+    empty = np.zeros(0), np.zeros(0, dtype=np.int64)
     if ctx.kind == "none" or ctx.majorant <= 0.0:
-        return np.zeros(0), np.zeros(0, dtype=np.int64)
-    T = ctx.horizon
-    mean = ctx.majorant * T
-    bg_t, gen_t, st_t, ctr_t = pool._slots["event_times"]
-    bg_u, gen_u, st_u, ctr_u = pool._slots["thinning"]
-    poisson, draw_t, draw_u = gen_t.poisson, gen_t.random, gen_u.random
-    n_cand, cands, thins = [], [], []
-    for sid in sids:
-        ctr_t[2] = sid
-        bg_t.state = st_t
-        n = poisson(mean)
-        n_cand.append(n)
-        if n:
-            # uniform(0, T, n) is T times the doubles random(n) returns
-            cands.append(draw_t(n))
-            ctr_u[2] = sid
-            bg_u.state = st_u
-            thins.append(draw_u(n))
-    if not cands:
-        return np.zeros(0), np.zeros(0, dtype=np.int64)
-    n_cand = np.array(n_cand)
+        return empty
+    n_cand = poisson_counts(ctx.count_cdf, uniforms(seed, "count", 0, sids)[0])
+    if not n_cand.any():
+        return empty
+    pid, j = _ranks(n_cand)
+    t, thin = uniforms(seed, "event_times", j, sids[pid])
     filled = np.arange(n_cand.max()) < n_cand[:, None]
     pad = np.full(filled.shape, np.inf)
-    pad[filled] = T * np.concatenate(cands)
+    pad[filled] = ctx.horizon * t
     pad.sort(axis=1)
     cand = pad[filled]
     lam = ctx.total_intensity_at(cand)
     _check_majorant(lam, ctx.majorant)
-    accept = np.concatenate(thins) * ctx.majorant <= lam
-    return cand[accept], np.repeat(np.arange(count), n_cand)[accept]
+    accept = thin * ctx.majorant <= lam
+    return cand[accept], pid[accept]
+
+
+def _draw_marked_events(ctx: SimulationContext, seed: int, sids: np.ndarray):
+    """:func:`_draw_events` plus each path's event offsets, each event's
+    position within its path and its mark, from its ``marks`` counter
+    (one per event: its two uniforms cover every mark rule)."""
+    ev_times, pid = _draw_events(ctx, seed, sids)
+    ev_off = np.concatenate([[0], np.cumsum(np.bincount(pid, minlength=len(sids)))])
+    local = np.arange(ev_times.size) - ev_off[pid]
+    if ctx.kind == "none":
+        return ev_times, pid, ev_off, local, np.zeros(0, dtype=np.int64)
+    u = uniforms(seed, "marks", local, sids[pid])
+    return ev_times, pid, ev_off, local, ctx.marks_from_uniforms(u, ev_times)
 
 
 def _check_majorant(lam: np.ndarray, majorant: float) -> None:
@@ -250,35 +262,21 @@ def _merge_grids(ctx: SimulationContext, ev_times, pid, count: int):
     return grid, n_seg, out_idx
 
 
-def _draw_marks_and_increments(ctx, pool, sids, ev_times, pid, ev_off, n_seg, dt):
-    """Per path, marks from its ``marks`` stream and standard normals for
-    its grid segments from its ``brownian`` stream; returns the marks and
-    the (B, W, D) Brownian increments (zero past each path's grid)."""
+def _draw_increments(ctx: SimulationContext, seed: int, sids, n_seg, dt):
+    """(B, W, D) Brownian increments, zero past each path's grid.  Path p
+    fills its first ``n_seg[p] * D`` (segment, Brownian) cells in row-major
+    order with Box-Muller pairs, one per ``brownian`` counter."""
     D = ctx.n_brownians
-    k = ctx.mark_draws
-    u = np.empty(k * ev_times.size)
-    z = np.zeros(dt.shape + (D,))
-    bg_m, gen_m, st_m, ctr_m = pool._slots["marks"]
-    bg_b, gen_b, st_b, ctr_b = pool._slots["brownian"]
-    normal = gen_b.standard_normal
-    offs = ev_off.tolist()
-    for p, (sid, lo, hi, ns) in enumerate(zip(sids, offs, offs[1:], n_seg.tolist())):
-        if hi > lo:
-            ctr_m[2] = sid
-            bg_m.state = st_m
-            gen_m.random(out=u[k * lo:k * hi])
-        if D:
-            ctr_b[2] = sid
-            bg_b.state = st_b
-            normal(out=z[p, :ns])
+    z = np.zeros((len(sids), dt.shape[1] * D))
+    if D:
+        cells = n_seg * D
+        pid, j = _ranks((cells + 1) // 2)
+        pairs = box_muller(uniforms(seed, "brownian", j, sids[pid]))
+        first_cells = 2 * j[:, None] + np.arange(2) < cells[pid][:, None]
+        z[np.arange(z.shape[1]) < cells[:, None]] = pairs[first_cells]
+    z = z.reshape(dt.shape + (D,))
     z *= np.sqrt(dt)[:, :, None]
-    if ctx.kind == "none":
-        return np.zeros(0, dtype=np.int64), z
-    # path p's uniforms form a (k, n_ev[p]) array
-    start = (k - 1) * ev_off[pid] + np.arange(ev_times.size)
-    n_ev = ev_off[pid + 1] - ev_off[pid]
-    u = np.stack([u[start + r * n_ev] for r in range(k)])
-    return ctx.marks_from_uniforms(u, ev_times), z
+    return z
 
 
 def _event_sums(block: _Block, values) -> np.ndarray:
@@ -338,29 +336,25 @@ def _density(ctx: SimulationContext, block: _Block, dt) -> np.ndarray:
     return np.exp(log_z1 + ctx.z2_drift + _event_sums(block, log_phi))
 
 
-def _simulate_block(
-    ctx: SimulationContext, pool: StreamPool, first: int, count: int
-) -> _Block:
+def _simulate_block(ctx: SimulationContext, seed: int, first: int, count: int) -> _Block:
     """Simulate the paths of streams ``first .. first + count - 1``.
 
-    Two loops over the paths draw from each role's stream exactly what
-    the one-path samplers draw: candidate times and thinning uniforms
-    first, then, once the accepted events fix every path's grid, marks
-    and Brownian increments.  Everything else is done on whole-block
-    arrays, so path k's values do not depend on the block it is in.
+    Each kind of draw is one kernel call for the whole block: candidate
+    counts, then candidate times with their thinning uniforms, then the
+    accepted events' marks and, once the events fix every path's grid,
+    the Brownian increments.  Every draw is addressed by its path's
+    stream id and its index within the path, and everything else is done
+    on whole-block arrays, so path k's values do not depend on the block
+    it is in.
     """
-    sids = [(first + p) & _MASK64 for p in range(count)]
-    ev_times, pid = _draw_events(ctx, pool, sids)
-    ev_off = np.concatenate([[0], np.cumsum(np.bincount(pid, minlength=count))])
+    sids = _stream_ids(first, count)
+    ev_times, pid, ev_off, local, marks = _draw_marked_events(ctx, seed, sids)
     grid, n_seg, out_idx = _merge_grids(ctx, ev_times, pid, count)
     dt = grid[:, 1:] - grid[:, :-1]
-    marks, dw = _draw_marks_and_increments(
-        ctx, pool, sids, ev_times, pid, ev_off, n_seg, dt
-    )
     block = _Block(
-        first_stream=first, pid=pid, local=np.arange(ev_times.size) - ev_off[pid],
-        ev_off=ev_off, ev_times=ev_times, ev_marks=marks, n_seg=n_seg, grid=grid,
-        dw=dw, out_idx=out_idx,
+        first_stream=first, pid=pid, local=local, ev_off=ev_off, ev_times=ev_times,
+        ev_marks=marks, n_seg=n_seg, grid=grid,
+        dw=_draw_increments(ctx, seed, sids, n_seg, dt), out_idx=out_idx,
         n_before=_counts_below(ev_times, pid, count, ctx.out_times, "left"),
     )
     block.stocks = _log_prices(ctx, block, dt)

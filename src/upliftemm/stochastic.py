@@ -4,19 +4,19 @@ Event times come from thinning against a constant majorant, which samples
 an inhomogeneous Poisson process exactly; between events the log price is
 a Gaussian plus closed-form drift integrals, so there is no Euler error
 for constant and piecewise-constant sigma and theta (an interpolated one
-is held at each grid segment's left end).  Randomness is organized as
-counter-based substreams keyed by (master seed, path index, role), which
-makes every path reproducible bit for bit independently of how the paths
-are chunked.
+is held at each grid segment's left end).  Randomness is counter-based
+(:mod:`upliftemm.philox`): every draw is addressed by (master seed, role,
+path stream id, draw index), which makes every path reproducible bit for
+bit independently of how the paths are chunked.
 
 Paths are simulated in blocks (:mod:`upliftemm.blocks`), one block after
-another on one thread: per path, only the draws from its own Philox
-substreams run in a Python loop, and everything else runs on whole-block
-arrays.  A path's values do not depend on the block size:
+another on one thread, each kind of draw in one kernel call for all of a
+block's paths.  A path's values do not depend on the block size:
 :func:`simulate_path` is a block of one, and row k of
 :func:`simulate_terminal` equals it on stream ``stream_offset + k``.  It
 wraps ``_terminal_sample``, which also sums a per-event hook over each
 path's events in order (the restriction's cell counts, hedging's jump leg).
+The standalone samplers draw the same events on one stream or on many.
 """
 
 from __future__ import annotations
@@ -26,16 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    _MASK64,
     PathBundle,
     _block_size,
-    _check_majorant,
+    _draw_marked_events,
     _event_log_factors,
     _event_log_phi,
     _simulate_block,
+    _stream_ids,
 )
 from .errors import FactorAtMinusOne, NullMark, UnboundedIntensity
 from .model import ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
+from .philox import MASK64, ROLE_IDS, poisson_cdf, uniforms
 from .timefns import TimeFunction, integrate_product, merged_breakpoints, sum_max_value
 from .uplift import Emm
 
@@ -59,62 +60,28 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 
-_ROLE_IDS = {"brownian": 1, "event_times": 2, "marks": 3, "thinning": 4, "inner": 5}
-
 
 @dataclass(frozen=True)
 class RngStreamSpec:
-    """Counter-based substream addressing: (seed, path stream, role).
+    """Counter-based addressing of one path's draws: (seed, path stream).
 
-    Distinct triples yield independent Philox streams; the same triple
-    always reproduces the same sequence, on any machine and in any block.
+    Draw j of a role is Philox counter (j, role, stream id) under the
+    seed, the same on any machine and in any block.
     """
 
     master_seed: int
     stream_id: int
 
+    def uniforms(self, role: str, n: int) -> np.ndarray:
+        """(2, n): the two doubles of each of the role's first n counters."""
+        return uniforms(self.master_seed, role, np.arange(n), self.stream_id)
+
     def generator(self, role: str) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed & _MASK64, _ROLE_IDS[role]], dtype=np.uint64
-        )
-        counter = np.array([0, 0, self.stream_id & _MASK64, 0], dtype=np.uint64)
+        """A numpy generator on its own Philox substream, for draws whose
+        count is not fixed in advance (the nested checks' ``inner`` role)."""
+        key = np.array([self.master_seed & MASK64, ROLE_IDS[role]], dtype=np.uint64)
+        counter = np.array([0, 0, self.stream_id & MASK64, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
-class StreamPool:
-    """Reusable per-role generators for one master seed (single thread).
-
-    Rewinding the Philox counter to a path's block reproduces exactly the
-    stream that :meth:`RngStreamSpec.generator` would create, without the
-    per-path construction cost.  Each role keeps the state dict of a fresh
-    generator (counter zero, buffer empty, held in plain lists, which load
-    faster than arrays); a rewind writes the stream id into its counter
-    and loads the dict.  Each role has one generator, so a rewind also
-    rewinds any generator an earlier call returned for that role.
-    """
-
-    def __init__(self, master_seed: int):
-        self.master_seed = master_seed
-        self._slots = {}
-        for role, rid in _ROLE_IDS.items():
-            key = [master_seed & _MASK64, rid]
-            bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
-            counter = [0, 0, 0, 0]
-            state = {
-                "bit_generator": "Philox",
-                "state": {"counter": counter, "key": key},
-                "buffer": [0, 0, 0, 0],
-                "buffer_pos": 4,  # empty: the next draw computes a block
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            self._slots[role] = (bitgen, np.random.Generator(bitgen), state, counter)
-
-    def generator(self, role: str, stream_id: int) -> np.random.Generator:
-        bitgen, gen, state, counter = self._slots[role]
-        counter[2] = stream_id & _MASK64
-        bitgen.state = state
-        return gen
 
 
 # -- simulation context ---------------------------------------------------------
@@ -181,6 +148,9 @@ class SimulationContext:
             self.majorant = 0.0
         if self.kind != "none" and not np.isfinite(self.majorant):
             raise UnboundedIntensity("intensity has no finite majorant on the grid")
+        # candidate counts are drawn by inverting this table
+        mean = self.majorant * T
+        self.count_cdf = poisson_cdf(mean) if mean > 0.0 else None
 
         # grid knots beyond events/outputs, from the coefficients read on the
         # grid: sigma always, theta when weighting (a Q* path never reads it)
@@ -202,9 +172,6 @@ class SimulationContext:
             self.const_mark_cum = np.cumsum(vals) / vals.sum()
         elif self.kind == "continuous" and self.sim_total_fn.is_constant:
             self.const_total = self.sim_total_fn.constant_value
-        # uniforms per event: a cell-measure mark reads one to pick its
-        # region and one for its quantile, any other mark one
-        self.mark_draws = 1 if self.mark_measure is None else 2
         self.base_knots = np.unique(
             np.concatenate([self.extra_knots, self.out_times, [0.0, T]])
         )
@@ -294,13 +261,13 @@ class SimulationContext:
         )
         return vals / vals.sum(axis=0, keepdims=True)
 
-    def sample_marks(self, rng: np.random.Generator, times: np.ndarray) -> np.ndarray:
-        """One mark per event time from the path's ``marks`` stream."""
-        u = rng.uniform(size=(self.mark_draws, times.size))
-        return self.marks_from_uniforms(u, times)
+    def sample_marks(self, streams: RngStreamSpec, times: np.ndarray) -> np.ndarray:
+        """The marks of a path's events at ``times``, from the path's first
+        ``len(times)`` ``marks`` counters, as a block draws them."""
+        return self.marks_from_uniforms(streams.uniforms("marks", times.size), times)
 
     def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Marks from ``mark_draws`` rows of uniforms, one column per event.
+        """Marks from two rows of uniforms, one column per event.
 
         Row 0 picks the driver, or the mark's quantile; on a cell measure
         row 0 picks the region and row 1 the quantile inside it.
@@ -317,40 +284,20 @@ class SimulationContext:
         return np.asarray(self.spec.jumps.density.ppf(u[0], times), dtype=float)
 
 
-def _thinned_times(
-    total_at, majorant: float, horizon: float, rng_times, rng_thin
-) -> np.ndarray:
-    """Exact inhomogeneous Poisson times by thinning a rate-majorant PP."""
-    if majorant <= 0.0:
-        return np.zeros(0)
-    n_cand = rng_times.poisson(majorant * horizon)
-    times = np.sort(rng_times.uniform(0.0, horizon, n_cand))
-    u = rng_thin.uniform(size=n_cand)
-    if n_cand == 0:
-        return times
-    lam = np.atleast_1d(total_at(times))
-    _check_majorant(lam, majorant)
-    return times[u * majorant <= lam]
-
-
 def sample_poisson_inhomogeneous(
     lam: TimeFunction,
     horizon: float,
     streams: RngStreamSpec,
-    pool: "StreamPool | None" = None,
-) -> np.ndarray:
-    """Event times of a Poisson process with deterministic intensity."""
-    lam = TimeFunction.coerce(lam)
-    majorant = lam.max_value(0.0, horizon) * (1 + 1e-9)
-    if not np.isfinite(majorant):
-        raise UnboundedIntensity("intensity has no finite majorant on the grid")
-    if pool is None:
-        rng_t = streams.generator("event_times")
-        rng_u = streams.generator("thinning")
-    else:
-        rng_t = pool.generator("event_times", streams.stream_id)
-        rng_u = pool.generator("thinning", streams.stream_id)
-    return _thinned_times(lambda t: lam.value(t), majorant, horizon, rng_t, rng_u)
+    n_streams: int | None = None,
+):
+    """Event times of a Poisson process with deterministic intensity.
+
+    The events a one-driver market draws on ``streams``; given
+    ``n_streams``, a list of the times on each of that many consecutive
+    streams from ``streams.stream_id`` on.
+    """
+    jumps = DiscreteJumpSpec(intensities=[lam], loadings=[[0.0]])
+    return sample_marked_point_process(jumps, horizon, streams, n_streams=n_streams)[0]
 
 
 def sample_marked_point_process(
@@ -358,14 +305,17 @@ def sample_marked_point_process(
     horizon: float,
     streams: RngStreamSpec,
     measure_emm: Emm | None = None,
-    pool: "StreamPool | None" = None,
+    n_streams: int | None = None,
     _ctx: "SimulationContext | None" = None,
 ):
     """Event times plus marks (driver indices or continuous jump sizes).
 
     The total process runs at the summed intensity; each event is marked
     with driver m with probability lambda_m(t)/lambda(t), or with a draw
-    from the mark distribution at the event time.
+    from the mark distribution at the event time.  These are the events
+    and marks a simulated path draws on ``streams``; given ``n_streams``,
+    lists of the times and of the marks on each of that many consecutive
+    streams, drawn in blocks.
     """
     if _ctx is None:
         spec_like = MarketSpec(
@@ -373,19 +323,21 @@ def sample_marked_point_process(
             sigma=((),), jumps=jumps,
         )
         _ctx = SimulationContext(spec_like, [horizon], measure_emm=measure_emm)
-    if pool is None:
-        rng_t = streams.generator("event_times")
-        rng_u = streams.generator("thinning")
-        rng_m = streams.generator("marks")
-    else:
-        rng_t = pool.generator("event_times", streams.stream_id)
-        rng_u = pool.generator("thinning", streams.stream_id)
-        rng_m = pool.generator("marks", streams.stream_id)
-    times = _thinned_times(
-        _ctx.total_intensity_at, _ctx.majorant, horizon, rng_t, rng_u
-    )
-    marks = _ctx.sample_marks(rng_m, times)
-    return times, marks
+    count = 1 if n_streams is None else n_streams
+    size = _block_size(_ctx)
+    times, marks, per_path = [], [], []
+    for lo in range(0, count, size):
+        sids = _stream_ids(streams.stream_id + lo, min(size, count - lo))
+        ev_times, _, ev_off, _, ev_marks = _draw_marked_events(
+            _ctx, streams.master_seed, sids
+        )
+        times.append(ev_times)
+        marks.append(ev_marks)
+        per_path.append(np.diff(ev_off))
+    cuts = np.cumsum(np.concatenate(per_path))[:-1]
+    times = np.split(np.concatenate(times), cuts)
+    marks = np.split(np.concatenate(marks), cuts)
+    return (times[0], marks[0]) if n_streams is None else (times, marks)
 
 
 # -- exact stock evaluation -------------------------------------------------------
@@ -536,30 +488,19 @@ def doleans_dade_eval(path: JumpProcessPath, t: float) -> float:
 
 def _blocks(ctx: SimulationContext, master_seed: int, first_stream: int, n_paths: int):
     """Yield (row, block) covering ``n_paths`` consecutive streams in order."""
-    pool = StreamPool(master_seed)
     size = _block_size(ctx)
     for lo in range(0, n_paths, size):
         yield lo, _simulate_block(
-            ctx, pool, first_stream + lo, min(size, n_paths - lo)
+            ctx, master_seed, first_stream + lo, min(size, n_paths - lo)
         )
 
 
 # -- whole-path simulation ----------------------------------------------------------
 
 
-def simulate_path(
-    ctx: SimulationContext,
-    streams: RngStreamSpec,
-    pool: StreamPool | None = None,
-) -> PathBundle:
-    """Simulate one scenario under the context's measure (a block of one).
-
-    Passing a :class:`StreamPool` (same master seed) avoids per-path
-    generator construction while producing identical randomness.
-    """
-    if pool is None:
-        pool = StreamPool(streams.master_seed)
-    block = _simulate_block(ctx, pool, streams.stream_id, 1)
+def simulate_path(ctx: SimulationContext, streams: RngStreamSpec) -> PathBundle:
+    """Simulate one scenario under the context's measure (a block of one)."""
+    block = _simulate_block(ctx, streams.master_seed, streams.stream_id, 1)
     return block.bundle(ctx, 0, streams.master_seed)
 
 
@@ -604,7 +545,7 @@ def run_paths(
     Paths are simulated in blocks and handed to ``per_path`` one
     :class:`PathBundle` at a time.  Results depend only on
     (master_seed, stream_offset) and the per-path function, never on the
-    block size: each path owns its substreams and writes into its own row.
+    block size: each path owns its stream id and writes into its own row.
     """
     ctx = SimulationContext(
         spec, out_times, measure_emm=measure_emm, density_emm=density_emm

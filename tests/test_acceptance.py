@@ -41,7 +41,6 @@ from upliftemm import (
 import upliftemm.blocks
 from upliftemm.cli import verify_suite
 from upliftemm.io import dump_json
-from upliftemm.stochastic import StreamPool
 
 from conftest import (
     LOADINGS,
@@ -329,21 +328,16 @@ def test_hedging_error_behaviour(canonical):
 
 def test_driver_statistics():
     lam = TimeFunction.samples([0.0, 1.0], [1.0, 2.0])
-    pool = StreamPool(309)
-    events = [
-        sample_poisson_inhomogeneous(lam, 1.0, RngStreamSpec(309, i), pool)
-        for i in range(N_FULL)
-    ]
+    events = sample_poisson_inhomogeneous(lam, 1.0, RngStreamSpec(309, 0), N_FULL)
     intensity_report = empirical_intensity_test(events, lam, 1.0)
     assert intensity_report.passed, intensity_report.max_bin_z
 
     jumps = DiscreteJumpSpec(intensities=[1.0, 3.0], loadings=[[0.1, 0.2]])
     pairs = np.empty((N_FULL, 2))
-    pool2 = StreamPool(310)
-    for i in range(N_FULL):
-        _, marks = sample_marked_point_process(
-            jumps, 1.0, RngStreamSpec(310, i), pool=pool2
-        )
+    _, per_path = sample_marked_point_process(
+        jumps, 1.0, RngStreamSpec(310, 0), n_streams=N_FULL
+    )
+    for i, marks in enumerate(per_path):
         pairs[i] = [np.sum(marks == 0), np.sum(marks == 1)]
     cov = np.cov(pairs.T, ddof=1)[0, 1]
     se = np.sqrt(np.var(pairs[:, 0], ddof=1) * np.var(pairs[:, 1], ddof=1) / N_FULL)

@@ -26,7 +26,7 @@ from upliftemm import (
 )
 from upliftemm.errors import FactorAtMinusOne, NullMark, UnboundedIntensity
 from upliftemm.blocks import _block_size
-from upliftemm.stochastic import SimulationContext, StreamPool, iterate_bundles
+from upliftemm.stochastic import SimulationContext, iterate_bundles
 from upliftemm.timefns import adaptive_simpson
 from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn
 
@@ -34,11 +34,8 @@ N_STAT = 30_000
 
 
 def _sample_counts(lam, horizon, seed, n):
-    pool = StreamPool(seed)
-    return np.array([
-        len(sample_poisson_inhomogeneous(lam, horizon, RngStreamSpec(seed, i), pool))
-        for i in range(n)
-    ])
+    times = sample_poisson_inhomogeneous(lam, horizon, RngStreamSpec(seed, 0), n)
+    return np.array([len(t) for t in times])
 
 
 def _streams(seed, n):
@@ -90,9 +87,10 @@ class TestMarkedSampling:
         jumps = DiscreteJumpSpec(intensities=[1.0, 3.0], loadings=[[0.1, 0.2]])
         n_type2 = 0
         n_total = 0
-        pool = StreamPool(5)
-        for s in _streams(5, 20_000):
-            _, marks = sample_marked_point_process(jumps, 1.0, s, pool=pool)
+        _, per_path = sample_marked_point_process(
+            jumps, 1.0, RngStreamSpec(5, 0), n_streams=20_000
+        )
+        for marks in per_path:
             n_type2 += int(np.sum(marks == 1))
             n_total += len(marks)
         frac = n_type2 / n_total
@@ -108,12 +106,26 @@ class TestMarkedSampling:
             assert np.array_equal(plain, marked)
             assert np.all(marks == 0)
 
+    def test_samplers_draw_a_paths_events_on_any_range(self, three_stock_market):
+        jumps = three_stock_market.jumps
+        ctx = SimulationContext(three_stock_market, [1.0])
+        times, marks = sample_marked_point_process(
+            jumps, 1.0, RngStreamSpec(9, 40), n_streams=_block_size(ctx) + 3
+        )
+        for k in (0, 1, len(times) - 1):
+            bundle = simulate_path(ctx, RngStreamSpec(9, 40 + k))
+            alone = sample_marked_point_process(jumps, 1.0, RngStreamSpec(9, 40 + k))
+            for got in ((times[k], marks[k]), alone):
+                assert np.array_equal(got[0], bundle.event_times), k
+                assert np.array_equal(got[1], bundle.event_marks), k
+
     def test_decomposed_counts_uncorrelated(self):
         jumps = DiscreteJumpSpec(intensities=[1.0, 3.0], loadings=[[0.1, 0.2]])
         pairs = np.empty((N_STAT // 2, 2))
-        pool = StreamPool(7)
-        for i, s in enumerate(_streams(7, N_STAT // 2)):
-            _, marks = sample_marked_point_process(jumps, 1.0, s, pool=pool)
+        _, per_path = sample_marked_point_process(
+            jumps, 1.0, RngStreamSpec(7, 0), n_streams=N_STAT // 2
+        )
+        for i, marks in enumerate(per_path):
             pairs[i] = [np.sum(marks == 0), np.sum(marks == 1)]
         cov = np.cov(pairs.T, ddof=1)[0, 1]
         se = np.sqrt(1.0 * 3.0 / (N_STAT // 2))
@@ -179,8 +191,9 @@ def _varying_cell_measures():
 
 
 def _uniforms(seed, stream, n):
-    """A path's mark uniforms: one row to pick the region, one for the quantile."""
-    return RngStreamSpec(seed, stream).generator("marks").uniform(size=(2, n))
+    """A path's mark uniforms, one counter per event: one row to pick the
+    region, one for the quantile."""
+    return RngStreamSpec(seed, stream).uniforms("marks", n)
 
 
 class TestVaryingCellMarks:
@@ -206,7 +219,7 @@ class TestVaryingCellMarks:
             assert n_remainder > 5
             # the one-path sampler reads the same rule
             times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 40))
-            got = ctx.sample_marks(RngStreamSpec(5, 2).generator("marks"), times)
+            got = ctx.sample_marks(RngStreamSpec(5, 2), times)
             assert np.array_equal(got, _reference_marks(mm, _uniforms(5, 2, 40), times))
 
     @pytest.mark.parametrize("t", [0.2, 0.75])
@@ -247,8 +260,7 @@ class TestVaryingCellMarks:
         n_remainder = 0
         bundles = iterate_bundles(spec, [1.0], n_paths, 8, measure_emm=emm)
         for k, bundle in enumerate(bundles):
-            rng = RngStreamSpec(8, k).generator("marks")
-            got = ctx.sample_marks(rng, bundle.event_times)
+            got = ctx.sample_marks(RngStreamSpec(8, k), bundle.event_times)
             assert np.array_equal(bundle.event_marks, got), k
             n_remainder += np.sum(mm.phi_values(got, bundle.event_times) == 1.0)
         assert n_remainder > 5
@@ -412,11 +424,6 @@ class TestStockPathExactness:
         self, three_stock_market, time_varying_market, uniform_mark_market,
         piecewise_mark_market,
     ):
-        ctx = SimulationContext(three_stock_market, [1.0])
-        fresh = simulate_path(ctx, RngStreamSpec(77, 123))
-        pooled = simulate_path(ctx, RngStreamSpec(77, 123), StreamPool(77))
-        assert np.array_equal(fresh.stock_values, pooled.stock_values)
-
         # Paths are simulated in blocks: a path's values must not depend on
         # the block it falls in, nor on where a run starts.
         markets = {
@@ -540,9 +547,10 @@ class TestCompensatedMartingales:
         jumps = DiscreteJumpSpec(intensities=[2.0, 1.0], loadings=[[0.1, -0.3]])
         drift = 2.0 * 0.1 + 1.0 * (-0.3)  # per unit time
         vals = np.empty(N_STAT // 2)
-        pool = StreamPool(19)
-        for i, s in enumerate(_streams(19, N_STAT // 2)):
-            _, marks = sample_marked_point_process(jumps, 1.0, s, pool=pool)
+        _, per_path = sample_marked_point_process(
+            jumps, 1.0, RngStreamSpec(19, 0), n_streams=N_STAT // 2
+        )
+        for i, marks in enumerate(per_path):
             q = 0.1 * np.sum(marks == 0) - 0.3 * np.sum(marks == 1)
             vals[i] = q - drift
         se = vals.std(ddof=1) / np.sqrt(len(vals))
@@ -603,19 +611,13 @@ class TestDoleansDade:
 class TestIntensityTest:
     def test_correct_simulation_passes(self):
         lam = TimeFunction.samples([0.0, 1.0], [1.0, 2.0])
-        pool = StreamPool(21)
-        events = [
-            sample_poisson_inhomogeneous(lam, 1.0, s, pool) for s in _streams(21, 20_000)
-        ]
+        events = sample_poisson_inhomogeneous(lam, 1.0, RngStreamSpec(21, 0), 20_000)
         report = empirical_intensity_test(events, lam, 1.0)
         assert report.passed, report.max_bin_z
 
     def test_wrong_intensity_fails(self):
         lam = TimeFunction.samples([0.0, 1.0], [1.0, 2.0])
-        pool = StreamPool(22)
-        events = [
-            sample_poisson_inhomogeneous(lam, 1.0, s, pool) for s in _streams(22, 20_000)
-        ]
+        events = sample_poisson_inhomogeneous(lam, 1.0, RngStreamSpec(22, 0), 20_000)
         report = empirical_intensity_test(events, lam.scaled(1.2), 1.0)
         assert not report.passed
 

@@ -456,7 +456,7 @@ import sys
 import upliftemm
 from upliftemm import (
     ContinuousJumpSpec, ContinuousPlan, Density, DiscretePlan, MarketSpec,
-    build_uplifted_emm, verify_uplift,
+    build_uplifted_emm, simulate_terminal, verify_uplift,
 )
 from conftest import make_three_stock_market, make_uniform_mark_market
 
@@ -467,6 +467,8 @@ for spec, plan in (
 ):
     emm, _, _ = build_uplifted_emm(spec, plan)
     assert verify_uplift(emm, spec).passed
+    for route in ({"measure_emm": emm}, {"density_emm": emm}, {}):
+        simulate_terminal(spec, [0.5, 1.0], 50, 1, **route)
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
 
 base = make_uniform_mark_market()
