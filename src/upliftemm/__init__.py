@@ -23,6 +23,7 @@ from .errors import (
     QuadratureFailure,
     ShapeMismatch,
     UnboundedIntensity,
+    UndeterminedIntegral,
     UpliftError,
 )
 from .model import (

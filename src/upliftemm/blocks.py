@@ -1,17 +1,16 @@
 """Block engine: many paths simulated together, each from its own counters.
 
-Every draw is addressed by its path's stream id, its role and its index
-within the path (:mod:`upliftemm.philox`), so a block draws each kind of
-randomness for all of its paths in one kernel call, and sorting,
-thinning, marking, grid merging and the Brownian, jump and density sums
-run on whole-block arrays, with no loop over the paths.  Every draw is
-an inversion or a fixed-count transform of its own counters, and every
-per-path sum is taken in the order the path's own arrays give it, so a
+Every path of a context lives on one shared grid, ``ctx.base_knots`` (0,
+T, the output times and the knots of sigma, and of theta when weighting),
+and draws each segment's Brownian integrals as one exact Gaussian
+(:class:`_Segments`).  Events are not on the grid: they reach the stocks
+and the density only through each path's count of events at or before
+each output time.  Every draw is addressed by its path's stream id, its
+role and its index within the path (:mod:`upliftemm.philox`), so a block
+draws each kind of randomness for all of its paths in one kernel call and
+sums on whole-block arrays, each path's sums in its own order, so a
 path's values do not depend on the block size (``_SEGMENT_BUDGET``, read
-at call time).  Blocks run one after another on one thread.  The entry
-points (``simulate_path``, ``simulate_terminal``, ``iterate_bundles``,
-the standalone samplers and the private ``_terminal_sample`` that every
-Monte Carlo check and hedging reduce) live in :mod:`upliftemm.stochastic`.
+at call time).  The entry points live in :mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ if TYPE_CHECKING:
 
 @dataclass
 class PathBundle:
-    """One simulated scenario: all of its randomness plus derived values.
+    """One simulated scenario: its randomness plus derived values.
 
-    ``grid`` merges event times, requested output times, and coefficient
-    knots; ``dw`` holds the Brownian increments per grid segment.  Stock
-    values (and the density process, when requested) are exact functions
-    of this randomness and can be recomputed from it.  Bundles of a
-    simulated block are views into the block's arrays.
+    ``grid`` is the context's shared grid (events are not on it) and
+    ``dw`` the (K, D) Brownian increments per segment; an interpolated
+    sigma or theta that varies on a segment also reads normals ``dw``
+    does not hold.  Bundles of a block are views into its arrays.
     """
 
     master_seed: int
@@ -59,6 +57,21 @@ class PathBundle:
 # -- per-event factors (shared with the one-path reference) ---------------------
 
 
+def _driver_slices(marks: np.ndarray, n_drivers: int) -> list[np.ndarray]:
+    """Each driver's event indices, in event order, from one stable sort."""
+    order = np.argsort(marks, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(marks, minlength=n_drivers))[:-1])
+
+
+def _per_driver(fns, times: np.ndarray, slices) -> np.ndarray:
+    """Each event's value of its driver's function, 0 past ``fns``: each
+    ``fns[m]`` is evaluated once, on driver m's events."""
+    out = np.zeros(times.size)
+    for fn, idx in zip(fns, slices):
+        out[idx] = fn.value(times[idx])
+    return out
+
+
 def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray:
     """(n, n_events) log jump factors ln(1 + y_i) at each event."""
     n = ctx.n
@@ -67,12 +80,9 @@ def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray
     if ctx.kind == "continuous":
         row = np.log1p(ev_marks.astype(float))
         return np.tile(row, (n, 1))
-    y = np.empty((n, ev_times.size))
-    for i, row in enumerate(ctx.spec.jumps.loadings):
-        for m, fn in enumerate(row):
-            sel = ev_marks == m
-            y[i, sel] = fn.value(ev_times[sel])
-    return np.log1p(y)
+    jumps = ctx.spec.jumps
+    slices = _driver_slices(ev_marks, jumps.n_drivers)
+    return np.log1p([_per_driver(row, ev_times, slices) for row in jumps.loadings])
 
 
 def _event_log_phi(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray:
@@ -87,54 +97,95 @@ def _event_log_phi(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray:
         return np.log(phis)
     if ctx.const_log_phi is not None:
         return ctx.const_log_phi[ev_marks]
-    lam_ev = np.empty(ev_times.size)
-    lam_t_ev = np.empty(ev_times.size)
-    for m, (lam, lam_t) in enumerate(zip(ctx.spec.jumps.intensities, emm.intensities)):
-        sel = ev_marks == m
-        lam_ev[sel] = lam.value(ev_times[sel])
-        lam_t_ev[sel] = lam_t.value(ev_times[sel])
+    slices = _driver_slices(ev_marks, ctx.spec.jumps.n_drivers)
+    lam_ev = _per_driver(ctx.spec.jumps.intensities, ev_times, slices)
+    lam_t_ev = _per_driver(emm.intensities, ev_times, slices)
     if np.any(lam_t_ev <= 0.0):
         raise NullMark("event realized where the risk-neutral intensity is 0")
     return np.log(lam_t_ev / lam_ev)
 
 
+# -- the shared grid's Gaussians ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Segments:
+    """Each shared-grid segment's exact Gaussian, per row g: the stocks'
+    sigma_i and, when weighting, -theta, each adding int g.dW - 1/2 int |g|^2
+    to its log.  On a segment of length h and midpoint c a loading is
+    affine, g = mean + slope (t - c), so int g dW_d = mean dW_d + slope A_d
+    with A_d = int (t - c) dW_d ~ N(0, h^3/12) independent of dW_d
+    (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
+    3.1).  ``tilt`` = slope sqrt(h^3/12) loads A_d's standard normal, which
+    a (segment, Brownian) cell draws only where some row's tilt is nonzero
+    (``varies``): a constant segment draws just its D increments."""
+
+    dt: np.ndarray  # (K,)
+    mean: np.ndarray  # (D, Y, 1, K)
+    tilt: np.ndarray  # (D, Y, 1, K)
+    drag: np.ndarray  # (Y, 1, K): 1/2 int |g_y|^2 over each segment
+    varies: np.ndarray  # (K, D)
+    out_idx: np.ndarray  # (n_out,) grid column of each output time
+
+
+def _segment_gaussians(ctx: SimulationContext) -> _Segments:
+    """The shared grid's per-segment Gaussians, built once per context
+    from each loading's limits inside each segment (a, b)."""
+    knots = ctx.base_knots
+    a, b = knots[:-1], knots[1:]
+    dt = b - a
+    D = ctx.n_brownians
+    rows = [list(row) for row in ctx.spec.sigma]
+    emm = ctx.density_emm
+    if emm is not None and emm.theta and D:
+        rows.append([fn.scaled(-1.0) for fn in emm.theta])
+
+    def ends(fn):  # a step function takes its right-continuous value at a
+        left = fn.value(a)
+        return left, fn.value(b) if fn.kind == "samples" else left
+
+    limits = np.array([[ends(fn) for fn in row] for row in rows], dtype=float)
+    limits = limits.reshape(len(rows), D, 2, len(dt))
+    left, right = limits[:, :, 0], limits[:, :, 1]  # (Y, D, K)
+    mean = 0.5 * (left + right)
+    tilt = (right - left) * np.sqrt(dt / 12.0)
+    drag = 0.5 * ((mean * mean).sum(axis=1) * dt + (tilt * tilt).sum(axis=1))
+    return _Segments(
+        dt=dt,
+        mean=mean.transpose(1, 0, 2)[:, :, None, :],
+        tilt=tilt.transpose(1, 0, 2)[:, :, None, :],
+        drag=drag[:, None, :],
+        varies=(tilt != 0.0).any(axis=0).T,
+        out_idx=np.searchsorted(knots, ctx.out_times),
+    )
+
+
 # -- block engine -------------------------------------------------------------------
 
-# Grid segments a block is sized for.  A block's arrays hold about this many
-# (path, segment) cells, so memory stays flat in n_paths while numpy's
-# per-call cost is spread over the block's paths.
-_SEGMENT_BUDGET = 1 << 13
+# Cells a block is sized for.  A block's arrays hold about this many
+# (path, grid segment or event) cells, so memory stays flat in n_paths
+# while numpy's per-call cost is spread over the block's paths.
+_SEGMENT_BUDGET = 1 << 15
 
 
 def _block_size(ctx: SimulationContext) -> int:
-    """Paths per block: the segment budget over a generous per-path grid
-    size (the knots plus the candidate count's mean and three deviations)."""
+    """Paths per block: the budget over a generous per-path width, the
+    shared grid's knots plus the candidate count's mean and three
+    deviations (the width of the padded per-event sums)."""
     mean = ctx.majorant * ctx.horizon
     width = len(ctx.base_knots) + mean + 3.0 * np.sqrt(mean) + 3.0
     return max(1, int(_SEGMENT_BUDGET // width))
 
 
-def _prefix_sums(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Sums of the first ``idx[p, j]`` entries of each row ``x[..., p, :]``.
-
-    ``x`` is (..., B, W) and ``idx`` is (B, m); the result is (..., B, m).
-    Entries are added in order, as :func:`np.cumsum` adds them for one
-    path.  ``x`` is overwritten by its running sums.
-    """
-    np.cumsum(x, axis=-1, out=x)
-    got = x[..., np.arange(idx.shape[0])[:, None], np.maximum(idx - 1, 0)]
-    return np.where(idx > 0, got, 0.0)
-
-
 @dataclass
 class _Block:
-    """Consecutive paths simulated together, as flat and padded arrays.
+    """Consecutive paths simulated together on the shared grid.
 
     Row p is stream ``first_stream + p``.  Events are path-major: path p
     owns ``ev_times[ev_off[p]:ev_off[p + 1]]``, and ``pid`` names each
-    event's row.  ``grid[p]`` holds the path's merged grid in its first
-    ``n_seg[p] + 1`` columns (padded with the horizon) and ``dw[p]`` its
-    Brownian increments (padded with zeros).
+    event's row.  ``dw[p]`` holds the path's Brownian increments over
+    the shared grid's segments and ``n_before[p]`` its number of events
+    at or before each output time.
     """
 
     first_stream: int
@@ -143,30 +194,26 @@ class _Block:
     ev_off: np.ndarray
     ev_times: np.ndarray
     ev_marks: np.ndarray
-    n_seg: np.ndarray
-    grid: np.ndarray
-    dw: np.ndarray
-    out_idx: np.ndarray  # (B, n_out) grid column of each output time
-    n_before: np.ndarray  # (B, n_out) events at or before each output time
-    stocks: np.ndarray | None = None  # (B, n_out, n), laid out as the reference's
+    dw: np.ndarray  # (B, K, D)
+    n_before: np.ndarray  # (B, n_out)
+    stocks: np.ndarray | None = None  # (B, n, n_out)
     z: np.ndarray | None = None  # (B, n_out)
 
     def __len__(self) -> int:
-        return len(self.n_seg)
+        return len(self.ev_off) - 1
 
     def bundle(self, ctx: SimulationContext, p: int, master_seed: int) -> PathBundle:
         lo, hi = self.ev_off[p], self.ev_off[p + 1]
-        k = self.n_seg[p]
         return PathBundle(
             master_seed=master_seed,
             stream_id=self.first_stream + p,
             measure="Q" if ctx.measure_emm is not None else "P",
-            grid=self.grid[p, :k + 1],
-            dw=self.dw[p, :k],
+            grid=ctx.base_knots,
+            dw=self.dw[p],
             event_times=self.ev_times[lo:hi],
             event_marks=self.ev_marks[lo:hi],
             out_times=ctx.out_times,
-            stock_values=self.stocks[p].T,
+            stock_values=self.stocks[p],
             z_values=None if self.z is None else self.z[p],
         )
 
@@ -174,13 +221,6 @@ class _Block:
 def _stream_ids(first: int, count: int) -> np.ndarray:
     """The 64-bit stream ids ``first .. first + count - 1`` (wrapping)."""
     return np.uint64(first & MASK64) + np.arange(count, dtype=np.uint64)
-
-
-def _ranks(n: np.ndarray):
-    """Row of each of ``n[p]`` consecutive items per row, and its index
-    within the row."""
-    pid = np.repeat(np.arange(len(n)), n)
-    return pid, np.arange(pid.size) - (np.cumsum(n) - n)[pid]
 
 
 def _draw_events(ctx: SimulationContext, seed: int, sids: np.ndarray):
@@ -196,7 +236,8 @@ def _draw_events(ctx: SimulationContext, seed: int, sids: np.ndarray):
     n_cand = poisson_counts(ctx.count_cdf, uniforms(seed, "count", 0, sids)[0])
     if not n_cand.any():
         return empty
-    pid, j = _ranks(n_cand)
+    pid = np.repeat(np.arange(len(sids)), n_cand)
+    j = np.arange(pid.size) - (np.cumsum(n_cand) - n_cand)[pid]
     t, thin = uniforms(seed, "event_times", j, sids[pid])
     filled = np.arange(n_cand.max()) < n_cand[:, None]
     pad = np.full(filled.shape, np.inf)
@@ -204,7 +245,8 @@ def _draw_events(ctx: SimulationContext, seed: int, sids: np.ndarray):
     pad.sort(axis=1)
     cand = pad[filled]
     lam = ctx.total_intensity_at(cand)
-    _check_majorant(lam, ctx.majorant)
+    if np.any(lam > ctx.majorant):  # thinning is exact only below it
+        raise UnboundedIntensity("intensity exceeds the thinning majorant")
     accept = thin * ctx.majorant <= lam
     return cand[accept], pid[accept]
 
@@ -222,70 +264,32 @@ def _draw_marked_events(ctx: SimulationContext, seed: int, sids: np.ndarray):
     return ev_times, pid, ev_off, local, ctx.marks_from_uniforms(u, ev_times)
 
 
-def _check_majorant(lam: np.ndarray, majorant: float) -> None:
-    """Thinning is exact only below the majorant: check, do not trust it."""
-    if np.any(lam > majorant):
-        raise UnboundedIntensity("intensity exceeds the thinning majorant")
-
-
-def _counts_below(times, pid, count: int, out: np.ndarray, side: str) -> np.ndarray:
-    """(B, m) number of each row's ``times`` below ``out[j]``: strictly
-    below for ``side="right"``, at or below for ``side="left"``."""
-    first = np.searchsorted(out, times, side=side)  # first out[j] counting t
+def _counts_at_or_below(times, pid, count: int, out: np.ndarray) -> np.ndarray:
+    """(B, m) number of each row's ``times`` at or below ``out[j]``."""
+    first = np.searchsorted(out, times)  # first out[j] counting t
     m = len(out) + 1
     hist = np.bincount(pid * m + first, minlength=count * m).reshape(count, m)
     return np.cumsum(hist, axis=1)[:, :-1]
 
 
-def _merge_grids(ctx: SimulationContext, ev_times, pid, count: int):
-    """Each path's grid (the knots plus its distinct event times) in the
-    first ``n_seg + 1`` columns of a horizon-padded array, and the column
-    of every output time."""
-    knots = ctx.base_knots
-    pos = np.searchsorted(knots, ev_times)
-    new = knots[np.minimum(pos, len(knots) - 1)] != ev_times
-    new[1:] &= (ev_times[1:] != ev_times[:-1]) | (pid[1:] != pid[:-1])
-    new_times, new_pid = ev_times[new], pid[new]
-    n_new = np.bincount(new_pid, minlength=count)
-    n_seg = len(knots) - 1 + n_new
-    grid = np.full((count, n_seg.max() + 1), ctx.horizon)
-    is_event = np.zeros(grid.shape, dtype=bool)
-    rank = np.arange(new_times.size) - np.repeat(np.cumsum(n_new) - n_new, n_new)
-    is_event[new_pid, pos[new] + rank] = True
-    grid[is_event] = new_times
-    is_knot = (np.arange(grid.shape[1]) <= n_seg[:, None]) & ~is_event
-    grid[is_knot] = np.tile(knots, count)
-    out = ctx.out_times  # knots themselves, so no new event equals one
-    out_idx = np.searchsorted(knots, out) + _counts_below(
-        new_times, new_pid, count, out, "right"
-    )
-    return grid, n_seg, out_idx
-
-
-def _draw_increments(ctx: SimulationContext, seed: int, sids, n_seg, dt):
-    """(B, W, D) Brownian increments, zero past each path's grid.  Path p
-    fills its first ``n_seg[p] * D`` (segment, Brownian) cells in row-major
-    order with Box-Muller pairs, one per ``brownian`` counter."""
-    D = ctx.n_brownians
-    z = np.zeros((len(sids), dt.shape[1] * D))
-    if D:
-        cells = n_seg * D
-        pid, j = _ranks((cells + 1) // 2)
-        pairs = box_muller(uniforms(seed, "brownian", j, sids[pid]))
-        first_cells = 2 * j[:, None] + np.arange(2) < cells[pid][:, None]
-        z[np.arange(z.shape[1]) < cells[:, None]] = pairs[first_cells]
-    z = z.reshape(dt.shape + (D,))
-    z *= np.sqrt(dt)[:, :, None]
-    return z
-
-
-def _event_sums(block: _Block, values) -> np.ndarray:
-    """Sums of each path's first ``n_before[p, j]`` per-event ``values``
-    ((..., n_events) -> (..., B, n_out)), added in event order."""
-    e_max = int(block.local.max(initial=0)) + 1
-    padded = np.zeros(values.shape[:-1] + (len(block), e_max))
-    padded[..., block.pid, block.local] = values
-    return _prefix_sums(padded, block.n_before)
+def _draw_normals(ctx: SimulationContext, seed: int, sids: np.ndarray):
+    """(B, K, D) increments over the shared grid, and (B, K, D) normals in
+    the ``varies`` cells (None if there are none).  Each path draws K * D
+    increment cells in (segment, Brownian) order, then its ``varies``
+    cells, as Box-Muller pairs, one per ``brownian`` counter."""
+    seg = ctx.segments
+    B, (K, D) = len(sids), seg.varies.shape
+    n_dw, n_res = K * D, int(seg.varies.sum())
+    if n_dw == 0:
+        return np.zeros((B, K, D)), None
+    j = np.arange((n_dw + n_res + 1) // 2)
+    z = box_muller(uniforms(seed, "brownian", j, sids[:, None])).reshape(B, -1)
+    dw = z[:, :n_dw].reshape(B, K, D) * np.sqrt(seg.dt)[:, None]
+    if not n_res:
+        return dw, None
+    res = np.zeros((B, K, D))
+    res[:, seg.varies] = z[:, n_dw:n_dw + n_res]
+    return dw, res
 
 
 def _sum_d(a, b) -> np.ndarray:
@@ -293,47 +297,36 @@ def _sum_d(a, b) -> np.ndarray:
     a path's sum does not depend on the block it is computed in."""
     out = a[0] * b[0]
     for d in range(1, len(a)):
-        out = out + a[d] * b[d]
+        out += a[d] * b[d]
     return out
 
 
-def _log_prices(ctx: SimulationContext, block: _Block, dt) -> np.ndarray:
-    """(B, n_out, n) stock values: the Brownian and drag sums over the
-    grid, the deterministic drift and the jump factors, all stocks at once."""
-    D = ctx.n_brownians
-    dw = block.dw.transpose(2, 0, 1)  # (D, B, W)
-    sig = ctx.sigma_const
-    if sig is not None:
-        x = _sum_d(sig.T[:, :, None, None], dw) if D else np.zeros((ctx.n, *dt.shape))
-        x -= (0.5 * (sig * sig).sum(axis=1))[:, None, None] * dt
+def _gaussian_sums(ctx: SimulationContext, dw, res) -> np.ndarray:
+    """(Y, B, n_out) each row's int g . dW - 1/2 int |g|^2 up to each output
+    time: the segments' exact Gaussians added in grid order."""
+    seg = ctx.segments
+    B, K, D = dw.shape
+    if D:
+        x = _sum_d(seg.mean, dw.transpose(2, 0, 1))
+        if res is not None:
+            x += _sum_d(seg.tilt, res.transpose(2, 0, 1))
     else:
-        left = block.grid[:, :-1]
-        sig = np.array([[fn.value(left) for fn in row] for row in ctx.spec.sigma])
-        sig = sig.transpose(1, 0, 2, 3)  # (D, n, B, W)
-        x = _sum_d(sig, dw)
-        x -= 0.5 * _sum_d(sig**2, [dt] * D)
-    log_s = (  # (n, B, n_out)
-        _prefix_sums(x, block.out_idx) + ctx.det_drift.T[:, None, :]
-        + _event_sums(block, _event_log_factors(ctx, block.ev_times, block.ev_marks))
-    )
-    stocks = np.asarray(ctx.spec.s0)[:, None, None] * np.exp(log_s)
-    return np.ascontiguousarray(stocks.transpose(1, 2, 0))
+        x = np.zeros((len(seg.drag), B, K))
+    x -= seg.drag
+    np.cumsum(x, axis=-1, out=x)
+    sums = x[..., np.maximum(seg.out_idx - 1, 0)]
+    sums[..., seg.out_idx == 0] = 0.0  # an output at time 0
+    return sums
 
 
-def _density(ctx: SimulationContext, block: _Block, dt) -> np.ndarray:
-    """(B, n_out) density process of ``ctx.density_emm``: the Gaussian
-    exponential over the grid, the deterministic drift, the ratio factors."""
-    emm = ctx.density_emm
-    D = ctx.n_brownians
-    log_z1 = np.zeros(block.out_idx.shape)
-    if D and emm.theta:
-        dw = block.dw.transpose(2, 0, 1)  # (D, B, W)
-        th = np.array([fn.value(block.grid[:, :-1]) for fn in emm.theta])
-        seg = -_sum_d(th, dw)
-        seg -= 0.5 * _sum_d(th**2, [dt] * D)
-        log_z1 = _prefix_sums(seg, block.out_idx)
-    log_phi = _event_log_phi(ctx, block.ev_times, block.ev_marks)
-    return np.exp(log_z1 + ctx.z2_drift + _event_sums(block, log_phi))
+def _event_sums(block: _Block, values) -> np.ndarray:
+    """Sums of each path's first ``n_before[p, j]`` per-event ``values``
+    ((..., n_events) -> (..., B, n_out)), added in event order."""
+    e_max = int(block.local.max(initial=-1)) + 1
+    cum = np.zeros(values.shape[:-1] + (len(block), e_max + 1))
+    cum[..., block.pid, block.local + 1] = values
+    np.cumsum(cum, axis=-1, out=cum)
+    return cum[..., np.arange(len(block))[:, None], block.n_before]
 
 
 def _simulate_block(ctx: SimulationContext, seed: int, first: int, count: int) -> _Block:
@@ -341,23 +334,27 @@ def _simulate_block(ctx: SimulationContext, seed: int, first: int, count: int) -
 
     Each kind of draw is one kernel call for the whole block: candidate
     counts, then candidate times with their thinning uniforms, then the
-    accepted events' marks and, once the events fix every path's grid,
-    the Brownian increments.  Every draw is addressed by its path's
-    stream id and its index within the path, and everything else is done
-    on whole-block arrays, so path k's values do not depend on the block
-    it is in.
+    accepted events' marks, then every path's normals on the shared grid.
+    Every draw is addressed by its path's stream id and its index within
+    the path, and everything else is done on whole-block arrays, so path
+    k's values do not depend on the block it is in.
     """
     sids = _stream_ids(first, count)
     ev_times, pid, ev_off, local, marks = _draw_marked_events(ctx, seed, sids)
-    grid, n_seg, out_idx = _merge_grids(ctx, ev_times, pid, count)
-    dt = grid[:, 1:] - grid[:, :-1]
+    dw, res = _draw_normals(ctx, seed, sids)
     block = _Block(
         first_stream=first, pid=pid, local=local, ev_off=ev_off, ev_times=ev_times,
-        ev_marks=marks, n_seg=n_seg, grid=grid,
-        dw=_draw_increments(ctx, seed, sids, n_seg, dt), out_idx=out_idx,
-        n_before=_counts_below(ev_times, pid, count, ctx.out_times, "left"),
+        ev_marks=marks, dw=dw,
+        n_before=_counts_at_or_below(ev_times, pid, count, ctx.out_times),
     )
-    block.stocks = _log_prices(ctx, block, dt)
+    gauss = _gaussian_sums(ctx, dw, res)  # (Y, B, n_out)
+    log_s = gauss[:ctx.n] + ctx.det_drift.T[:, None, :]  # (n, B, n_out)
+    log_s += _event_sums(block, _event_log_factors(ctx, ev_times, marks))
+    np.exp(log_s, out=log_s)
+    log_s *= np.asarray(ctx.spec.s0)[:, None, None]
+    block.stocks = np.ascontiguousarray(log_s.transpose(1, 0, 2))
     if ctx.density_emm is not None:
-        block.z = _density(ctx, block, dt)
+        log_z1 = gauss[ctx.n] if len(gauss) > ctx.n else 0.0
+        log_phi = _event_log_phi(ctx, ev_times, marks)
+        block.z = np.exp(log_z1 + ctx.z2_drift + _event_sums(block, log_phi))
     return block

@@ -55,3 +55,7 @@ class NonReducedEvent(UpliftError):
 
 class BudgetExceeded(UpliftError):
     """A nested Monte Carlo request exceeds its computational budget."""
+
+
+class UndeterminedIntegral(UpliftError):
+    """A path's grid and increments do not determine a stochastic integral."""

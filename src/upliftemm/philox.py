@@ -31,7 +31,8 @@ def philox4x32(counter, key):
     words under a pair of 32-bit key words: four uint64 arrays of 32-bit
     output words.  Each round multiplies into 64-bit products, which
     cannot overflow a uint64."""
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    words = (np.asarray(c, dtype=np.uint64) for c in counter)
+    c0, c1, c2, c3 = np.broadcast_arrays(*words)
     k0, k1 = (int(k) & _MASK32 for k in key)
     for r in range(_ROUNDS):
         if r:

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .blocks import _driver_slices, _per_driver
 from .errors import BudgetExceeded, NonReducedEvent, PlanMismatch, ShapeMismatch
 from .model import DiscreteJumpSpec, MarketSpec
 from .reduction import (
@@ -853,11 +854,8 @@ def hedging_error(
         )
 
         def paid(times, marks):  # the integrand of each event's driver
-            out = np.zeros((times.size, 1))
-            for m, fn in enumerate(strategy.jump_integrand):
-                sel = marks == m
-                out[sel, 0] = fn.value(times[sel])
-            return out
+            slices = _driver_slices(marks, len(strategy.jump_integrand))
+            return _per_driver(strategy.jump_integrand, times, slices)[:, None]
 
     sample, paid_sums = _terminal_sample(ctx, n_paths, seed, 0, paid)
     # each path's stock gain is one sum over its (stock, interval) terms

@@ -1,10 +1,10 @@
 """Exact path simulation and density processes along paths.
 
 Event times come from thinning against a constant majorant, which samples
-an inhomogeneous Poisson process exactly; between events the log price is
-a Gaussian plus closed-form drift integrals, so there is no Euler error
-for constant and piecewise-constant sigma and theta (an interpolated one
-is held at each grid segment's left end).  Randomness is counter-based
+an inhomogeneous Poisson process exactly.  The log price is a Gaussian
+plus closed-form drift integrals plus the jump factors, and the Gaussian
+is drawn exactly over each segment of a grid shared by all paths, so no
+coefficient kind carries Euler error.  Randomness is counter-based
 (:mod:`upliftemm.philox`): every draw is addressed by (master seed, role,
 path stream id, draw index), which makes every path reproducible bit for
 bit independently of how the paths are chunked.
@@ -31,10 +31,16 @@ from .blocks import (
     _draw_marked_events,
     _event_log_factors,
     _event_log_phi,
+    _segment_gaussians,
     _simulate_block,
     _stream_ids,
 )
-from .errors import FactorAtMinusOne, NullMark, UnboundedIntensity
+from .errors import (
+    FactorAtMinusOne,
+    NullMark,
+    UnboundedIntensity,
+    UndeterminedIntegral,
+)
 from .model import ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
 from .philox import MASK64, ROLE_IDS, poisson_cdf, uniforms
 from .timefns import TimeFunction, integrate_product, merged_breakpoints, sum_max_value
@@ -91,8 +97,9 @@ class SimulationContext:
     """Prepared, path-independent data for simulating one market.
 
     Collects the simulation-measure intensities, the thinning majorant,
-    constant-coefficient fast paths, and the deterministic drift and
-    compensator integrals at the requested output times.
+    the shared grid with its per-segment Gaussians, constant-intensity
+    fast paths, and the deterministic drift and compensator integrals at
+    the requested output times.
     """
 
     def __init__(
@@ -152,15 +159,6 @@ class SimulationContext:
         mean = self.majorant * T
         self.count_cdf = poisson_cdf(mean) if mean > 0.0 else None
 
-        # grid knots beyond events/outputs, from the coefficients read on the
-        # grid: sigma always, theta when weighting (a Q* path never reads it)
-        knot_fns = [fn for row in spec.sigma for fn in row]
-        if density_emm is not None:
-            knot_fns.extend(density_emm.theta)
-        self.extra_knots = (
-            merged_breakpoints(knot_fns, 0.0, T) if knot_fns else np.array([0.0, T])
-        )
-
         # constant-intensity fast path for marking events
         self.const_total = None
         self.const_mark_cum = None
@@ -172,16 +170,19 @@ class SimulationContext:
             self.const_mark_cum = np.cumsum(vals) / vals.sum()
         elif self.kind == "continuous" and self.sim_total_fn.is_constant:
             self.const_total = self.sim_total_fn.constant_value
-        self.base_knots = np.unique(
-            np.concatenate([self.extra_knots, self.out_times, [0.0, T]])
-        )
 
-        # constant-coefficient fast paths
-        self.sigma_const = (
-            spec.sigma_values(0.0)
-            if all(fn.is_constant for row in spec.sigma for fn in row)
-            else None
+        # the grid every path shares: the output times and the knots of the
+        # coefficients read on it, sigma always and theta when weighting (a
+        # Q* path never reads it); events are not on it
+        knot_fns = [fn for row in spec.sigma for fn in row]
+        if density_emm is not None:
+            knot_fns.extend(density_emm.theta)
+        self.base_knots = np.unique(
+            np.concatenate([merged_breakpoints(knot_fns, 0.0, T), self.out_times])
         )
+        self.segments = _segment_gaussians(self)
+
+        # constant-intensity fast path for the density's event factors
         self.const_log_phi = None
         if (
             self.kind == "discrete"
@@ -349,12 +350,15 @@ def _out_indices(grid: np.ndarray, out_times: np.ndarray) -> np.ndarray:
         raise ValueError("output times must be grid nodes")
     return idx
 
-def _sigma_on_grid(ctx: SimulationContext, grid: np.ndarray) -> np.ndarray:
-    """(n, D, K) volatility evaluated at segment left endpoints."""
-    K = len(grid) - 1
-    if ctx.sigma_const is not None:
-        return np.repeat(ctx.sigma_const[:, :, None], K, axis=2)
-    return np.ascontiguousarray(np.moveaxis(ctx.spec.sigma_values(grid[:-1]), 0, -1))
+
+def _require_step_coefficients(fns, what: str) -> None:
+    """A bundle's (grid, dw) fixes the integral of a coefficient against
+    dW only where the coefficient is a step function on the grid."""
+    if not all(fn.is_piecewise_constant for fn in fns):
+        raise UndeterminedIntegral(
+            f"an interpolated {what} varies inside a grid segment, so the "
+            "path's increments do not determine its stochastic integral"
+        )
 
 
 def _stock_values_from_parts(
@@ -369,16 +373,9 @@ def _stock_values_from_parts(
     dt = np.diff(grid)
     K = len(dt)
     # cumulative stochastic integral and variance drag per stock at nodes
-    if ctx.sigma_const is not None:
-        sig = ctx.sigma_const  # (n, D)
-        drive = dw @ sig.T if dw.size else np.zeros((K, n))  # (K, n)
-        drag = np.outer(dt, 0.5 * (sig * sig).sum(axis=1))
-    else:
-        sig3 = _sigma_on_grid(ctx, grid)  # (n, D, K)
-        drive = (
-            np.einsum("idk,kd->ki", sig3, dw) if dw.size else np.zeros((K, n))
-        )
-        drag = 0.5 * np.einsum("idk,k->ki", sig3**2, dt)
+    sig3 = np.moveaxis(ctx.spec.sigma_values(grid[:-1]), 0, -1)  # (n, D, K)
+    drive = np.einsum("idk,kd->ki", sig3, dw) if dw.size else np.zeros((K, n))
+    drag = 0.5 * np.einsum("idk,k->ki", sig3**2, dt)
     cum = np.empty((K + 1, n))
     cum[0] = 0.0
     np.cumsum(drive - drag, axis=0, out=cum[1:])
@@ -408,8 +405,11 @@ def stock_path_exact(
     Under the physical measure the drift uses alpha and the physical
     compensator; with ``measure_emm`` the drift uses the short rate and
     the risk-neutral compensator, i.e. the dynamics under that measure.
-    Output times must be nodes of ``grid``.
+    Output times must be nodes of ``grid``, and sigma a step function on
+    it: an interpolated sigma that varies raises
+    :class:`UndeterminedIntegral`.
     """
+    _require_step_coefficients([fn for row in spec.sigma for fn in row], "sigma")
     ctx = SimulationContext(spec, out_times, measure_emm=measure_emm)
     out_idx = _out_indices(grid, ctx.out_times)
     return _stock_values_from_parts(
@@ -448,8 +448,10 @@ def rn_density_path(spec: MarketSpec, emm: Emm, bundle: PathBundle) -> np.ndarra
 
     Exact given the path: a Gaussian exponential in the Brownian
     increments times the jump-intensity ratio factors, with the
-    deterministic compensator drift.
+    deterministic compensator drift.  An interpolated theta that varies
+    raises :class:`UndeterminedIntegral`.
     """
+    _require_step_coefficients(emm.theta, "theta")
     ctx = SimulationContext(spec, bundle.out_times, density_emm=emm)
     out_idx = _out_indices(bundle.grid, ctx.out_times)
     return _z_values_from_parts(
@@ -602,7 +604,7 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None
                 sums = np.zeros((n_paths, values.shape[1]))
             for c, col in enumerate(values.T):
                 sums[lo:hi, c] = np.bincount(block.pid, weights=col, minlength=hi - lo)
-        rows[lo:hi, :pos_z] = block.stocks.transpose(0, 2, 1).reshape(hi - lo, pos_z)
+        rows[lo:hi, :pos_z] = block.stocks.reshape(hi - lo, pos_z)
         if with_z:
             rows[lo:hi, pos_z:pos_c] = block.z
         if ctx.kind == "discrete":

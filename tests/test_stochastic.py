@@ -12,23 +12,39 @@ from upliftemm import (
     Emm,
     JumpProcessPath,
     MarketSpec,
+    Payoff,
     RngStreamSpec,
     TimeFunction,
     build_uplifted_emm,
     doleans_dade_eval,
     empirical_intensity_test,
+    project_price_closed_form,
+    reduce_market,
     rn_density_path,
     sample_marked_point_process,
     sample_poisson_inhomogeneous,
     simulate_path,
     simulate_terminal,
     stock_path_exact,
+    two_route_check,
 )
-from upliftemm.errors import FactorAtMinusOne, NullMark, UnboundedIntensity
-from upliftemm.blocks import _block_size
+from upliftemm.errors import (
+    FactorAtMinusOne,
+    NullMark,
+    UnboundedIntensity,
+    UndeterminedIntegral,
+)
+from upliftemm.blocks import (
+    _block_size,
+    _event_log_factors,
+    _event_log_phi,
+    _simulate_block,
+)
 from upliftemm.stochastic import SimulationContext, iterate_bundles
 from upliftemm.timefns import adaptive_simpson
 from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn
+
+from test_pricing import black_scholes_call
 
 N_STAT = 30_000
 
@@ -477,6 +493,146 @@ class TestStockPathExactness:
                     parts = [getattr(head, field), getattr(tail, field)]
                     joined = np.concatenate(parts)
                     assert np.array_equal(joined, getattr(whole, field)), (case, field)
+
+
+def _linear_sigma_market(rate=0.0):
+    """One stock, no jumps, sigma linear from 0.1 to 0.5 on [0, 1]:
+    Var log S_1 = int sigma^2 dt = 0.31 / 3."""
+    return MarketSpec(
+        horizon=1.0, s0=[100.0], alpha=[rate], rate=rate,
+        sigma=[[TimeFunction.samples([0.0, 1.0], [0.1, 0.5])]],
+    )
+
+
+def _masked(fns, times, marks):
+    """Each event's value of its driver's function, one mask per driver."""
+    out = np.zeros(times.size)
+    for m, fn in enumerate(fns):
+        sel = marks == m
+        out[sel] = fn.value(times[sel])
+    return out
+
+
+class TestExactSegments:
+    # An interpolated coefficient is exact on every grid segment: the
+    # segment's Brownian integrals are one Gaussian, not a left-end hold.
+
+    def test_linear_sigma_log_variance_and_call(self):
+        rate, total_var = 0.02, 0.31 / 3.0
+        spec = _linear_sigma_market(rate)
+        assert SimulationContext(spec, [1.0]).base_knots.tolist() == [0.0, 1.0]
+        s_T = simulate_terminal(spec, [1.0], 100_000, 41).terminal_stocks()[:, 0]
+        x = np.log(s_T / 100.0)
+        v = x.var(ddof=1)
+        se_v = np.sqrt(np.mean((x - x.mean()) ** 4) - v * v) / np.sqrt(len(x))
+        assert abs(v - total_var) < 4 * se_v
+        pay = np.exp(-rate) * np.maximum(s_T - 100.0, 0.0)
+        exact = black_scholes_call(100.0, 100.0, rate, np.sqrt(total_var), 1.0)
+        se = pay.std(ddof=1) / np.sqrt(len(pay))
+        assert abs(pay.mean() - exact) < 4 * se
+
+    def test_linear_theta_two_routes_agree(self):
+        # alpha = r + sigma theta(t) makes the linear theta the market
+        # price of risk; only the density route reads theta
+        rate, sig = 0.02, 0.2
+        theta = TimeFunction.samples([0.0, 1.0], [-0.5, 1.5])
+        alpha = TimeFunction.samples([0.0, 1.0], [rate - 0.5 * sig, rate + 1.5 * sig])
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[alpha], rate=rate, sigma=[[sig]]
+        )
+        payoffs = {"call": Payoff.call(0, 100.0), "put": Payoff.put(0, 90.0)}
+        report = two_route_check(spec, Emm(theta=(theta,)), payoffs, 100_000, 42)
+        for line in report.lines:
+            assert line.z < 4.0, line.label
+        assert report.passed
+
+    def test_bundles_share_the_context_grid(self):
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0, 50.0], alpha=[0.05, 0.03], rate=0.02,
+            sigma=[
+                [TimeFunction.piecewise([0.0, 0.3, 1.0], [0.2, 0.3]), 0.1],
+                [TimeFunction.samples([0.0, 0.6, 1.0], [0.1, 0.2, 0.4]), 0.0],
+            ],
+            jumps=DiscreteJumpSpec(intensities=[3.0], loadings=[[0.1], [-0.1]]),
+        )
+        theta = (0.1, TimeFunction.samples([0.0, 0.8], [0.0, 0.4]))
+        emm = Emm(theta=theta, intensities=(2.0,))
+        knots = {
+            "measure_emm": [0.0, 0.3, 0.5, 0.6, 1.0],  # sigma's and the outputs
+            "density_emm": [0.0, 0.3, 0.5, 0.6, 0.8, 1.0],  # and theta's
+        }
+        for key, expected in knots.items():
+            ctx = SimulationContext(spec, [0.5, 1.0], **{key: emm})
+            assert ctx.base_knots.tolist() == expected
+            n_events = 0
+            for bundle in iterate_bundles(spec, [0.5, 1.0], 50, 43, **{key: emm}):
+                assert np.array_equal(bundle.grid, ctx.base_knots)
+                assert bundle.dw.shape == (len(expected) - 1, 2)
+                n_events += bundle.event_times.size
+            assert n_events > 50  # events do not join the grid
+
+    def test_reference_refuses_interpolated_coefficients(self):
+        spec = _linear_sigma_market()
+        bundle = simulate_path(SimulationContext(spec, [1.0]), RngStreamSpec(44, 0))
+        with pytest.raises(UndeterminedIntegral):
+            stock_path_exact(
+                spec, bundle.event_times, bundle.event_marks, bundle.grid,
+                bundle.dw, bundle.out_times,
+            )
+        jumpy = MarketSpec(
+            horizon=1.0, s0=[10.0], alpha=[0.05], rate=0.0,
+            sigma=[[TimeFunction.samples([0.0, 1.0], [0.1, 0.5])]],
+            jumps=DiscreteJumpSpec(intensities=[1.0, 2.0], loadings=[[0.1, 0.2]]),
+        )
+        plan = DiscretePlan(retain=(0,), neglect=(1,))
+        ctx = SimulationContext(reduce_market(jumpy, plan).spec, [1.0])
+        retained = simulate_path(ctx, RngStreamSpec(44, 1))
+        with pytest.raises(UndeterminedIntegral):
+            project_price_closed_form(jumpy, plan, retained, 1.0)
+        flat = MarketSpec(horizon=1.0, s0=[10.0], alpha=[0.05], rate=0.0, sigma=[[0.2]])
+        emm = Emm(theta=(TimeFunction.samples([0.0, 1.0], [0.0, 0.5]),))
+        ctx = SimulationContext(flat, [1.0], density_emm=emm)
+        with pytest.raises(UndeterminedIntegral):
+            rn_density_path(flat, emm, simulate_path(ctx, RngStreamSpec(44, 2)))
+
+    def test_reference_matches_step_coefficients_on_the_shared_grid(self):
+        step = TimeFunction.piecewise([0.0, 0.4, 1.0], [0.2, 0.35])
+        spec = MarketSpec(
+            horizon=1.0, s0=[10.0], alpha=[0.05], rate=0.0, sigma=[[step]],
+            jumps=DiscreteJumpSpec(intensities=[3.0], loadings=[[0.1]]),
+        )
+        lam_t = TimeFunction.piecewise([0.0, 0.7, 1.0], [2.0, 4.0])
+        emm = Emm(theta=(step.scaled(0.5),), intensities=(lam_t,))
+        ctx = SimulationContext(spec, [0.5, 1.0], density_emm=emm)
+        for sid in range(5):
+            bundle = simulate_path(ctx, RngStreamSpec(45, sid))
+            again = stock_path_exact(
+                spec, bundle.event_times, bundle.event_marks, bundle.grid,
+                bundle.dw, bundle.out_times,
+            )
+            assert np.max(np.abs(again / bundle.stock_values - 1.0)) < 1e-12
+            z = rn_density_path(spec, emm, bundle)
+            assert np.max(np.abs(z / bundle.z_values - 1.0)) < 1e-12
+
+    def test_event_values_per_driver_match_masks(self, time_varying_market, batch_plan):
+        # one stable sort per block, each function evaluated on its own
+        # driver's events, gives bit for bit the values of one mask per
+        # (function, driver)
+        emm, _, _ = build_uplifted_emm(time_varying_market, batch_plan)
+        fict = reduce_market(time_varying_market, batch_plan).spec
+        assert not all(fn.is_constant for row in fict.jumps.loadings for fn in row)
+        for spec, density in ((time_varying_market, emm), (fict, None)):
+            ctx = SimulationContext(spec, [1.0], density_emm=density)
+            block = _simulate_block(ctx, 46, 0, 300)
+            t, m = block.ev_times, block.ev_marks
+            assert np.unique(m).size == spec.jumps.n_drivers
+            ref = np.log1p([_masked(row, t, m) for row in spec.jumps.loadings])
+            assert np.array_equal(_event_log_factors(ctx, t, m), ref)
+            if density is not None:
+                assert ctx.const_log_phi is None  # lambda_2 varies
+                lam = _masked(spec.jumps.intensities, t, m)
+                lam_t = _masked(density.intensities, t, m)
+                assert np.array_equal(_event_log_phi(ctx, t, m), np.log(lam_t / lam))
 
 
 class TestDensityProcess:
