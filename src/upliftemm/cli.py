@@ -9,6 +9,7 @@ codes: 0 success/PASS, 1 FAIL or domain error, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -42,7 +43,10 @@ SEED_ENV_VAR = "UPLIFTEMM_SEED"
 ALL_CHECKS = ("uplift", "restriction", "projection", "martingale", "density_mass")
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed``, else ``UPLIFTEMM_SEED`` as read now, else the default."""
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     return int(env, 0) if env else DEFAULT_SEED
 
@@ -158,7 +162,7 @@ def _cmd_simulate(args) -> int:
     )
     lines_out = []
     for bundle in iterate_bundles(
-        spec, times, args.paths, args.seed,
+        spec, times, args.paths, _seed(args),
         measure_emm=measure_emm, density_emm=density_emm,
     ):
         marks = bundle.event_marks
@@ -186,7 +190,7 @@ def _cmd_price(args) -> int:
     spec = _load_market(args.market)
     emm = Emm.from_json(load_json(args.emm))
     payoff = Payoff.from_json(load_json(args.payoff))
-    report = price_mc(spec, emm, payoff, args.paths, args.seed)
+    report = price_mc(spec, emm, payoff, args.paths, _seed(args))
     doc = report.to_json()
     text = (
         f"estimate  {report.estimate:.6f}\n"
@@ -288,7 +292,7 @@ def _cmd_verify(args) -> int:
     emm = Emm.from_json(load_json(args.emm)) if args.emm else None
     report = verify_suite(
         spec, plan,
-        paths=args.paths, seed=args.seed,
+        paths=args.paths, seed=_seed(args),
         grid_points=args.grid, checks=checks, emm=emm,
     )
     lines = []
@@ -306,7 +310,9 @@ def _cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: no default reads the environment."""
     parser = argparse.ArgumentParser(
         prog="upliftemm",
         description="Pricing measures for incomplete jump-diffusion markets "
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-p", "--plan", required=True, help="reduction plan JSON")
         if mc:
             p.add_argument("--paths", type=int, default=10_000)
-            p.add_argument("--seed", type=_parse_seed, default=_default_seed())
+            p.add_argument("--seed", type=_parse_seed, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the JSON report to this path")
 

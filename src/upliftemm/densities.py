@@ -228,11 +228,6 @@ class Density:
             )
         return abs(total - 1.0)
 
-    def sample(self, rng: np.random.Generator, times) -> np.ndarray:
-        """Draw one mark per entry of ``times`` from f_t at that time."""
-        times = np.asarray(times, dtype=float)
-        return np.asarray(self.ppf(rng.uniform(size=times.shape), times))
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self):

@@ -17,9 +17,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .blocks import _driver_slices, _per_driver
+from . import blocks
+from .blocks import _driver_slices, _per_driver, _sum_d
 from .errors import BudgetExceeded, NonReducedEvent, PlanMismatch, ShapeMismatch
 from .model import DiscreteJumpSpec, MarketSpec
+from .philox import box_muller, poisson_cdf, poisson_counts, uniforms
 from .reduction import (
     ContinuousPlan,
     DiscretePlan,
@@ -28,7 +30,6 @@ from .reduction import (
 )
 from .stochastic import (
     DEFAULT_SEED,
-    RngStreamSpec,
     SimulationContext,
     TerminalSample,
     _count_width,
@@ -582,56 +583,67 @@ def _neglected_factor_model(
     """Constant data describing the neglected part of the price factorization.
 
     The neglected part of stock i is exp(-sum_m y_im * Lam_m) times the
-    product of (1 + y_im)^{N_m}, plus the stochastic exponential of any
-    dropped Brownian columns; its expectation is one.
+    product of (1 + y_im)^{N_m}, times the stochastic exponential of any
+    dropped Brownian columns, exact on the knots of their sigma; its
+    expectation is one.  Returns each Lam_m's Poisson CDF table, the (n, M)
+    log(1 + y), the (n, D K) loads sigma sqrt(dt) of the dropped (Brownian,
+    knot segment) normals and the (n,) shift y Lam + 1/2 int |sigma|^2.
     """
-    neglected = fict.neglected
-    jumps: DiscreteJumpSpec = spec.jumps
-    for m in neglected:
-        for i in range(spec.n):
-            if not jumps.loadings[i][m].is_constant:
-                raise PlanMismatch(
-                    "nested conditioning needs constant neglected loadings"
-                )
+    neglected = list(fict.neglected)
+    loadings = spec.jumps.loadings
+    if not all(loadings[i][m].is_constant for i in range(spec.n) for m in neglected):
+        raise PlanMismatch("nested conditioning needs constant neglected loadings")
     lam_int = np.array([intensities[m].integral(0.0, t) for m in neglected])
-    y = np.zeros((spec.n, 0))
-    if neglected:
-        y = jumps.loading_values(0.0)[:, list(neglected)]
+    y = spec.jumps.loading_values(0.0)[:, neglected]
     dropped = [d for d in range(spec.n_brownians) if d not in fict.brownian_map]
     sig_fns = [[spec.sigma[i][d] for d in dropped] for i in range(spec.n)]
     knots = merged_breakpoints([fn for row in sig_fns for fn in row], 0.0, t)
-    return lam_int, y, np.log1p(y), dropped, sig_fns, knots
+    dt = np.diff(knots)
+    sig = np.array([[fn.value(knots[:-1]) for fn in row] for row in sig_fns])
+    sig = sig.reshape(spec.n, len(dropped), len(dt))
+    cdfs = [poisson_cdf(lam) if lam > 0.0 else np.ones(1) for lam in lam_int]
+    load = (sig * np.sqrt(dt)).reshape(spec.n, -1)
+    shift = y @ lam_int + 0.5 * (sig * sig * dt).sum(axis=(1, 2))
+    return cdfs, np.log1p(y), load, shift
 
 
-def _neglected_factors(
-    spec: MarketSpec,
-    fict: FictitiousMarket,
-    model,
-    n_inner: int,
-    rng: np.random.Generator,
-):
-    """(n_inner, n) multiplicative factors from the neglected randomness."""
-    lam_int, y, log1p_y, dropped, sig_fns, knots = model
-    n = spec.n
-    if len(lam_int):
-        counts = rng.poisson(lam=lam_int, size=(n_inner, len(lam_int)))
-        log_f = counts @ log1p_y.T - (y @ lam_int)[None, :]
-    else:
-        log_f = np.zeros((n_inner, n))
-        counts = np.zeros((n_inner, 0), dtype=np.int64)
-    # dropped Brownian part: exact Gaussian increments on the sigma knots
-    if dropped:
-        dt = np.diff(knots)
-        z = rng.standard_normal((n_inner, len(dropped), len(dt)))
-        dw = z * np.sqrt(dt)
-        for i in range(n):
-            sig_vals = np.vstack(
-                [np.atleast_1d(fn.value(knots[:-1])) for fn in sig_fns[i]]
-            )
-            log_f[:, i] += np.einsum("pdk,dk->p", dw, sig_vals) - 0.5 * np.sum(
-                sig_vals**2 * dt
-            )
+def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: int):
+    """(P, n, n_inner) multiplicative factors from the neglected randomness
+    of outer paths ``outer_ids``, and their (P, M, n_inner) neglected counts.
+
+    Outer path p draws from the ``inner`` counters of stream id p, so its
+    factors do not depend on which outer paths are drawn with it.  Its
+    uniform k is double k % 2 of counter k // 2.  Inner sample j's count
+    of neglected driver m inverts Lam_m's Poisson CDF at uniform
+    m * n_inner + j.  The dropped Brownians' standard normals follow as
+    Box-Muller pairs, one counter per pair, from the first counter after
+    the count uniforms, in (dropped Brownian, knot segment, inner sample)
+    order.
+    """
+    cdfs, log1p_y, load, shift = model
+    P, J, M = len(outer_ids), n_inner, len(cdfs)
+    n_u, n_z = M * J, load.shape[1] * J
+    n_c = (n_u + 1) // 2
+    u = uniforms(seed, "inner", np.arange(n_c + (n_z + 1) // 2), outer_ids[:, None])
+    cu = u[:, :, :n_c].transpose(1, 2, 0).reshape(P, -1)[:, :n_u].reshape(P, M, J)
+    counts = np.empty((P, M, J), dtype=np.int64)
+    for m, cdf in enumerate(cdfs):
+        counts[:, m] = poisson_counts(cdf, cu[:, m])
+    log_f = np.zeros((P, spec.n, J))
+    if M:  # each sum runs in driver / normal order, whatever P is
+        log_f += _sum_d(log1p_y.T[:, :, None], counts.transpose(1, 0, 2)[:, :, None])
+    if n_z:
+        z = box_muller(u[:, :, n_c:]).reshape(P, -1)[:, :n_z].reshape(P, -1, J)
+        log_f += _sum_d(load.T[:, :, None], z.transpose(1, 0, 2)[:, :, None])
+    log_f -= shift[:, None]
     return np.exp(log_f), counts
+
+
+def _outer_chunks(n_outer: int, width: int) -> list[np.ndarray]:
+    """Consecutive outer paths in chunks of about ``blocks._SEGMENT_BUDGET``
+    cells, each outer path holding ``width`` of them."""
+    step = max(1, blocks._SEGMENT_BUDGET // width)
+    return [np.arange(lo, min(lo + step, n_outer)) for lo in range(0, n_outer, step)]
 
 
 def cost_of_construction_check(
@@ -669,22 +681,21 @@ def cost_of_construction_check(
     model = _neglected_factor_model(spec, fict, emm.intensities, T)
 
     outer = simulate_terminal(fict.spec, [T], n_outer, seed, measure_emm=fict_emm)
-    M = spec.n_jump_drivers
-    retained_cols = {m: k for k, group in enumerate(fict.driver_groups) for m in group}
+    retained = [m for group in fict.driver_groups for m in group]
+    neglected = list(fict.neglected)
     inner_means = np.empty(n_outer)
-    for p in range(n_outer):
-        rng = RngStreamSpec(seed, p).generator("inner")
-        factors, neg_counts = _neglected_factors(spec, fict, model, n_inner, rng)
-        stocks = outer.stocks[p, :, -1][None, :] * factors  # (n_inner, n)
-        counts = np.zeros((n_inner, M))
-        for m, k in retained_cols.items():
-            counts[:, m] = outer.counts[p, k]
-        for j, m in enumerate(fict.neglected):
-            counts[:, m] = neg_counts[:, j]
-        vals = payoff.undiscounted_values(stocks, counts)
+    for ids in _outer_chunks(n_outer, spec.n * n_inner):
+        factors, neg_counts = _neglected_factors(spec, model, ids, n_inner, seed)
+        # one row per (outer path, inner sample)
+        stocks = outer.stocks[ids, :, -1][:, None, :] * factors.transpose(0, 2, 1)
+        counts = np.zeros((len(ids), n_inner, spec.n_jump_drivers))
+        counts[:, :, retained] = outer.counts[ids][:, None, :]
+        counts[:, :, neglected] = neg_counts.transpose(0, 2, 1)
+        rows = (len(ids) * n_inner, -1)
+        vals = payoff.undiscounted_values(stocks.reshape(rows), counts.reshape(rows))
         if payoff.discounted:
             vals = vals * spec.discount_factor(T)
-        inner_means[p] = np.sum(vals) / n_inner
+        inner_means[ids] = vals.reshape(len(ids), n_inner).sum(axis=1) / n_inner
     nested = _mc_report(inner_means, seed, "Q~ nested")
     direct = simulate_terminal(
         spec, [T], n_direct, seed, measure_emm=emm, stream_offset=n_outer
@@ -716,28 +727,22 @@ def projection_consistency_check(
         raise PlanMismatch("projection supports complete-neglect plans")
     if fict is None:
         fict = reduce_market(spec, plan)
-    T = spec.horizon
-    t = 0.5 * T if t is None else float(t)
-    jumps: DiscreteJumpSpec = spec.jumps
-    model = _neglected_factor_model(
-        spec, fict, jumps.intensities, t
-    )  # physical measure
+    t = 0.5 * spec.horizon if t is None else float(t)
+    # the neglected drivers at their physical intensities
+    model = _neglected_factor_model(spec, fict, spec.jumps.intensities, t)
     outer = simulate_terminal(fict.spec, [t], n_outer, seed)
-    z_scores = np.empty((n_outer, spec.n))
     inner_mean_factors = np.empty((n_outer, spec.n))
     inner_se_factors = np.empty((n_outer, spec.n))
-    for p in range(n_outer):
-        rng = RngStreamSpec(seed, p).generator("inner")
-        factors, _ = _neglected_factors(spec, fict, model, n_inner, rng)
-        mean_f = factors.sum(axis=0) / n_inner
-        se_f = factors.std(axis=0, ddof=1) / np.sqrt(n_inner)
-        inner_mean_factors[p] = mean_f
-        inner_se_factors[p] = se_f
-        z_scores[p] = np.abs(mean_f - 1.0) / se_f
-    projected = outer.stocks[:, :, 0]  # (n_outer, n): the reduced-market prices
+    for ids in _outer_chunks(n_outer, spec.n * n_inner):
+        factors, _ = _neglected_factors(spec, model, ids, n_inner, seed)
+        inner_mean_factors[ids] = factors.sum(axis=-1) / n_inner
+        inner_se_factors[ids] = factors.std(axis=-1, ddof=1) / np.sqrt(n_inner)
+    # a factor with no neglected randomness is exactly 1, with z 0
+    diff, se = np.abs(inner_mean_factors - 1.0), inner_se_factors
+    z_scores = np.divide(diff, se, out=np.where(diff > 0, np.inf, 0.0), where=se > 0)
     return ProjectionReport(
         t=t,
-        projected=projected,
+        projected=outer.stocks[:, :, 0],  # (n_outer, n): the reduced-market prices
         inner_mean_factors=inner_mean_factors,
         inner_se_factors=inner_se_factors,
         z_scores=z_scores,

@@ -42,7 +42,7 @@ from .errors import (
     UndeterminedIntegral,
 )
 from .model import ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
-from .philox import MASK64, ROLE_IDS, poisson_cdf, uniforms
+from .philox import poisson_cdf, uniforms
 from .timefns import TimeFunction, integrate_product, merged_breakpoints, sum_max_value
 from .uplift import Emm
 
@@ -81,13 +81,6 @@ class RngStreamSpec:
     def uniforms(self, role: str, n: int) -> np.ndarray:
         """(2, n): the two doubles of each of the role's first n counters."""
         return uniforms(self.master_seed, role, np.arange(n), self.stream_id)
-
-    def generator(self, role: str) -> np.random.Generator:
-        """A numpy generator on its own Philox substream, for draws whose
-        count is not fixed in advance (the nested checks' ``inner`` role)."""
-        key = np.array([self.master_seed & MASK64, ROLE_IDS[role]], dtype=np.uint64)
-        counter = np.array([0, 0, self.stream_id & MASK64, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 # -- simulation context ---------------------------------------------------------

@@ -191,6 +191,30 @@ class TestVerifySuite:
         ) == 0
         assert json.loads(out.read_text())["seed"] == 0x123
 
+    def test_bad_env_seed_is_config_error_only_where_read(self, workdir, monkeypatch):
+        emm_path = workdir / "emm.json"
+        run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--out", emm_path)
+        monkeypatch.setenv("UPLIFTEMM_SEED", "abc")
+        assert run("validate", "-m", workdir / "market.json") == 0
+        assert run(
+            "price", "-m", workdir / "market.json", "-e", emm_path,
+            "--payoff", workdir / "payoff.json", "--paths", "500",
+        ) == 2
+
+    def test_env_seed_is_read_at_each_call(self, workdir, monkeypatch):
+        emm_path = workdir / "emm.json"
+        run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--out", emm_path)
+        out = workdir / "price_env.json"
+        for seed in ("7", "0x2a"):
+            monkeypatch.setenv("UPLIFTEMM_SEED", seed)
+            assert run(
+                "price", "-m", workdir / "market.json", "-e", emm_path,
+                "--payoff", workdir / "payoff.json", "--paths", "500", "--out", out,
+            ) == 0
+            assert json.loads(out.read_text())["seed"] == int(seed, 0)
+
     def test_tampered_emm_fails_suite(self, workdir):
         emm_path = workdir / "emm.json"
         run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",

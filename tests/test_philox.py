@@ -1,8 +1,12 @@
 """The counter-based generator and the transforms the engine draws with."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import upliftemm
 from upliftemm import RngStreamSpec
 from upliftemm.philox import (
     _unit,
@@ -82,3 +86,16 @@ def test_high_words_address_distinct_streams():
     # roles and draw indices address distinct counters too
     assert not np.any(RngStreamSpec(1, 5).uniforms("brownian", 8) == first)
     assert np.array_equal(uniforms(1, "marks", 3, [5, 6])[:, 0], first[:, 3])
+
+
+def test_package_draws_only_philox_counters():
+    # one randomness scheme: a numpy generator in the package would address
+    # draws some other way than (seed, role, stream id, counter)
+    root = Path(upliftemm.__file__).parent
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(root.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(np|numpy)\.random\b", line)
+    ]
+    assert not hits

@@ -8,6 +8,7 @@ import upliftemm.stochastic
 from upliftemm import (
     ContinuousPlan,
     DiscreteJumpSpec,
+    DiscretePlan,
     Emm,
     MarketEvent,
     MarketSpec,
@@ -410,6 +411,79 @@ class TestProjectionCheck:
             projection_consistency_check(
                 three_stock_market, batch_plan, n_outer=4, n_inner=4
             )
+
+    def test_stock_without_neglected_exposure(self):
+        # stock 1 loads on no neglected randomness: its factor is exactly 1,
+        # with standard error 0 and z 0
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0, 50.0], alpha=[0.07, 0.04], rate=0.02,
+            sigma=[[0.2], [0.1]],
+            jumps=DiscreteJumpSpec(
+                intensities=[2.0, 3.0], loadings=[[0.1, 0.2], [-0.1, 0.0]]
+            ),
+        )
+        plan = DiscretePlan(retain=(0,), neglect=(1,))
+        report = projection_consistency_check(
+            spec, plan, n_outer=20, n_inner=1_000, seed=125
+        )
+        assert np.all(report.inner_mean_factors[:, 1] == 1.0)
+        assert np.all(report.z_scores[:, 1] == 0.0)
+        assert report.passed, report.max_z
+
+    def test_outer_path_does_not_depend_on_chunking(self, uplifted, monkeypatch):
+        # outer path p draws from its own inner counters and is reduced
+        # along its own rows, so neither n_outer nor the chunk size moves it
+        spec, plan, emm, fict, fict_emm = uplifted
+        n_inner = 1_000
+
+        def run(n_outer):
+            rep = projection_consistency_check(
+                spec, plan, n_outer=n_outer, n_inner=n_inner, seed=124, fict=fict
+            )
+            return rep.inner_mean_factors, rep.inner_se_factors
+
+        def nested():
+            return cost_of_construction_check(
+                spec, plan, emm, fict_emm, Payoff.call(0, 100.0),
+                n_outer=20, n_inner=n_inner, n_direct=100, seed=124, fict=fict,
+            ).lines[0].a
+
+        mean, se = run(50)
+        cost = nested()
+        few_mean, few_se = run(5)
+        assert np.array_equal(few_mean, mean[:5])
+        assert np.array_equal(few_se, se[:5])
+        # one outer path a chunk (the per-path loop), then three a chunk
+        # with a shorter last chunk
+        for per_chunk in (1, 3):
+            budget = per_chunk * spec.n * n_inner
+            monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", budget)
+            chunked_mean, chunked_se = run(50)
+            assert np.array_equal(chunked_mean, mean)
+            assert np.array_equal(chunked_se, se)
+            assert nested() == cost
+
+    def test_dropped_brownian(self):
+        # stock 0's dropped column steps from 0.3 to 0.15 at t = 0.2, so
+        # its normals run over two knot segments
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0, 50.0], alpha=[0.07, 0.04], rate=0.02,
+            sigma=[[0.2, TimeFunction.piecewise([0.0, 0.2, 1.0], [0.3, 0.15])],
+                   [0.1, 0.25]],
+            jumps=DiscreteJumpSpec(
+                intensities=[2.0, 3.0], loadings=[[0.1, 0.2], [-0.1, -0.15]]
+            ),
+        )
+        plan = DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=(0,))
+        report = projection_consistency_check(
+            spec, plan, n_outer=40, n_inner=4_000, t=0.5, seed=123
+        )
+        assert report.passed, report.max_z
+        # negative control: omitting the -1/2 int sigma^2 drag must fail
+        drag = 0.5 * np.array([0.3**2 * 0.2 + 0.15**2 * 0.3, 0.25**2 * 0.5])
+        wrong_mean = report.inner_mean_factors * np.exp(drag)
+        wrong_z = np.abs(wrong_mean - 1.0) / report.inner_se_factors
+        assert np.max(wrong_z) > 4.0
 
 
 class TestHedging:

@@ -213,7 +213,9 @@ def _uniforms(seed, stream, n):
 
 
 class TestVaryingCellMarks:
-    def test_block_marks_match_scalar_reference(self):
+    def test_block_marks_match_scalar_reference(self, monkeypatch):
+        # the per-path reference is slow: shrink the blocks it must cross
+        monkeypatch.setattr("upliftemm.blocks._SEGMENT_BUDGET", 1 << 12)
         for base, phys, mm in _varying_cell_measures():
             spec = MarketSpec(
                 horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
