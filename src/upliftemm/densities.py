@@ -66,11 +66,13 @@ class Density:
                 raise ValueError("histogram needs one weight per bin")
 
     @property
+    def time_functions(self) -> tuple[TimeFunction, ...]:
+        """The parameters that are time functions (all but a histogram's)."""
+        return tuple(p for p in self.params.values() if isinstance(p, TimeFunction))
+
+    @property
     def is_time_varying(self) -> bool:
-        return any(
-            isinstance(p, TimeFunction) and not p.is_constant
-            for p in self.params.values()
-        )
+        return any(not p.is_constant for p in self.time_functions)
 
     # -- family internals ---------------------------------------------------
 
@@ -199,13 +201,6 @@ class Density:
 
     def mean(self, t=0.0):
         return self.restricted_mean(*self.support, t)
-
-    def mean_timefunction(self, grid=None) -> TimeFunction:
-        """The mark mean as a TimeFunction (constant when parameters are)."""
-        if not self.is_time_varying:
-            return TimeFunction.constant(self.mean(0.0))
-        grid = np.asarray(grid, dtype=float)
-        return TimeFunction.samples(grid, self.mean(grid))
 
     def quad_breakpoints(self) -> tuple[float, ...]:
         """Interior discontinuities; quadrature must split there."""

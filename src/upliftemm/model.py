@@ -21,7 +21,7 @@ import numpy as np
 
 from .densities import Density
 from .errors import ShapeMismatch
-from .timefns import TimeFunction, merged_breakpoints, stack_values
+from .timefns import TimeFunction, stack_values
 
 __all__ = [
     "DiscreteJumpSpec",
@@ -33,10 +33,14 @@ __all__ = [
     "compensator_drift",
     "cumulative_intensity",
     "DEFAULT_GRID_POINTS",
+    "JUMP_GRID_POINTS",
     "default_grid",
 ]
 
 DEFAULT_GRID_POINTS = 256
+# grid on which simulation samples a jump measure's interpolated total
+# intensity and compensator
+JUMP_GRID_POINTS = 513
 
 
 def default_grid(horizon: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -332,10 +336,3 @@ def cumulative_intensity(fn: TimeFunction, s: float, t: float) -> float:
     if end is not None and t > end * (1.0 + 1e-12) + 1e-15:
         raise ValueError(f"time {t:g} outside the function domain [0, {end:g}]")
     return fn.integral(s, t)
-
-
-def coefficient_breakpoints(spec: MarketSpec, extra=()) -> np.ndarray:
-    """Merged knots of all spec coefficients plus any extra time functions."""
-    return merged_breakpoints(
-        list(spec.coefficient_functions()) + list(extra), 0.0, spec.horizon
-    )

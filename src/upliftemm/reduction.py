@@ -21,10 +21,9 @@ from .model import (
     ContinuousJumpSpec,
     DiscreteJumpSpec,
     MarketSpec,
-    DEFAULT_GRID_POINTS,
     default_grid,
 )
-from .timefns import TimeFunction
+from .timefns import TimeFunction, derive
 
 __all__ = [
     "DiscretePlan",
@@ -205,70 +204,37 @@ def batch_weights(
 ) -> tuple[TimeFunction, tuple[TimeFunction, ...]]:
     """Aggregate intensity gamma and member weights delta_m of a batch.
 
-    delta_m(t) = lambda_m(t) / gamma(t).  Constant and step intensities
-    produce exact constant/step weights; interpolated ones are sampled on
-    the grid (default 256 points).  Weights built here are reused verbatim
-    by the uplift so the two stay consistent bit for bit.
+    delta_m(t) = lambda_m(t) / gamma(t), derived from the member
+    intensities by :func:`timefns.derive` (exact unless an intensity is
+    interpolated, then sampled on the grid, default 256 points).  Weights
+    built here are reused verbatim by the uplift so the two stay
+    consistent bit for bit.
     """
-    jumps: DiscreteJumpSpec = spec.jumps
-    members = [jumps.intensities[m] for m in batch]
-    if all(fn.is_constant for fn in members):
-        vals = np.array([fn.constant_value for fn in members])
-        gamma = float(np.sum(vals))
-        return (
-            TimeFunction.constant(gamma),
-            tuple(TimeFunction.constant(v / gamma) for v in vals),
-        )
-    kinds = {fn.kind for fn in members if not fn.is_constant}
-    if kinds == {"piecewise"}:
-        knots = np.unique(
-            np.concatenate([[0.0, spec.horizon]] + [fn.breakpoints() for fn in members])
-        )
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        vals = np.vstack([np.atleast_1d(fn.value(mids)) for fn in members])
-        gvals = vals.sum(axis=0)
-        gamma = TimeFunction.piecewise(knots, gvals)
-        deltas = tuple(TimeFunction.piecewise(knots, v / gvals) for v in vals)
-        return gamma, deltas
+    members = [spec.jumps.intensities[m] for m in batch]
     if grid is None:
-        grid = default_grid(spec.horizon, DEFAULT_GRID_POINTS)
-    grid = np.asarray(grid, dtype=float)
-    vals = np.vstack([np.atleast_1d(fn.value(grid)) for fn in members])
-    gvals = vals.sum(axis=0)
-    gamma = TimeFunction.samples(grid, gvals)
-    deltas = tuple(TimeFunction.samples(grid, v / gvals) for v in vals)
-    return gamma, deltas
+        grid = default_grid(spec.horizon)
+
+    def weights(t):
+        vals = np.vstack([fn.value(t) for fn in members])
+        gvals = vals.sum(axis=0)
+        return np.vstack([gvals, vals / gvals])
+
+    gamma, *deltas = derive(weights, members, grid)
+    return gamma, tuple(deltas)
 
 
-def _batched_loading(
-    spec: MarketSpec, i: int, batch, deltas, grid
-) -> TimeFunction:
-    """Convex combination of member loadings with weights delta_m(t)."""
-    jumps: DiscreteJumpSpec = spec.jumps
-    members = [jumps.loadings[i][m] for m in batch]
-    if all(d.is_constant for d in deltas) and all(fn.is_constant for fn in members):
-        val = sum(
-            d.constant_value * fn.constant_value for d, fn in zip(deltas, members)
-        )
-        return TimeFunction.constant(val)
-    if all(d.kind == "piecewise" or d.is_constant for d in deltas) and all(
-        fn.is_constant for fn in members
-    ):
-        knots = np.unique(
-            np.concatenate(
-                [[0.0, spec.horizon]]
-                + [d.breakpoints() for d in deltas if not d.is_constant]
-            )
-        )
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        acc = np.zeros(len(mids))
-        for d, fn in zip(deltas, members):
-            acc += np.atleast_1d(d.value(mids)) * fn.constant_value
-        return TimeFunction.piecewise(knots, acc)
-    acc = np.zeros(len(grid))
-    for d, fn in zip(deltas, members):
-        acc += np.atleast_1d(d.value(grid)) * np.atleast_1d(fn.value(grid))
-    return TimeFunction.samples(grid, acc)
+def _batched_loadings(spec: MarketSpec, batch, deltas, grid):
+    """Each stock's convex combination ybar_i(t) = sum_m delta_m(t) y_im(t)
+    of the member loadings."""
+    cols = [[spec.jumps.loadings[i][m] for i in range(spec.n)] for m in batch]
+
+    def ybar(t):
+        acc = np.zeros((spec.n, len(t)))
+        for d, col in zip(deltas, cols):
+            acc += d.value(t) * np.array([fn.value(t) for fn in col])
+        return acc
+
+    return derive(ybar, [*deltas, *(fn for col in cols for fn in col)], grid)
 
 
 def reduce_complete_neglect(spec: MarketSpec, plan: DiscretePlan) -> FictitiousMarket:
@@ -334,7 +300,7 @@ def reduce_batch(
         raise PlanMismatch("batching applies to discrete jump drivers")
     plan.validate(spec)
     if grid is None:
-        grid = default_grid(spec.horizon, DEFAULT_GRID_POINTS)
+        grid = default_grid(spec.horizon)
     grid = np.asarray(grid, dtype=float)
     kept_b = plan.kept_brownians(spec)
     jumps = spec.jumps
@@ -345,8 +311,8 @@ def reduce_batch(
         (TimeFunction.constant(1.0),) for _ in retained
     ]
     intensities = [jumps.intensities[m] for m in retained]
-    load_cols: list[list[TimeFunction]] = [
-        [jumps.loadings[i][m] for i in range(spec.n)] for m in retained
+    load_cols: list[tuple[TimeFunction, ...]] = [
+        tuple(jumps.loadings[i][m] for i in range(spec.n)) for m in retained
     ]
     for batch in plan.batches:
         batch = tuple(sorted(batch))
@@ -354,9 +320,7 @@ def reduce_batch(
         groups.append(batch)
         weights.append(deltas)
         intensities.append(gamma)
-        load_cols.append(
-            [_batched_loading(spec, i, batch, deltas, grid) for i in range(spec.n)]
-        )
+        load_cols.append(_batched_loadings(spec, batch, deltas, grid))
 
     _completeness_warning(spec, len(kept_b) + len(groups))
     new_jumps = DiscreteJumpSpec(
@@ -400,37 +364,34 @@ def reduce_continuous(
         raise PlanMismatch("continuous reduction needs a continuous mark space")
     plan.validate(spec)
     if grid is None:
-        grid = default_grid(spec.horizon, DEFAULT_GRID_POINTS)
+        grid = default_grid(spec.horizon)
     grid = np.asarray(grid, dtype=float)
     kept_b = plan.kept_brownians(spec)
-    jumps = spec.jumps
-    dens = jumps.density
-    total = jumps.total_intensity
-    time_varying = dens.is_time_varying
+    dens = spec.jumps.density
+    total = spec.jumps.total_intensity
+    cells = plan.cells
 
-    intensities: list[TimeFunction] = []
-    loadings: list[TimeFunction] = []
-    for a, b in plan.cells:
-        if time_varying:
-            mass = dens.mass(a, b, grid)
+    def cell_parts(t):
+        """Each cell's mass, each cell's mean, the remainder's mass."""
+        masses = [dens.mass(a, b, t) for a, b in cells]
+        for (a, b), mass in zip(cells, masses):
             if np.any(mass < 1e-12):
                 raise EmptyCell(f"cell ({a:g}, {b:g}) has ~zero probability")
-            mean = dens.restricted_mean(a, b, grid)
-            lam = TimeFunction.samples(
-                grid, np.atleast_1d(total.value(grid)) * mass
-            )
-            loadings.append(TimeFunction.samples(grid, mean))
-        else:
-            mass = dens.mass(a, b)
-            if mass < 1e-12:
-                raise EmptyCell(f"cell ({a:g}, {b:g}) has ~zero probability")
-            lam = total.scaled(mass)
-            loadings.append(TimeFunction.constant(dens.restricted_mean(a, b)))
-        intensities.append(lam)
+        means = [dens._partial_moment(a, b, t) / m for (a, b), m in zip(cells, masses)]
+        rest = np.maximum(1.0 - sum(masses), np.zeros(len(t)))  # one per node
+        return np.array([*masses, *means, rest])
+
+    *parts, remainder_mass = derive(cell_parts, dens.time_functions, grid)
+    masses, loadings = parts[:len(cells)], parts[len(cells):]
+
+    def cell_intensities(t):
+        return total.value(t) * np.reshape([m.value(t) for m in masses], (-1, len(t)))
+
+    intensities = derive(cell_intensities, (total, *masses), grid)
 
     _completeness_warning(spec, len(kept_b) + len(intensities))
     new_jumps = DiscreteJumpSpec(
-        intensities=tuple(intensities),
+        intensities=intensities,
         loadings=tuple(tuple(loadings) for _ in range(spec.n)),
         marks=None,
     )
@@ -442,16 +403,6 @@ def reduce_continuous(
         sigma=_subset_sigma(spec, kept_b),
         jumps=new_jumps,
     )
-    covered = (
-        sum(dens.mass(a, b) for a, b in plan.cells)
-        if not time_varying
-        else None
-    )
-    if time_varying:
-        rem_vals = 1.0 - sum(dens.mass(a, b, grid) for a, b in plan.cells)
-        remainder_mass = TimeFunction.samples(grid, np.maximum(rem_vals, 0.0))
-    else:
-        remainder_mass = TimeFunction.constant(max(1.0 - covered, 0.0))
     return FictitiousMarket(
         spec=reduced,
         original=spec,

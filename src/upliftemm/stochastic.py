@@ -41,9 +41,15 @@ from .errors import (
     UnboundedIntensity,
     UndeterminedIntegral,
 )
-from .model import ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
+from .model import JUMP_GRID_POINTS, ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
 from .philox import poisson_cdf, uniforms
-from .timefns import TimeFunction, integrate_product, merged_breakpoints, sum_max_value
+from .timefns import (
+    TimeFunction,
+    derive,
+    integrate_product,
+    merged_breakpoints,
+    sum_max_value,
+)
 from .uplift import Emm
 
 __all__ = [
@@ -136,14 +142,15 @@ class SimulationContext:
             if measure_emm is not None and measure_emm.jump_measure is not None:
                 mm = measure_emm.jump_measure
                 self.mark_measure = mm
-                self.sim_total_fn = mm.sampled("total_intensity", T)
+                self.sim_total_fn = mm.time_function("total_intensity", T)
                 safety = 1 + (1e-9 if self.sim_total_fn.is_piecewise_constant else 1e-2)
                 self.majorant = self.sim_total_fn.max_value(0.0, T) * safety
             else:
                 self.sim_total_fn = jumps.total_intensity
                 self.majorant = jumps.total_intensity.max_value(0.0, T) * (1 + 1e-9)
-                grid = np.linspace(0, T, 513) if jumps.density.is_time_varying else None
-                self.mark_mean_fn = jumps.density.mean_timefunction(grid)
+                dens = jumps.density
+                grid = np.linspace(0.0, T, JUMP_GRID_POINTS)
+                self.mark_mean_fn = derive(dens.mean, dens.time_functions, grid)
         else:
             self.majorant = 0.0
         if self.kind != "none" and not np.isfinite(self.majorant):
@@ -216,7 +223,7 @@ class SimulationContext:
                 total += integrate_product(spec.jumps.loadings[i][m], lam, 0.0, tau)
             return total
         if self.mark_measure is not None:
-            fn = self.mark_measure.sampled("mean_jump_intensity", self.horizon)
+            fn = self.mark_measure.time_function("mean_jump_intensity", self.horizon)
             return fn.integral(0.0, tau)
         return integrate_product(spec.jumps.total_intensity, self.mark_mean_fn, 0.0, tau)
 
@@ -231,7 +238,7 @@ class SimulationContext:
             for lam, lam_t in zip(spec.jumps.intensities, emm.intensities):
                 total += lam.integral(0.0, tau) - lam_t.integral(0.0, tau)
             return total
-        rn_total = emm.jump_measure.sampled("total_intensity", self.horizon)
+        rn_total = emm.jump_measure.time_function("total_intensity", self.horizon)
         return spec.jumps.total_intensity.integral(0.0, tau) - rn_total.integral(
             0.0, tau
         )

@@ -10,6 +10,7 @@ deterministic, integrals exact, and serialization trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .errors import QuadratureFailure
 __all__ = [
     "TimeFunction",
     "adaptive_simpson",
+    "derivation",
+    "derive",
     "integrate_product",
     "merged_breakpoints",
     "stack_values",
@@ -89,9 +92,9 @@ class TimeFunction:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
+    @cached_property
     def is_constant(self) -> bool:
-        return self.kind == _CONST or np.all(self.v == self.v[0])
+        return self.kind == _CONST or bool((self.v == self.v[0]).all())
 
     @property
     def is_piecewise_constant(self) -> bool:
@@ -122,10 +125,9 @@ class TimeFunction:
         if self.kind == _SAMPLES:
             out = np.interp(t, self.t, self.v)
             return float(out) if np.ndim(t) == 0 else out
-        # piecewise: right-continuous lookup, clamped to the domain
-        idx = np.searchsorted(self.t, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.v) - 1)
-        out = self.v[idx]
+        # piecewise: right-continuous lookup, clamped to the domain; t's
+        # piece is the number of interior knots at or before t
+        out = self.v[np.searchsorted(self.t[1:-1], t, side="right")]
         return float(out) if np.ndim(t) == 0 else out
 
     def __call__(self, t):
@@ -223,6 +225,47 @@ def merged_breakpoints(fns, a: float, b: float) -> np.ndarray:
     # (about 15 ms in a fresh process that otherwise never needs it)
     knots = np.sort(np.concatenate(knots))
     return knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
+
+
+def derivation(inputs, grid):
+    """How a coefficient derived from the time functions ``inputs`` is
+    built on [grid[0], grid[-1]]: ``(nodes, make)``, where ``make`` turns
+    the derived values at ``nodes`` into a TimeFunction.
+
+    - Every input constant: the one node grid[0], and a constant.
+    - Every input constant or a step: the left end of each piece of the
+      varying inputs' merged breakpoints, and a step on those pieces, exact
+      on the whole interval (a constant when its pieces are all equal).
+    - Otherwise: the grid's nodes, interpolated linearly between them.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if any(fn.kind == _SAMPLES and not fn.is_constant for fn in inputs):
+        return grid, partial(TimeFunction.samples, grid)
+    steps = [fn for fn in inputs if fn.kind == _PIECEWISE and not fn.is_constant]
+    if not steps:
+        return grid[:1], _constant
+    knots = merged_breakpoints(steps, float(grid[0]), float(grid[-1]))
+    return knots[:-1], partial(_step, knots)
+
+
+def _constant(values) -> TimeFunction:
+    return TimeFunction.constant(float(values[0]))
+
+
+def _step(knots, values) -> TimeFunction:
+    if (values == values[0]).all():
+        return _constant(values)
+    return TimeFunction.piecewise(knots, values)
+
+
+def derive(fn, inputs, grid):
+    """The coefficient ``fn``, a function of an array of times that reads
+    the time functions ``inputs``, as the TimeFunction :func:`derivation`
+    builds; a tuple of them, one per row, when ``fn`` returns an (F, K)
+    array of F coefficients at the K nodes."""
+    nodes, make = derivation(inputs, grid)
+    values = np.asarray(fn(nodes), dtype=float)
+    return make(values) if values.ndim == 1 else tuple(make(row) for row in values)
 
 
 def stack_values(fns, t) -> np.ndarray:

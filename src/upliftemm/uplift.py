@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +27,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .model import (
+    JUMP_GRID_POINTS,
     ContinuousJumpSpec,
     DiscreteJumpSpec,
     MarketSpec,
-    coefficient_breakpoints,
     default_grid,
 )
 from .mpr import classify_over_grid
@@ -40,7 +40,7 @@ from .reduction import (
     batch_weights,
     reduce_market,
 )
-from .timefns import TimeFunction, merged_breakpoints, stack_values
+from .timefns import TimeFunction, derivation, derive, stack_values
 
 __all__ = [
     "Emm",
@@ -178,40 +178,23 @@ class CellMeasure:
         return total if np.ndim(t) else float(total[0])
 
     @cached_property
-    def _is_piecewise_constant(self) -> bool:
-        return not self.base.is_time_varying and all(
-            fn.is_piecewise_constant
-            for fn in (self.physical_intensity, *self.cell_intensities)
-        )
-
-    @cached_property
-    def _sampled(self) -> dict:
+    def _functions(self) -> dict:
         return {}
 
-    def sampled(self, name: str, horizon: float) -> TimeFunction:
+    def time_function(self, name: str, horizon: float) -> TimeFunction:
         """The method ``name`` (``"total_intensity"`` or
-        ``"mean_jump_intensity"``) as a TimeFunction on [0, horizon]: exact
-        when the base density does not vary in time and every intensity is
-        constant or piecewise constant (a constant, or a step function on
-        the intensities' merged breakpoints), else linear through 513
-        samples.  Built once per measure and horizon and shared by every
-        simulation context built from this measure."""
+        ``"mean_jump_intensity"``) as a TimeFunction on [0, horizon],
+        derived from the intensities and the base density's parameters by
+        :func:`timefns.derive` on a ``JUMP_GRID_POINTS``-point grid.  Built
+        once per measure and horizon and shared by every simulation context
+        built from this measure."""
         key = (name, float(horizon))
-        if key not in self._sampled:
-            fn = getattr(self, name)
-            if self._is_piecewise_constant:
-                knots = merged_breakpoints(
-                    (self.physical_intensity, *self.cell_intensities), 0.0, horizon
-                )
-                vals = fn(knots[:-1])
-                self._sampled[key] = (
-                    TimeFunction.constant(float(vals[0])) if len(vals) == 1
-                    else TimeFunction.piecewise(knots, vals)
-                )
-            else:
-                grid = np.linspace(0.0, horizon, 513)
-                self._sampled[key] = TimeFunction.samples(grid, fn(grid))
-        return self._sampled[key]
+        if key not in self._functions:
+            inputs = (self.physical_intensity, *self.cell_intensities,
+                      *self.base.time_functions)
+            grid = default_grid(horizon, JUMP_GRID_POINTS)
+            self._functions[key] = derive(getattr(self, name), inputs, grid)
+        return self._functions[key]
 
     @cached_property
     def _regions(self) -> np.ndarray:
@@ -369,28 +352,23 @@ def _solved_fn(values: np.ndarray, make) -> TimeFunction:
 def solve_unique_emm(spec: MarketSpec, grid=None) -> Emm:
     """Solve a (reduced) market's risk-premium system into a measure.
 
-    When every coefficient is constant or piecewise constant, the system
-    is solved once per piece of the merged coefficient breakpoints, at the
-    piece's left end, and each solution is a step function on those
-    pieces: exact on all of [0, T].  Otherwise (interpolated samples) it
-    is solved at the grid nodes and interpolated linearly between them.
-    Either way, a solution whose node values agree within
-    ``COLLAPSE_ULPS`` = 32 ulp of their largest magnitude is stored as a
-    constant, so rounding in the solve adds no time dependence.
+    The system is solved at the nodes :func:`timefns.derivation` picks
+    from the coefficients: when every coefficient is constant or piecewise
+    constant, once per piece of their merged breakpoints, at the piece's
+    left end, so each solution is a step function on those pieces, exact
+    on all of [0, T]; otherwise (interpolated samples) at the grid nodes,
+    interpolated linearly between them.  Either way, a solution whose node
+    values agree within ``COLLAPSE_ULPS`` = 32 ulp of their largest
+    magnitude is stored as a constant, so rounding in the solve adds no
+    time dependence.
 
     Raises NotComplete unless the system is uniquely solvable at every
     node, and InvalidIntensities if a solution exists but is not a
     positive intensity vector.
     """
-    if all(fn.is_piecewise_constant for fn in spec.coefficient_functions()):
-        knots = coefficient_breakpoints(spec)
-        nodes = knots[:-1]
-        make = partial(TimeFunction.piecewise, knots)
-    else:
-        nodes = np.asarray(
-            default_grid(spec.horizon) if grid is None else grid, dtype=float
-        )
-        make = partial(TimeFunction.samples, nodes)
+    if grid is None:
+        grid = default_grid(spec.horizon)
+    nodes, make = derivation(spec.coefficient_functions(), grid)
     cls = classify_over_grid(spec, nodes)
     if not cls.all_complete:
         bad = cls.first_failure()
@@ -473,7 +451,6 @@ def uplift_batch(
     _require_discrete_solution(fict_emm)
     if grid is None:
         grid = default_grid(spec.horizon)
-    grid = np.asarray(grid, dtype=float)
     kept = plan.kept_brownians(spec)
     theta = _uplift_theta(fict_emm, spec, kept)
     jumps: DiscreteJumpSpec = spec.jumps
@@ -493,27 +470,15 @@ def uplift_batch(
                 f"solved batch intensity nonpositive for batch {batch}"
             )
         _, deltas = batch_weights(spec, batch, grid)
-        for m, delta in zip(batch, deltas):
-            lams[m] = _product_fn(gamma_star, delta, grid)
+        shares = derive(
+            lambda t: gamma_star.value(t) * np.array([d.value(t) for d in deltas]),
+            (gamma_star, *deltas),
+            grid,
+        )
+        for m, share in zip(batch, shares):
+            lams[m] = share
     _check_positive(lams, spec.horizon)
     return Emm(theta=theta, intensities=tuple(lams), provenance="uplift: batching")
-
-
-def _product_fn(f: TimeFunction, g: TimeFunction, grid: np.ndarray) -> TimeFunction:
-    """Pointwise product; exact for constant and piecewise-constant
-    factors (a step function on their merged breakpoints), grid-sampled
-    otherwise."""
-    if f.is_constant and g.is_constant:
-        return TimeFunction.constant(f.constant_value * g.constant_value)
-    if f.is_constant:
-        return g.scaled(f.constant_value)
-    if g.is_constant:
-        return f.scaled(g.constant_value)
-    if f.is_piecewise_constant and g.is_piecewise_constant:
-        knots = merged_breakpoints((f, g), float(grid[0]), float(grid[-1]))
-        return TimeFunction.piecewise(knots, f.value(knots[:-1]) * g.value(knots[:-1]))
-    vals = np.atleast_1d(f.value(grid)) * np.atleast_1d(g.value(grid))
-    return TimeFunction.samples(grid, vals)
 
 
 def _check_positive(lams, horizon: float):

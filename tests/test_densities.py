@@ -4,6 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import truncnorm as scipy_truncnorm
 
 from upliftemm.densities import Density
+from upliftemm.timefns import derive
 
 # scipy.integrate.quad is the independent oracle for every closed form here
 
@@ -94,10 +95,10 @@ class TestTimeVarying:
         assert dens.mean(0.9) > dens.mean(0.1)
         assert dens.normalization_error(0.5) < 1e-9
 
-    def test_mean_timefunction_constant_fastpath(self):
+    def test_constant_params_derive_a_constant_mean(self):
         dens = Density("uniform", (-0.5, 0.5), {})
-        fn = dens.mean_timefunction()
-        assert fn.is_constant and fn.constant_value == pytest.approx(0.0, abs=1e-15)
+        fn = derive(dens.mean, dens.time_functions, np.linspace(0.0, 1.0, 513))
+        assert fn.kind == "const" and fn.constant_value == pytest.approx(0.0, abs=1e-15)
 
 
     def test_array_times_match_scalar_calls(self):

@@ -19,8 +19,8 @@ from upliftemm import (
 )
 from upliftemm import mpr
 from upliftemm.errors import InvalidIntensities, NotComplete, ShapeMismatch
-from upliftemm.model import coefficient_breakpoints
 from upliftemm.mpr import ARBITRAGE, COMPLETE, INCOMPLETE_ARBITRAGE_FREE
+from upliftemm.timefns import derivation
 
 from conftest import (
     INTENSITIES,
@@ -332,10 +332,7 @@ class TestStackedGrid:
         grid = np.linspace(0.0, 1.0, 256)
         # a market of constant and piecewise-constant coefficients is solved
         # at the left end of each piece, any other at the grid nodes
-        stepwise = all(fn.is_piecewise_constant for fn in spec.coefficient_functions())
-        nodes = _per_node(
-            spec, coefficient_breakpoints(spec)[:-1] if stepwise else grid
-        )
+        nodes = _per_node(spec, derivation(spec.coefficient_functions(), grid)[0])
         bad = next((e for e in nodes if not e.is_complete), None)
         if bad is not None:
             error, message = NotComplete, (

@@ -218,6 +218,20 @@ class TestContinuousReduction:
             fict = reduce_continuous(uniform_mark_market, plan)
         assert fict.remainder_mass.constant_value == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("mu", [0.0, TimeFunction.samples([0.0, 1.0], [-0.1, 0.1])])
+    def test_remainder_only_plan_has_no_drivers(self, mu):
+        spec = MarketSpec(
+            horizon=1.0, s0=[1.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=ContinuousJumpSpec(
+                density=Density("truncnorm", (-0.5, 0.5), {"mu": mu, "sigma": 0.3}),
+                total_intensity=4.0,
+            ),
+        )
+        fict = reduce_continuous(spec, ContinuousPlan(cells=(), neglect_remainder=True))
+        assert fict.spec.jumps.intensities == () and fict.spec.jumps.loadings == ((),)
+        assert fict.remainder_mass.min_value(0.0, 1.0) == 1.0
+        assert fict.remainder_mass.max_value(0.0, 1.0) == 1.0
+
     def test_split_and_merge_reproduces_cell(self, uniform_mark_market):
         # refining a cell and merging the two halves recovers the original
         coarse = reduce_continuous(

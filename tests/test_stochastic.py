@@ -334,15 +334,34 @@ class TestContextBuild:
             jumps=ContinuousJumpSpec(density=density, total_intensity=4.0),
         )
         calls = []
-        original = Density.mean_timefunction
+        original = Density.mean
 
-        def counting(self, grid=None):
-            calls.append(grid)
-            return original(self, grid)
+        def counting(self, t=0.0):
+            calls.append(np.size(t))
+            return original(self, t)
 
-        monkeypatch.setattr(Density, "mean_timefunction", counting)
+        monkeypatch.setattr(Density, "mean", counting)
         SimulationContext(spec, np.linspace(0.125, 1.0, 9))
-        assert len(calls) == 1
+        assert calls == [513]  # once, on the whole jump grid
+
+    @pytest.mark.parametrize("route", ["measure_emm", "density_emm"])
+    def test_constant_fast_paths_match_the_general_code(
+        self, route, three_stock_market, neglect_plan
+    ):
+        # const_total, const_mark_cum and const_log_phi are shortcuts only:
+        # a block drawn without them is the same bit for bit
+        emm, _, _ = build_uplifted_emm(three_stock_market, neglect_plan)
+        fast, general = (
+            SimulationContext(three_stock_market, [0.5, 1.0], **{route: emm})
+            for _ in range(2)
+        )
+        assert fast.const_total is not None and fast.const_mark_cum is not None
+        assert (fast.const_log_phi is not None) == (route == "density_emm")
+        general.const_total = general.const_mark_cum = general.const_log_phi = None
+        a, b = (_simulate_block(ctx, 21, 0, 600) for ctx in (fast, general))
+        assert a.ev_times.size > 1000
+        for name in ("ev_times", "ev_marks", "stocks", "z"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("market", ["time_varying", "piecewise_mark"])
     def test_uplifted_time_varying_markets_run_wide_blocks(self, market, request):

@@ -7,6 +7,8 @@ from upliftemm.errors import QuadratureFailure
 from upliftemm.timefns import (
     TimeFunction,
     adaptive_simpson,
+    derivation,
+    derive,
     integrate_product,
     sum_max_value,
 )
@@ -161,3 +163,63 @@ class TestSerialization:
     def test_scaled_keeps_kind(self):
         fn = TimeFunction.piecewise([0.0, 1.0], [2.0]).scaled(0.5)
         assert fn.kind == "piecewise" and fn.value(0.3) == 1.0
+
+
+GRID = np.linspace(0.0, 1.0, 256)
+
+
+@st.composite
+def step_fns(draw):
+    """A step function on [0, 1] with up to four interior breakpoints."""
+    inner = draw(st.lists(st.floats(0.001, 0.999), max_size=4, unique=True))
+    t = [0.0, *sorted(inner), 1.0]
+    v = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(t) - 1, max_size=len(t) - 1))
+    return TimeFunction.piecewise(t, v)
+
+
+def _mix(fns):
+    """A nonlinear function of the time functions ``fns``."""
+    return lambda t: np.exp(sum(fn.value(t) for fn in fns)) * fns[0].value(t) ** 2
+
+
+class TestDerive:
+    @given(
+        st.lists(step_fns(), min_size=1, max_size=3),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    )
+    def test_steps_are_exact_between_knots(self, fns, times):
+        fn = _mix(fns)
+        got = derive(fn, fns, GRID)
+        assert got.kind in ("const", "piecewise")
+        times = np.array(times)
+        assert np.array_equal(got.value(times), fn(times))
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+    def test_constant_inputs_give_a_constant(self, values):
+        fns = [TimeFunction.constant(v) for v in values]
+        fn = _mix(fns)
+        got = derive(fn, fns, GRID)
+        assert got.kind == "const"
+        assert got.constant_value == fn(np.array([0.0]))[0]
+        assert derivation(fns, GRID)[0].tolist() == [0.0]
+
+    @given(step_fns())
+    def test_equal_pieces_give_a_constant(self, step):
+        got = derive(lambda t: 0.0 * step.value(t) + 2.5, (step,), GRID)
+        assert got == TimeFunction.constant(2.5)
+
+    @given(step_fns(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_one_samples_input_samples_on_the_grid(self, step, a, b):
+        fns = [step, TimeFunction.samples([0.0, 1.0], [a, a + 1.0 + abs(b)])]
+        fn = _mix(fns)
+        got = derive(fn, fns, GRID)
+        assert got.kind == "samples"
+        assert np.array_equal(got.t, GRID)
+        assert np.array_equal(got.v, fn(GRID))
+
+    def test_rows_share_the_nodes(self):
+        step = TimeFunction.piecewise([0.0, 0.3, 1.0], [1.0, 2.0])
+        twice, same = derive(lambda t: np.array([2.0 * step(t), 0.0 * step(t)]),
+                             (step,), GRID)
+        assert twice == TimeFunction.piecewise([0.0, 0.3, 1.0], [2.0, 4.0])
+        assert same == TimeFunction.constant(0.0)

@@ -396,6 +396,27 @@ class TestBetweenNodes:
         rep = verify_uplift(emm, spec, PROBE)
         assert rep.passed, rep.max_residual
 
+    def test_step_density_parameter_is_exact(self, uniform_mark_market):
+        # mu steps at 0.4003, between the nodes 102/255 and 103/255: the cell
+        # intensity and mean are steps there, not samples across the step
+        mu = TimeFunction.piecewise([0.0, 0.4003, 1.0], [-0.1, 0.1])
+        spec = MarketSpec(
+            horizon=1.0, s0=uniform_mark_market.s0, alpha=uniform_mark_market.alpha,
+            rate=RATE, sigma=uniform_mark_market.sigma,
+            jumps=ContinuousJumpSpec(
+                density=Density("truncnorm", (-0.5, 0.5), {"mu": mu, "sigma": 0.3}),
+                total_intensity=4.0,
+            ),
+        )
+        plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        emm, fict, _ = build_uplifted_emm(spec, plan)
+        jumps = fict.spec.jumps
+        for fn in (jumps.intensities[0], jumps.loadings[0][0]):
+            assert fn.kind == "piecewise"
+            assert fn.breakpoints().tolist() == [0.0, 0.4003, 1.0]
+        rep = verify_uplift(emm, spec, PROBE)
+        assert rep.passed, rep.max_residual
+
     def test_residual_between_nodes_is_reported(self, uniform_mark_market):
         # a time-varying density has no closed-form solve: the grid solve
         # interpolates across the intensity step at 0.5003, and the check's
