@@ -150,6 +150,10 @@ def _cmd_uplift(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.measure != "physical" and args.density:
+        print("--density records a density along physical paths; "
+              "it cannot be combined with --measure FILE", file=sys.stderr)
+        return 2
     spec = _load_market(args.market)
     measure_emm = None
     density_emm = None

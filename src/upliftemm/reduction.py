@@ -33,7 +33,6 @@ __all__ = [
     "reduce_batch",
     "reduce_continuous",
     "reduce_market",
-    "project_price_closed_form",
     "batch_weights",
 ]
 
@@ -424,35 +423,3 @@ def reduce_market(spec: MarketSpec, plan: ReductionPlan, grid=None) -> Fictitiou
     if plan.batches:
         return reduce_batch(spec, plan, grid)
     return reduce_complete_neglect(spec, plan)
-
-
-def project_price_closed_form(
-    spec: MarketSpec,
-    plan: DiscretePlan,
-    retained_path,
-    t: float,
-) -> np.ndarray:
-    """Fictitious stock prices from a retained-driver path, in closed form.
-
-    The full price factors into a retained part and a neglected part whose
-    expectation is one, so the projection onto the reduced information set
-    just drops the neglected jump products together with their compensator
-    drift.  ``retained_path`` must be a path bundle of the reduced market
-    containing time t among its output times.
-    """
-    if isinstance(plan, ContinuousPlan) or plan.batches:
-        raise PlanMismatch(
-            "closed-form projection requires a complete-neglect plan"
-        )
-    from .stochastic import stock_path_exact  # local import: avoids a cycle
-
-    fict = reduce_complete_neglect(spec, plan)
-    values = stock_path_exact(
-        fict.spec,
-        event_times=retained_path.event_times,
-        event_marks=retained_path.event_marks,
-        grid=retained_path.grid,
-        dw=retained_path.dw,
-        out_times=np.array([t]),
-    )
-    return values[:, 0]

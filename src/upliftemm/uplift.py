@@ -110,11 +110,6 @@ class CellMeasure:
         total = sum(self._region_intensities(np.atleast_1d(np.asarray(t, float))))
         return total if np.ndim(t) else float(total[0])
 
-    def cell_probabilities(self, t: float) -> np.ndarray:
-        """p~*(cell) = cell intensity / total intensity (remainder last)."""
-        rates = self._region_intensities(np.array([float(t)]))[:, 0]
-        return rates / sum(rates)
-
     def phi(self, y: float, t: float) -> float:
         """Intensity ratio d(lambda~)/d(lambda) at mark y."""
         return float(self.phi_values(np.array([y], float), np.array([t], float))[0])

@@ -3,12 +3,15 @@ import pytest
 
 from upliftemm import (
     ContinuousJumpSpec,
+    ContinuousPlan,
     Density,
     DiscreteJumpSpec,
     DiscretePlan,
     MarketSpec,
     TimeFunction,
+    reduce_complete_neglect,
 )
+from upliftemm.errors import PlanMismatch
 
 # The canonical worked instance used throughout: three stocks, one
 # Brownian driver, three Poisson drivers.  Reducing away driver 2 leaves
@@ -129,3 +132,47 @@ def make_time_varying_market() -> MarketSpec:
 @pytest.fixture
 def time_varying_market() -> MarketSpec:
     return make_time_varying_market()
+
+
+# -- test oracles -------------------------------------------------------------
+
+
+def project_price_closed_form(
+    spec: MarketSpec,
+    plan: DiscretePlan,
+    retained_path,
+    t: float,
+) -> np.ndarray:
+    """Fictitious stock prices from a retained-driver path, in closed form.
+
+    The full price factors into a retained part and a neglected part whose
+    expectation is one, so the projection onto the reduced information set
+    just drops the neglected jump products together with their compensator
+    drift.  ``retained_path`` must be a path bundle of the reduced market
+    containing time t among its output times.
+    """
+    if isinstance(plan, ContinuousPlan) or plan.batches:
+        raise PlanMismatch(
+            "closed-form projection requires a complete-neglect plan"
+        )
+    # local import: fresh-interpreter tests import this module and check
+    # that the pipeline alone never loads the engine
+    from upliftemm.stochastic import stock_path_exact
+
+    fict = reduce_complete_neglect(spec, plan)
+    values = stock_path_exact(
+        fict.spec,
+        event_times=retained_path.event_times,
+        event_marks=retained_path.event_marks,
+        grid=retained_path.grid,
+        dw=retained_path.dw,
+        out_times=np.array([t]),
+    )
+    return values[:, 0]
+
+
+def cell_probabilities(measure, t: float) -> np.ndarray:
+    """p~*(cell) = cell intensity / total intensity of a ``CellMeasure``
+    at time t (remainder last)."""
+    rates = measure._region_intensities(np.array([float(t)]))[:, 0]
+    return rates / sum(rates)

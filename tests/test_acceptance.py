@@ -46,6 +46,7 @@ from conftest import (
     LOADINGS,
     RATE,
     TARGET_SOLUTION,
+    cell_probabilities,
     make_three_stock_market,
     make_time_varying_market,
     make_uniform_mark_market,
@@ -160,7 +161,7 @@ def test_reweighted_density_integrates_correctly():
     emm = uplift_continuous(given, spec, plan)
     fict = reduce_market(spec, plan)
     mm = emm.jump_measure
-    probs = mm.cell_probabilities(0.0)
+    probs = cell_probabilities(mm, 0.0)
     total, _ = quad(lambda y: mm.density_value(y), -0.5, 0.5, points=[0.0], limit=200)
     assert abs(total - 1.0) < 1e-8
     for k, (a, b) in enumerate(plan.cells):

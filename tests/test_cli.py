@@ -137,6 +137,34 @@ class TestSimulate:
         ) == 0
         assert len(out.read_text().strip().splitlines()) == 3
 
+    def test_density_with_measure_file_is_usage_error(self, workdir, capsys):
+        emm_path = workdir / "emm.json"
+        run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--out", emm_path)
+        capsys.readouterr()
+        out = workdir / "both.jsonl"
+        assert run(
+            "simulate", "-m", workdir / "market.json", "--paths", "3",
+            "--seed", "9", "--measure", emm_path, "--density", emm_path,
+            "--out", out,
+        ) == 2
+        assert "--density" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_density_along_physical_paths(self, workdir):
+        emm_path = workdir / "emm.json"
+        run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--out", emm_path)
+        out = workdir / "pz.jsonl"
+        assert run(
+            "simulate", "-m", workdir / "market.json", "--paths", "3",
+            "--seed", "9", "--measure", "physical", "--density", emm_path,
+            "--out", out,
+        ) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 3
+        assert all(rec["z"] > 0 for rec in records)
+
 
 class TestVerifySuite:
     def test_pass_and_byte_identical_across_block_sizes(self, workdir, monkeypatch):

@@ -8,13 +8,35 @@ from upliftemm import (
     DiscreteJumpSpec,
     MarketSpec,
     TimeFunction,
-    compensator_drift,
-    cumulative_intensity,
     validate_market,
 )
 from upliftemm.errors import ShapeMismatch
 
 from conftest import make_three_stock_market, make_time_varying_market
+
+
+def compensator_drift(spec: MarketSpec, i: int, t: float) -> float:
+    """Expected relative jump drift of stock i at time t (per year).
+
+    Discrete drivers: sum_m loading[i][m](t) * intensity[m](t).
+    Continuous marks: total_intensity(t) * mean mark at t.
+    """
+    jumps = spec.jumps
+    if jumps is None:
+        return 0.0
+    if isinstance(jumps, DiscreteJumpSpec):
+        return float(jumps.intensity_values(t) @ jumps.loading_values(t)[i])
+    return float(jumps.total_intensity.value(t) * jumps.density.mean(t))
+
+
+def cumulative_intensity(fn: TimeFunction, s: float, t: float) -> float:
+    """Integrated intensity over [s, t]; exact for all supported kinds."""
+    if not (0.0 <= s <= t):
+        raise ValueError("need 0 <= s <= t")
+    end = fn.domain_end()
+    if end is not None and t > end * (1.0 + 1e-12) + 1e-15:
+        raise ValueError(f"time {t:g} outside the function domain [0, {end:g}]")
+    return fn.integral(s, t)
 
 
 class TestValidation:

@@ -13,7 +13,6 @@ from upliftemm import (
     RngStreamSpec,
     TimeFunction,
     batch_weights,
-    project_price_closed_form,
     reduce_batch,
     reduce_complete_neglect,
     reduce_continuous,
@@ -23,7 +22,7 @@ from upliftemm import (
 from upliftemm.errors import EmptyCell, EmptyRetention, PlanMismatch, ShapeMismatch
 from upliftemm.stochastic import SimulationContext
 
-from conftest import make_uniform_mark_market
+from conftest import make_uniform_mark_market, project_price_closed_form
 
 
 class TestCompleteNeglect:

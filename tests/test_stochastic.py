@@ -18,7 +18,6 @@ from upliftemm import (
     build_uplifted_emm,
     doleans_dade_eval,
     empirical_intensity_test,
-    project_price_closed_form,
     reduce_market,
     rn_density_path,
     sample_marked_point_process,
@@ -44,6 +43,7 @@ from upliftemm.stochastic import SimulationContext, iterate_bundles
 from upliftemm.timefns import adaptive_simpson
 from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn
 
+from conftest import project_price_closed_form
 from test_pricing import black_scholes_call
 
 N_STAT = 30_000

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import upliftemm
 from upliftemm import (
     ContinuousJumpSpec,
     ContinuousPlan,
@@ -42,6 +44,7 @@ from conftest import (
     LOADINGS,
     RATE,
     SIGMA,
+    cell_probabilities,
     make_piecewise_mark_market,
     make_three_stock_market,
     make_uniform_mark_market,
@@ -250,7 +253,7 @@ class TestContinuousUplift:
         emm = uplift_continuous(given, uniform_mark_market, plan)
         mm = emm.jump_measure
         fict = reduce_market(uniform_mark_market, plan)
-        probs = mm.cell_probabilities(0.0)
+        probs = cell_probabilities(mm, 0.0)
         for k, (a, b) in enumerate(plan.cells):
             mass, _ = quad(lambda y: mm.density_value(y), a, b)
             assert mass == pytest.approx(probs[k], abs=1e-8)
@@ -509,17 +512,118 @@ assert verify_uplift(emm, spec).passed
 """
 
 
-def test_import_and_pipeline_load_no_scipy():
+def _run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports the package from
+    this checkout and the fixtures from conftest; return its stdout."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", NO_SCIPY_SCRIPT],
+        [sys.executable, "-W", "ignore", "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_and_pipeline_load_no_scipy():
     # a symmetric truncated normal puts half its mass on each side of 0
-    masses = [float(x) for x in proc.stdout.split()]
+    masses = [float(x) for x in _run_fresh(NO_SCIPY_SCRIPT).split()]
     assert masses == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+COLD_START_SCRIPT = """
+import sys
+from upliftemm.io import market_from_json, market_to_json
+from upliftemm.reduction import ContinuousPlan, DiscretePlan
+from upliftemm.uplift import build_uplifted_emm, verify_uplift
+from conftest import make_three_stock_market, make_uniform_mark_market
+
+for spec, plan in (
+    (make_three_stock_market(), DiscretePlan(retain=(0, 1), neglect=(2,))),
+    (make_uniform_mark_market(),
+     ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)),
+):
+    spec = market_from_json(market_to_json(spec))
+    emm, _, _ = build_uplifted_emm(spec, plan)
+    assert verify_uplift(emm, spec).passed
+engine = ("pricing", "stochastic", "blocks", "philox", "cli")
+print(" ".join(m for m in engine if "upliftemm." + m in sys.modules))
+"""
+
+
+def test_pipeline_loads_no_engine():
+    # reduce -> solve -> uplift -> verify_uplift is deterministic: it must
+    # not pay for compiling the Monte Carlo engine
+    assert _run_fresh(COLD_START_SCRIPT).split() == []
+
+
+# the package's exported names by owning submodule
+PACKAGE_EXPORTS = {
+    "densities": ("Density",),
+    "errors": (
+        "BudgetExceeded", "EmptyCell", "EmptyRetention", "FactorAtMinusOne",
+        "InvalidIntensities", "NonpositiveGamma", "NonReducedEvent",
+        "NotComplete", "NullMark", "PlanMismatch", "QuadratureFailure",
+        "ShapeMismatch", "UnboundedIntensity", "UndeterminedIntegral",
+        "UpliftError",
+    ),
+    "model": (
+        "ContinuousJumpSpec", "DiscreteJumpSpec", "MarketSpec",
+        "ValidationReport", "default_grid", "validate_market",
+    ),
+    "mpr": (
+        "MarketClassification", "MprSystem", "assemble_mpr_system",
+        "classify_over_grid", "solve_mpr",
+    ),
+    "pricing": (
+        "MarketEvent", "McReport", "Payoff", "Strategy",
+        "cost_of_construction_check", "density_mass_check", "hedging_error",
+        "martingale_check", "price_mc", "projection_consistency_check",
+        "restriction_check", "two_route_check", "zweighted_price_mc",
+    ),
+    "reduction": (
+        "ContinuousPlan", "DiscretePlan", "FictitiousMarket", "batch_weights",
+        "reduce_batch", "reduce_complete_neglect", "reduce_continuous",
+        "reduce_market",
+    ),
+    "stochastic": (
+        "DEFAULT_SEED", "JumpProcessPath", "PathBundle", "RngStreamSpec",
+        "doleans_dade_eval", "empirical_intensity_test", "rn_density_path",
+        "sample_marked_point_process", "sample_poisson_inhomogeneous",
+        "simulate_path", "simulate_terminal", "stock_path_exact",
+    ),
+    "timefns": ("TimeFunction", "adaptive_simpson", "integrate_product"),
+    "uplift": (
+        "CellMeasure", "Emm", "physical_emm", "solve_unique_emm",
+        "build_uplifted_emm", "uplift_batch", "uplift_complete_neglect",
+        "uplift_continuous", "uplift_general", "verify_uplift",
+    ),
+}
+EXPORTED = sorted(name for names in PACKAGE_EXPORTS.values() for name in names)
+
+STAR_SCRIPT = """
+from upliftemm import *
+names = sorted(name for name in dir() if not name.startswith("__"))
+import sys
+import upliftemm
+# a submodule no exported name lives in loads on first access too
+assert "upliftemm.cli" not in sys.modules
+assert upliftemm.cli is sys.modules["upliftemm.cli"]
+print(" ".join(names))
+"""
+
+
+def test_package_namespace_resolves_each_name_to_its_owner():
+    for module, names in PACKAGE_EXPORTS.items():
+        owner = importlib.import_module(f"upliftemm.{module}")
+        for name in names:
+            assert getattr(upliftemm, name) is getattr(owner, name), name
+    assert sorted(upliftemm.__all__) == EXPORTED
+    assert set(EXPORTED) <= set(dir(upliftemm))
+    assert upliftemm.pricing is importlib.import_module("upliftemm.pricing")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        upliftemm.no_such_name
+    assert _run_fresh(STAR_SCRIPT).split() == EXPORTED
