@@ -16,7 +16,7 @@ load the Monte Carlo engine (``pricing``, ``stochastic``, ``blocks``,
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
@@ -80,11 +80,8 @@ _EXPORTS = {
     ),
     "stochastic": (
         "DEFAULT_SEED",
-        "JumpProcessPath",
         "PathBundle",
         "RngStreamSpec",
-        "doleans_dade_eval",
-        "empirical_intensity_test",
         "rn_density_path",
         "sample_marked_point_process",
         "sample_poisson_inhomogeneous",

@@ -7,10 +7,12 @@ and draws each segment's Brownian integrals as one exact Gaussian
 and the density only through each path's count of events at or before
 each output time.  Every draw is addressed by its path's stream id, its
 role and its index within the path (:mod:`upliftemm.philox`), so a block
-draws each kind of randomness for all of its paths in one kernel call and
-sums on whole-block arrays, each path's sums in its own order, so a
-path's values do not depend on the block size (``_SEGMENT_BUDGET``, read
-at call time).  The entry points live in :mod:`upliftemm.stochastic`.
+makes two kernel calls for all of its paths: counts with normals, then
+candidate times with marks.  It sums on whole-block arrays, each path's
+sums in its own order, so a path's values do not depend on the block
+size (``_SEGMENT_BUDGET``, read at call time).  A density-only block
+(``stocks=False``) computes Z, counts and increments but no stock path.
+The entry points live in :mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NullMark, UnboundedIntensity
-from .philox import MASK64, box_muller, poisson_counts, uniforms
+from .philox import MASK64, ROLE_IDS, box_muller, poisson_counts, uniforms
 
 if TYPE_CHECKING:
     from .stochastic import SimulationContext
@@ -218,50 +220,63 @@ class _Block:
         )
 
 
+# the role of each row of the candidates' (2, N_cand) counter grid
+_TIMES_AND_MARKS = np.array([ROLE_IDS["event_times"], ROLE_IDS["marks"]])
+
+
 def _stream_ids(first: int, count: int) -> np.ndarray:
     """The 64-bit stream ids ``first .. first + count - 1`` (wrapping)."""
     return np.uint64(first & MASK64) + np.arange(count, dtype=np.uint64)
 
 
-def _draw_events(ctx: SimulationContext, seed: int, sids: np.ndarray):
-    """Accepted event times (path-major, sorted within each path) and the
-    row of each.  Path p's candidate count inverts the context's Poisson
-    table at its ``count`` uniform; its candidate i takes its time and
-    its thinning uniform from its ``event_times`` counter i.  The thinning
-    uniforms are independent of every candidate time, so the sorted times
-    take them in counter order."""
-    empty = np.zeros(0), np.zeros(0, dtype=np.int64)
-    if ctx.kind == "none" or ctx.majorant <= 0.0:
-        return empty
-    n_cand = poisson_counts(ctx.count_cdf, uniforms(seed, "count", 0, sids)[0])
-    if not n_cand.any():
-        return empty
-    pid = np.repeat(np.arange(len(sids)), n_cand)
-    j = np.arange(pid.size) - (np.cumsum(n_cand) - n_cand)[pid]
-    t, thin = uniforms(seed, "event_times", j, sids[pid])
-    filled = np.arange(n_cand.max()) < n_cand[:, None]
-    pad = np.full(filled.shape, np.inf)
-    pad[filled] = ctx.horizon * t
-    pad.sort(axis=1)
-    cand = pad[filled]
-    lam = ctx.total_intensity_at(cand)
-    if np.any(lam > ctx.majorant):  # thinning is exact only below it
-        raise UnboundedIntensity("intensity exceeds the thinning majorant")
-    accept = thin * ctx.majorant <= lam
-    return cand[accept], pid[accept]
+def _draw_marked_events(
+    ctx: SimulationContext, seed: int, sids: np.ndarray, u_count=None
+):
+    """Accepted events of streams ``sids``: their times (path-major,
+    sorted within each path), rows, each path's offsets, each event's
+    position within its path and its mark.
 
-
-def _draw_marked_events(ctx: SimulationContext, seed: int, sids: np.ndarray):
-    """:func:`_draw_events` plus each path's event offsets, each event's
-    position within its path and its mark, from its ``marks`` counter
-    (one per event: its two uniforms cover every mark rule)."""
-    ev_times, pid = _draw_events(ctx, seed, sids)
-    ev_off = np.concatenate([[0], np.cumsum(np.bincount(pid, minlength=len(sids)))])
+    Path p's candidate count inverts the context's Poisson table at its
+    ``count`` uniform (``u_count``, drawn here when not given).  One kernel
+    call on a (2, N_cand) counter grid then gives candidate j of path p
+    its ``event_times`` counter j, its time and thinning uniform, and its
+    ``marks`` counter j.  The thinning uniforms are independent of every
+    candidate time, so the sorted times take them in counter order.
+    Accepted event l of path p reads the marks row at candidate column
+    ``start[p] + l``, which is marks counter l since l < n_cand[p]; its
+    two uniforms cover every mark rule.
+    """
+    B = len(sids)
+    n_cand = np.zeros(B, dtype=np.int64)
+    if ctx.kind != "none" and ctx.majorant > 0.0:
+        if u_count is None:
+            u_count = uniforms(seed, "count", 0, sids)[0]
+        n_cand = poisson_counts(ctx.count_cdf, u_count)
+    pid = np.repeat(np.arange(B), n_cand)
+    start = np.cumsum(n_cand) - n_cand
+    u = np.zeros((2, 2, 0))
+    ev_times, accept = np.zeros(0), np.zeros(0, dtype=bool)
+    if pid.size:
+        j = np.arange(pid.size) - start[pid]
+        u = uniforms(seed, _TIMES_AND_MARKS[:, None], j, sids[pid])
+        t, thin = u[:, 0]
+        filled = np.arange(n_cand.max()) < n_cand[:, None]
+        pad = np.full(filled.shape, np.inf)
+        pad[filled] = ctx.horizon * t
+        pad.sort(axis=1)
+        cand = pad[filled]
+        lam = ctx.total_intensity_at(cand)
+        if np.any(lam > ctx.majorant):  # thinning is exact only below it
+            raise UnboundedIntensity("intensity exceeds the thinning majorant")
+        accept = thin * ctx.majorant <= lam
+        ev_times = cand[accept]
+    pid = pid[accept]
+    ev_off = np.concatenate([[0], np.cumsum(np.bincount(pid, minlength=B))])
     local = np.arange(ev_times.size) - ev_off[pid]
     if ctx.kind == "none":
         return ev_times, pid, ev_off, local, np.zeros(0, dtype=np.int64)
-    u = uniforms(seed, "marks", local, sids[pid])
-    return ev_times, pid, ev_off, local, ctx.marks_from_uniforms(u, ev_times)
+    marks = ctx.marks_from_uniforms(u[:, 1, start[pid] + local], ev_times)
+    return ev_times, pid, ev_off, local, marks
 
 
 def _counts_at_or_below(times, pid, count: int, out: np.ndarray) -> np.ndarray:
@@ -272,24 +287,31 @@ def _counts_at_or_below(times, pid, count: int, out: np.ndarray) -> np.ndarray:
     return np.cumsum(hist, axis=1)[:, :-1]
 
 
-def _draw_normals(ctx: SimulationContext, seed: int, sids: np.ndarray):
-    """(B, K, D) increments over the shared grid, and (B, K, D) normals in
-    the ``varies`` cells (None if there are none).  Each path draws K * D
-    increment cells in (segment, Brownian) order, then its ``varies``
-    cells, as Box-Muller pairs, one per ``brownian`` counter."""
+def _path_draws(ctx: SimulationContext, seed: int, sids: np.ndarray):
+    """Each path's ``count`` uniform, its (B, K, D) increments over the
+    shared grid and its (B, K, D) normals in the ``varies`` cells (None if
+    there are none), from one kernel call on a (1 + n_pairs, B) counter
+    grid: row 0 holds each path's counter (0, count, sid) and row 1 + j
+    its (j, brownian, sid), so the long axis is the innermost.  Each path
+    draws K * D increment cells in (segment, Brownian) order, then its
+    ``varies`` cells, as Box-Muller pairs, one per ``brownian`` counter."""
     seg = ctx.segments
     B, (K, D) = len(sids), seg.varies.shape
     n_dw, n_res = K * D, int(seg.varies.sum())
+    j = np.arange(-1, (n_dw + n_res + 1) // 2)
+    j[0] = 0
+    roles = np.full(j.size, ROLE_IDS["brownian"])
+    roles[0] = ROLE_IDS["count"]
+    u = uniforms(seed, roles[:, None], j[:, None], sids)  # (2, 1 + n_pairs, B)
     if n_dw == 0:
-        return np.zeros((B, K, D)), None
-    j = np.arange((n_dw + n_res + 1) // 2)
-    z = box_muller(uniforms(seed, "brownian", j, sids[:, None])).reshape(B, -1)
+        return u[0, 0], np.zeros((B, K, D)), None
+    z = box_muller(u[:, 1:]).transpose(1, 0, 2).reshape(B, -1)
     dw = z[:, :n_dw].reshape(B, K, D) * np.sqrt(seg.dt)[:, None]
-    if not n_res:
-        return dw, None
-    res = np.zeros((B, K, D))
-    res[:, seg.varies] = z[:, n_dw:n_dw + n_res]
-    return dw, res
+    res = None
+    if n_res:  # n_res <= n_dw
+        res = np.zeros((B, K, D))
+        res[:, seg.varies] = z[:, n_dw:n_dw + n_res]
+    return u[0, 0], dw, res
 
 
 def _sum_d(a, b) -> np.ndarray:
@@ -301,18 +323,19 @@ def _sum_d(a, b) -> np.ndarray:
     return out
 
 
-def _gaussian_sums(ctx: SimulationContext, dw, res) -> np.ndarray:
-    """(Y, B, n_out) each row's int g . dW - 1/2 int |g|^2 up to each output
-    time: the segments' exact Gaussians added in grid order."""
+def _gaussian_sums(ctx: SimulationContext, dw, res, rows=slice(None)) -> np.ndarray:
+    """(Y, B, n_out) int g . dW - 1/2 int |g|^2 up to each output time for
+    each of the ``rows`` of the segments' Gaussians, added in grid order."""
     seg = ctx.segments
+    mean, tilt, drag = seg.mean[:, rows], seg.tilt[:, rows], seg.drag[rows]
     B, K, D = dw.shape
     if D:
-        x = _sum_d(seg.mean, dw.transpose(2, 0, 1))
+        x = _sum_d(mean, dw.transpose(2, 0, 1))
         if res is not None:
-            x += _sum_d(seg.tilt, res.transpose(2, 0, 1))
+            x += _sum_d(tilt, res.transpose(2, 0, 1))
     else:
-        x = np.zeros((len(seg.drag), B, K))
-    x -= seg.drag
+        x = np.zeros((len(drag), B, K))
+    x -= drag
     np.cumsum(x, axis=-1, out=x)
     sums = x[..., np.maximum(seg.out_idx - 1, 0)]
     sums[..., seg.out_idx == 0] = 0.0  # an output at time 0
@@ -329,32 +352,37 @@ def _event_sums(block: _Block, values) -> np.ndarray:
     return cum[..., np.arange(len(block))[:, None], block.n_before]
 
 
-def _simulate_block(ctx: SimulationContext, seed: int, first: int, count: int) -> _Block:
+def _simulate_block(
+    ctx: SimulationContext, seed: int, first: int, count: int, stocks: bool = True
+) -> _Block:
     """Simulate the paths of streams ``first .. first + count - 1``.
 
-    Each kind of draw is one kernel call for the whole block: candidate
-    counts, then candidate times with their thinning uniforms, then the
-    accepted events' marks, then every path's normals on the shared grid.
-    Every draw is addressed by its path's stream id and its index within
-    the path, and everything else is done on whole-block arrays, so path
-    k's values do not depend on the block it is in.
+    The block makes two kernel calls: each path's candidate count with
+    its normals on the shared grid, then every candidate's time, thinning
+    uniform and mark uniforms.  Every draw is addressed by its path's
+    stream id and its index within the path, and everything else is done
+    on whole-block arrays, so path k's values do not depend on the block
+    it is in.  Without ``stocks`` the block carries only the density and
+    the counts: no stock row, jump factor or exp is computed.
     """
     sids = _stream_ids(first, count)
-    ev_times, pid, ev_off, local, marks = _draw_marked_events(ctx, seed, sids)
-    dw, res = _draw_normals(ctx, seed, sids)
+    u_count, dw, res = _path_draws(ctx, seed, sids)
+    ev_times, pid, ev_off, local, marks = _draw_marked_events(ctx, seed, sids, u_count)
     block = _Block(
         first_stream=first, pid=pid, local=local, ev_off=ev_off, ev_times=ev_times,
         ev_marks=marks, dw=dw,
         n_before=_counts_at_or_below(ev_times, pid, count, ctx.out_times),
     )
-    gauss = _gaussian_sums(ctx, dw, res)  # (Y, B, n_out)
-    log_s = gauss[:ctx.n] + ctx.det_drift.T[:, None, :]  # (n, B, n_out)
-    log_s += _event_sums(block, _event_log_factors(ctx, ev_times, marks))
-    np.exp(log_s, out=log_s)
-    log_s *= np.asarray(ctx.spec.s0)[:, None, None]
-    block.stocks = np.ascontiguousarray(log_s.transpose(1, 0, 2))
+    n = ctx.n
+    gauss = _gaussian_sums(ctx, dw, res, slice(None) if stocks else slice(n, None))
+    if stocks:
+        log_s = gauss[:n] + ctx.det_drift.T[:, None, :]  # (n, B, n_out)
+        log_s += _event_sums(block, _event_log_factors(ctx, ev_times, marks))
+        np.exp(log_s, out=log_s)
+        log_s *= np.asarray(ctx.spec.s0)[:, None, None]
+        block.stocks = np.ascontiguousarray(log_s.transpose(1, 0, 2))
     if ctx.density_emm is not None:
-        log_z1 = gauss[ctx.n] if len(gauss) > ctx.n else 0.0
+        log_z1 = gauss[-1] if len(ctx.segments.drag) > n else 0.0  # -theta's row
         log_phi = _event_log_phi(ctx, ev_times, marks)
         block.z = np.exp(log_z1 + ctx.z2_drift + _event_sums(block, log_phi))
     return block

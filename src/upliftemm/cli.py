@@ -285,6 +285,10 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
 
 
 def _cmd_verify(args) -> int:
+    if args.paths < 2:  # every check's verdict needs a standard error
+        print(f"config error: --paths must be at least 2, got {args.paths}",
+              file=sys.stderr)
+        return 2
     spec = _load_market(args.market)
     plan = plan_from_json(load_json(args.plan))
     checks = args.checks.split(",") if args.checks else None

@@ -59,3 +59,7 @@ class BudgetExceeded(UpliftError):
 
 class UndeterminedIntegral(UpliftError):
     """A path's grid and increments do not determine a stochastic integral."""
+
+
+class TooFewPaths(UpliftError):
+    """A Monte Carlo check got fewer paths than its standard error needs."""

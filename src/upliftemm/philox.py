@@ -56,12 +56,15 @@ def _unit(hi, lo) -> np.ndarray:
     return ((hi << 21) | (lo >> 11)) * 2.0**-53
 
 
-def uniforms(seed: int, role: str, j, stream_ids) -> np.ndarray:
-    """(2, n) doubles in [0, 1) of counters (j, role, stream id) under
-    ``seed``; ``j`` and ``stream_ids`` broadcast against each other."""
+def uniforms(seed: int, role, j, stream_ids) -> np.ndarray:
+    """(2, ...) doubles in [0, 1) of counters (j, role, stream id) under
+    ``seed``, over the broadcast shape of ``role``, ``j`` and
+    ``stream_ids``.  ``role`` is a role name or an array of role ids, so
+    one call can draw several roles."""
     seed &= MASK64
     sid = np.asarray(stream_ids, dtype=np.uint64)
-    w = philox4x32((j, ROLE_IDS[role], sid & _MASK32, sid >> 32), (seed, seed >> 32))
+    role = ROLE_IDS[role] if isinstance(role, str) else role
+    w = philox4x32((j, role, sid & _MASK32, sid >> 32), (seed, seed >> 32))
     return np.stack([_unit(w[0], w[1]), _unit(w[2], w[3])])
 
 

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import blocks
 from .blocks import _driver_slices, _per_driver, _sum_d
-from .errors import BudgetExceeded, NonReducedEvent, PlanMismatch, ShapeMismatch
+from .errors import (
+    BudgetExceeded,
+    NonReducedEvent,
+    PlanMismatch,
+    ShapeMismatch,
+    TooFewPaths,
+)
 from .model import DiscreteJumpSpec, MarketSpec
 from .philox import box_muller, poisson_cdf, poisson_counts, uniforms
 from .reduction import (
@@ -319,6 +325,12 @@ def _z(diff: float, se: float) -> float:
     return abs(diff) / se if se > 0 else 0.0
 
 
+def _require_paths(n_paths: int) -> None:
+    """A check's verdict needs a standard error, so at least two paths."""
+    if n_paths < 2:
+        raise TooFewPaths(f"a check needs at least 2 paths, got {n_paths}")
+
+
 def _agrees(diff: float, se: float) -> bool:
     """Within Z_LIMIT standard errors of 0; exactly 0 when se is 0."""
     return _z(diff, se) < Z_LIMIT if se > 0 else diff == 0.0
@@ -432,6 +444,7 @@ def two_route_check(
     a line are independent and estimate the same expectation when the
     measure change is correct; the lines share samples, so are correlated.
     """
+    _require_paths(n_paths)
     for payoff in payoffs.values():
         _check_count_columns(spec, payoff)
     T = spec.horizon
@@ -461,7 +474,9 @@ def density_mass_check(
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """E[Z(T)] = 1 under the physical measure, within 4 standard errors."""
-    sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, density_emm=emm)
+    _require_paths(n_paths)
+    ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
+    sample, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=False)
     return _density_mass_report(_mc_report(sample.z_terminal(), seed, "P"))
 
 
@@ -482,6 +497,7 @@ def martingale_check(
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Discounted terminal prices average to the initial prices under emm."""
+    _require_paths(n_paths)
     sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, measure_emm=emm)
     zs = {}
     for i, target in enumerate(spec.s0):
@@ -513,6 +529,7 @@ def restriction_check(
     Equality for every A in the reduced terminal information set is what
     makes the uplift an extension of the fictitious measure.
     """
+    _require_paths(n_paths)
     if fict is None:
         fict = reduce_market(spec, plan)
     retained = {m for group in fict.driver_groups for m in group}
@@ -534,8 +551,9 @@ def restriction_check(
                     "individual counts are not reduced-information"
                 )
 
-    # on a continuous market the reduced drivers are the plan's cells, so
-    # the full market's marks are counted cell by cell
+    # both samples are density-only, as the indicators read only counts and
+    # W_T; on a continuous market the reduced drivers are the plan's cells,
+    # so the full market's marks are counted cell by cell
     ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
     if isinstance(plan, ContinuousPlan):
         cols = np.arange(len(plan.cells))
@@ -543,14 +561,14 @@ def restriction_check(
         def in_cells(times, marks):  # one-hot of each mark's cell
             return (cell_index(plan.cells, marks)[:, None] == cols).astype(float)
 
-        full, full_counts = _terminal_sample(ctx, n_paths, seed, 0, in_cells)
+        full, full_counts = _terminal_sample(
+            ctx, n_paths, seed, 0, in_cells, stocks=False
+        )
     else:
-        full, _ = _terminal_sample(ctx, n_paths, seed, 0)
+        full, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=False)
         full_counts = full.counts
-    reduced = simulate_terminal(
-        fict.spec, [spec.horizon], n_paths, seed,
-        density_emm=fict_emm, stream_offset=n_paths,
-    )
+    fict_ctx = SimulationContext(fict.spec, [spec.horizon], density_emm=fict_emm)
+    reduced, _ = _terminal_sample(fict_ctx, n_paths, seed, n_paths, stocks=False)
     lines = []
     for ev in events:
         va = full.z_terminal() * ev.indicator(full_counts, full.w_terminal)

@@ -10,18 +10,20 @@ path stream id, draw index), which makes every path reproducible bit for
 bit independently of how the paths are chunked.
 
 Paths are simulated in blocks (:mod:`upliftemm.blocks`), one block after
-another on one thread, each kind of draw in one kernel call for all of a
-block's paths.  A path's values do not depend on the block size:
-:func:`simulate_path` is a block of one, and row k of
-:func:`simulate_terminal` equals it on stream ``stream_offset + k``.  It
-wraps ``_terminal_sample``, which also sums a per-event hook over each
-path's events in order (the restriction's cell counts, hedging's jump leg).
-The standalone samplers draw the same events on one stream or on many.
+another on one thread, with two kernel calls for all of a block's paths.
+A path's values do not depend on the block size: :func:`simulate_path`
+is a block of one, and row k of :func:`simulate_terminal` equals it on
+stream ``stream_offset + k``.  It wraps ``_terminal_sample``, which also
+sums a per-event hook over each path's events in order (the restriction's
+cell counts, hedging's jump leg) and can skip the stock paths of a sample
+that only reads Z, counts and increments.  The standalone samplers draw
+the same events on one stream or on many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .blocks import (
     _stream_ids,
 )
 from .errors import (
-    FactorAtMinusOne,
     NullMark,
     UnboundedIntensity,
     UndeterminedIntegral,
@@ -61,12 +62,9 @@ __all__ = [
     "sample_marked_point_process",
     "stock_path_exact",
     "rn_density_path",
-    "JumpProcessPath",
-    "doleans_dade_eval",
     "simulate_path",
     "simulate_terminal",
     "iterate_bundles",
-    "empirical_intensity_test",
     "DEFAULT_SEED",
 ]
 
@@ -98,7 +96,8 @@ class SimulationContext:
     Collects the simulation-measure intensities, the thinning majorant,
     the shared grid with its per-segment Gaussians, constant-intensity
     fast paths, and the deterministic drift and compensator integrals at
-    the requested output times.
+    the requested output times (the stocks' drift on first use, so a
+    density-only sample integrates no compensator).
     """
 
     def __init__(
@@ -148,9 +147,6 @@ class SimulationContext:
             else:
                 self.sim_total_fn = jumps.total_intensity
                 self.majorant = jumps.total_intensity.max_value(0.0, T) * (1 + 1e-9)
-                dens = jumps.density
-                grid = np.linspace(0.0, T, JUMP_GRID_POINTS)
-                self.mark_mean_fn = derive(dens.mean, dens.time_functions, grid)
         else:
             self.majorant = 0.0
         if self.kind != "none" and not np.isfinite(self.majorant):
@@ -196,20 +192,27 @@ class SimulationContext:
                 raise NullMark("risk-neutral intensity vanishes on a driver")
             self.const_log_phi = np.log(lam_t / lam)
 
-        # deterministic integrals at each output time
-        self.det_drift = np.zeros((len(out), spec.n))
+        # deterministic integrals at each output time; the stocks' drift
+        # integrates the jump compensators, so it is built on first use
         self.z2_drift = np.zeros(len(out))
-        self.discounts = np.ones(len(out))
-        under_q = measure_emm is not None
-        for j, tau in enumerate(out):
+        if density_emm is not None:
+            for j, tau in enumerate(out):
+                self.z2_drift[j] = self._density_drift(density_emm, float(tau))
+
+    @cached_property
+    def det_drift(self) -> np.ndarray:
+        """(n_out, n) log-price drift integrals to each output time: the
+        rate under a measure, else alpha, less the jump compensator."""
+        spec = self.spec
+        under_q = self.measure_emm is not None
+        drift = np.zeros((len(self.out_times), spec.n))
+        for j, tau in enumerate(self.out_times):
             tau = float(tau)
             r_int = spec.rate.integral(0.0, tau)
-            self.discounts[j] = np.exp(-r_int)
             for i in range(spec.n):
                 base = r_int if under_q else spec.alpha[i].integral(0.0, tau)
-                self.det_drift[j, i] = base - self._jump_compensator(i, tau)
-            if density_emm is not None:
-                self.z2_drift[j] = self._density_drift(density_emm, tau)
+                drift[j, i] = base - self._jump_compensator(i, tau)
+        return drift
 
     def _jump_compensator(self, i: int, tau: float) -> float:
         """integral over [0, tau] of the stock-i jump drift under the
@@ -225,7 +228,15 @@ class SimulationContext:
         if self.mark_measure is not None:
             fn = self.mark_measure.time_function("mean_jump_intensity", self.horizon)
             return fn.integral(0.0, tau)
-        return integrate_product(spec.jumps.total_intensity, self.mark_mean_fn, 0.0, tau)
+        total = spec.jumps.total_intensity
+        return integrate_product(total, self._mark_mean_fn, 0.0, tau)
+
+    @cached_property
+    def _mark_mean_fn(self) -> TimeFunction:
+        """The physical mark mean in time, on the jump grid."""
+        dens = self.spec.jumps.density
+        grid = np.linspace(0.0, self.horizon, JUMP_GRID_POINTS)
+        return derive(dens.mean, dens.time_functions, grid)
 
     def _density_drift(self, emm: Emm, tau: float) -> float:
         """log of the deterministic density factor: integral of
@@ -459,41 +470,16 @@ def rn_density_path(spec: MarketSpec, emm: Emm, bundle: PathBundle) -> np.ndarra
     )
 
 
-# -- Doleans-Dade cross-check -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JumpProcessPath:
-    """A finite-activity jump process with closed-form continuous part."""
-
-    continuous_part: object  # callable t -> X^c(t)
-    quadratic_variation: object  # callable t -> [X^c, X^c](t)
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-
-
-def doleans_dade_eval(path: JumpProcessPath, t: float) -> float:
-    """The stochastic exponential of a jump process at time t."""
-    xc = float(path.continuous_part(t))
-    qv = float(path.quadratic_variation(t))
-    jt = np.asarray(path.jump_times, dtype=float)
-    js = np.asarray(path.jump_sizes, dtype=float)
-    keep = jt <= t
-    factors = 1.0 + js[keep]
-    if np.any(factors == 0.0):
-        raise FactorAtMinusOne("jump of size -1: exponential absorbed at zero")
-    return float(np.exp(xc - 0.5 * qv) * np.prod(factors))
-
-
 # -- running blocks ----------------------------------------------------------------
 
 
-def _blocks(ctx: SimulationContext, master_seed: int, first_stream: int, n_paths: int):
+def _blocks(ctx: SimulationContext, master_seed: int, first_stream: int, n_paths: int,
+            stocks: bool = True):
     """Yield (row, block) covering ``n_paths`` consecutive streams in order."""
     size = _block_size(ctx)
     for lo in range(0, n_paths, size):
         yield lo, _simulate_block(
-            ctx, master_seed, first_stream + lo, min(size, n_paths - lo)
+            ctx, master_seed, first_stream + lo, min(size, n_paths - lo), stocks
         )
 
 
@@ -511,7 +497,7 @@ class TerminalSample:
     """Stacked per-path results at the output times (pairwise-summable)."""
 
     out_times: np.ndarray
-    stocks: np.ndarray  # (n_paths, n, n_out)
+    stocks: np.ndarray | None  # (n_paths, n, n_out); None in a density-only sample
     z: np.ndarray | None  # (n_paths, n_out)
     counts: np.ndarray  # (n_paths, M) or (n_paths, 1) total for continuous
     w_terminal: np.ndarray  # (n_paths, D): each path's increments, summed in order
@@ -581,22 +567,25 @@ def simulate_terminal(
     return _terminal_sample(ctx, n_paths, master_seed, stream_offset)[0]
 
 
-def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None):
+def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None,
+                     stocks=True):
     """:func:`simulate_terminal` on a built context, plus each path's sums
     of ``event_values(times, marks)``, an (n_events, k) array, over its
-    events ((n_paths, k), added in event order; None without the hook)."""
+    events ((n_paths, k), added in event order; None without the hook).
+    Without ``stocks`` the sample is density-only: ``stocks`` is None and
+    ``z``, ``counts`` and ``w_terminal`` are those of the full sample."""
     spec = ctx.spec
     out_times = ctx.out_times
     n, n_out = spec.n, len(out_times)
     cw = _count_width(spec)
     D = spec.n_brownians
     with_z = ctx.density_emm is not None
-    pos_z = n * n_out
+    pos_z = n * n_out if stocks else 0
     pos_c = pos_z + (n_out if with_z else 0)
     pos_w = pos_c + cw
     rows = np.empty((n_paths, pos_w + D))
     sums = None
-    for lo, block in _blocks(ctx, master_seed, stream_offset, n_paths):
+    for lo, block in _blocks(ctx, master_seed, stream_offset, n_paths, stocks):
         hi = lo + len(block)
         if event_values is not None:
             values = event_values(block.ev_times, block.ev_marks)
@@ -604,7 +593,8 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None
                 sums = np.zeros((n_paths, values.shape[1]))
             for c, col in enumerate(values.T):
                 sums[lo:hi, c] = np.bincount(block.pid, weights=col, minlength=hi - lo)
-        rows[lo:hi, :pos_z] = block.stocks.reshape(hi - lo, pos_z)
+        if stocks:
+            rows[lo:hi, :pos_z] = block.stocks.reshape(hi - lo, pos_z)
         if with_z:
             rows[lo:hi, pos_z:pos_c] = block.z
         if ctx.kind == "discrete":
@@ -617,7 +607,7 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None
         del block  # free it before the next block is simulated
     sample = TerminalSample(
         out_times=out_times,
-        stocks=rows[:, :pos_z].reshape(n_paths, n, n_out),
+        stocks=rows[:, :pos_z].reshape(n_paths, n, n_out) if stocks else None,
         z=rows[:, pos_z:pos_c] if with_z else None,
         counts=rows[:, pos_c:pos_w],
         w_terminal=rows[:, pos_w:],
@@ -643,64 +633,3 @@ def iterate_bundles(
     for _, block in _blocks(ctx, master_seed, stream_offset, n_paths):
         for p in range(len(block)):
             yield block.bundle(ctx, p, master_seed)
-
-
-# -- statistical intensity test -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntensityTestReport:
-    passed: bool
-    max_bin_z: float
-    total_z: float
-    bin_z: np.ndarray
-    expected: np.ndarray
-    observed: np.ndarray
-
-    def to_json(self):
-        return {
-            "passed": bool(self.passed),
-            "max_bin_z": float(self.max_bin_z),
-            "total_z": float(self.total_z),
-            "bin_z": [float(x) for x in self.bin_z],
-        }
-
-
-def empirical_intensity_test(
-    event_times_per_path,
-    lam: TimeFunction,
-    horizon: float,
-    n_bins: int = 20,
-    z_limit: float = 4.0,
-) -> IntensityTestReport:
-    """Counting-process test: binned counts against the integrated intensity.
-
-    A correctly simulated process has Poisson bin counts with mean
-    n_paths * integral of lambda over the bin; the report compares every
-    bin (and the total) by z-score.
-    """
-    n_paths = len(event_times_per_path)
-    if n_paths < 10_000:
-        raise ValueError("need at least 1e4 paths for a meaningful test")
-    lam = TimeFunction.coerce(lam)
-    edges = np.linspace(0.0, horizon, n_bins + 1)
-    flat = (
-        np.concatenate([np.asarray(t, dtype=float) for t in event_times_per_path])
-        if n_paths
-        else np.zeros(0)
-    )
-    observed, _ = np.histogram(flat, bins=edges)
-    expected = n_paths * np.array(
-        [lam.integral(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
-    )
-    bin_z = (observed - expected) / np.sqrt(expected)
-    total_z = (observed.sum() - expected.sum()) / np.sqrt(expected.sum())
-    max_bin_z = float(np.max(np.abs(bin_z)))
-    return IntensityTestReport(
-        passed=bool(max_bin_z < z_limit and abs(total_z) < z_limit),
-        max_bin_z=max_bin_z,
-        total_z=float(total_z),
-        bin_z=bin_z,
-        expected=expected,
-        observed=observed.astype(float),
-    )

@@ -144,7 +144,7 @@ class TimeFunction:
     def _antiderivative(self, x: float) -> float:
         t, v, cum = self.t, self.v, self._cum
         x = min(max(x, t[0]), t[-1])
-        j = int(np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2))
+        j = min(max(int(np.searchsorted(t, x, side="right")) - 1, 0), len(t) - 2)
         dx = x - t[j]
         if self.kind == _PIECEWISE:
             return float(cum[j] + v[j] * dx)

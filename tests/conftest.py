@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from upliftemm import (
     TimeFunction,
     reduce_complete_neglect,
 )
-from upliftemm.errors import PlanMismatch
+from upliftemm.errors import FactorAtMinusOne, PlanMismatch
 
 # The canonical worked instance used throughout: three stocks, one
 # Brownian driver, three Poisson drivers.  Reducing away driver 2 leaves
@@ -176,3 +178,84 @@ def cell_probabilities(measure, t: float) -> np.ndarray:
     at time t (remainder last)."""
     rates = measure._region_intensities(np.array([float(t)]))[:, 0]
     return rates / sum(rates)
+
+
+@dataclass(frozen=True)
+class JumpProcessPath:
+    """A finite-activity jump process with closed-form continuous part."""
+
+    continuous_part: object  # callable t -> X^c(t)
+    quadratic_variation: object  # callable t -> [X^c, X^c](t)
+    jump_times: np.ndarray
+    jump_sizes: np.ndarray
+
+
+def doleans_dade_eval(path: JumpProcessPath, t: float) -> float:
+    """The stochastic exponential of a jump process at time t."""
+    xc = float(path.continuous_part(t))
+    qv = float(path.quadratic_variation(t))
+    jt = np.asarray(path.jump_times, dtype=float)
+    js = np.asarray(path.jump_sizes, dtype=float)
+    keep = jt <= t
+    factors = 1.0 + js[keep]
+    if np.any(factors == 0.0):
+        raise FactorAtMinusOne("jump of size -1: exponential absorbed at zero")
+    return float(np.exp(xc - 0.5 * qv) * np.prod(factors))
+
+
+@dataclass(frozen=True)
+class IntensityTestReport:
+    passed: bool
+    max_bin_z: float
+    total_z: float
+    bin_z: np.ndarray
+    expected: np.ndarray
+    observed: np.ndarray
+
+    def to_json(self):
+        return {
+            "passed": bool(self.passed),
+            "max_bin_z": float(self.max_bin_z),
+            "total_z": float(self.total_z),
+            "bin_z": [float(x) for x in self.bin_z],
+        }
+
+
+def empirical_intensity_test(
+    event_times_per_path,
+    lam: TimeFunction,
+    horizon: float,
+    n_bins: int = 20,
+    z_limit: float = 4.0,
+) -> IntensityTestReport:
+    """Counting-process test: binned counts against the integrated intensity.
+
+    A correctly simulated process has Poisson bin counts with mean
+    n_paths * integral of lambda over the bin; the report compares every
+    bin (and the total) by z-score.
+    """
+    n_paths = len(event_times_per_path)
+    if n_paths < 10_000:
+        raise ValueError("need at least 1e4 paths for a meaningful test")
+    lam = TimeFunction.coerce(lam)
+    edges = np.linspace(0.0, horizon, n_bins + 1)
+    flat = (
+        np.concatenate([np.asarray(t, dtype=float) for t in event_times_per_path])
+        if n_paths
+        else np.zeros(0)
+    )
+    observed, _ = np.histogram(flat, bins=edges)
+    expected = n_paths * np.array(
+        [lam.integral(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
+    )
+    bin_z = (observed - expected) / np.sqrt(expected)
+    total_z = (observed.sum() - expected.sum()) / np.sqrt(expected.sum())
+    max_bin_z = float(np.max(np.abs(bin_z)))
+    return IntensityTestReport(
+        passed=bool(max_bin_z < z_limit and abs(total_z) < z_limit),
+        max_bin_z=max_bin_z,
+        total_z=float(total_z),
+        bin_z=bin_z,
+        expected=expected,
+        observed=observed.astype(float),
+    )

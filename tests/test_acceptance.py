@@ -34,7 +34,6 @@ from upliftemm import (
     sample_poisson_inhomogeneous,
     simulate_terminal,
     solve_mpr,
-    empirical_intensity_test,
     uplift_complete_neglect,
     verify_uplift,
 )
@@ -47,6 +46,7 @@ from conftest import (
     RATE,
     TARGET_SOLUTION,
     cell_probabilities,
+    empirical_intensity_test,
     make_three_stock_market,
     make_time_varying_market,
     make_uniform_mark_market,

@@ -207,6 +207,17 @@ class TestVerifySuite:
             "--checks", "nonsense",
         ) == 2
 
+    @pytest.mark.parametrize("paths", [0, 1])
+    def test_fewer_than_two_paths_is_config_error(self, workdir, paths, capsys):
+        # no standard error: 0 paths wrote NaN tokens, 1 path passed with z 0
+        out = workdir / "report.json"
+        assert run(
+            "verify", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--paths", paths, "--out", out,
+        ) == 2
+        assert not out.exists()
+        assert "--paths must be at least 2" in capsys.readouterr().err
+
     def test_env_var_overrides_default_seed(self, workdir, monkeypatch):
         monkeypatch.setenv("UPLIFTEMM_SEED", "0x123")
         emm_path = workdir / "emm.json"

@@ -9,6 +9,7 @@ import pytest
 import upliftemm
 from upliftemm import RngStreamSpec
 from upliftemm.philox import (
+    ROLE_IDS,
     _unit,
     box_muller,
     philox4x32,
@@ -86,6 +87,17 @@ def test_high_words_address_distinct_streams():
     # roles and draw indices address distinct counters too
     assert not np.any(RngStreamSpec(1, 5).uniforms("brownian", 8) == first)
     assert np.array_equal(uniforms(1, "marks", 3, [5, 6])[:, 0], first[:, 3])
+
+
+def test_one_call_draws_several_roles():
+    # a grid of role ids and draw indices reads the same counters as one
+    # call per role
+    roles = np.array([ROLE_IDS["count"], ROLE_IDS["brownian"], ROLE_IDS["marks"]])
+    got = uniforms(7, roles, np.array([0, 4, 2]), np.array([[3], [2**40 + 1]]))
+    for row, stream in enumerate((3, 2**40 + 1)):
+        for col, (role, j) in enumerate((("count", 0), ("brownian", 4), ("marks", 2))):
+            alone = RngStreamSpec(7, stream).uniforms(role, j + 1)[:, j]
+            assert np.array_equal(got[:, row, col], alone)
 
 
 def test_package_draws_only_philox_counters():

@@ -33,6 +33,7 @@ from upliftemm.errors import (
     NonReducedEvent,
     PlanMismatch,
     ShapeMismatch,
+    TooFewPaths,
 )
 from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
 from upliftemm.timefns import integrate_product
@@ -159,6 +160,32 @@ class TestCountColumns:
         for call in calls:
             with pytest.raises(ShapeMismatch, match="driver 3.* 3 count column"):
                 call()
+
+
+class TestTooFewPaths:
+    """A check's verdict needs a standard error, so fewer than two paths is
+    a typed error, raised before anything is simulated."""
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_checks_reject_fewer_than_two_paths(self, uplifted, monkeypatch, n_paths):
+        spec, plan, emm, fict, fict_emm = uplifted
+        _forbid_simulation(monkeypatch)
+        calls = [
+            lambda: martingale_check(spec, emm, n_paths),
+            lambda: density_mass_check(spec, emm, n_paths),
+            lambda: restriction_check(
+                spec, plan, emm, fict_emm, (MarketEvent("omega"),), n_paths, fict=fict
+            ),
+            lambda: two_route_check(spec, emm, {"s0": Payoff.terminal(0)}, n_paths),
+        ]
+        for call in calls:
+            with pytest.raises(TooFewPaths, match=f"at least 2 paths, got {n_paths}"):
+                call()
+
+    def test_two_paths_have_a_standard_error(self, uplifted):
+        spec, _, emm, _, _ = uplifted
+        report = martingale_check(spec, emm, 2, seed=5)
+        assert all(line["std_error"] > 0.0 for line in report.details.values())
 
 
 class TestMeasurability:

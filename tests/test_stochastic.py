@@ -10,15 +10,15 @@ from upliftemm import (
     Density,
     DiscretePlan,
     Emm,
-    JumpProcessPath,
+    MarketEvent,
     MarketSpec,
     Payoff,
     RngStreamSpec,
     TimeFunction,
     build_uplifted_emm,
-    doleans_dade_eval,
-    empirical_intensity_test,
+    density_mass_check,
     reduce_market,
+    restriction_check,
     rn_density_path,
     sample_marked_point_process,
     sample_poisson_inhomogeneous,
@@ -33,17 +33,26 @@ from upliftemm.errors import (
     UnboundedIntensity,
     UndeterminedIntegral,
 )
+import upliftemm.philox
 from upliftemm.blocks import (
     _block_size,
     _event_log_factors,
     _event_log_phi,
+    _path_draws,
     _simulate_block,
+    _stream_ids,
 )
-from upliftemm.stochastic import SimulationContext, iterate_bundles
+from upliftemm.philox import box_muller, poisson_counts
+from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
 from upliftemm.timefns import adaptive_simpson
 from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn
 
-from conftest import project_price_closed_form
+from conftest import (
+    JumpProcessPath,
+    doleans_dade_eval,
+    empirical_intensity_test,
+    project_price_closed_form,
+)
 from test_pricing import black_scholes_call
 
 N_STAT = 30_000
@@ -311,15 +320,16 @@ class TestVaryingCellMarks:
 
             monkeypatch.setattr(CellMeasure, name, counted)
         times = np.linspace(0.0, 1.0, 9)
-        # each function once for both contexts: a step measure at the left
+        # each function once for both contexts (the stocks' drift, built on
+        # first use, reads the mean jump intensity): a step measure at the left
         # end of each of its two pieces, a time-varying density at 513 times
         for spec, emm, n_times in (
             (piecewise_mark_market, uplifted, 2),
             (varying_market, Emm(theta=(0.1,), jump_measure=varying), 513),
         ):
             calls.update(mean_jump_intensity=0, total_intensity=0)
-            SimulationContext(spec, times, measure_emm=emm)
-            SimulationContext(spec, times, measure_emm=emm, density_emm=emm)
+            SimulationContext(spec, times, measure_emm=emm).det_drift
+            SimulationContext(spec, times, measure_emm=emm, density_emm=emm).det_drift
             assert calls == {"mean_jump_intensity": n_times, "total_intensity": n_times}
 
 
@@ -341,7 +351,10 @@ class TestContextBuild:
             return original(self, t)
 
         monkeypatch.setattr(Density, "mean", counting)
-        SimulationContext(spec, np.linspace(0.125, 1.0, 9))
+        ctx = SimulationContext(spec, np.linspace(0.125, 1.0, 9))
+        assert calls == []  # the stocks' drift is built on first use
+        ctx.det_drift
+        ctx.det_drift
         assert calls == [513]  # once, on the whole jump grid
 
     @pytest.mark.parametrize("route", ["measure_emm", "density_emm"])
@@ -394,6 +407,127 @@ class TestContextBuild:
         assert _solved_fn(within, make) == TimeFunction.constant(0.5)
         apart = 0.5 + ulp * 64 * (np.arange(256) % 2)
         assert _solved_fn(apart, make) == TimeFunction.samples(grid, apart)
+
+
+def _per_path_draws(ctx, seed, stream):
+    """One path's events, marks, increments and varying-segment normals
+    from its own ``RngStreamSpec.uniforms(role, n)`` draws: count 0, then
+    candidate j's ``event_times`` counter j (the sorted times take the
+    thinning uniforms in counter order), event l's ``marks`` counter l and
+    the ``brownian`` pairs.  Also returns the candidate count."""
+    streams = RngStreamSpec(seed, stream)
+    times, n_cand = np.zeros(0), 0
+    if ctx.kind != "none" and ctx.majorant > 0.0:
+        n_cand = int(poisson_counts(ctx.count_cdf, streams.uniforms("count", 1)[0])[0])
+        t, thin = streams.uniforms("event_times", n_cand)
+        cand = np.sort(ctx.horizon * t)
+        times = cand[thin * ctx.majorant <= ctx.total_intensity_at(cand)]
+    marks = ctx.sample_marks(streams, times) if ctx.kind != "none" else np.zeros(0)
+    seg = ctx.segments
+    K, D = seg.varies.shape
+    n_dw, n_res = K * D, int(seg.varies.sum())
+    z = box_muller(streams.uniforms("brownian", (n_dw + n_res + 1) // 2)).ravel()
+    dw = z[:n_dw].reshape(K, D) * np.sqrt(seg.dt)[:, None]
+    res = np.zeros((K, D))
+    res[seg.varies] = z[n_dw:n_dw + n_res]
+    return times, marks, dw, res, n_cand
+
+
+def _draw_context(name, request):
+    """A context for each way a block draws: thinning that rejects
+    candidates on a time-varying discrete market, a cell measure's
+    two-uniform marks, and a market without jumps whose sigma varies
+    inside segments."""
+    if name == "time_varying":
+        spec = request.getfixturevalue("time_varying_market")
+        emm, _, _ = build_uplifted_emm(spec, request.getfixturevalue("batch_plan"))
+        return SimulationContext(spec, [0.5, 1.0], density_emm=emm)
+    if name == "cell_measure":
+        spec = request.getfixturevalue("piecewise_mark_market")
+        plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        emm, _, _ = build_uplifted_emm(spec, plan)
+        return SimulationContext(spec, [0.5, 1.0], measure_emm=emm)
+    return SimulationContext(_linear_sigma_market(), [0.5, 1.0])
+
+
+DRAW_CONTEXTS = ["time_varying", "cell_measure", "no_jumps"]
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("name", DRAW_CONTEXTS)
+    def test_block_equals_per_path_draws(self, name, request):
+        ctx = _draw_context(name, request)
+        seed, first, count = 23, 40, 150
+        block = _simulate_block(ctx, seed, first, count)
+        _, _, res = _path_draws(ctx, seed, _stream_ids(first, count))
+        n_cand = 0
+        for p in range(count):
+            times, marks, dw, res_p, cand = _per_path_draws(ctx, seed, first + p)
+            lo, hi = block.ev_off[p], block.ev_off[p + 1]
+            assert np.array_equal(block.ev_times[lo:hi], times), p
+            assert np.array_equal(block.ev_marks[lo:hi], marks), p
+            assert np.array_equal(block.dw[p], dw), p
+            assert np.array_equal(res_p if res is None else res[p], res_p), p
+            n_cand += cand
+        if name == "no_jumps":
+            assert block.ev_times.size == 0 and res is not None
+        else:  # thinning rejected some candidates
+            assert 0 < block.ev_times.size < n_cand
+
+    @pytest.mark.parametrize("name", DRAW_CONTEXTS)
+    def test_a_block_makes_at_most_two_kernel_calls(self, name, request, monkeypatch):
+        ctx = _draw_context(name, request)
+        calls = []
+        kernel = upliftemm.philox.philox4x32
+
+        def counted(counter, key):
+            calls.append(np.broadcast_shapes(*(np.shape(c) for c in counter)))
+            return kernel(counter, key)
+
+        monkeypatch.setattr(upliftemm.philox, "philox4x32", counted)
+        for stocks in (True, False):
+            calls.clear()
+            block = _simulate_block(ctx, 23, 40, 150, stocks)
+            # (1 + n_pairs, B), then (2, N_cand) when there are candidates
+            assert len(calls) == (2 if block.ev_times.size else 1)
+            assert calls[0][-1] == 150
+
+    @pytest.mark.parametrize("market, plan", [
+        ("three_stock_market", "neglect_plan"),
+        ("uniform_mark_market", "cell_plan"),
+    ])
+    def test_density_only_sample_matches_the_full_sample(
+        self, market, plan, request, monkeypatch
+    ):
+        spec = request.getfixturevalue(market)
+        plan = (
+            ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+            if plan == "cell_plan" else request.getfixturevalue(plan)
+        )
+        emm, fict, fict_emm = build_uplifted_emm(spec, plan)
+
+        def hook(times, marks):  # a per-event sum rides along unchanged
+            return np.column_stack([times, np.asarray(marks, dtype=float)])
+
+        full_ctx = SimulationContext(spec, [0.5, 1.0], density_emm=emm)
+        n_paths, seed = _block_size(full_ctx) + 5, 61  # across a block boundary
+        full, full_sums = _terminal_sample(full_ctx, n_paths, seed, 9, hook)
+
+        def no_compensator(*args):
+            raise AssertionError("a density-only sample integrated a compensator")
+
+        monkeypatch.setattr(SimulationContext, "_jump_compensator", no_compensator)
+        ctx = SimulationContext(spec, [0.5, 1.0], density_emm=emm)
+        dens, dens_sums = _terminal_sample(ctx, n_paths, seed, 9, hook, stocks=False)
+        assert dens.stocks is None and full.stocks is not None
+        for name in ("z", "counts", "w_terminal"):
+            assert np.array_equal(getattr(dens, name), getattr(full, name)), name
+        assert np.array_equal(dens_sums, full_sums)
+        # the checks that read only Z, counts and W_T build no stock path
+        restriction_check(
+            spec, plan, emm, fict_emm, (MarketEvent("omega"),), 500, seed=3, fict=fict
+        )
+        density_mass_check(spec, emm, 500, seed=3)
 
 
 class TestStockPathExactness:

@@ -590,8 +590,7 @@ PACKAGE_EXPORTS = {
         "reduce_market",
     ),
     "stochastic": (
-        "DEFAULT_SEED", "JumpProcessPath", "PathBundle", "RngStreamSpec",
-        "doleans_dade_eval", "empirical_intensity_test", "rn_density_path",
+        "DEFAULT_SEED", "PathBundle", "RngStreamSpec", "rn_density_path",
         "sample_marked_point_process", "sample_poisson_inhomogeneous",
         "simulate_path", "simulate_terminal", "stock_path_exact",
     ),
