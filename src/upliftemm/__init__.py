@@ -16,7 +16,7 @@ load the Monte Carlo engine (``pricing``, ``stochastic``, ``blocks``,
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
@@ -73,9 +73,8 @@ _EXPORTS = {
         "DiscretePlan",
         "FictitiousMarket",
         "batch_weights",
-        "reduce_batch",
-        "reduce_complete_neglect",
         "reduce_continuous",
+        "reduce_discrete",
         "reduce_market",
     ),
     "stochastic": (
@@ -96,9 +95,8 @@ _EXPORTS = {
         "physical_emm",
         "solve_unique_emm",
         "build_uplifted_emm",
-        "uplift_batch",
-        "uplift_complete_neglect",
         "uplift_continuous",
+        "uplift_discrete",
         "uplift_general",
         "verify_uplift",
     ),

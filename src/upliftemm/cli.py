@@ -35,7 +35,7 @@ from .pricing import (
     projection_consistency_check,
     restriction_check,
 )
-from .reduction import ContinuousPlan, reduce_market
+from .reduction import _is_complete_neglect, reduce_market
 from .stochastic import DEFAULT_SEED, iterate_bundles
 from .uplift import build_uplifted_emm, Emm, verify_uplift
 
@@ -190,7 +190,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _too_few_paths(args) -> bool:
+    """Print a config error and return True when ``--paths`` is below 2,
+    which leaves no standard error."""
+    if args.paths >= 2:
+        return False
+    print(f"config error: --paths must be at least 2, got {args.paths}",
+          file=sys.stderr)
+    return True
+
+
 def _cmd_price(args) -> int:
+    if _too_few_paths(args):
+        return 2
     spec = _load_market(args.market)
     emm = Emm.from_json(load_json(args.emm))
     payoff = Payoff.from_json(load_json(args.payoff))
@@ -257,7 +269,7 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
         ok = ok and rc.passed
 
     if "projection" in selected:
-        if isinstance(plan, ContinuousPlan) or plan.batches:
+        if not _is_complete_neglect(plan):
             report["checks"]["projection"] = {"skipped": "needs a complete-neglect plan"}
         else:
             pr = projection_consistency_check(
@@ -285,9 +297,7 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
 
 
 def _cmd_verify(args) -> int:
-    if args.paths < 2:  # every check's verdict needs a standard error
-        print(f"config error: --paths must be at least 2, got {args.paths}",
-              file=sys.stderr)
+    if _too_few_paths(args):
         return 2
     spec = _load_market(args.market)
     plan = plan_from_json(load_json(args.plan))

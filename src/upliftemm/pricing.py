@@ -32,6 +32,7 @@ from .reduction import (
     ContinuousPlan,
     DiscretePlan,
     FictitiousMarket,
+    _is_complete_neglect,
     reduce_market,
 )
 from .stochastic import (
@@ -316,7 +317,7 @@ class McReport:
 def _mc_report(values: np.ndarray, seed: int, measure: str) -> McReport:
     n = len(values)
     est = float(np.sum(values) / n)
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    se = float(np.std(values, ddof=1) / np.sqrt(n))
     return McReport(estimate=est, std_error=se, n_paths=n, seed=seed, measure=measure)
 
 
@@ -326,9 +327,9 @@ def _z(diff: float, se: float) -> float:
 
 
 def _require_paths(n_paths: int) -> None:
-    """A check's verdict needs a standard error, so at least two paths."""
+    """An estimate needs a standard error (ddof=1), so at least two paths."""
     if n_paths < 2:
-        raise TooFewPaths(f"a check needs at least 2 paths, got {n_paths}")
+        raise TooFewPaths(f"an estimate needs at least 2 paths, got {n_paths}")
 
 
 def _agrees(diff: float, se: float) -> bool:
@@ -356,6 +357,7 @@ def price_mc(
 ) -> McReport:
     """E[payoff] by simulating directly under the pricing measure, after
     checking that the measure solves the risk-premium equations."""
+    _require_paths(n_paths)
     _check_count_columns(spec, payoff)
     rep = verify_uplift(emm, spec)
     if not rep.passed:
@@ -375,6 +377,7 @@ def zweighted_price_mc(
     seed: int = DEFAULT_SEED,
 ) -> McReport:
     """E[payoff] as a density-weighted physical-measure expectation."""
+    _require_paths(n_paths)
     _check_count_columns(spec, payoff)
     sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, density_emm=emm)
     return _price(sample, spec, payoff)
@@ -685,8 +688,10 @@ def cost_of_construction_check(
     The inner expectation integrates over the neglected drivers (whose
     risk-neutral intensities are their physical ones).
     """
-    if isinstance(plan, ContinuousPlan) or plan.batches:
+    if not _is_complete_neglect(plan):
         raise PlanMismatch("nested conditioning supports complete-neglect plans")
+    _require_paths(n_outer)
+    _require_paths(n_direct)
     _check_count_columns(spec, payoff)
     if n_outer * n_inner > budget:
         raise BudgetExceeded(
@@ -741,8 +746,9 @@ def projection_consistency_check(
     randomness must match the projected price within the inner standard
     error; the neglected part contributes a mean-one factor.
     """
-    if isinstance(plan, ContinuousPlan) or plan.batches:
+    if not _is_complete_neglect(plan):
         raise PlanMismatch("projection supports complete-neglect plans")
+    _require_paths(n_inner)
     if fict is None:
         fict = reduce_market(spec, plan)
     t = 0.5 * spec.horizon if t is None else float(t)
@@ -858,6 +864,7 @@ def hedging_error(
     """
     if not isinstance(spec.jumps, (DiscreteJumpSpec, type(None))) and strategy.jump_integrand:
         raise PlanMismatch("jump integrands are defined per discrete driver")
+    _require_paths(n_paths)
     _check_count_columns(spec, payoff)
     T = spec.horizon
     times = strategy.rebalance_times(T)

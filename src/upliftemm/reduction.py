@@ -2,8 +2,10 @@
 
 A trader who cannot hedge every source of randomness picks a reduction
 plan: keep some Brownian drivers, keep some jump drivers, merge others
-into batches (hedged on average), drop the rest entirely.  Continuous
-mark spaces are reduced by partitioning the support into cells, each
+into batches (hedged on average), drop the rest entirely.  Complete
+neglect is the discrete plan with no batches, so one reduction,
+:func:`reduce_discrete`, serves every discrete plan.  Continuous mark
+spaces are reduced by partitioning the support into cells, each
 becoming a discrete driver with the cell's intensity and conditional
 mean jump size.  The result is a fictitious market specification whose
 driver count can match the number of stocks, making it complete.
@@ -12,7 +14,7 @@ driver count can match the number of stocks, making it complete.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +31,7 @@ __all__ = [
     "DiscretePlan",
     "ContinuousPlan",
     "FictitiousMarket",
-    "reduce_complete_neglect",
-    "reduce_batch",
+    "reduce_discrete",
     "reduce_continuous",
     "reduce_market",
     "batch_weights",
@@ -63,6 +64,8 @@ class DiscretePlan:
             )
 
     def validate(self, spec: MarketSpec) -> None:
+        if isinstance(spec.jumps, ContinuousJumpSpec):
+            raise PlanMismatch("discrete plans apply to discrete jump drivers")
         M = spec.n_jump_drivers
         mentioned = list(self.retain) + list(self.neglect)
         for b in self.batches:
@@ -168,7 +171,6 @@ class FictitiousMarket:
     neglected: tuple[int, ...] = ()
     cells: tuple[tuple[float, float], ...] = ()
     remainder_mass: TimeFunction | None = None
-    grid: np.ndarray | None = field(default=None, compare=False)
 
     def reduced_index_of(self, original_driver: int) -> int | None:
         for k, group in enumerate(self.driver_groups):
@@ -181,12 +183,6 @@ class FictitiousMarket:
             return self.brownian_map.index(original_d)
         except ValueError:
             return None
-
-
-def _subset_sigma(spec: MarketSpec, kept: tuple[int, ...]):
-    if spec.n_brownians == 0 or not kept:
-        return tuple(() for _ in range(spec.n))
-    return tuple(tuple(row[d] for d in kept) for row in spec.sigma)
 
 
 def _completeness_warning(spec: MarketSpec, n_drivers: int) -> None:
@@ -236,83 +232,42 @@ def _batched_loadings(spec: MarketSpec, batch, deltas, grid):
     return derive(ybar, [*deltas, *(fn for col in cols for fn in col)], grid)
 
 
-def reduce_complete_neglect(spec: MarketSpec, plan: DiscretePlan) -> FictitiousMarket:
-    """Drop the neglected drivers (and Brownian columns) entirely.
-
-    Retained drivers are untouched; the drift keeps alpha and recomputes
-    the jump compensator from the retained intensities only.
-    """
-    if plan.batches:
-        raise PlanMismatch("complete neglect admits no batches")
-    jumps: DiscreteJumpSpec | None = spec.jumps
-    if jumps is not None and not isinstance(jumps, DiscreteJumpSpec):
-        raise PlanMismatch("complete neglect applies to discrete jump drivers")
-    plan.validate(spec)
-    kept_b = plan.kept_brownians(spec)
-    retained = tuple(sorted(plan.retain))
-    if not kept_b and not retained:
-        raise EmptyRetention("every driver neglected and no Brownians kept")
-    _completeness_warning(spec, len(kept_b) + len(retained))
-
-    new_jumps = None
-    if retained:
-        new_jumps = DiscreteJumpSpec(
-            intensities=tuple(jumps.intensities[m] for m in retained),
-            loadings=tuple(
-                tuple(row[m] for m in retained) for row in jumps.loadings
-            ),
-            marks=(
-                tuple(jumps.marks[m] for m in retained) if jumps.marks else None
-            ),
-        )
-    reduced = MarketSpec(
-        horizon=spec.horizon,
-        s0=spec.s0,
-        alpha=spec.alpha,
-        rate=spec.rate,
-        sigma=_subset_sigma(spec, kept_b),
-        jumps=new_jumps,
-    )
-    return FictitiousMarket(
-        spec=reduced,
-        original=spec,
-        plan=plan,
-        brownian_map=kept_b,
-        driver_groups=tuple((m,) for m in retained),
-        weights=tuple((TimeFunction.constant(1.0),) for _ in retained),
-        neglected=tuple(sorted(plan.neglect)),
-    )
+def _reduced_spec(spec: MarketSpec, kept_b: tuple[int, ...], jumps) -> MarketSpec:
+    """The original stocks on the kept Brownian columns and the reduced
+    jump drivers; the drift keeps alpha."""
+    sigma = tuple(tuple(spec.sigma[i][d] for d in kept_b) for i in range(spec.n))
+    return replace(spec, sigma=sigma, jumps=jumps)
 
 
-def reduce_batch(
+def _is_complete_neglect(plan: ReductionPlan) -> bool:
+    """A discrete plan without batches: every jump driver is retained or
+    neglected, the plans the nested conditioning checks support."""
+    return isinstance(plan, DiscretePlan) and not plan.batches
+
+
+def reduce_discrete(
     spec: MarketSpec, plan: DiscretePlan, grid=None
 ) -> FictitiousMarket:
-    """Aggregate each batch into a single driver.
+    """Retain, batch and neglect discrete jump drivers.
 
-    The batch driver has intensity gamma(t) = sum of member intensities
-    and loading ybar_i(t) = sum_m delta_m(t) y_im, the convex combination
-    with weights delta_m(t) = lambda_m(t) / gamma(t).
+    A retained driver is a one-member group of weight 1, untouched.  A
+    batch becomes one driver with intensity gamma(t) = sum of member
+    intensities and loading ybar_i(t) = sum_m delta_m(t) y_im, the convex
+    combination with weights delta_m(t) = lambda_m(t) / gamma(t) (see
+    :func:`batch_weights`).  Neglected drivers and dropped Brownian columns
+    leave the market.  Retained drivers keep their ``marks`` labels only
+    under complete neglect, the plan with no batches.
     """
-    if not plan.batches:
-        raise PlanMismatch("batch reduction needs at least one batch")
-    if not isinstance(spec.jumps, DiscreteJumpSpec):
-        raise PlanMismatch("batching applies to discrete jump drivers")
     plan.validate(spec)
-    if grid is None:
-        grid = default_grid(spec.horizon)
-    grid = np.asarray(grid, dtype=float)
     kept_b = plan.kept_brownians(spec)
     jumps = spec.jumps
     retained = tuple(sorted(plan.retain))
-
-    groups: list[tuple[int, ...]] = [(m,) for m in retained]
-    weights: list[tuple[TimeFunction, ...]] = [
-        (TimeFunction.constant(1.0),) for _ in retained
-    ]
+    groups = [(m,) for m in retained]
+    weights = [(TimeFunction.constant(1.0),) for _ in retained]
     intensities = [jumps.intensities[m] for m in retained]
-    load_cols: list[tuple[TimeFunction, ...]] = [
-        tuple(jumps.loadings[i][m] for i in range(spec.n)) for m in retained
-    ]
+    load_cols = [tuple(jumps.loadings[i][m] for i in range(spec.n)) for m in retained]
+    if plan.batches and grid is None:
+        grid = default_grid(spec.horizon)
     for batch in plan.batches:
         batch = tuple(sorted(batch))
         gamma, deltas = batch_weights(spec, batch, grid)
@@ -321,31 +276,31 @@ def reduce_batch(
         intensities.append(gamma)
         load_cols.append(_batched_loadings(spec, batch, deltas, grid))
 
+    if not kept_b and not groups:
+        raise EmptyRetention("every driver neglected and no Brownians kept")
     _completeness_warning(spec, len(kept_b) + len(groups))
-    new_jumps = DiscreteJumpSpec(
-        intensities=tuple(intensities),
-        loadings=tuple(
-            tuple(load_cols[k][i] for k in range(len(groups)))
-            for i in range(spec.n)
-        ),
-    )
-    reduced = MarketSpec(
-        horizon=spec.horizon,
-        s0=spec.s0,
-        alpha=spec.alpha,
-        rate=spec.rate,
-        sigma=_subset_sigma(spec, kept_b),
-        jumps=new_jumps,
-    )
+    new_jumps = None
+    if groups:
+        new_jumps = DiscreteJumpSpec(
+            intensities=tuple(intensities),
+            loadings=tuple(
+                tuple(load_cols[k][i] for k in range(len(groups)))
+                for i in range(spec.n)
+            ),
+            marks=(
+                tuple(jumps.marks[m] for m in retained)
+                if jumps.marks and not plan.batches
+                else None
+            ),
+        )
     return FictitiousMarket(
-        spec=reduced,
+        spec=_reduced_spec(spec, kept_b, new_jumps),
         original=spec,
         plan=plan,
         brownian_map=kept_b,
         driver_groups=tuple(groups),
         weights=tuple(weights),
         neglected=tuple(sorted(plan.neglect)),
-        grid=grid,
     )
 
 
@@ -359,12 +314,9 @@ def reduce_continuous(
     stocks, since every stock jumps by the mark itself).  An uncovered
     remainder is treated like a neglected driver.
     """
-    if not isinstance(spec.jumps, ContinuousJumpSpec):
-        raise PlanMismatch("continuous reduction needs a continuous mark space")
     plan.validate(spec)
     if grid is None:
         grid = default_grid(spec.horizon)
-    grid = np.asarray(grid, dtype=float)
     kept_b = plan.kept_brownians(spec)
     dens = spec.jumps.density
     total = spec.jumps.total_intensity
@@ -394,16 +346,8 @@ def reduce_continuous(
         loadings=tuple(tuple(loadings) for _ in range(spec.n)),
         marks=None,
     )
-    reduced = MarketSpec(
-        horizon=spec.horizon,
-        s0=spec.s0,
-        alpha=spec.alpha,
-        rate=spec.rate,
-        sigma=_subset_sigma(spec, kept_b),
-        jumps=new_jumps,
-    )
     return FictitiousMarket(
-        spec=reduced,
+        spec=_reduced_spec(spec, kept_b, new_jumps),
         original=spec,
         plan=plan,
         brownian_map=kept_b,
@@ -412,7 +356,6 @@ def reduce_continuous(
         neglected=(),
         cells=plan.cells,
         remainder_mass=remainder_mass,
-        grid=grid,
     )
 
 
@@ -420,6 +363,4 @@ def reduce_market(spec: MarketSpec, plan: ReductionPlan, grid=None) -> Fictitiou
     """Dispatch to the reduction matching the plan's kind."""
     if isinstance(plan, ContinuousPlan):
         return reduce_continuous(spec, plan, grid)
-    if plan.batches:
-        return reduce_batch(spec, plan, grid)
-    return reduce_complete_neglect(spec, plan)
+    return reduce_discrete(spec, plan, grid)

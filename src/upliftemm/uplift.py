@@ -6,7 +6,10 @@ Consistency across all possible reductions forces the extension back to
 the original market: neglected drivers keep their physical intensities
 (no risk premium), batched drivers split the batch intensity in
 proportion to their physical weights, and a continuous mark density is
-reweighted cell by cell while keeping its shape within each cell.
+reweighted cell by cell while keeping its shape within each cell.  One
+uplift, :func:`uplift_discrete`, serves every discrete plan, complete
+neglect being the one with no batches; :func:`uplift_continuous` serves
+cell plans.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .errors import (
     InvalidIntensities,
     NonpositiveGamma,
     NotComplete,
-    PlanMismatch,
     ShapeMismatch,
 )
 from .model import (
@@ -47,8 +49,7 @@ __all__ = [
     "CellMeasure",
     "UpliftVerification",
     "solve_unique_emm",
-    "uplift_complete_neglect",
-    "uplift_batch",
+    "uplift_discrete",
     "uplift_continuous",
     "uplift_general",
     "build_uplifted_emm",
@@ -397,69 +398,36 @@ def _require_discrete_solution(fict_emm: Emm):
         raise NotComplete("fictitious solution is empty")
 
 
-def uplift_complete_neglect(
-    fict_emm: Emm, spec: MarketSpec, plan: DiscretePlan
-) -> Emm:
-    """Extend a complete-neglect solution to the original market.
-
-    Retained drivers keep their solved intensities; neglected ones carry
-    no risk premium, so their risk-neutral intensities equal the physical
-    ones.  Dropped Brownian drivers get theta = 0.
-    """
-    if plan.batches:
-        raise PlanMismatch("plan contains batches; use the batching uplift")
-    plan.validate(spec)
-    _require_discrete_solution(fict_emm)
-    kept = plan.kept_brownians(spec)
-    theta = _uplift_theta(fict_emm, spec, kept)
-    jumps: DiscreteJumpSpec | None = spec.jumps
-    if jumps is None:
-        return Emm(theta=theta, provenance="uplift: complete neglect")
-    retained = tuple(sorted(plan.retain))
-    fict_lams = fict_emm.intensities or ()
-    if len(fict_lams) != len(retained):
-        raise NotComplete("fictitious solution does not match the plan")
-    lams: list[TimeFunction] = list(jumps.intensities)
-    for k, m in enumerate(retained):
-        lams[m] = fict_lams[k]
-    _check_positive(lams, spec.horizon)
-    return Emm(
-        theta=theta,
-        intensities=tuple(lams),
-        provenance="uplift: complete neglect",
-    )
-
-
-def uplift_batch(
+def uplift_discrete(
     fict_emm: Emm, spec: MarketSpec, plan: DiscretePlan, grid=None
 ) -> Emm:
-    """Extend a batched solution: members split the batch intensity.
+    """Extend a discrete-plan solution to the original market.
 
-    Member m of a batch with solved intensity gamma*(t) receives
-    lambda~*_m(t) = gamma*(t) * delta_m(t), the share proportional to its
-    physical conditional probability within the batch.  Retained
-    singletons and neglected drivers follow the complete-neglect rules.
+    Retained drivers take their solved intensities.  Member m of a batch
+    with solved intensity gamma*(t) receives lambda~*_m(t) = gamma*(t) *
+    delta_m(t), the share proportional to its physical conditional
+    probability within the batch.  Neglected drivers carry no risk
+    premium, so their risk-neutral intensities equal the physical ones,
+    and dropped Brownian drivers get theta = 0.
     """
-    if not plan.batches:
-        raise PlanMismatch("plan has no batches; use the complete-neglect uplift")
     plan.validate(spec)
     _require_discrete_solution(fict_emm)
-    if grid is None:
-        grid = default_grid(spec.horizon)
-    kept = plan.kept_brownians(spec)
-    theta = _uplift_theta(fict_emm, spec, kept)
-    jumps: DiscreteJumpSpec = spec.jumps
+    theta = _uplift_theta(fict_emm, spec, plan.kept_brownians(spec))
+    provenance = "uplift: batching" if plan.batches else "uplift: complete neglect"
+    if spec.jumps is None:
+        return Emm(theta=theta, provenance=provenance)
     retained = tuple(sorted(plan.retain))
     fict_lams = fict_emm.intensities or ()
     if len(fict_lams) != len(retained) + len(plan.batches):
         raise NotComplete("fictitious solution does not match the plan")
 
-    lams: list[TimeFunction] = list(jumps.intensities)
-    for k, m in enumerate(retained):
-        lams[m] = fict_lams[k]
-    for j, batch in enumerate(plan.batches):
+    lams: list[TimeFunction] = list(spec.jumps.intensities)
+    for m, lam in zip(retained, fict_lams):
+        lams[m] = lam
+    if plan.batches and grid is None:
+        grid = default_grid(spec.horizon)
+    for batch, gamma_star in zip(plan.batches, fict_lams[len(retained):]):
         batch = tuple(sorted(batch))
-        gamma_star = fict_lams[len(retained) + j]
         if gamma_star.min_value(0.0, spec.horizon) <= 0.0:
             raise NonpositiveGamma(
                 f"solved batch intensity nonpositive for batch {batch}"
@@ -472,14 +440,10 @@ def uplift_batch(
         )
         for m, share in zip(batch, shares):
             lams[m] = share
-    _check_positive(lams, spec.horizon)
-    return Emm(theta=theta, intensities=tuple(lams), provenance="uplift: batching")
-
-
-def _check_positive(lams, horizon: float):
-    bad = [m for m, fn in enumerate(lams) if fn.min_value(0.0, horizon) <= 0.0]
+    bad = [m for m, fn in enumerate(lams) if fn.min_value(0.0, spec.horizon) <= 0.0]
     if bad:
         raise InvalidIntensities(f"uplifted intensities nonpositive: {bad}")
+    return Emm(theta=theta, intensities=tuple(lams), provenance=provenance)
 
 
 def uplift_continuous(
@@ -491,8 +455,6 @@ def uplift_continuous(
     cell and scales it to the solved cell probability; an uncovered
     remainder keeps the physical intensity measure (no risk premium).
     """
-    if not isinstance(spec.jumps, ContinuousJumpSpec):
-        raise PlanMismatch("continuous uplift needs a continuous mark space")
     plan.validate(spec)
     _require_discrete_solution(fict_emm)
     kept = plan.kept_brownians(spec)
@@ -522,9 +484,7 @@ def uplift_general(
     """Dispatch on the plan kind; compositions agree with one-shot results."""
     if isinstance(plan, ContinuousPlan):
         return uplift_continuous(fict_emm, spec, plan, grid)
-    if plan.batches:
-        return uplift_batch(fict_emm, spec, plan, grid)
-    return uplift_complete_neglect(fict_emm, spec, plan)
+    return uplift_discrete(fict_emm, spec, plan, grid)
 
 
 def build_uplifted_emm(spec: MarketSpec, plan, grid=None):

@@ -11,7 +11,7 @@ from upliftemm import (
     DiscretePlan,
     MarketSpec,
     TimeFunction,
-    reduce_complete_neglect,
+    reduce_discrete,
 )
 from upliftemm.errors import FactorAtMinusOne, PlanMismatch
 
@@ -39,6 +39,22 @@ def make_three_stock_market(horizon: float = 1.0) -> MarketSpec:
         rate=RATE,
         sigma=[[s] for s in SIGMA],
         jumps=DiscreteJumpSpec(intensities=INTENSITIES, loadings=LOADINGS),
+    )
+
+
+def make_four_driver_market() -> MarketSpec:
+    """The canonical market with a fourth Poisson driver of intensity 0.5,
+    so one plan can retain, batch and neglect drivers at once."""
+    return MarketSpec(
+        horizon=1.0,
+        s0=[100.0, 50.0, 25.0],
+        alpha=list(EXCESS + RATE),
+        rate=RATE,
+        sigma=[[s] for s in SIGMA],
+        jumps=DiscreteJumpSpec(
+            intensities=INTENSITIES + [0.5],
+            loadings=[row + [y] for row, y in zip(LOADINGS, [0.15, 0.3, -0.2])],
+        ),
     )
 
 
@@ -161,7 +177,7 @@ def project_price_closed_form(
     # that the pipeline alone never loads the engine
     from upliftemm.stochastic import stock_path_exact
 
-    fict = reduce_complete_neglect(spec, plan)
+    fict = reduce_discrete(spec, plan)
     values = stock_path_exact(
         fict.spec,
         event_times=retained_path.event_times,

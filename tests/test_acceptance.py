@@ -34,7 +34,7 @@ from upliftemm import (
     sample_poisson_inhomogeneous,
     simulate_terminal,
     solve_mpr,
-    uplift_complete_neglect,
+    uplift_discrete,
     verify_uplift,
 )
 import upliftemm.blocks
@@ -115,8 +115,8 @@ def test_complete_neglect_uplift_solves_original_equations(canonical):
             loadings=tuple(row[:3] for row in spec4.jumps.loadings),
         ),
     )
-    seq = uplift_complete_neglect(
-        uplift_complete_neglect(
+    seq = uplift_discrete(
+        uplift_discrete(
             fict_emm4, mid, DiscretePlan(retain=(0, 1), neglect=(2,))
         ),
         spec4,

@@ -218,6 +218,22 @@ class TestVerifySuite:
         assert not out.exists()
         assert "--paths must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("paths", [0, 1])
+    def test_price_with_fewer_than_two_paths_is_config_error(
+        self, workdir, paths, capsys
+    ):
+        # no standard error: 0 paths printed a NaN estimate, 1 path std_error 0
+        emm_path = workdir / "emm.json"
+        run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--out", emm_path)
+        out = workdir / "price.json"
+        assert run(
+            "price", "-m", workdir / "market.json", "-e", emm_path,
+            "--payoff", workdir / "payoff.json", "--paths", paths, "--out", out,
+        ) == 2
+        assert not out.exists()
+        assert "--paths must be at least 2" in capsys.readouterr().err
+
     def test_env_var_overrides_default_seed(self, workdir, monkeypatch):
         monkeypatch.setenv("UPLIFTEMM_SEED", "0x123")
         emm_path = workdir / "emm.json"

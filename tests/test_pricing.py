@@ -163,8 +163,8 @@ class TestCountColumns:
 
 
 class TestTooFewPaths:
-    """A check's verdict needs a standard error, so fewer than two paths is
-    a typed error, raised before anything is simulated."""
+    """An estimate's standard error (ddof=1) needs two paths, so fewer is a
+    typed error, raised before anything is simulated."""
 
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_checks_reject_fewer_than_two_paths(self, uplifted, monkeypatch, n_paths):
@@ -181,6 +181,33 @@ class TestTooFewPaths:
         for call in calls:
             with pytest.raises(TooFewPaths, match=f"at least 2 paths, got {n_paths}"):
                 call()
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_prices_and_nested_checks_reject_fewer_than_two_paths(
+        self, uplifted, monkeypatch, n_paths
+    ):
+        spec, plan, emm, fict, fict_emm = uplifted
+        _forbid_simulation(monkeypatch)
+        call = Payoff.call(0, 100.0)
+        idle = Strategy(holdings=(0.0, 0.0, 0.0))
+        calls = [
+            lambda: price_mc(spec, emm, call, n_paths),
+            lambda: zweighted_price_mc(spec, emm, call, n_paths),
+            lambda: hedging_error(spec, emm, idle, call, n_paths),
+            lambda: cost_of_construction_check(
+                spec, plan, emm, fict_emm, call, n_outer=n_paths, n_inner=10, fict=fict
+            ),
+            lambda: cost_of_construction_check(
+                spec, plan, emm, fict_emm, call, n_outer=10, n_inner=10,
+                n_direct=n_paths, fict=fict,
+            ),
+            lambda: projection_consistency_check(
+                spec, plan, n_outer=10, n_inner=n_paths, fict=fict
+            ),
+        ]
+        for call_with_too_few in calls:
+            with pytest.raises(TooFewPaths, match=f"at least 2 paths, got {n_paths}"):
+                call_with_too_few()
 
     def test_two_paths_have_a_standard_error(self, uplifted):
         spec, _, emm, _, _ = uplifted

@@ -1,6 +1,8 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-import warnings
 from hypothesis import given, settings, strategies as st
 
 from upliftemm import (
@@ -13,21 +15,25 @@ from upliftemm import (
     RngStreamSpec,
     TimeFunction,
     batch_weights,
-    reduce_batch,
-    reduce_complete_neglect,
     reduce_continuous,
+    reduce_discrete,
     reduce_market,
     simulate_path,
 )
 from upliftemm.errors import EmptyCell, EmptyRetention, PlanMismatch, ShapeMismatch
+import upliftemm.reduction
 from upliftemm.stochastic import SimulationContext
 
-from conftest import make_uniform_mark_market, project_price_closed_form
+from conftest import (
+    make_four_driver_market,
+    make_uniform_mark_market,
+    project_price_closed_form,
+)
 
 
 class TestCompleteNeglect:
     def test_drops_neglected_driver(self, three_stock_market, neglect_plan):
-        fict = reduce_complete_neglect(three_stock_market, neglect_plan)
+        fict = reduce_discrete(three_stock_market, neglect_plan)
         assert fict.spec.n_jump_drivers == 2
         assert np.allclose(fict.spec.jumps.intensity_values(0.0), [2.0, 1.0])
         assert fict.neglected == (2,)
@@ -41,7 +47,7 @@ class TestCompleteNeglect:
         plan = DiscretePlan(retain=(0, 1, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fict = reduce_complete_neglect(three_stock_market, plan)
+            fict = reduce_discrete(three_stock_market, plan)
         assert fict.spec.jumps.intensities == three_stock_market.jumps.intensities
         assert fict.spec.jumps.loadings == three_stock_market.jumps.loadings
 
@@ -55,7 +61,7 @@ class TestCompleteNeglect:
             ),
         )
         plan = DiscretePlan(neglect=(0,), keep_brownians=(0, 1))
-        fict = reduce_complete_neglect(spec, plan)
+        fict = reduce_discrete(spec, plan)
         assert fict.spec.jumps is None
         assert fict.spec.n_brownians == 2
         assert np.allclose(fict.spec.sigma_values(0.0), [[0.2, 0.1], [0.0, 0.3]])
@@ -67,27 +73,73 @@ class TestCompleteNeglect:
             jumps=DiscreteJumpSpec(intensities=[1.0], loadings=[[0.1]]),
         )
         with pytest.raises(EmptyRetention):
-            reduce_complete_neglect(spec, DiscretePlan(neglect=(0,)))
+            reduce_discrete(spec, DiscretePlan(neglect=(0,)))
 
     def test_incomplete_target_warns(self, three_stock_market):
         plan = DiscretePlan(retain=(0,), neglect=(1, 2))
         with pytest.warns(UserWarning, match="completeness"):
-            reduce_complete_neglect(three_stock_market, plan)
-
-    def test_batches_rejected(self, three_stock_market, batch_plan):
-        with pytest.raises(PlanMismatch):
-            reduce_complete_neglect(three_stock_market, batch_plan)
+            reduce_discrete(three_stock_market, plan)
 
     def test_partition_enforced(self, three_stock_market):
         with pytest.raises(ShapeMismatch):
-            reduce_complete_neglect(
+            reduce_discrete(
                 three_stock_market, DiscretePlan(retain=(0,), neglect=(2,))
             )
 
 
+class TestDiscreteReduction:
+    """One reduction serves every discrete plan: complete neglect is the
+    plan with no batches."""
+
+    def test_retain_batch_and_neglect_together(self):
+        spec = make_four_driver_market()
+        plan = DiscretePlan(retain=(0,), batches=((1, 2),), neglect=(3,))
+        fict = reduce_discrete(spec, plan)
+        assert fict.driver_groups == ((0,), (1, 2))
+        assert fict.neglected == (3,)
+        jumps = fict.spec.jumps
+        assert jumps.intensities[0] is spec.jumps.intensities[0]
+        assert [row[0] for row in jumps.loadings] == [
+            row[0] for row in spec.jumps.loadings
+        ]
+        assert fict.weights[0] == (TimeFunction.constant(1.0),)
+        # gamma = 1 + 3; delta = (0.25, 0.75); the neglected driver is gone
+        assert jumps.intensities[1].constant_value == pytest.approx(4.0)
+        assert [d.constant_value for d in fict.weights[1]] == pytest.approx(
+            [0.25, 0.75]
+        )
+        assert jumps.n_drivers == 2
+
+    def test_marks_kept_only_under_complete_neglect(self, three_stock_market):
+        spec = replace(
+            three_stock_market,
+            jumps=replace(three_stock_market.jumps, marks=(0.1, 0.2, 0.3)),
+        )
+        fict = reduce_discrete(spec, DiscretePlan(retain=(0, 1), neglect=(2,)))
+        assert fict.spec.jumps.marks == (0.1, 0.2)
+        fict = reduce_discrete(spec, DiscretePlan(retain=(0,), batches=((1, 2),)))
+        assert fict.spec.jumps.marks is None
+
+    def test_complete_neglect_builds_no_grid(
+        self, three_stock_market, neglect_plan, monkeypatch
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("complete neglect built a grid")
+
+        monkeypatch.setattr(upliftemm.reduction, "default_grid", no_grid)
+        fict = reduce_discrete(three_stock_market, neglect_plan)
+        assert fict.driver_groups == ((0,), (1,))
+
+    def test_continuous_market_rejected(self):
+        with pytest.raises(PlanMismatch):
+            reduce_discrete(make_uniform_mark_market(), DiscretePlan())
+        with pytest.raises(PlanMismatch):
+            reduce_market(make_uniform_mark_market(), DiscretePlan())
+
+
 class TestBatching:
     def test_weights_and_loading(self, three_stock_market, batch_plan):
-        fict = reduce_batch(three_stock_market, batch_plan)
+        fict = reduce_discrete(three_stock_market, batch_plan)
         jumps = fict.spec.jumps
         assert jumps.n_drivers == 2
         # gamma = 1 + 3; delta = (0.25, 0.75)
@@ -99,7 +151,7 @@ class TestBatching:
 
     def test_single_member_batch_rejected(self, three_stock_market):
         with pytest.raises(ShapeMismatch):
-            reduce_batch(
+            reduce_discrete(
                 three_stock_market, DiscretePlan(retain=(0, 1), batches=((2,),))
             )
 
@@ -126,7 +178,7 @@ class TestBatching:
 
     def test_intensity_conservation(self, time_varying_market):
         grid = np.linspace(0.0, 1.0, 256)
-        fict = reduce_batch(
+        fict = reduce_discrete(
             time_varying_market, DiscretePlan(retain=(0,), batches=((1, 2),)), grid
         )
         jumps = time_varying_market.jumps
@@ -141,7 +193,7 @@ class TestBatching:
     def test_compensator_consistency(self, time_varying_market):
         # gamma(t) * ybar_i(t) equals the sum of member compensators exactly
         grid = np.linspace(0.0, 1.0, 256)
-        fict = reduce_batch(
+        fict = reduce_discrete(
             time_varying_market, DiscretePlan(retain=(0,), batches=((1, 2),)), grid
         )
         jumps = time_varying_market.jumps
@@ -167,7 +219,7 @@ class TestBatching:
             horizon=1.0, s0=[1.0], alpha=[0.0], rate=0.0, sigma=[[0.2]],
             jumps=DiscreteJumpSpec(intensities=lams, loadings=[ys]),
         )
-        fict = reduce_batch(spec, DiscretePlan(batches=(tuple(range(k)),)))
+        fict = reduce_discrete(spec, DiscretePlan(batches=(tuple(range(k)),)))
         ybar = fict.spec.jumps.loadings[0][0].constant_value
         assert min(ys) - 1e-12 <= ybar <= max(ys) + 1e-12
 

@@ -24,9 +24,8 @@ from upliftemm import (
     physical_emm,
     reduce_market,
     solve_unique_emm,
-    uplift_batch,
-    uplift_complete_neglect,
     uplift_continuous,
+    uplift_discrete,
     uplift_general,
     verify_uplift,
 )
@@ -45,6 +44,7 @@ from conftest import (
     RATE,
     SIGMA,
     cell_probabilities,
+    make_four_driver_market,
     make_piecewise_mark_market,
     make_three_stock_market,
     make_uniform_mark_market,
@@ -98,19 +98,7 @@ class TestCompleteNeglectUplift:
 
     def test_sequential_equals_one_shot(self):
         # four drivers, neglect two of them, uplift one at a time
-        spec = MarketSpec(
-            horizon=1.0, s0=[100.0, 50.0, 25.0],
-            alpha=list(np.array([0.19, 0.155, -0.06]) + RATE), rate=RATE,
-            sigma=[[s] for s in SIGMA],
-            jumps=DiscreteJumpSpec(
-                intensities=[2.0, 1.0, 3.0, 0.5],
-                loadings=[
-                    [0.1, -0.2, 0.2, 0.15],
-                    [0.05, 0.1, -0.15, 0.3],
-                    [-0.1, 0.3, 0.25, -0.2],
-                ],
-            ),
-        )
+        spec = make_four_driver_market()
         one_shot, _, fict_emm = build_uplifted_emm(
             spec, DiscretePlan(retain=(0, 1), neglect=(2, 3))
         )
@@ -122,10 +110,10 @@ class TestCompleteNeglectUplift:
                 loadings=tuple(row[:3] for row in spec.jumps.loadings),
             ),
         )
-        step1 = uplift_complete_neglect(
+        step1 = uplift_discrete(
             fict_emm, mid, DiscretePlan(retain=(0, 1), neglect=(2,))
         )
-        step2 = uplift_complete_neglect(
+        step2 = uplift_discrete(
             step1, spec, DiscretePlan(retain=(0, 1, 2), neglect=(3,))
         )
         assert step2.theta == one_shot.theta
@@ -307,15 +295,55 @@ class TestContinuousUplift:
         assert rep.passed, rep.max_residual
 
 
+class TestDiscreteUplift:
+    """One uplift serves every discrete plan: complete neglect is the plan
+    with no batches."""
+
+    def test_retain_batch_and_neglect_together(self):
+        spec = make_four_driver_market()
+        plan = DiscretePlan(retain=(0,), batches=((1, 2),), neglect=(3,))
+        emm, _, fict_emm = build_uplifted_emm(spec, plan)
+        assert emm.provenance == "uplift: batching"
+        assert emm.intensities[0] is fict_emm.intensities[0]
+        # the neglected driver carries no premium: exactly the physical rate
+        assert emm.intensities[3] is spec.jumps.intensities[3]
+        # the members share gamma* in their physical proportion 1 : 3
+        gamma = fict_emm.intensities[1].constant_value
+        shares = [emm.intensities[m].constant_value for m in (1, 2)]
+        assert sum(shares) == pytest.approx(gamma, rel=1e-14)
+        assert shares[1] == pytest.approx(3.0 * shares[0], rel=1e-14)
+        assert verify_uplift(emm, spec).passed
+
+    def test_complete_neglect_builds_no_grid(
+        self, three_stock_market, neglect_plan, monkeypatch
+    ):
+        fict = reduce_market(three_stock_market, neglect_plan)
+        fict_emm = solve_unique_emm(fict.spec)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("complete neglect built a grid")
+
+        monkeypatch.setattr(upliftemm.uplift, "default_grid", no_grid)
+        emm = uplift_discrete(fict_emm, three_stock_market, neglect_plan)
+        assert emm.provenance == "uplift: complete neglect"
+
+    def test_continuous_market_rejected(self):
+        # a typed error, not AttributeError on the market's missing intensities
+        spec = make_uniform_mark_market()
+        for uplift in (uplift_discrete, uplift_general):
+            with pytest.raises(PlanMismatch):
+                uplift(Emm(theta=(0.1,)), spec, DiscretePlan())
+
+
 class TestGeneralDispatch:
     def test_discrete_dispatch_matches_specialized(self, three_stock_market):
         plan = DiscretePlan(retain=(0,), batches=((1, 2),))
         fict = reduce_market(three_stock_market, plan)
         fict_emm = solve_unique_emm(fict.spec)
         via_general = uplift_general(fict_emm, three_stock_market, plan)
-        via_batch = uplift_batch(fict_emm, three_stock_market, plan)
-        assert via_general.theta == via_batch.theta
-        assert via_general.intensities == via_batch.intensities
+        via_discrete = uplift_discrete(fict_emm, three_stock_market, plan)
+        assert via_general.theta == via_discrete.theta
+        assert via_general.intensities == via_discrete.intensities
 
     def test_plan_kind_checked(self, three_stock_market, uniform_mark_market):
         plan = ContinuousPlan(cells=((-0.5, 0.0), (0.0, 0.5)))
@@ -586,8 +614,7 @@ PACKAGE_EXPORTS = {
     ),
     "reduction": (
         "ContinuousPlan", "DiscretePlan", "FictitiousMarket", "batch_weights",
-        "reduce_batch", "reduce_complete_neglect", "reduce_continuous",
-        "reduce_market",
+        "reduce_continuous", "reduce_discrete", "reduce_market",
     ),
     "stochastic": (
         "DEFAULT_SEED", "PathBundle", "RngStreamSpec", "rn_density_path",
@@ -597,7 +624,7 @@ PACKAGE_EXPORTS = {
     "timefns": ("TimeFunction", "adaptive_simpson", "integrate_product"),
     "uplift": (
         "CellMeasure", "Emm", "physical_emm", "solve_unique_emm",
-        "build_uplifted_emm", "uplift_batch", "uplift_complete_neglect",
+        "build_uplifted_emm", "uplift_discrete",
         "uplift_continuous", "uplift_general", "verify_uplift",
     ),
 }
