@@ -59,22 +59,25 @@ class PathBundle:
 # -- per-event factors (shared with the one-path reference) ---------------------
 
 
-def _driver_slices(marks: np.ndarray, n_drivers: int) -> list[np.ndarray]:
-    """Each driver's event indices, in event order, from one stable sort."""
-    order = np.argsort(marks, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(marks, minlength=n_drivers))[:-1])
-
-
-def _per_driver(fns, times: np.ndarray, slices) -> np.ndarray:
-    """Each event's value of its driver's function, 0 past ``fns``: each
-    ``fns[m]`` is evaluated once, on driver m's events."""
-    out = np.zeros(times.size)
-    for fn, idx in zip(fns, slices):
-        out[idx] = fn.value(times[idx])
+def _per_driver(rows, times, marks, order=None) -> np.ndarray:
+    """(len(rows), n_events): each event's value of its driver's function
+    in each row of functions, 0 past a row's end.  Each function is
+    evaluated once, on its driver's events, in time order when ``order``
+    sorts the events (where np.interp and step lookups are faster)."""
+    if all(fn.is_constant for row in rows for fn in row):
+        order = None  # a constant looks nothing up, and scatters faster in event order
+    by_driver = marks if order is None else marks[order]
+    out = np.zeros((len(rows), times.size))
+    for m in range(max(map(len, rows))):
+        idx = np.flatnonzero(by_driver == m) if order is None else order[by_driver == m]
+        at = times[idx]
+        for r, row in enumerate(rows):
+            if m < len(row):
+                out[r, idx] = row[m].value(at)
     return out
 
 
-def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray:
+def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks, order=None):
     """(n, n_events) log jump factors ln(1 + y_i) at each event."""
     n = ctx.n
     if ev_times.size == 0:
@@ -82,13 +85,13 @@ def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray
     if ctx.kind == "continuous":
         row = np.log1p(ev_marks.astype(float))
         return np.tile(row, (n, 1))
-    jumps = ctx.spec.jumps
-    slices = _driver_slices(ev_marks, jumps.n_drivers)
-    return np.log1p([_per_driver(row, ev_times, slices) for row in jumps.loadings])
+    out = _per_driver(ctx.spec.jumps.loadings, ev_times, ev_marks, order)
+    return np.log1p(out, out=out)
 
 
-def _event_log_phi(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray:
-    """log d(lambda~)/d(lambda) of the density measure at each event."""
+def _event_log_phi(ctx: SimulationContext, ev_times, ev_marks, order=None, lam=None):
+    """log d(lambda~)/d(lambda) of the density measure at each event;
+    ``lam``, a block's simulation intensities at them, are lambda under P."""
     emm = ctx.density_emm
     if ev_times.size == 0 or ctx.kind == "none":
         return np.zeros(0)
@@ -99,9 +102,11 @@ def _event_log_phi(ctx: SimulationContext, ev_times, ev_marks) -> np.ndarray:
         return np.log(phis)
     if ctx.const_log_phi is not None:
         return ctx.const_log_phi[ev_marks]
-    slices = _driver_slices(ev_marks, ctx.spec.jumps.n_drivers)
-    lam_ev = _per_driver(ctx.spec.jumps.intensities, ev_times, slices)
-    lam_t_ev = _per_driver(emm.intensities, ev_times, slices)
+    lam_t_ev = _per_driver((emm.intensities,), ev_times, ev_marks, order)[0]
+    if lam is None or ctx.measure_emm is not None:
+        (lam_ev,) = _per_driver((ctx.spec.jumps.intensities,), ev_times, ev_marks, order)
+    else:
+        lam_ev = lam[ev_marks, np.arange(ev_marks.size)]
     if np.any(lam_t_ev <= 0.0):
         raise NullMark("event realized where the risk-neutral intensity is 0")
     return np.log(lam_t_ev / lam_ev)
@@ -185,19 +190,22 @@ class _Block:
 
     Row p is stream ``first_stream + p``.  Events are path-major: path p
     owns ``ev_times[ev_off[p]:ev_off[p + 1]]``, and ``pid`` names each
-    event's row.  ``dw[p]`` holds the path's Brownian increments over
-    the shared grid's segments and ``n_before[p]`` its number of events
-    at or before each output time.
+    event's row; ``order`` sorts them by time (else None), and ``lam`` holds
+    a time-varying discrete market's (M, n_events) intensities at them.
+    ``dw[p]`` holds the path's increments over the shared grid's segments
+    and ``n_before[p]`` its number of events at or before each output time.
     """
 
-    first_stream: int
     pid: np.ndarray
     local: np.ndarray  # each event's position within its path
     ev_off: np.ndarray
     ev_times: np.ndarray
     ev_marks: np.ndarray
-    dw: np.ndarray  # (B, K, D)
-    n_before: np.ndarray  # (B, n_out)
+    order: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    first_stream: int = 0
+    dw: np.ndarray | None = None  # (B, K, D)
+    n_before: np.ndarray | None = None  # (B, n_out)
     stocks: np.ndarray | None = None  # (B, n, n_out)
     z: np.ndarray | None = None  # (B, n_out)
 
@@ -231,10 +239,10 @@ def _stream_ids(first: int, count: int) -> np.ndarray:
 
 def _draw_marked_events(
     ctx: SimulationContext, seed: int, sids: np.ndarray, u_count=None
-):
-    """Accepted events of streams ``sids``: their times (path-major,
-    sorted within each path), rows, each path's offsets, each event's
-    position within its path and its mark.
+) -> _Block:
+    """The block of streams ``sids`` with only its accepted events: their
+    times (path-major, sorted within each path), rows, offsets, positions
+    within their paths, marks, time order and intensities.
 
     Path p's candidate count inverts the context's Poisson table at its
     ``count`` uniform (``u_count``, drawn here when not given).  One kernel
@@ -244,7 +252,8 @@ def _draw_marked_events(
     candidate time, so the sorted times take them in counter order.
     Accepted event l of path p reads the marks row at candidate column
     ``start[p] + l``, which is marks counter l since l < n_cand[p]; its
-    two uniforms cover every mark rule.
+    two uniforms cover every mark rule; a discrete market's intensities,
+    evaluated once per candidate, mark them from their accepted columns.
     """
     B = len(sids)
     n_cand = np.zeros(B, dtype=np.int64)
@@ -256,6 +265,7 @@ def _draw_marked_events(
     start = np.cumsum(n_cand) - n_cand
     u = np.zeros((2, 2, 0))
     ev_times, accept = np.zeros(0), np.zeros(0, dtype=bool)
+    order = lam = None
     if pid.size:
         j = np.arange(pid.size) - start[pid]
         u = uniforms(seed, _TIMES_AND_MARKS[:, None], j, sids[pid])
@@ -265,18 +275,28 @@ def _draw_marked_events(
         pad[filled] = ctx.horizon * t
         pad.sort(axis=1)
         cand = pad[filled]
-        lam = ctx.total_intensity_at(cand)
-        if np.any(lam > ctx.majorant):  # thinning is exact only below it
+        order = np.argsort(cand) if ctx.sorts_events else None
+        if ctx.kind == "discrete" and ctx.const_total is None:
+            at = slice(None) if order is None else order
+            lam = np.empty((len(ctx.sim_intensities), cand.size))
+            lam[:, at] = [fn.value(cand[at]) for fn in ctx.sim_intensities]
+            total = lam.sum(axis=0)  # in driver order
+        else:
+            total = ctx.total_intensity_at(cand)
+        if np.any(total > ctx.majorant):  # thinning is exact only below it
             raise UnboundedIntensity("intensity exceeds the thinning majorant")
-        accept = thin * ctx.majorant <= lam
+        accept = thin * ctx.majorant <= total
         ev_times = cand[accept]
+        if order is not None:  # each accepted candidate's event index, in time order
+            order = (np.cumsum(accept) - 1)[order[accept[order]]]
+        lam = None if lam is None else lam.compress(accept, axis=1)  # C order
     pid = pid[accept]
     ev_off = np.concatenate([[0], np.cumsum(np.bincount(pid, minlength=B))])
     local = np.arange(ev_times.size) - ev_off[pid]
-    if ctx.kind == "none":
-        return ev_times, pid, ev_off, local, np.zeros(0, dtype=np.int64)
-    marks = ctx.marks_from_uniforms(u[:, 1, start[pid] + local], ev_times)
-    return ev_times, pid, ev_off, local, marks
+    marks = np.zeros(0, dtype=np.int64)
+    if ctx.kind != "none":
+        marks = ctx.marks_from_uniforms(u[:, 1, start[pid] + local], ev_times, lam)
+    return _Block(pid, local, ev_off, ev_times, marks, order, lam)
 
 
 def _counts_at_or_below(times, pid, count: int, out: np.ndarray) -> np.ndarray:
@@ -367,22 +387,20 @@ def _simulate_block(
     """
     sids = _stream_ids(first, count)
     u_count, dw, res = _path_draws(ctx, seed, sids)
-    ev_times, pid, ev_off, local, marks = _draw_marked_events(ctx, seed, sids, u_count)
-    block = _Block(
-        first_stream=first, pid=pid, local=local, ev_off=ev_off, ev_times=ev_times,
-        ev_marks=marks, dw=dw,
-        n_before=_counts_at_or_below(ev_times, pid, count, ctx.out_times),
-    )
+    block = _draw_marked_events(ctx, seed, sids, u_count)
+    block.first_stream, block.dw = first, dw
+    ev_times, marks, order = block.ev_times, block.ev_marks, block.order
+    block.n_before = _counts_at_or_below(ev_times, block.pid, count, ctx.out_times)
     n = ctx.n
     gauss = _gaussian_sums(ctx, dw, res, slice(None) if stocks else slice(n, None))
     if stocks:
         log_s = gauss[:n] + ctx.det_drift.T[:, None, :]  # (n, B, n_out)
-        log_s += _event_sums(block, _event_log_factors(ctx, ev_times, marks))
+        log_s += _event_sums(block, _event_log_factors(ctx, ev_times, marks, order))
         np.exp(log_s, out=log_s)
         log_s *= np.asarray(ctx.spec.s0)[:, None, None]
         block.stocks = np.ascontiguousarray(log_s.transpose(1, 0, 2))
     if ctx.density_emm is not None:
         log_z1 = gauss[-1] if len(ctx.segments.drag) > n else 0.0  # -theta's row
-        log_phi = _event_log_phi(ctx, ev_times, marks)
+        log_phi = _event_log_phi(ctx, ev_times, marks, order, block.lam)
         block.z = np.exp(log_z1 + ctx.z2_drift + _event_sums(block, log_phi))
     return block

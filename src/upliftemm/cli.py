@@ -13,8 +13,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from .errors import UpliftError
 from .io import (
     dump_json,

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import blocks
-from .blocks import _driver_slices, _per_driver, _sum_d
+from .blocks import _per_driver, _sum_d
 from .errors import (
     BudgetExceeded,
     NonReducedEvent,
@@ -326,10 +326,12 @@ def _z(diff: float, se: float) -> float:
     return abs(diff) / se if se > 0 else 0.0
 
 
-def _require_paths(n_paths: int) -> None:
-    """An estimate needs a standard error (ddof=1), so at least two paths."""
-    if n_paths < 2:
-        raise TooFewPaths(f"an estimate needs at least 2 paths, got {n_paths}")
+def _require_paths(n_paths: int, least: int = 2) -> None:
+    """An estimate needs a standard error (ddof=1), so at least two paths;
+    a nested check's other count needs ``least`` = 1."""
+    if n_paths < least:
+        plural = "s" * (least > 1)
+        raise TooFewPaths(f"an estimate needs at least {least} path{plural}, got {n_paths}")
 
 
 def _agrees(diff: float, se: float) -> bool:
@@ -561,7 +563,7 @@ def restriction_check(
     if isinstance(plan, ContinuousPlan):
         cols = np.arange(len(plan.cells))
 
-        def in_cells(times, marks):  # one-hot of each mark's cell
+        def in_cells(times, marks, order):  # one-hot of each mark's cell
             return (cell_index(plan.cells, marks)[:, None] == cols).astype(float)
 
         full, full_counts = _terminal_sample(
@@ -691,6 +693,7 @@ def cost_of_construction_check(
     if not _is_complete_neglect(plan):
         raise PlanMismatch("nested conditioning supports complete-neglect plans")
     _require_paths(n_outer)
+    _require_paths(n_inner, 1)
     _require_paths(n_direct)
     _check_count_columns(spec, payoff)
     if n_outer * n_inner > budget:
@@ -749,6 +752,7 @@ def projection_consistency_check(
     if not _is_complete_neglect(plan):
         raise PlanMismatch("projection supports complete-neglect plans")
     _require_paths(n_inner)
+    _require_paths(n_outer, 1)
     if fict is None:
         fict = reduce_market(spec, plan)
     t = 0.5 * spec.horizon if t is None else float(t)
@@ -883,9 +887,8 @@ def hedging_error(
             for h, lam in zip(strategy.jump_integrand, lam_sim)
         )
 
-        def paid(times, marks):  # the integrand of each event's driver
-            slices = _driver_slices(marks, len(strategy.jump_integrand))
-            return _per_driver(strategy.jump_integrand, times, slices)[:, None]
+        def paid(times, marks, order):  # the integrand of each event's driver
+            return _per_driver((strategy.jump_integrand,), times, marks, order).T
 
     sample, paid_sums = _terminal_sample(ctx, n_paths, seed, 0, paid)
     # each path's stock gain is one sum over its (stock, interval) terms

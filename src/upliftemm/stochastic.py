@@ -192,44 +192,41 @@ class SimulationContext:
                 raise NullMark("risk-neutral intensity vanishes on a driver")
             self.const_log_phi = np.log(lam_t / lam)
 
-        # deterministic integrals at each output time; the stocks' drift
-        # integrates the jump compensators, so it is built on first use
+        # drift integrals to all output times, one call per function, a lone
+        # time as a float (numpy's per-call cost); det_drift is built on use
+        self._limits = out if len(out) > 1 else float(out[0])
         self.z2_drift = np.zeros(len(out))
         if density_emm is not None:
-            for j, tau in enumerate(out):
-                self.z2_drift[j] = self._density_drift(density_emm, float(tau))
+            self.z2_drift[:] = self._density_drift(density_emm)
 
     @cached_property
     def det_drift(self) -> np.ndarray:
         """(n_out, n) log-price drift integrals to each output time: the
         rate under a measure, else alpha, less the jump compensator."""
-        spec = self.spec
-        under_q = self.measure_emm is not None
+        spec, lim = self.spec, self._limits
+        r_int, under_q = spec.rate.integral(0.0, lim), self.measure_emm is not None
         drift = np.zeros((len(self.out_times), spec.n))
-        for j, tau in enumerate(self.out_times):
-            tau = float(tau)
-            r_int = spec.rate.integral(0.0, tau)
-            for i in range(spec.n):
-                base = r_int if under_q else spec.alpha[i].integral(0.0, tau)
-                drift[j, i] = base - self._jump_compensator(i, tau)
+        for i in range(spec.n):
+            base = r_int if under_q else spec.alpha[i].integral(0.0, lim)
+            drift[:, i] = base - self._jump_compensator(i)
         return drift
 
-    def _jump_compensator(self, i: int, tau: float) -> float:
+    def _jump_compensator(self, i: int):
         """integral over [0, tau] of the stock-i jump drift under the
-        simulation measure."""
-        spec = self.spec
+        simulation measure, at each output time tau."""
+        spec, lim = self.spec, self._limits
         if self.kind == "none":
             return 0.0
         if self.kind == "discrete":
             total = 0.0
             for m, lam in enumerate(self.sim_intensities):
-                total += integrate_product(spec.jumps.loadings[i][m], lam, 0.0, tau)
+                total += integrate_product(spec.jumps.loadings[i][m], lam, 0.0, lim)
             return total
         if self.mark_measure is not None:
             fn = self.mark_measure.time_function("mean_jump_intensity", self.horizon)
-            return fn.integral(0.0, tau)
+            return fn.integral(0.0, lim)
         total = spec.jumps.total_intensity
-        return integrate_product(total, self._mark_mean_fn, 0.0, tau)
+        return integrate_product(total, self._mark_mean_fn, 0.0, lim)
 
     @cached_property
     def _mark_mean_fn(self) -> TimeFunction:
@@ -238,57 +235,58 @@ class SimulationContext:
         grid = np.linspace(0.0, self.horizon, JUMP_GRID_POINTS)
         return derive(dens.mean, dens.time_functions, grid)
 
-    def _density_drift(self, emm: Emm, tau: float) -> float:
-        """log of the deterministic density factor: integral of
-        (physical minus risk-neutral) total intensity."""
-        spec = self.spec
+    def _density_drift(self, emm: Emm):
+        """log of the deterministic density factor at each output time:
+        integral of (physical minus risk-neutral) total intensity."""
+        spec, lim = self.spec, self._limits
         if self.kind == "none":
             return 0.0
         if self.kind == "discrete":
             total = 0.0
             for lam, lam_t in zip(spec.jumps.intensities, emm.intensities):
-                total += lam.integral(0.0, tau) - lam_t.integral(0.0, tau)
+                total += lam.integral(0.0, lim) - lam_t.integral(0.0, lim)
             return total
         rn_total = emm.jump_measure.time_function("total_intensity", self.horizon)
-        return spec.jumps.total_intensity.integral(0.0, tau) - rn_total.integral(
-            0.0, tau
-        )
+        return spec.jumps.total_intensity.integral(0.0, lim) - rn_total.integral(0.0, lim)
 
     # -- event machinery -----------------------------------------------------
 
     def total_intensity_at(self, times: np.ndarray) -> np.ndarray:
+        """The continuous or constant simulation intensity at ``times``."""
         if self.const_total is not None:
             return np.full(times.shape, self.const_total)
-        if self.kind == "discrete":
-            acc = np.zeros(times.shape)
-            for fn in self.sim_intensities:
-                acc += np.atleast_1d(fn.value(times)) if times.size else 0.0
-            return acc
         return np.atleast_1d(self.sim_total_fn.value(times))
 
-    def driver_probabilities(self, times: np.ndarray) -> np.ndarray:
-        """(M, n_events) matrix of conditional driver probabilities."""
-        vals = np.vstack(
-            [np.atleast_1d(fn.value(times)) for fn in self.sim_intensities]
-        )
-        return vals / vals.sum(axis=0, keepdims=True)
+    @cached_property
+    def sorts_events(self) -> bool:
+        """Whether blocks read their events in time order: where a discrete
+        market reads a varying samples-kind function (np.interp is faster)."""
+        if self.kind != "discrete":
+            return False
+        rows = [self.sim_intensities, *self.spec.jumps.loadings]
+        if self.density_emm is not None:
+            rows += [self.spec.jumps.intensities, self.density_emm.intensities]
+        return any(fn.kind == "samples" and not fn.is_constant for row in rows for fn in row)
 
     def sample_marks(self, streams: RngStreamSpec, times: np.ndarray) -> np.ndarray:
         """The marks of a path's events at ``times``, from the path's first
         ``len(times)`` ``marks`` counters, as a block draws them."""
         return self.marks_from_uniforms(streams.uniforms("marks", times.size), times)
 
-    def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray, lam=None):
         """Marks from two rows of uniforms, one column per event.
 
-        Row 0 picks the driver, or the mark's quantile; on a cell measure
-        row 0 picks the region and row 1 the quantile inside it.
+        Row 0 picks the driver, by ``lam``, the (M, n_events) intensities
+        at ``times`` (evaluated when not given), or the mark's quantile; on
+        a cell measure row 0 picks the region and row 1 the quantile inside it.
         """
         if self.kind == "discrete":
             if self.const_mark_cum is not None:
                 idx = np.searchsorted(self.const_mark_cum, u[0], side="left")
             else:
-                cum = np.cumsum(self.driver_probabilities(times), axis=0)
+                if lam is None:
+                    lam = np.array([fn.value(times) for fn in self.sim_intensities])
+                cum = np.cumsum(lam / lam.sum(axis=0, keepdims=True), axis=0)
                 idx = (u[0][None, :] > cum).sum(axis=0)
             return np.minimum(idx, len(self.sim_intensities) - 1).astype(np.int64)
         if self.mark_measure is not None:
@@ -340,12 +338,10 @@ def sample_marked_point_process(
     times, marks, per_path = [], [], []
     for lo in range(0, count, size):
         sids = _stream_ids(streams.stream_id + lo, min(size, count - lo))
-        ev_times, _, ev_off, _, ev_marks = _draw_marked_events(
-            _ctx, streams.master_seed, sids
-        )
-        times.append(ev_times)
-        marks.append(ev_marks)
-        per_path.append(np.diff(ev_off))
+        events = _draw_marked_events(_ctx, streams.master_seed, sids)
+        times.append(events.ev_times)
+        marks.append(events.ev_marks)
+        per_path.append(np.diff(events.ev_off))
     cuts = np.cumsum(np.concatenate(per_path))[:-1]
     times = np.split(np.concatenate(times), cuts)
     marks = np.split(np.concatenate(marks), cuts)
@@ -570,8 +566,9 @@ def simulate_terminal(
 def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None,
                      stocks=True):
     """:func:`simulate_terminal` on a built context, plus each path's sums
-    of ``event_values(times, marks)``, an (n_events, k) array, over its
-    events ((n_paths, k), added in event order; None without the hook).
+    of ``event_values(times, marks, order)`` (``order`` sorts a block's
+    events by time, or None), an (n_events, k) array, over its events
+    ((n_paths, k), added in event order; None without the hook).
     Without ``stocks`` the sample is density-only: ``stocks`` is None and
     ``z``, ``counts`` and ``w_terminal`` are those of the full sample."""
     spec = ctx.spec
@@ -588,7 +585,7 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None
     for lo, block in _blocks(ctx, master_seed, stream_offset, n_paths, stocks):
         hi = lo + len(block)
         if event_values is not None:
-            values = event_values(block.ev_times, block.ev_marks)
+            values = event_values(block.ev_times, block.ev_marks, block.order)
             if sums is None:
                 sums = np.zeros((n_paths, values.shape[1]))
             for c, col in enumerate(values.T):

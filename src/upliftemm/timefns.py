@@ -133,23 +133,26 @@ class TimeFunction:
     def __call__(self, t):
         return self.value(t)
 
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] via the closed-form antiderivative."""
-        if b < a:
+    def integral(self, a: float, b):
+        """Exact integral over [a, b], or to each of an array of limits b."""
+        if (b < a).any() if isinstance(b, np.ndarray) else b < a:
             raise ValueError("integral requires a <= b")
         if self.kind == _CONST:
             return float(self.v[0]) * (b - a)
         return self._antiderivative(b) - self._antiderivative(a)
 
-    def _antiderivative(self, x: float) -> float:
+    def _antiderivative(self, x):
         t, v, cum = self.t, self.v, self._cum
-        x = min(max(x, t[0]), t[-1])
-        j = min(max(int(np.searchsorted(t, x, side="right")) - 1, 0), len(t) - 2)
+        array = isinstance(x, np.ndarray)
+        x = np.minimum(np.maximum(x, t[0]), t[-1]) if array else min(max(x, t[0]), t[-1])
+        j = t[1:-1].searchsorted(x, side="right")  # x's piece
         dx = x - t[j]
         if self.kind == _PIECEWISE:
-            return float(cum[j] + v[j] * dx)
-        slope = (v[j + 1] - v[j]) / (t[j + 1] - t[j])
-        return float(cum[j] + v[j] * dx + 0.5 * slope * dx * dx)
+            out = cum[j] + v[j] * dx
+        else:
+            slope = (v[j + 1] - v[j]) / (t[j + 1] - t[j])
+            out = cum[j] + v[j] * dx + 0.5 * slope * dx * dx
+        return out if array else float(out)
 
     def max_value(self, a: float, b: float) -> float:
         """Maximum over [a, b]; attained on the knot grid for all kinds."""
@@ -300,13 +303,19 @@ def sum_max_value(fns, a: float, b: float) -> float:
     return float(np.max(sum_values(fns, probes)))
 
 
-def integrate_product(f: TimeFunction, g: TimeFunction, a: float, b: float) -> float:
-    """Exact integral of ``f * g`` over [a, b].
+def integrate_product(f: TimeFunction, g: TimeFunction, a: float, b):
+    """Exact integral of ``f * g`` over [a, b]; ``b`` may be an array of
+    upper limits, each integrated as on its own.
 
     Products of the supported kinds are at most piecewise quadratic between
     merged knots, so a 3-point Gauss rule per segment is exact.  Interior
     Gauss nodes also avoid ambiguity at step discontinuities.
     """
+    if isinstance(b, np.ndarray):  # a constant factor takes every limit at once
+        if f.kind == _CONST or g.kind == _CONST:
+            c, h = (f, g) if f.kind == _CONST else (g, f)
+            return np.where(b == a, 0.0, c.constant_value * h.integral(a, b))
+        return np.array([integrate_product(f, g, a, x) for x in b])
     if b < a:
         raise ValueError("integrate_product requires a <= b")
     if b == a:

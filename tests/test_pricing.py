@@ -209,6 +209,27 @@ class TestTooFewPaths:
             with pytest.raises(TooFewPaths, match=f"at least 2 paths, got {n_paths}"):
                 call_with_too_few()
 
+    def test_nested_checks_reject_an_empty_count(self, uplifted, monkeypatch):
+        # the inner count of cost of construction and the outer count of
+        # the projection need one path, not a standard error's two
+        spec, plan, emm, fict, fict_emm = uplifted
+        _forbid_simulation(monkeypatch)
+        call = Payoff.call(0, 100.0)
+        with pytest.raises(TooFewPaths, match="at least 1 path, got 0"):
+            cost_of_construction_check(
+                spec, plan, emm, fict_emm, call, n_outer=10, n_inner=0, fict=fict
+            )
+        with pytest.raises(TooFewPaths, match="at least 1 path, got 0"):
+            projection_consistency_check(spec, plan, n_outer=0, n_inner=10, fict=fict)
+
+    def test_one_nested_path_is_enough(self, uplifted):
+        spec, plan, emm, fict, fict_emm = uplifted
+        call = Payoff.call(0, 100.0)
+        cost_of_construction_check(
+            spec, plan, emm, fict_emm, call, n_outer=10, n_inner=1, fict=fict, seed=3
+        )
+        projection_consistency_check(spec, plan, n_outer=1, n_inner=10, fict=fict, seed=3)
+
     def test_two_paths_have_a_standard_error(self, uplifted):
         spec, _, emm, _, _ = uplifted
         report = martingale_check(spec, emm, 2, seed=5)
@@ -324,7 +345,7 @@ class TestRestriction:
         ctx = SimulationContext(spec, [1.0], density_emm=emm)
         full, in_cells = _terminal_sample(
             ctx, N_MC, seed, 0,
-            lambda t, y: (cell_index(plan.cells, y) == 0)[:, None].astype(float),
+            lambda t, y, order: (cell_index(plan.cells, y) == 0)[:, None].astype(float),
         )
         quiet = full.z_terminal() * (in_cells[:, 0] == 0)
         assert lines["first_retained_quiet"]["a"]["estimate"] == np.sum(quiet) / N_MC

@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upliftemm import (
     DiscreteJumpSpec,
@@ -14,9 +15,11 @@ from upliftemm import (
     MarketSpec,
     Payoff,
     RngStreamSpec,
+    Strategy,
     TimeFunction,
     build_uplifted_emm,
     density_mass_check,
+    hedging_error,
     reduce_market,
     restriction_check,
     rn_density_path,
@@ -34,17 +37,19 @@ from upliftemm.errors import (
     UndeterminedIntegral,
 )
 import upliftemm.philox
+import upliftemm.pricing
 from upliftemm.blocks import (
     _block_size,
     _event_log_factors,
     _event_log_phi,
     _path_draws,
+    _per_driver,
     _simulate_block,
     _stream_ids,
 )
 from upliftemm.philox import box_muller, poisson_counts
 from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
-from upliftemm.timefns import adaptive_simpson
+from upliftemm.timefns import adaptive_simpson, integrate_product
 from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn
 
 from conftest import (
@@ -333,7 +338,48 @@ class TestVaryingCellMarks:
             assert calls == {"mean_jump_intensity": n_times, "total_intensity": n_times}
 
 
+def _drift_per_time(spec, out, sim, under_q, density):
+    """The drift integrals as one scalar integral per output time, each
+    sum started at 0.0 and added in driver order."""
+    drift, z2 = np.zeros((len(out), spec.n)), np.zeros(len(out))
+    for j, tau in enumerate(map(float, out)):
+        for i in range(spec.n):
+            total = 0.0
+            for m, lam in enumerate(sim):
+                total += integrate_product(spec.jumps.loadings[i][m], lam, 0.0, tau)
+            base = spec.rate.integral(0.0, tau) if under_q else spec.alpha[i].integral(0.0, tau)
+            drift[j, i] = base - total
+        if density is not None:
+            total = 0.0
+            for lam, lam_t in zip(spec.jumps.intensities, density.intensities):
+                total += lam.integral(0.0, tau) - lam_t.integral(0.0, tau)
+            z2[j] = total
+    return drift, z2
+
+
 class TestContextBuild:
+    def test_drift_integrals_match_per_time_scalars(self, time_varying_market, batch_plan):
+        # each function integrated to all 33 output times in one call gives
+        # the per-time scalar integrals bit for bit; the fictitious market
+        # pairs varying loadings with samples-kind intensities (Gauss rule)
+        emm, fict, fict_emm = build_uplifted_emm(time_varying_market, batch_plan)
+        out = np.linspace(0.0, 1.0, 33)
+        gauss = [
+            (y, lam) for row in fict.spec.jumps.loadings
+            for y, lam in zip(row, fict_emm.intensities)
+            if y.kind != "const" and lam.kind == "samples"
+        ]
+        assert gauss
+        for spec, measure in ((time_varying_market, emm), (fict.spec, fict_emm)):
+            for under_q in (True, False):
+                kw = {"measure_emm" if under_q else "density_emm": measure}
+                ctx = SimulationContext(spec, out, **kw)
+                sim = measure.intensities if under_q else spec.jumps.intensities
+                density = None if under_q else measure
+                drift, z2 = _drift_per_time(spec, out, sim, under_q, density)
+                assert ctx.det_drift.tobytes() == drift.tobytes()
+                assert ctx.z2_drift.tobytes() == z2.tobytes()
+
     def test_mark_mean_built_once_per_context(self, monkeypatch):
         density = Density("truncnorm", (-0.6, 0.6), {
             "mu": TimeFunction.samples([0.0, 1.0], [0.0, 0.1]), "sigma": 0.3,
@@ -409,6 +455,17 @@ class TestContextBuild:
         assert _solved_fn(apart, make) == TimeFunction.samples(grid, apart)
 
 
+def _total_intensity(ctx, times):
+    """The simulation intensity at ``times``; a time-varying discrete
+    market's is summed over its drivers in driver order."""
+    if ctx.kind != "discrete" or ctx.const_total is not None:
+        return ctx.total_intensity_at(times)
+    total = np.zeros(times.shape)
+    for fn in ctx.sim_intensities:
+        total += fn.value(times)
+    return total
+
+
 def _per_path_draws(ctx, seed, stream):
     """One path's events, marks, increments and varying-segment normals
     from its own ``RngStreamSpec.uniforms(role, n)`` draws: count 0, then
@@ -421,7 +478,7 @@ def _per_path_draws(ctx, seed, stream):
         n_cand = int(poisson_counts(ctx.count_cdf, streams.uniforms("count", 1)[0])[0])
         t, thin = streams.uniforms("event_times", n_cand)
         cand = np.sort(ctx.horizon * t)
-        times = cand[thin * ctx.majorant <= ctx.total_intensity_at(cand)]
+        times = cand[thin * ctx.majorant <= _total_intensity(ctx, cand)]
     marks = ctx.sample_marks(streams, times) if ctx.kind != "none" else np.zeros(0)
     seg = ctx.segments
     K, D = seg.varies.shape
@@ -506,7 +563,7 @@ class TestBlockDraws:
         )
         emm, fict, fict_emm = build_uplifted_emm(spec, plan)
 
-        def hook(times, marks):  # a per-event sum rides along unchanged
+        def hook(times, marks, order):  # a per-event sum rides along unchanged
             return np.column_stack([times, np.asarray(marks, dtype=float)])
 
         full_ctx = SimulationContext(spec, [0.5, 1.0], density_emm=emm)
@@ -769,25 +826,97 @@ class TestExactSegments:
             z = rn_density_path(spec, emm, bundle)
             assert np.max(np.abs(z / bundle.z_values - 1.0)) < 1e-12
 
-    def test_event_values_per_driver_match_masks(self, time_varying_market, batch_plan):
-        # one stable sort per block, each function evaluated on its own
-        # driver's events, gives bit for bit the values of one mask per
-        # (function, driver)
+    def test_event_values_per_driver_match_masks(
+        self, time_varying_market, batch_plan, monkeypatch
+    ):
+        # each function evaluated once on its own driver's events, in event
+        # order or in the block's time order, gives bit for bit the values
+        # of one mask per (function, driver) on the path-major times
         emm, _, _ = build_uplifted_emm(time_varying_market, batch_plan)
         fict = reduce_market(time_varying_market, batch_plan).spec
         assert not all(fn.is_constant for row in fict.jumps.loadings for fn in row)
-        for spec, density in ((time_varying_market, emm), (fict, None)):
-            ctx = SimulationContext(spec, [1.0], density_emm=density)
+        assert max(len(fn.t) for fn in emm.intensities) == 256  # the tv-batch shape
+        cases = (
+            (time_varying_market, {"density_emm": emm}),
+            (fict, {}),
+            (time_varying_market, {"measure_emm": emm}),
+        )
+        for spec, kw in cases:
+            ctx = SimulationContext(spec, [1.0], **kw)
+            assert ctx.sorts_events
             block = _simulate_block(ctx, 46, 0, 300)
-            t, m = block.ev_times, block.ev_marks
+            t, m, order = block.ev_times, block.ev_marks, block.order
             assert np.unique(m).size == spec.jumps.n_drivers
+            assert np.all(np.diff(t[order]) >= 0.0)
+            for fn, row in zip(ctx.sim_intensities, block.lam):
+                assert np.array_equal(row, fn.value(t))
             ref = np.log1p([_masked(row, t, m) for row in spec.jumps.loadings])
             assert np.array_equal(_event_log_factors(ctx, t, m), ref)
+            assert np.array_equal(_event_log_factors(ctx, t, m, order), ref)
+            density = kw.get("density_emm")
             if density is not None:
                 assert ctx.const_log_phi is None  # lambda_2 varies
                 lam = _masked(spec.jumps.intensities, t, m)
                 lam_t = _masked(density.intensities, t, m)
-                assert np.array_equal(_event_log_phi(ctx, t, m), np.log(lam_t / lam))
+                want = np.log(lam_t / lam)
+                assert np.array_equal(_event_log_phi(ctx, t, m), want)
+                assert np.array_equal(_event_log_phi(ctx, t, m, order, block.lam), want)
+        # hedging's jump leg under the uplifted measure reads a 256-piece
+        # integrand in time order; reading it in event order changes no bit
+        steps = np.linspace(0.0, 1.0, 257)
+        integrand = tuple(
+            TimeFunction.piecewise(steps, np.cos(k + 9.0 * steps[:-1])) for k in range(3)
+        )
+        strategy = Strategy(holdings=(0.5, 0.0, 0.0), jump_integrand=integrand, v0=1.0)
+        payoff = Payoff.call(0, 100.0)
+        orders = []
+
+        def in_event_order(rows, times, marks, order=None):
+            orders.append(order)
+            return _per_driver(rows, times, marks)
+
+        timed = hedging_error(time_varying_market, emm, strategy, payoff, 700, seed=47)
+        monkeypatch.setattr(upliftemm.pricing, "_per_driver", in_event_order)
+        again = hedging_error(time_varying_market, emm, strategy, payoff, 700, seed=47)
+        assert orders and all(order is not None for order in orders)
+        assert again.to_json() == timed.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    knots=st.integers(2, 513),
+    size=st.sampled_from([1, 7, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_ordered_event_values_match_path_major(knots, size, seed):
+    # a block sorts its events once; every per-driver read in that order
+    # equals fn.value on the path-major times bit for bit
+    grid = np.linspace(0.0, 1.0, knots)
+    wave = np.sin(seed % 97 + 40.0 * grid)
+    lam = (
+        TimeFunction.samples(grid, 2.0 + wave),
+        TimeFunction.constant(1.0),
+        TimeFunction.samples(grid, 1.5 - 0.5 * wave),
+    )
+    steps = TimeFunction.piecewise(grid, 0.1 * wave[:-1])
+    loadings = ((TimeFunction.samples(grid, 0.2 * wave), steps, -0.1),)
+    spec = MarketSpec(
+        horizon=1.0, s0=[1.0], alpha=[0.0], rate=0.0, sigma=[[0.2]],
+        jumps=DiscreteJumpSpec(intensities=lam, loadings=loadings),
+    )
+    ctx = SimulationContext(spec, [1.0])
+    assert ctx.sorts_events
+    block = _simulate_block(ctx, seed, 0, size)
+    t, m, order = block.ev_times, block.ev_marks, block.order
+    if order is None:  # no candidate at all
+        assert t.size == 0
+        return
+    assert np.array_equal(np.sort(order), np.arange(t.size))
+    assert np.all(np.diff(t[order]) >= 0.0)
+    for fn, row in zip(lam, block.lam):
+        assert np.array_equal(row, fn.value(t))
+    for fns in (lam, spec.jumps.loadings[0]):
+        assert np.array_equal(_per_driver((fns,), t, m, order)[0], _masked(fns, t, m))
 
 
 class TestDensityProcess:

@@ -14,6 +14,26 @@ from upliftemm.timefns import (
 )
 
 
+_KINDS = (
+    TimeFunction.constant(-0.7),
+    TimeFunction.piecewise([0.0, 0.3, 0.8, 1.0], [1.0, -2.0, 0.5]),
+    TimeFunction.samples(np.linspace(0.0, 0.9, 7), np.cos(np.arange(7.0))),
+)
+
+
+@pytest.mark.parametrize("f", _KINDS)
+@pytest.mark.parametrize("g", _KINDS)
+def test_array_limits_match_scalar_integrals(f, g):
+    # an array of upper limits, 0 among them, gives each scalar result's
+    # bits, the sign of a zero included
+    b = np.linspace(0.0, 1.2, 33)
+    assert f.integral(0.0, b).tobytes() == np.array([f.integral(0.0, x) for x in b]).tobytes()
+    want = np.array([integrate_product(f, g, 0.0, float(x)) for x in b])
+    assert integrate_product(f, g, 0.0, b).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        integrate_product(f, g, 0.5, b)
+
+
 class TestEvaluation:
     def test_constant(self):
         fn = TimeFunction.constant(2.5)
