@@ -289,7 +289,7 @@ def _draw_marked_events(
         ev_times = cand[accept]
         if order is not None:  # each accepted candidate's event index, in time order
             order = (np.cumsum(accept) - 1)[order[accept[order]]]
-        lam = None if lam is None else lam.compress(accept, axis=1)  # C order
+        lam = None if lam is None else lam.compress(accept, axis=1)  # C-ordered: sums run by row
     pid = pid[accept]
     ev_off = np.concatenate([[0], np.cumsum(np.bincount(pid, minlength=B))])
     local = np.arange(ev_times.size) - ev_off[pid]
