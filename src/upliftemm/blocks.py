@@ -135,25 +135,15 @@ class _Segments:
     out_idx: np.ndarray  # (n_out,) grid column of each output time
 
 
-def _segment_gaussians(ctx: SimulationContext) -> _Segments:
-    """The shared grid's per-segment Gaussians, built once per context
-    from each loading's limits inside each segment (a, b)."""
-    knots = ctx.base_knots
-    a, b = knots[:-1], knots[1:]
-    dt = b - a
-    D = ctx.n_brownians
-    rows = [list(row) for row in ctx.spec.sigma]
-    emm = ctx.density_emm
-    if emm is not None and emm.theta and D:
-        rows.append([fn.scaled(-1.0) for fn in emm.theta])
-
-    def ends(fn):  # a step function takes its right-continuous value at a
-        left = fn.value(a)
-        return left, fn.value(b) if fn.kind == "samples" else left
-
-    limits = np.array([[ends(fn) for fn in row] for row in rows], dtype=float)
-    limits = limits.reshape(len(rows), D, 2, len(dt))
-    left, right = limits[:, :, 0], limits[:, :, 1]  # (Y, D, K)
+def _segment_gaussians(rows, knots: np.ndarray, out_times) -> _Segments:
+    """The per-segment Gaussians of the loadings ``rows`` (Y rows of D
+    time functions) on the segments of ``knots``, which hold every knot of
+    them, from each loading's right limit at a segment's start and left
+    limit at its end."""
+    dt = np.diff(knots)
+    limits = np.array([[fn.limits(knots) for fn in row] for row in rows], dtype=float)
+    limits = limits.reshape(len(rows), len(rows[0]), 2, len(knots))  # (Y, D, 2, K + 1)
+    left, right = limits[:, :, 1, :-1], limits[:, :, 0, 1:]  # (Y, D, K)
     mean = 0.5 * (left + right)
     tilt = (right - left) * np.sqrt(dt / 12.0)
     drag = 0.5 * ((mean * mean).sum(axis=1) * dt + (tilt * tilt).sum(axis=1))
@@ -163,8 +153,23 @@ def _segment_gaussians(ctx: SimulationContext) -> _Segments:
         tilt=tilt.transpose(1, 0, 2)[:, :, None, :],
         drag=drag[:, None, :],
         varies=(tilt != 0.0).any(axis=0).T,
-        out_idx=np.searchsorted(knots, ctx.out_times),
+        out_idx=np.searchsorted(knots, out_times),
     )
+
+
+def _segment_normals(seg: _Segments, z: np.ndarray):
+    """A (B, K, D) draw of the segments' Brownian integrals from (B, ...)
+    standard normals: the K * D increments in (segment, Brownian) order,
+    then one normal per ``varies`` cell; returns the increments and the
+    (B, K, D) ``varies`` normals (None if there are none)."""
+    B, (K, D) = len(z), seg.varies.shape
+    n_dw, n_res = K * D, int(seg.varies.sum())
+    dw = z[:, :n_dw].reshape(B, K, D) * np.sqrt(seg.dt)[:, None]
+    res = None
+    if n_res:
+        res = np.zeros((B, K, D))
+        res[:, seg.varies] = z[:, n_dw:n_dw + n_res]
+    return dw, res
 
 
 # -- block engine -------------------------------------------------------------------
@@ -308,30 +313,19 @@ def _counts_at_or_below(times, pid, count: int, out: np.ndarray) -> np.ndarray:
 
 
 def _path_draws(ctx: SimulationContext, seed: int, sids: np.ndarray):
-    """Each path's ``count`` uniform, its (B, K, D) increments over the
-    shared grid and its (B, K, D) normals in the ``varies`` cells (None if
-    there are none), from one kernel call on a (1 + n_pairs, B) counter
+    """Each path's ``count`` uniform and its :func:`_segment_normals` on
+    the shared grid, from one kernel call on a (1 + n_pairs, B) counter
     grid: row 0 holds each path's counter (0, count, sid) and row 1 + j
-    its (j, brownian, sid), so the long axis is the innermost.  Each path
-    draws K * D increment cells in (segment, Brownian) order, then its
-    ``varies`` cells, as Box-Muller pairs, one per ``brownian`` counter."""
+    its (j, brownian, sid), so the long axis is the innermost.  The
+    normals are Box-Muller pairs, one per ``brownian`` counter."""
     seg = ctx.segments
-    B, (K, D) = len(sids), seg.varies.shape
-    n_dw, n_res = K * D, int(seg.varies.sum())
-    j = np.arange(-1, (n_dw + n_res + 1) // 2)
+    j = np.arange(-1, (seg.varies.size + int(seg.varies.sum()) + 1) // 2)
     j[0] = 0
     roles = np.full(j.size, ROLE_IDS["brownian"])
     roles[0] = ROLE_IDS["count"]
     u = uniforms(seed, roles[:, None], j[:, None], sids)  # (2, 1 + n_pairs, B)
-    if n_dw == 0:
-        return u[0, 0], np.zeros((B, K, D)), None
-    z = box_muller(u[:, 1:]).transpose(1, 0, 2).reshape(B, -1)
-    dw = z[:, :n_dw].reshape(B, K, D) * np.sqrt(seg.dt)[:, None]
-    res = None
-    if n_res:  # n_res <= n_dw
-        res = np.zeros((B, K, D))
-        res[:, seg.varies] = z[:, n_dw:n_dw + n_res]
-    return u[0, 0], dw, res
+    z = box_muller(u[:, 1:]).transpose(1, 0, 2).reshape(len(sids), -1)
+    return (u[0, 0], *_segment_normals(seg, z))
 
 
 def _sum_d(a, b) -> np.ndarray:
@@ -343,10 +337,9 @@ def _sum_d(a, b) -> np.ndarray:
     return out
 
 
-def _gaussian_sums(ctx: SimulationContext, dw, res, rows=slice(None)) -> np.ndarray:
+def _gaussian_sums(seg: _Segments, dw, res, rows=slice(None)) -> np.ndarray:
     """(Y, B, n_out) int g . dW - 1/2 int |g|^2 up to each output time for
     each of the ``rows`` of the segments' Gaussians, added in grid order."""
-    seg = ctx.segments
     mean, tilt, drag = seg.mean[:, rows], seg.tilt[:, rows], seg.drag[rows]
     B, K, D = dw.shape
     if D:
@@ -392,7 +385,7 @@ def _simulate_block(
     ev_times, marks, order = block.ev_times, block.ev_marks, block.order
     block.n_before = _counts_at_or_below(ev_times, block.pid, count, ctx.out_times)
     n = ctx.n
-    gauss = _gaussian_sums(ctx, dw, res, slice(None) if stocks else slice(n, None))
+    gauss = _gaussian_sums(ctx.segments, dw, res, slice(0 if stocks else n, None))
     if stocks:
         log_s = gauss[:n] + ctx.det_drift.T[:, None, :]  # (n, B, n_out)
         log_s += _event_sums(block, _event_log_factors(ctx, ev_times, marks, order))

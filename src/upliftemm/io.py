@@ -17,7 +17,6 @@ from .timefns import TimeFunction
 __all__ = [
     "market_to_json",
     "market_from_json",
-    "plan_to_json",
     "plan_from_json",
     "dump_json",
     "load_json",
@@ -116,10 +115,6 @@ def market_from_json(doc: dict) -> MarketSpec:
             f"declares {n_brownians} Brownian drivers"
         )
     return spec
-
-
-def plan_to_json(plan) -> dict:
-    return plan.to_json()
 
 
 def plan_from_json(doc: dict):

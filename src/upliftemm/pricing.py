@@ -607,10 +607,10 @@ def _neglected_factor_model(
 
     The neglected part of stock i is exp(-sum_m y_im * Lam_m) times the
     product of (1 + y_im)^{N_m}, times the stochastic exponential of any
-    dropped Brownian columns, exact on the knots of their sigma; its
-    expectation is one.  Returns each Lam_m's Poisson CDF table, the (n, M)
-    log(1 + y), the (n, D K) loads sigma sqrt(dt) of the dropped (Brownian,
-    knot segment) normals and the (n,) shift y Lam + 1/2 int |sigma|^2.
+    dropped Brownian columns on [0, t]; its expectation is one.  Returns
+    each Lam_m's Poisson CDF table, the (n, M) log(1 + y), the (n,) y Lam
+    and the dropped Brownians' exact per-segment Gaussians on the knots of
+    their sigma (None when no Brownian is dropped).
     """
     neglected = list(fict.neglected)
     loadings = spec.jumps.loadings
@@ -619,15 +619,13 @@ def _neglected_factor_model(
     lam_int = np.array([intensities[m].integral(0.0, t) for m in neglected])
     y = spec.jumps.loading_values(0.0)[:, neglected]
     dropped = [d for d in range(spec.n_brownians) if d not in fict.brownian_map]
-    sig_fns = [[spec.sigma[i][d] for d in dropped] for i in range(spec.n)]
-    knots = merged_breakpoints([fn for row in sig_fns for fn in row], 0.0, t)
-    dt = np.diff(knots)
-    sig = np.array([[fn.value(knots[:-1]) for fn in row] for row in sig_fns])
-    sig = sig.reshape(spec.n, len(dropped), len(dt))
+    seg = None
+    if dropped:
+        rows = [[spec.sigma[i][d] for d in dropped] for i in range(spec.n)]
+        knots = merged_breakpoints([fn for row in rows for fn in row], 0.0, t)
+        seg = blocks._segment_gaussians(rows, knots, [t])
     cdfs = [poisson_cdf(lam) if lam > 0.0 else np.ones(1) for lam in lam_int]
-    load = (sig * np.sqrt(dt)).reshape(spec.n, -1)
-    shift = y @ lam_int + 0.5 * (sig * sig * dt).sum(axis=(1, 2))
-    return cdfs, np.log1p(y), load, shift
+    return cdfs, np.log1p(y), y @ lam_int, seg
 
 
 def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: int):
@@ -640,12 +638,13 @@ def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: i
     of neglected driver m inverts Lam_m's Poisson CDF at uniform
     m * n_inner + j.  The dropped Brownians' standard normals follow as
     Box-Muller pairs, one counter per pair, from the first counter after
-    the count uniforms, in (dropped Brownian, knot segment, inner sample)
-    order.
+    the count uniforms: inner sample by inner sample, each its
+    :func:`blocks._segment_normals`.
     """
-    cdfs, log1p_y, load, shift = model
+    cdfs, log1p_y, shift, seg = model
     P, J, M = len(outer_ids), n_inner, len(cdfs)
-    n_u, n_z = M * J, load.shape[1] * J
+    width = 0 if seg is None else seg.varies.size + int(seg.varies.sum())
+    n_u, n_z = M * J, width * J
     n_c = (n_u + 1) // 2
     u = uniforms(seed, "inner", np.arange(n_c + (n_z + 1) // 2), outer_ids[:, None])
     cu = u[:, :, :n_c].transpose(1, 2, 0).reshape(P, -1)[:, :n_u].reshape(P, M, J)
@@ -653,11 +652,12 @@ def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: i
     for m, cdf in enumerate(cdfs):
         counts[:, m] = poisson_counts(cdf, cu[:, m])
     log_f = np.zeros((P, spec.n, J))
-    if M:  # each sum runs in driver / normal order, whatever P is
+    if M:  # each sum runs in driver / segment order, whatever P is
         log_f += _sum_d(log1p_y.T[:, :, None], counts.transpose(1, 0, 2)[:, :, None])
     if n_z:
-        z = box_muller(u[:, :, n_c:]).reshape(P, -1)[:, :n_z].reshape(P, -1, J)
-        log_f += _sum_d(load.T[:, :, None], z.transpose(1, 0, 2)[:, :, None])
+        z = box_muller(u[:, :, n_c:]).reshape(P, -1)[:, :n_z].reshape(P * J, width)
+        gauss = blocks._gaussian_sums(seg, *blocks._segment_normals(seg, z))[..., -1]
+        log_f += gauss.reshape(spec.n, P, J).transpose(1, 0, 2)
     log_f -= shift[:, None]
     return np.exp(log_f), counts
 

@@ -167,16 +167,17 @@ class SimulationContext:
         elif self.kind == "continuous" and self.sim_total_fn.is_constant:
             self.const_total = self.sim_total_fn.constant_value
 
-        # the grid every path shares: the output times and the knots of the
-        # coefficients read on it, sigma always and theta when weighting (a
-        # Q* path never reads it); events are not on it
-        knot_fns = [fn for row in spec.sigma for fn in row]
-        if density_emm is not None:
-            knot_fns.extend(density_emm.theta)
+        # the grid every path shares: the output times and the knots of its
+        # Gaussians' loadings, the stocks' sigma rows, then -theta's when
+        # weighting (a Q* path never reads theta); events are not on it
+        rows = [list(row) for row in spec.sigma]
+        if density_emm is not None and density_emm.theta and self.n_brownians:
+            rows.append([fn.scaled(-1.0) for fn in density_emm.theta])
+        knot_fns = [fn for row in rows for fn in row]
         self.base_knots = np.unique(
             np.concatenate([merged_breakpoints(knot_fns, 0.0, T), self.out_times])
         )
-        self.segments = _segment_gaussians(self)
+        self.segments = _segment_gaussians(rows, self.base_knots, self.out_times)
 
         # constant-intensity fast path for the density's event factors
         self.const_log_phi = None
@@ -286,9 +287,11 @@ class SimulationContext:
             else:
                 if lam is None:
                     lam = np.array([fn.value(times) for fn in self.sim_intensities])
-                cum = np.cumsum(lam / lam.sum(axis=0, keepdims=True), axis=0)
-                idx = (u[0][None, :] > cum).sum(axis=0)
-            return np.minimum(idx, len(self.sim_intensities) - 1).astype(np.int64)
+                share, cum, idx = lam / lam.sum(axis=0), 0.0, 0
+                for row in share:  # each event's cumulative share, row by row
+                    cum = cum + row
+                    idx = idx + (u[0] > cum)
+            return np.minimum(idx, len(self.sim_intensities) - 1)
         if self.mark_measure is not None:
             return self.mark_measure.marks_from_uniforms(u, times)
         return np.asarray(self.spec.jumps.density.ppf(u[0], times), dtype=float)

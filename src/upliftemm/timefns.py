@@ -24,7 +24,6 @@ __all__ = [
     "integrate_product",
     "merged_breakpoints",
     "stack_values",
-    "sum_values",
     "sum_max_value",
 ]
 
@@ -154,23 +153,31 @@ class TimeFunction:
             out = cum[j] + v[j] * dx + 0.5 * slope * dx * dx
         return out if array else float(out)
 
+    def limits(self, knots: np.ndarray):
+        """The left and right limits at each of the sorted ``knots``, as two
+        arrays; they differ only where a step changes level at a knot.  The
+        clamp outside the domain makes both limits at its ends the end value."""
+        if self.kind == _PIECEWISE:
+            inner = self.t[1:-1]
+            left = self.v[inner.searchsorted(knots, side="left")]
+            return left, self.v[inner.searchsorted(knots, side="right")]
+        right = self.value(knots)
+        return right, right
+
     def max_value(self, a: float, b: float) -> float:
-        """Maximum over [a, b]; attained on the knot grid for all kinds."""
+        """Supremum over [a, b], the greatest one-sided limit at its knots
+        there (the left limit at a lies outside)."""
         if self.kind == _CONST:
             return float(self.v[0])
-        inner = self.t[(self.t > a) & (self.t < b)]
-        cand = np.concatenate([[a], inner, [b]])
-        vals = self.value(cand)
-        if self.kind == _PIECEWISE:
-            # a piece starting inside [a, b) contributes its own level
-            lo = np.searchsorted(self.t, a, side="left")
-            hi = np.searchsorted(self.t, b, side="left")
-            if hi > lo:
-                vals = np.concatenate([vals, self.v[lo:min(hi, len(self.v))]])
-        return float(np.max(vals))
+        left, right = self.limits(merged_breakpoints((self,), a, b))
+        return float(np.maximum(left[1:], right[1:]).max(initial=right[0]))
 
     def min_value(self, a: float, b: float) -> float:
-        return -self.scaled(-1.0).max_value(a, b)
+        """Infimum over [a, b], as :meth:`max_value`."""
+        if self.kind == _CONST:
+            return float(self.v[0])
+        left, right = self.limits(merged_breakpoints((self,), a, b))
+        return float(np.minimum(left[1:], right[1:]).min(initial=right[0]))
 
     def scaled(self, c: float) -> "TimeFunction":
         """Pointwise scaling; stays within the same kind."""
@@ -279,28 +286,19 @@ def stack_values(fns, t) -> np.ndarray:
     return np.ascontiguousarray(vals.reshape(len(fns), np.size(t)).T)
 
 
-def sum_values(fns, t):
-    """Pointwise sum of several time functions at scalar or array t."""
-    total = None
-    for fn in fns:
-        v = fn.value(t)
-        total = v if total is None else total + v
-    if total is None:
-        return 0.0 if np.ndim(t) == 0 else np.zeros(np.shape(t))
-    return total
-
-
 def sum_max_value(fns, a: float, b: float) -> float:
-    """Maximum of the pointwise sum over [a, b].
+    """Supremum of the pointwise sum over [a, b].
 
-    The sum is piecewise linear between merged knots for every mix of
-    kinds except piecewise steps, whose suprema sit at knot levels; both
-    cases are covered by evaluating just right of each knot.
+    Between merged knots the sum is linear or constant, so its supremum is
+    the largest sum of one-sided limits at the knots (the left limit at a
+    lies outside).
     """
-    grid = merged_breakpoints(fns, a, b)
-    eps = 1e-12 * max(abs(b - a), 1.0)
-    probes = np.unique(np.concatenate([grid, np.minimum(grid + eps, b)]))
-    return float(np.max(sum_values(fns, probes)))
+    knots = merged_breakpoints(fns, a, b)
+    left, right = np.zeros(len(knots)), np.zeros(len(knots))
+    for fn in fns:
+        fn_left, fn_right = fn.limits(knots)
+        left, right = left + fn_left, right + fn_right
+    return float(np.maximum(left[1:], right[1:]).max(initial=right[0]))
 
 
 def integrate_product(f: TimeFunction, g: TimeFunction, a: float, b):

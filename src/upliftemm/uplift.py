@@ -94,21 +94,41 @@ class CellMeasure:
     cell_intensities: tuple[TimeFunction, ...]
     remainder_physical: bool = False
 
-    def _region_intensities(self, t: np.ndarray) -> np.ndarray:
-        """(R, len(t)) intensity of each sampling region at times t: the
-        cells, then the remainder when it keeps the physical measure."""
-        rows = [np.asarray(fn.value(t), dtype=float) for fn in self.cell_intensities]
+    @cached_property
+    def _regions(self) -> np.ndarray:
+        """(R, 2) mark intervals a mark is drawn in: the cells, then, when
+        the remainder keeps the physical measure, the gaps the cells leave
+        in the support."""
+        regions = list(self.cells)
         if self.remainder_physical:
-            covered = 0  # cell masses added in cell order
-            for a, b in self.cells:
-                covered = covered + (self.base.cdf(b, t) - self.base.cdf(a, t))
-            phys = self.physical_intensity.value(t)
-            rows.append(phys * np.maximum(1.0 - covered, 0.0))
-        return np.array(rows)
+            cursor, hi = self.base.support
+            for a, b in sorted(self.cells):
+                if a > cursor:
+                    regions.append((cursor, a))
+                cursor = max(cursor, b)
+            if hi > cursor:
+                regions.append((cursor, hi))
+        return np.array(regions, dtype=float)
+
+    def _table(self, t):
+        """Each region's intensity, base mass and lower CDF edge at each of
+        the times ``t``: an (R, len(t)) array, then two that broadcast to
+        it ((R, 1) for a base constant in time).  A cell carries its own
+        intensity, a gap the physical intensity times its mass."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        cdf = self.base.cdf(self._regions[:, :, None], t)
+        lo, mass = cdf[:, 0], cdf[:, 1] - cdf[:, 0]
+        rates = np.empty((len(lo), t.size))
+        for k, fn in enumerate(self.cell_intensities):
+            rates[k] = fn.value(t)
+        n = len(self.cells)
+        if len(rates) > n:
+            rates[n:] = self.physical_intensity.value(t) * mass[n:]
+        return rates, mass, lo
 
     def total_intensity(self, t):
         """Total intensity at a time, or at each of an array of times."""
-        total = sum(self._region_intensities(np.atleast_1d(np.asarray(t, float))))
+        total = self._table(t)[0].sum(axis=0)  # in region order
         return total if np.ndim(t) else float(total[0])
 
     def phi(self, y: float, t: float) -> float:
@@ -116,61 +136,45 @@ class CellMeasure:
         return float(self.phi_values(np.array([y], float), np.array([t], float))[0])
 
     def phi_values(self, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """:meth:`phi` at each pair (y[j], t[j]); a mark on a shared cell
-        edge belongs to the first cell."""
-        out = np.full(y.shape, 1.0 if self.remainder_physical else 0.0)
-        idx = cell_index(self.cells, y)
-        for k, ((a, b), lam) in enumerate(zip(self.cells, self.cell_intensities)):
-            sel = idx == k
-            if not sel.any():
-                continue
-            ts = t[sel]
-            mass = self.base.cdf(b, ts) - self.base.cdf(a, ts)
-            phys = self.physical_intensity.value(ts) * mass
-            if np.any(phys <= 0.0):
-                raise EmptyCell("physical cell intensity vanished")
-            out[sel] = lam.value(ts) / phys
+        """:meth:`phi` at each pair (y[j], t[j]): in a cell, its intensity
+        over its physical intensity; outside every cell, 1 when the
+        remainder keeps the physical measure, else 0.  A mark on a shared
+        cell edge belongs to the first cell."""
+        k = cell_index(self.cells, y)
+        out = np.full(y.shape, float(self.remainder_physical))
+        at = np.flatnonzero(k >= 0)
+        ts, k, col = t[at], k[at], np.arange(at.size)
+        rates, mass, _ = self._table(ts)
+        mass = np.broadcast_to(mass, rates.shape)[k, col]
+        phys = self.physical_intensity.value(ts) * mass
+        if np.any(phys <= 0.0):
+            raise EmptyCell("physical cell intensity vanished")
+        out[at] = rates[k, col] / phys
         return out
 
     def density_value(self, y, t: float = 0.0):
         """The reweighted mark density f~*_t(y)."""
         y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape)
-        total = self.total_intensity(t)
-        remainder = self.remainder_physical
-        covered = np.zeros(y.shape, dtype=bool)
-        base_pdf = self.base.pdf(y, t)
-        for (a, b), lam in zip(self.cells, self.cell_intensities):
-            inside = (y >= a) & (y <= b) & ~covered
-            mass = self.base.mass(a, b, t)
-            if mass > 0.0:
-                out = np.where(
-                    inside, base_pdf * (float(lam.value(t)) / total) / mass, out
-                )
-            covered |= inside
-        if remainder:
-            phys = float(self.physical_intensity.value(t))
-            out = np.where(covered, out, base_pdf * phys / total)
+        rates, mass, _ = self._table(t)
+        rates, mass = rates[:, 0], mass[:, 0]
+        # a massless region has density 0
+        scale = np.divide(rates / rates.sum(), mass, out=np.zeros(mass.shape),
+                          where=mass > 0.0)
+        k = cell_index(self._regions, y)
+        out = np.where(k >= 0, self.base.pdf(y, t) * scale[k], 0.0)
         return out if out.ndim else float(out)
 
     def mean_jump_intensity(self, t):
         """integral of y d(lambda~_t)(y), the risk-neutral jump drift, at a
-        time or at each of an array of times."""
+        time or at each of an array of times: each region's intensity times
+        its restricted mean, added in region order."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
+        rates, mass, _ = self._table(ts)
         total = 0.0
-        covered = 0.0
-        cell_part = 0.0
-        for (a, b), lam in zip(self.cells, self.cell_intensities):
-            mass = self.base.mass(a, b, ts)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean = self.base._partial_moment(a, b, ts) / mass
-            mean = np.where(mass > 0.0, mean, 0.0)  # a massless cell adds 0
-            covered = covered + mass
-            total = total + lam.value(ts) * mean
-            cell_part = cell_part + mass * mean
-        if self.remainder_physical:
-            rest = self.physical_intensity.value(ts) * (self.base.mean(ts) - cell_part)
-            total = total + np.where(covered < 1.0, rest, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a massless region adds 0
+            for (a, b), rate, m in zip(self._regions, rates, mass):
+                mean = self.base._partial_moment(a, b, ts) / m
+                total = total + rate * np.where(m > 0.0, mean, 0.0)
         return total if np.ndim(t) else float(total[0])
 
     @cached_property
@@ -192,22 +196,6 @@ class CellMeasure:
             self._functions[key] = derive(getattr(self, name), inputs, grid)
         return self._functions[key]
 
-    @cached_property
-    def _regions(self) -> np.ndarray:
-        """(R, 2) mark intervals a mark is drawn in: the cells, then, when
-        the remainder keeps the physical measure, the gaps the cells leave
-        in the support."""
-        regions = list(self.cells)
-        if self.remainder_physical:
-            cursor, hi = self.base.support
-            for a, b in sorted(self.cells):
-                if a > cursor:
-                    regions.append((cursor, a))
-                cursor = max(cursor, b)
-            if hi > cursor:
-                regions.append((cursor, hi))
-        return np.array(regions, dtype=float)
-
     def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Marks at event ``times`` from a (2, n) array of uniforms.
 
@@ -219,22 +207,15 @@ class CellMeasure:
         times = np.asarray(times, dtype=float)
         if times.size == 0:
             return np.zeros(0)
-        a, b = self._regions.T
-        lo = np.broadcast_to(self.base.cdf(a[:, None], times), (len(a), times.size))
-        hi = np.broadcast_to(self.base.cdf(b[:, None], times), lo.shape)
-        n_cells = len(self.cells)
-        rates = [np.asarray(fn.value(times), float) for fn in self.cell_intensities]
-        if len(a) > n_cells:
-            phys = self.physical_intensity.value(times)
-            rates.extend(phys * (hi[n_cells:] - lo[n_cells:]))
+        rates, mass, lo = self._table(times)
         # contiguous rows: each sums the way that row alone would
-        probs = np.ascontiguousarray((np.array(rates) / self.total_intensity(times)).T)
+        probs = np.ascontiguousarray((rates / rates.sum(axis=0)).T)
         cum = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
         # the first region whose cumulative probability reaches u[0]
-        k = np.minimum((cum < u[0][:, None]).sum(axis=1), len(a) - 1)
+        k = np.minimum((cum < u[0][:, None]).sum(axis=1), len(rates) - 1)
         col = np.arange(times.size)
-        lo, hi = lo[k, col], hi[k, col]
-        return np.asarray(self.base.ppf(lo + u[1] * (hi - lo), times))
+        lo, mass = (np.broadcast_to(x, rates.shape)[k, col] for x in (lo, mass))
+        return np.asarray(self.base.ppf(lo + u[1] * mass, times))
 
     def to_json(self):
         return {

@@ -191,8 +191,11 @@ def project_price_closed_form(
 
 def cell_probabilities(measure, t: float) -> np.ndarray:
     """p~*(cell) = cell intensity / total intensity of a ``CellMeasure``
-    at time t (remainder last)."""
-    rates = measure._region_intensities(np.array([float(t)]))[:, 0]
+    at time t (remainder last: the sum of its gaps' intensities)."""
+    rates = measure._table(float(t))[0][:, 0]
+    n = len(measure.cells)
+    if len(rates) > n:
+        rates = np.append(rates[:n], rates[n:].sum())
     return rates / sum(rates)
 
 

@@ -22,6 +22,7 @@ from upliftemm import (
     martingale_check,
     price_mc,
     projection_consistency_check,
+    reduce_market,
     restriction_check,
     simulate_terminal,
     two_route_check,
@@ -36,6 +37,7 @@ from upliftemm.errors import (
     TooFewPaths,
 )
 from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
+from upliftemm.pricing import _neglected_factor_model
 from upliftemm.timefns import integrate_product
 from upliftemm.uplift import cell_index
 
@@ -415,6 +417,19 @@ class TestRestriction:
             )
 
 
+def _varying_dropped_sigma_market():
+    """Two stocks whose second Brownian is dropped; stock 1 loads it with a
+    sigma rising linearly from 0.1 to 0.9."""
+    spec = MarketSpec(
+        horizon=1.0, s0=[100.0, 80.0], alpha=[0.07, 0.04], rate=0.02,
+        sigma=[[0.2, 0.0], [0.1, TimeFunction.samples([0.0, 1.0], [0.1, 0.9])]],
+        jumps=DiscreteJumpSpec(
+            intensities=[2.0, 1.0], loadings=[[0.1, 0.05], [-0.1, 0.2]]
+        ),
+    )
+    return spec, DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=(0,))
+
+
 class TestCostOfConstruction:
     def test_already_reduced_claim(self, uplifted):
         # the claim references only retained drivers: inner noise is zero
@@ -451,6 +466,27 @@ class TestCostOfConstruction:
         y02, lam2 = 0.2, 3.0
         target = spec.s0[0] * np.exp(-y02 * lam2) * np.exp(-lam2)
         assert abs(rep.estimate - target) < 4 * rep.std_error
+
+    def test_varying_dropped_sigma(self):
+        # stock 1's dropped column rises from 0.1 to 0.9: its factor's
+        # Gaussian is exact per segment, where sigma(left) sqrt(dt) loads
+        # failed a correct uplift at z = 76 (call) and 80 (put)
+        spec, plan = _varying_dropped_sigma_market()
+        emm, fict, fict_emm = build_uplifted_emm(spec, plan)
+        for payoff in (Payoff.call(1, 100.0), Payoff.put(1, 80.0)):
+            report = cost_of_construction_check(
+                spec, plan, emm, fict_emm, payoff,
+                n_outer=4_000, n_inner=200, n_direct=100_000, seed=125, fict=fict,
+            )
+            assert report.passed, report.lines[0].to_json()
+
+    def test_dropped_drag_is_half_the_integrated_variance(self):
+        spec, plan = _varying_dropped_sigma_market()
+        fict = reduce_market(spec, plan)
+        for t in (0.5, 1.0):
+            seg = _neglected_factor_model(spec, fict, spec.jumps.intensities, t)[-1]
+            want = [0.5 * integrate_product(row[1], row[1], 0.0, t) for row in spec.sigma]
+            assert np.abs(seg.drag[:, 0].sum(axis=-1) - want).max() < 1e-12
 
     def test_budget_guard(self, uplifted):
         spec, plan, emm, fict, fict_emm = uplifted

@@ -105,6 +105,24 @@ class TestPoissonSampling:
                         spec.jumps, 1.0, RngStreamSpec(3, sid), _ctx=ctx
                     )
 
+    def test_majorant_covers_a_left_limit(self):
+        # the summed intensity rises to 5.413 as t rises to 0.5, where the
+        # step drops: a majorant probing only right of each knot undercut it
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=DiscreteJumpSpec(
+                intensities=[
+                    TimeFunction.samples([0.0, 0.5, 1.0], [2.0, 2.913, 2.745]),
+                    1.0,
+                    TimeFunction.piecewise([0.0, 0.5, 1.0], [1.5, 1.044]),
+                ],
+                loadings=[[0.1, -0.05, 0.2]],
+            ),
+        )
+        sample = simulate_terminal(spec, [1.0], 2_000, master_seed=5)
+        assert SimulationContext(spec, [1.0]).majorant == 5.413 * (1 + 1e-9)
+        assert sample.counts.shape == (2_000, 3)
+
     def test_nonfinite_intensity_rejected(self):
         with pytest.raises(UnboundedIntensity):
             sample_poisson_inhomogeneous(

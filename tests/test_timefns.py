@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from upliftemm.errors import QuadratureFailure
@@ -10,6 +10,7 @@ from upliftemm.timefns import (
     derivation,
     derive,
     integrate_product,
+    merged_breakpoints,
     sum_max_value,
 )
 
@@ -111,7 +112,25 @@ class TestMaxValue:
     def test_sum_of_mixed_kinds(self):
         pw = TimeFunction.piecewise([0.0, 1.0, 2.0], [1.0, 3.0])
         lin = TimeFunction.samples([0.0, 2.0], [0.0, 2.0])
-        assert sum_max_value([pw, lin], 0.0, 2.0) == pytest.approx(5.0, abs=1e-8)
+        assert sum_max_value([pw, lin], 0.0, 2.0) == 5.0
+
+    def test_left_limit_of_a_falling_step(self):
+        # samples rising to 0.5 plus a step that drops there: the supremum
+        # 2.913 + 1 + 1.5 is the left limit at 0.5, not a value taken
+        fns = [
+            TimeFunction.samples([0.0, 0.5, 1.0], [2.0, 2.913, 2.745]),
+            TimeFunction.constant(1.0),
+            TimeFunction.piecewise([0.0, 0.5, 1.0], [1.5, 1.044]),
+        ]
+        assert sum_max_value(fns, 0.0, 1.0) == 5.413
+
+    def test_limits_at_knots(self):
+        fn = TimeFunction.piecewise([0.0, 0.4, 0.6, 1.0], [1.0, 9.0, 2.0])
+        left, right = fn.limits(np.array([0.0, 0.2, 0.4, 0.6, 1.0]))
+        assert left.tolist() == [1.0, 1.0, 1.0, 9.0, 2.0]
+        assert right.tolist() == [1.0, 1.0, 9.0, 2.0, 2.0]
+        assert fn.min_value(0.0, 1.0) == 1.0
+        assert fn.min_value(0.4, 0.6) == 2.0  # the left limit at 0.4 lies outside
 
 
 class TestProductIntegral:
@@ -200,6 +219,30 @@ def step_fns(draw):
 def _mix(fns):
     """A nonlinear function of the time functions ``fns``."""
     return lambda t: np.exp(sum(fn.value(t) for fn in fns)) * fns[0].value(t) ** 2
+
+
+@st.composite
+def step_and_samples(draw):
+    """One or two step functions, and a samples function on the first
+    one's knots, so a step can fall where the samples peak."""
+    steps = draw(st.lists(step_fns(), min_size=1, max_size=2))
+    knots = steps[0].t
+    v = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(knots), max_size=len(knots)))
+    return [*steps, TimeFunction.samples(knots, v)]
+
+
+@settings(deadline=None)
+@given(step_and_samples())
+def test_majorant_is_a_one_sided_limit_sum(fns):
+    top = sum_max_value(fns, 0.0, 1.0)
+    knots = merged_breakpoints(fns, 0.0, 1.0)
+    left = sum(fn.limits(knots)[0] for fn in fns)
+    right = sum(fn.limits(knots)[1] for fn in fns)
+    assert top in set(left[1:]) | set(right)
+    # at least the sum at every knot and just left of it (the tolerance
+    # covers a samples slope over the 1e-12 step)
+    for t in (knots, np.maximum(knots[1:] - 1e-12, 0.0)):
+        assert np.all(sum(fn.value(t) for fn in fns) <= top + 1e-9)
 
 
 class TestDerive:

@@ -35,7 +35,7 @@ from upliftemm.errors import (
     PlanMismatch,
     ShapeMismatch,
 )
-from upliftemm.uplift import cell_index
+from upliftemm.uplift import CellMeasure, cell_index
 
 from conftest import (
     EXCESS,
@@ -293,6 +293,85 @@ class TestContinuousUplift:
         emm, fict, fict_emm = build_uplifted_emm(spec, plan)
         rep = verify_uplift(emm, spec)
         assert rep.passed, rep.max_residual
+
+
+def _table_bases():
+    """Non-uniform bases whose cell quantities move in the last bit when
+    summed region by region: time-varying truncnorm and truncexp, and a
+    histogram."""
+    return [
+        Density("truncnorm", (-0.6, 0.6), {
+            "mu": TimeFunction.samples([0.0, 1.0], [0.1, -0.1]), "sigma": 0.3}),
+        Density("truncexp", (-0.6, 0.6), {
+            "rate": TimeFunction.piecewise([0.0, 0.5, 1.0], [2.0, -1.5])}),
+        Density("histogram", (-0.6, 0.6), {
+            "edges": [-0.6, -0.1, 0.2, 0.6], "weights": [0.3, 0.5, 0.2]}),
+    ]
+
+
+def _per_cell_reference(mm, y, t):
+    """The per-cell formulas the region table replaced, at marks y and
+    times t: total intensity, phi and mean jump intensity at each t[j], and
+    the density at y[j] and t[j]."""
+    base, phys = mm.base, mm.physical_intensity.value(t)
+    lams = [fn.value(t) for fn in mm.cell_intensities]
+    mass = [base.mass(a, b, t) for a, b in mm.cells]
+    total, mean = sum(lams), 0.0
+    covered, cell_part = sum(mass), 0.0
+    for (a, b), lam, m in zip(mm.cells, lams, mass):
+        cell_mean = base._partial_moment(a, b, t) / m
+        mean, cell_part = mean + lam * cell_mean, cell_part + m * cell_mean
+    total = total + phys * np.maximum(1.0 - covered, 0.0)
+    mean = mean + phys * (base.mean(t) - cell_part)
+    idx = cell_index(mm.cells, y)
+    phi = np.ones(y.shape)
+    dens = base.pdf(y, t) * phys / total
+    for k, (lam, m) in enumerate(zip(lams, mass)):
+        sel = idx == k
+        phi[sel] = lam[sel] / (phys * m)[sel]
+        dens[sel] = (base.pdf(y, t) * (lam / total) / m)[sel]
+    return total, phi, mean, dens
+
+
+class TestCellTable:
+    """CellMeasure's quantities, all read from one table of each region's
+    intensity, mass and lower CDF edge."""
+
+    CELLS = ((-0.5, -0.2), (0.0, 0.35))
+
+    def _measures(self):
+        lams = (TimeFunction.samples([0.0, 1.0], [1.0, 2.0]), TimeFunction.constant(1.5))
+        phys = TimeFunction.piecewise([0.0, 0.5, 1.0], [6.0, 9.0])
+        for base in _table_bases():
+            yield CellMeasure(base=base, physical_intensity=phys, cells=self.CELLS,
+                              cell_intensities=lams, remainder_physical=True)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_table_matches_per_cell_formulas(self, k):
+        mm = list(self._measures())[k]
+        t = np.linspace(0.0, 1.0, 41)
+        y = np.linspace(-0.6, 0.6, 41)
+        total, phi, mean, _ = _per_cell_reference(mm, y, t)
+        assert np.abs(mm.total_intensity(t) - total).max() < 1e-12
+        assert np.abs(mm.phi_values(y, t) - phi).max() < 1e-12
+        assert np.abs(mm.mean_jump_intensity(t) - mean).max() < 1e-12
+        for tj in (0.0, 0.3, 0.9):
+            dens = _per_cell_reference(mm, y, np.full(y.shape, tj))[3]
+            assert np.abs(mm.density_value(y, tj) - dens).max() < 1e-12
+
+    def test_phi_is_one_on_the_remainder(self):
+        y = np.array([-0.6, -0.55, -0.1, -0.01, 0.4, 0.6])  # in the gaps
+        t = np.linspace(0.0, 1.0, len(y))
+        for mm in self._measures():
+            assert (cell_index(mm.cells, y) == -1).all()
+            assert (mm.phi_values(y, t) == 1.0).all()
+
+    def test_cell_probabilities_sum_the_gaps(self):
+        for mm in self._measures():
+            rates = mm._table(0.3)[0][:, 0]
+            assert len(rates) == 5  # two cells, three gaps
+            want = np.append(rates[:2], rates[2:].sum()) / rates.sum()
+            assert np.abs(cell_probabilities(mm, 0.3) - want).max() < 1e-15
 
 
 class TestDiscreteUplift:
