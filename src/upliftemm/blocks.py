@@ -4,19 +4,22 @@ Every path of a context lives on one shared grid, ``ctx.base_knots`` (0,
 T, the output times and the knots of sigma, and of theta when weighting),
 and draws each segment's Brownian integrals as one exact Gaussian
 (:class:`_Segments`).  Events are not on the grid: they reach the stocks
-and the density only through each path's count of events at or before
-each output time.  Every draw is addressed by its path's stream id, its
-role and its index within the path (:mod:`upliftemm.philox`), so a block
-makes two kernel calls for all of its paths: counts with normals, then
-candidate times with marks.  It sums on whole-block arrays, each path's
-sums in its own order, so a path's values do not depend on the block
-size (``_SEGMENT_BUDGET``, read at call time).  A density-only block
-(``stocks=False``) computes Z, counts and increments but no stock path.
-The entry points live in :mod:`upliftemm.stochastic`.
+and the density only through each path's sums of per-event values up to
+each output time, which one running sum per path takes output interval
+by output interval (:func:`_event_sums`).  Every draw is addressed by its
+path's stream id, its role and its index within the path
+(:mod:`upliftemm.philox`), so a block makes two kernel calls for all of
+its paths: counts with normals, then candidate times with marks.  It sums
+on whole-block arrays, each path's sums in its own order, so a path's
+values do not depend on the block size (``_SEGMENT_BUDGET``, read at call
+time).  A density-only block (``stocks=False``) computes Z, counts and
+increments but no stock path.  The entry points live in
+:mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -183,7 +186,7 @@ _SEGMENT_BUDGET = 1 << 15
 def _block_size(ctx: SimulationContext) -> int:
     """Paths per block: the budget over a generous per-path width, the
     shared grid's knots plus the candidate count's mean and three
-    deviations (the width of the padded per-event sums)."""
+    deviations (which bounds the padded width of the candidate sort)."""
     mean = ctx.majorant * ctx.horizon
     width = len(ctx.base_knots) + mean + 3.0 * np.sqrt(mean) + 3.0
     return max(1, int(_SEGMENT_BUDGET // width))
@@ -197,12 +200,13 @@ class _Block:
     owns ``ev_times[ev_off[p]:ev_off[p + 1]]``, and ``pid`` names each
     event's row; ``order`` sorts them by time (else None), and ``lam`` holds
     a time-varying discrete market's (M, n_events) intensities at them.
-    ``dw[p]`` holds the path's increments over the shared grid's segments
-    and ``n_before[p]`` its number of events at or before each output time.
+    ``dw[p]`` holds the path's increments over the shared grid's segments.
+    ``by_out`` lists the events at or before the last output time grouped
+    by output interval (:func:`_group_by_interval`), and ``out_off`` holds
+    the (n_out + 1,) offsets of the groups in it.
     """
 
     pid: np.ndarray
-    local: np.ndarray  # each event's position within its path
     ev_off: np.ndarray
     ev_times: np.ndarray
     ev_marks: np.ndarray
@@ -210,7 +214,8 @@ class _Block:
     lam: np.ndarray | None = None
     first_stream: int = 0
     dw: np.ndarray | None = None  # (B, K, D)
-    n_before: np.ndarray | None = None  # (B, n_out)
+    by_out: np.ndarray | None = None
+    out_off: np.ndarray | None = None
     stocks: np.ndarray | None = None  # (B, n, n_out)
     z: np.ndarray | None = None  # (B, n_out)
 
@@ -301,15 +306,19 @@ def _draw_marked_events(
     marks = np.zeros(0, dtype=np.int64)
     if ctx.kind != "none":
         marks = ctx.marks_from_uniforms(u[:, 1, start[pid] + local], ev_times, lam)
-    return _Block(pid, local, ev_off, ev_times, marks, order, lam)
+    return _Block(pid, ev_off, ev_times, marks, order, lam)
 
 
-def _counts_at_or_below(times, pid, count: int, out: np.ndarray) -> np.ndarray:
-    """(B, m) number of each row's ``times`` at or below ``out[j]``."""
-    first = np.searchsorted(out, times)  # first out[j] counting t
-    m = len(out) + 1
-    hist = np.bincount(pid * m + first, minlength=count * m).reshape(count, m)
-    return np.cumsum(hist, axis=1)[:, :-1]
+def _group_by_interval(times, out) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the events at or before ``out[-1]`` grouped by output
+    interval, the number of output times strictly before an event, in
+    event order within each group; and the (n_out + 1,) group offsets."""
+    n_out = len(out)
+    kind = np.min_scalar_type(n_out)  # uint8 up to 255 output times, radix-sorted
+    k = (times > np.asarray(out)[:, None]).sum(axis=0, dtype=kind)
+    order = np.argsort(k, kind="stable")
+    off = np.searchsorted(k[order], np.arange(n_out + 1, dtype=kind))
+    return order[:off[-1]], off
 
 
 def _path_draws(ctx: SimulationContext, seed: int, sids: np.ndarray):
@@ -356,13 +365,23 @@ def _gaussian_sums(seg: _Segments, dw, res, rows=slice(None)) -> np.ndarray:
 
 
 def _event_sums(block: _Block, values) -> np.ndarray:
-    """Sums of each path's first ``n_before[p, j]`` per-event ``values``
-    ((..., n_events) -> (..., B, n_out)), added in event order."""
-    e_max = int(block.local.max(initial=-1)) + 1
-    cum = np.zeros(values.shape[:-1] + (len(block), e_max + 1))
-    cum[..., block.pid, block.local + 1] = values
-    np.cumsum(cum, axis=-1, out=cum)
-    return cum[..., np.arange(len(block))[:, None], block.n_before]
+    """Sums of each path's per-event ``values`` ((..., n_events) ->
+    (..., B, n_out)) over its events at or before each output time, added
+    in event order: each row keeps one running sum per path, adds each
+    output interval's events to it in turn and is copied out after each."""
+    idx, off = block.by_out, block.out_off
+    pid, B, n_out = block.pid[idx], len(block), len(off) - 1
+    lead = values.shape[:-1]
+    rows = np.take(values, idx, axis=-1).reshape(math.prod(lead), idx.size)
+    sums = np.empty((len(rows), B, n_out))
+    for row, row_sums in zip(rows, sums):
+        # with no event in the first interval bincount gives int64 zeros
+        run = np.bincount(pid[:off[1]], row[:off[1]], minlength=B).astype(float)
+        row_sums[:, 0] = run
+        for j in range(1, n_out):
+            np.add.at(run, pid[off[j]:off[j + 1]], row[off[j]:off[j + 1]])
+            row_sums[:, j] = run
+    return sums.reshape(lead + (B, n_out))
 
 
 def _simulate_block(
@@ -383,7 +402,7 @@ def _simulate_block(
     block = _draw_marked_events(ctx, seed, sids, u_count)
     block.first_stream, block.dw = first, dw
     ev_times, marks, order = block.ev_times, block.ev_marks, block.order
-    block.n_before = _counts_at_or_below(ev_times, block.pid, count, ctx.out_times)
+    block.by_out, block.out_off = _group_by_interval(ev_times, ctx.out_times)
     n = ctx.n
     gauss = _gaussian_sums(ctx.segments, dw, res, slice(0 if stocks else n, None))
     if stocks:

@@ -669,6 +669,17 @@ def _outer_chunks(n_outer: int, width: int) -> list[np.ndarray]:
     return [np.arange(lo, min(lo + step, n_outer)) for lo in range(0, n_outer, step)]
 
 
+def _inner_width(spec: MarketSpec, model, n_inner: int) -> int:
+    """The cells one outer path holds in :func:`_neglected_factors`: per
+    inner sample its n factors and, with a dropped Brownian, its normals
+    and its (n, K) Gaussian sums."""
+    seg = model[3]
+    per_sample = spec.n
+    if seg is not None:
+        per_sample += seg.varies.size + int(seg.varies.sum()) + spec.n * len(seg.dt)
+    return per_sample * n_inner
+
+
 def cost_of_construction_check(
     spec: MarketSpec,
     plan: DiscretePlan,
@@ -710,7 +721,7 @@ def cost_of_construction_check(
     retained = [m for group in fict.driver_groups for m in group]
     neglected = list(fict.neglected)
     inner_means = np.empty(n_outer)
-    for ids in _outer_chunks(n_outer, spec.n * n_inner):
+    for ids in _outer_chunks(n_outer, _inner_width(spec, model, n_inner)):
         factors, neg_counts = _neglected_factors(spec, model, ids, n_inner, seed)
         # one row per (outer path, inner sample)
         stocks = outer.stocks[ids, :, -1][:, None, :] * factors.transpose(0, 2, 1)
@@ -761,7 +772,7 @@ def projection_consistency_check(
     outer = simulate_terminal(fict.spec, [t], n_outer, seed)
     inner_mean_factors = np.empty((n_outer, spec.n))
     inner_se_factors = np.empty((n_outer, spec.n))
-    for ids in _outer_chunks(n_outer, spec.n * n_inner):
+    for ids in _outer_chunks(n_outer, _inner_width(spec, model, n_inner)):
         factors, _ = _neglected_factors(spec, model, ids, n_inner, seed)
         inner_mean_factors[ids] = factors.sum(axis=-1) / n_inner
         inner_se_factors[ids] = factors.std(axis=-1, ddof=1) / np.sqrt(n_inner)

@@ -283,7 +283,9 @@ class SimulationContext:
         """
         if self.kind == "discrete":
             if self.const_mark_cum is not None:
-                idx = np.searchsorted(self.const_mark_cum, u[0], side="left")
+                # the cumulative shares below each uniform: searchsorted's
+                # side="left" count, faster by comparisons in so short a table
+                idx = (u[0] > self.const_mark_cum[:, None]).sum(axis=0, dtype=np.int64)
             else:
                 if lam is None:
                     lam = np.array([fn.value(times) for fn in self.sim_intensities])

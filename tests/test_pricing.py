@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm, poisson
@@ -595,6 +597,44 @@ class TestProjectionCheck:
         wrong_mean = report.inner_mean_factors * np.exp(drag)
         wrong_z = np.abs(wrong_mean - 1.0) / report.inner_se_factors
         assert np.max(wrong_z) > 4.0
+
+
+    def test_dropped_brownian_chunks_within_the_budget(self, monkeypatch):
+        # a dropped Brownian's normals and (n, K) Gaussian sums count
+        # toward a chunk's cells, so a 64-piece dropped sigma peaks near
+        # the same market with every Brownian kept; its reports are the
+        # same for every chunk size
+        grid = np.linspace(0.0, 1.0, 65)
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0, 80.0], alpha=[0.07, 0.04], rate=0.02,
+            sigma=[[0.2, TimeFunction.piecewise(grid, 0.2 + 0.1 * np.sin(8 * grid[:-1]))],
+                   [0.1, 0.15]],
+            jumps=DiscreteJumpSpec(
+                intensities=[2.0, 1.0], loadings=[[0.1, 0.05], [-0.1, 0.2]]
+            ),
+        )
+
+        def run(keep):
+            plan = DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=keep)
+            fict = reduce_market(spec, plan)
+            projection_consistency_check(spec, plan, 2, 10, seed=5, fict=fict)  # warm
+            tracemalloc.start()
+            try:
+                rep = projection_consistency_check(spec, plan, 50, 1_000, seed=5, fict=fict)
+                return rep, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, kept_peak = run((0, 1))
+        dropped, dropped_peak = run((0,))
+        assert dropped.passed, dropped.max_z
+        assert dropped_peak <= 2 * kept_peak, (dropped_peak, kept_peak)
+        plan = DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=(0,))
+        for budget in (1 << 10, 1 << 20):
+            monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", budget)
+            rep = projection_consistency_check(spec, plan, 50, 1_000, seed=5)
+            assert np.array_equal(rep.inner_mean_factors, dropped.inner_mean_factors)
+            assert np.array_equal(rep.inner_se_factors, dropped.inner_se_factors)
 
 
 class TestHedging:

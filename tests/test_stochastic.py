@@ -39,9 +39,12 @@ from upliftemm.errors import (
 import upliftemm.philox
 import upliftemm.pricing
 from upliftemm.blocks import (
+    _Block,
     _block_size,
     _event_log_factors,
     _event_log_phi,
+    _event_sums,
+    _group_by_interval,
     _path_draws,
     _per_driver,
     _simulate_block,
@@ -440,6 +443,29 @@ class TestContextBuild:
         for name in ("ev_times", "ev_marks", "stocks", "z"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
+    @pytest.mark.parametrize("intensities", [[2.0, 1.0, 3.0], [2.0]])
+    def test_constant_shares_mark_as_a_left_search(self, intensities):
+        # counting the cumulative shares below a uniform is searchsorted's
+        # side="left", ties included; one driver still gets an int64 array
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=DiscreteJumpSpec(
+                intensities=intensities, loadings=[[0.1] * len(intensities)]
+            ),
+        )
+        ctx = SimulationContext(spec, [1.0])
+        cum = ctx.const_mark_cum
+        u0 = np.concatenate([
+            np.random.default_rng(5).random(500), [0.0, 1.0], cum,
+            np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+        ])
+        u = np.stack([u0, np.full(u0.size, 0.5)])
+        marks = ctx.marks_from_uniforms(u, np.full(u0.size, 0.5))
+        want = np.minimum(np.searchsorted(cum, u0, side="left"), len(intensities) - 1)
+        assert marks.dtype == np.int64 and np.array_equal(marks, want)
+        one = ctx.marks_from_uniforms(u[:, :1], np.full(1, 0.5))
+        assert isinstance(one, np.ndarray) and one.shape == (1,) and one.dtype == np.int64
+
     @pytest.mark.parametrize("market", ["time_varying", "piecewise_mark"])
     def test_uplifted_time_varying_markets_run_wide_blocks(self, market, request):
         # a solved theta that is constant up to rounding adds no grid knots
@@ -603,6 +629,111 @@ class TestBlockDraws:
             spec, plan, emm, fict_emm, (MarketEvent("omega"),), 500, seed=3, fict=fict
         )
         density_mass_check(spec, emm, 500, seed=3)
+
+
+def _events_block(paths, out):
+    """A block whose path p has the sorted event times ``paths[p]``, its
+    events grouped for the output times ``out``."""
+    sizes = [len(times) for times in paths]
+    times = np.array([t for path in paths for t in path], dtype=float)
+    pid = np.repeat(np.arange(len(paths)), sizes)
+    ev_off = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    block = _Block(pid, ev_off, times, np.zeros(times.size, dtype=np.int64))
+    block.by_out, block.out_off = _group_by_interval(times, np.asarray(out, dtype=float))
+    return block
+
+
+def _looped_event_sums(paths, values, out):
+    """Each path's values summed one event at a time, in event order, up to
+    each output time: the plain loop :func:`_event_sums` must equal."""
+    values = np.asarray(values, dtype=float)
+    rows = values.reshape(int(np.prod(values.shape[:-1])), values.shape[-1])
+    sums = np.zeros((len(rows), len(paths), len(out)))
+    for r, row in enumerate(rows):
+        first = 0
+        for p, times in enumerate(paths):
+            for j, o in enumerate(out):
+                total = 0.0
+                for i, t in enumerate(times):
+                    if t <= o:
+                        total += float(row[first + i])
+                sums[r, p, j] = total
+            first += len(times)
+    return sums.reshape(values.shape[:-1] + (len(paths), len(out)))
+
+
+class TestEventSums:
+    @pytest.mark.parametrize("n_out", [1, 2, 9, 33])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_edge_cases_match_the_loop(self, n_out, lead):
+        # outputs from 0 on; paths without events; events exactly at an
+        # output time and after the last one
+        out = np.linspace(0.0, 0.8, n_out) if n_out > 1 else np.array([0.8])
+        rng = np.random.default_rng(n_out)
+        paths = [
+            [],
+            [0.0, out[-1], 0.9, 1.0],
+            sorted(rng.uniform(0.0, 1.0, 40)),
+            [],
+            sorted(rng.choice(out, 6).tolist() + [0.95]),
+        ]
+        n_events = sum(map(len, paths))
+        values = rng.standard_normal(lead + (n_events,)) * 10.0 ** rng.integers(-6, 7, n_events)
+        block = _events_block(paths, out)
+        sums = _event_sums(block, values)
+        assert sums.shape == lead + (len(paths), n_out) and sums.dtype == float
+        assert np.array_equal(sums, _looped_event_sums(paths, values, out))
+
+    @pytest.mark.parametrize("paths", [[], [[], [], []], [[1.5], [], [2.0, 3.0]]])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_no_event_to_sum(self, paths, lead):
+        # an empty block, a block without events and one whose events all
+        # come after the last output time: float zeros of the full shape
+        n_events = sum(map(len, paths))
+        values = np.ones(lead + (n_events,))
+        sums = _event_sums(_events_block(paths, [0.0, 0.5, 1.0]), values)
+        assert sums.shape == lead + (len(paths), 3) and sums.dtype == float
+        assert np.all(sums == 0.0)
+
+    def test_an_output_at_zero_counts_the_events_at_zero(self):
+        block = _events_block([[0.0, 0.0, 0.3], [0.2]], [0.0])
+        assert np.array_equal(_event_sums(block, np.array([1.0, 2.0, 4.0, 8.0])), [[3.0], [0.0]])
+
+    @pytest.mark.parametrize("market, plan", [
+        ("three_stock_market", "neglect_plan"),
+        ("time_varying_market", "batch_plan"),
+    ])
+    def test_last_output_ends_the_sums(self, market, plan, request):
+        # the events after the last output time are never added, so an
+        # output's column does not depend on the outputs after it
+        spec = request.getfixturevalue(market)
+        emm, _, _ = build_uplifted_emm(spec, request.getfixturevalue(plan))
+        kw = dict(measure_emm=emm, density_emm=emm)
+        half = simulate_terminal(spec, [0.5], 800, 17, **kw)
+        both = simulate_terminal(spec, [0.5, 1.0], 800, 17, **kw)
+        assert np.array_equal(half.stocks[:, :, 0], both.stocks[:, :, 0])
+        assert np.array_equal(half.z[:, 0], both.z[:, 0])
+        assert np.array_equal(half.counts, both.counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n_out=st.sampled_from([1, 2, 9, 33]),
+    lead=st.sampled_from([(), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_event_sums_add_each_path_in_event_order(data, n_out, lead, seed):
+    # one running sum per path over the output intervals performs the same
+    # additions, in the same order, as a loop over each path's events
+    out = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_out, max_size=n_out)))
+    time = st.floats(0.0, 1.25) | st.sampled_from(out)
+    paths = data.draw(st.lists(st.lists(time, max_size=9).map(sorted), max_size=12))
+    n_events = sum(map(len, paths))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(lead + (n_events,)) * 10.0 ** rng.integers(-8, 9, n_events)
+    sums = _event_sums(_events_block(paths, out), values)
+    assert np.array_equal(sums, _looped_event_sums(paths, values, out))
 
 
 class TestStockPathExactness:
