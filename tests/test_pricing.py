@@ -598,7 +598,6 @@ class TestProjectionCheck:
         wrong_z = np.abs(wrong_mean - 1.0) / report.inner_se_factors
         assert np.max(wrong_z) > 4.0
 
-
     def test_dropped_brownian_chunks_within_the_budget(self, monkeypatch):
         # a dropped Brownian's normals and (n, K) Gaussian sums count
         # toward a chunk's cells, so a 64-piece dropped sigma peaks near

@@ -678,7 +678,8 @@ class TestEventSums:
             sorted(rng.choice(out, 6).tolist() + [0.95]),
         ]
         n_events = sum(map(len, paths))
-        values = rng.standard_normal(lead + (n_events,)) * 10.0 ** rng.integers(-6, 7, n_events)
+        scales = 10.0 ** rng.integers(-6, 7, n_events)
+        values = rng.standard_normal(lead + (n_events,)) * scales
         block = _events_block(paths, out)
         sums = _event_sums(block, values)
         assert sums.shape == lead + (len(paths), n_out) and sums.dtype == float
@@ -697,7 +698,8 @@ class TestEventSums:
 
     def test_an_output_at_zero_counts_the_events_at_zero(self):
         block = _events_block([[0.0, 0.0, 0.3], [0.2]], [0.0])
-        assert np.array_equal(_event_sums(block, np.array([1.0, 2.0, 4.0, 8.0])), [[3.0], [0.0]])
+        sums = _event_sums(block, np.array([1.0, 2.0, 4.0, 8.0]))
+        assert np.array_equal(sums, [[3.0], [0.0]])
 
     @pytest.mark.parametrize("market, plan", [
         ("three_stock_market", "neglect_plan"),
