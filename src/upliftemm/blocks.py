@@ -5,16 +5,16 @@ T, the output times and the knots of sigma, and of theta when weighting),
 and draws each segment's Brownian integrals as one exact Gaussian
 (:class:`_Segments`).  Events are not on the grid: they reach the stocks
 and the density only through each path's sums of per-event values up to
-each output time, which one running sum per path takes output interval
-by output interval (:func:`_event_sums`).  Every draw is addressed by its
-path's stream id, its role and its index within the path
-(:mod:`upliftemm.philox`), so a block makes two kernel calls for all of
-its paths: counts with normals, then candidate times with marks.  It sums
-on whole-block arrays, each path's sums in its own order, so a path's
-values do not depend on the block size (``_SEGMENT_BUDGET``, read at call
-time).  A density-only block (``stocks=False``) computes Z, counts and
-increments but no stock path.  The entry points live in
-:mod:`upliftemm.stochastic`.
+each output time, added in event order by output interval or, with more
+output times than events on a path, by rank (:func:`_event_sums`).
+Every draw is addressed by its path's stream id, its role and its index
+within the path (:mod:`upliftemm.philox`), so a block makes two kernel
+calls for all of its paths: counts with normals, then candidate times
+with marks.  It sums on whole-block arrays, each path's sums in its own
+order, so a path's values do not depend on the block size
+(``_SEGMENT_BUDGET``, read at call time).  A density-only block
+(``stocks=False``) computes Z, counts and increments but no stock path.
+The entry points live in :mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
@@ -137,6 +137,12 @@ class _Segments:
     varies: np.ndarray  # (K, D)
     out_idx: np.ndarray  # (n_out,) grid column of each output time
 
+    @property
+    def n_normals(self) -> int:
+        """Standard normals a path draws: the K * D increments, then one
+        per ``varies`` cell."""
+        return self.varies.size + int(self.varies.sum())
+
 
 def _segment_gaussians(rows, knots: np.ndarray, out_times) -> _Segments:
     """The per-segment Gaussians of the loadings ``rows`` (Y rows of D
@@ -200,10 +206,8 @@ class _Block:
     owns ``ev_times[ev_off[p]:ev_off[p + 1]]``, and ``pid`` names each
     event's row; ``order`` sorts them by time (else None), and ``lam`` holds
     a time-varying discrete market's (M, n_events) intensities at them.
-    ``dw[p]`` holds the path's increments over the shared grid's segments.
-    ``by_out`` lists the events at or before the last output time grouped
-    by output interval (:func:`_group_by_interval`), and ``out_off`` holds
-    the (n_out + 1,) offsets of the groups in it.
+    ``dw[p]`` holds the path's increments over the shared grid's segments
+    and ``sums`` how its event values are summed (:func:`_sum_plan`).
     """
 
     pid: np.ndarray
@@ -214,8 +218,7 @@ class _Block:
     lam: np.ndarray | None = None
     first_stream: int = 0
     dw: np.ndarray | None = None  # (B, K, D)
-    by_out: np.ndarray | None = None
-    out_off: np.ndarray | None = None
+    sums: _SumPlan | None = None
     stocks: np.ndarray | None = None  # (B, n, n_out)
     z: np.ndarray | None = None  # (B, n_out)
 
@@ -251,8 +254,8 @@ def _draw_marked_events(
     ctx: SimulationContext, seed: int, sids: np.ndarray, u_count=None
 ) -> _Block:
     """The block of streams ``sids`` with only its accepted events: their
-    times (path-major, sorted within each path), rows, offsets, positions
-    within their paths, marks, time order and intensities.
+    times (path-major, sorted within each path), rows, offsets, marks,
+    time order and intensities.
 
     Path p's candidate count inverts the context's Poisson table at its
     ``count`` uniform (``u_count``, drawn here when not given).  One kernel
@@ -309,16 +312,63 @@ def _draw_marked_events(
     return _Block(pid, ev_off, ev_times, marks, order, lam)
 
 
-def _group_by_interval(times, out) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the events at or before ``out[-1]`` grouped by output
-    interval, the number of output times strictly before an event, in
-    event order within each group; and the (n_out + 1,) group offsets."""
+@dataclass(frozen=True)
+class _SumPlan:
+    """How :func:`_event_sums` adds a block's per-event values up to each
+    output time: ``take`` lists the events in the plan's order, ``off``
+    bounds its groups, and either ``pid`` names each taken event's path
+    (:func:`_interval_plan`) or ``at`` locates each path's sum at each
+    output time (:func:`_rank_plan`)."""
+
+    take: np.ndarray
+    off: np.ndarray
+    pid: np.ndarray | None = None
+    at: np.ndarray | None = None  # (B, n_out)
+
+
+def _interval_plan(pid, times, out) -> _SumPlan:
+    """The events at or before ``out[-1]`` grouped by output interval, the
+    number of output times strictly before an event, in event order
+    within each group."""
     n_out = len(out)
     kind = np.min_scalar_type(n_out)  # uint8 up to 255 output times, radix-sorted
-    k = (times > np.asarray(out)[:, None]).sum(axis=0, dtype=kind)
+    k = (times > out[:, None]).sum(axis=0, dtype=kind)
     order = np.argsort(k, kind="stable")
     off = np.searchsorted(k[order], np.arange(n_out + 1, dtype=kind))
-    return order[:off[-1]], off
+    take = order[:off[-1]]
+    return _SumPlan(take, off, pid=pid[take])
+
+
+def _rank_plan(pid, ev_off, times, out) -> _SumPlan:
+    """The events in levels: level 0 holds one zero per path and level r
+    the r-th event of each path that has r, the paths ordered by their
+    number of events, most first.  So a level's paths lead the level
+    before it, and each path's running sums are one slice sum per level.
+    ``at[p, j]`` is the level slot of path p's last event at or before
+    ``out[j]``."""
+    B, n_out, N = len(ev_off) - 1, len(out), times.size
+    count = np.diff(ev_off)
+    place = np.empty(B, dtype=np.intp)
+    place[np.argsort(-count, kind="stable")] = np.arange(B)
+    width = np.bincount(count, minlength=1)[::-1].cumsum()[::-1]  # paths with >= r events
+    off = np.zeros(len(width) + 1, dtype=np.intp)
+    np.cumsum(width, out=off[1:])
+    take, ev = np.empty(N, dtype=np.intp), np.arange(N)
+    take[off[1:][ev - ev_off[pid]] + place[pid] - B] = ev
+    n = np.bincount(np.searchsorted(out, times) * B + pid, minlength=(n_out + 1) * B)
+    n = np.cumsum(n.reshape(n_out + 1, B)[:n_out], axis=0)  # events at or before
+    return _SumPlan(take, off, at=(off[n] + place).T)
+
+
+def _sum_plan(pid, ev_off, times, out) -> _SumPlan:
+    """The cheaper plan for a block.  The interval plan makes one pass per
+    output interval and row, the rank plan one per rank for all rows plus
+    a (B, n_out) table, so a block with few output times, no more than
+    its most events on a path, sums by interval and any other by rank."""
+    out = np.asarray(out, dtype=float)
+    if len(out) <= np.diff(ev_off).max(initial=0):
+        return _interval_plan(pid, times, out)
+    return _rank_plan(pid, ev_off, times, out)
 
 
 def _path_draws(ctx: SimulationContext, seed: int, sids: np.ndarray):
@@ -328,7 +378,7 @@ def _path_draws(ctx: SimulationContext, seed: int, sids: np.ndarray):
     its (j, brownian, sid), so the long axis is the innermost.  The
     normals are Box-Muller pairs, one per ``brownian`` counter."""
     seg = ctx.segments
-    j = np.arange(-1, (seg.varies.size + int(seg.varies.sum()) + 1) // 2)
+    j = np.arange(-1, (seg.n_normals + 1) // 2)
     j[0] = 0
     roles = np.full(j.size, ROLE_IDS["brownian"])
     roles[0] = ROLE_IDS["count"]
@@ -367,12 +417,21 @@ def _gaussian_sums(seg: _Segments, dw, res, rows=slice(None)) -> np.ndarray:
 def _event_sums(block: _Block, values) -> np.ndarray:
     """Sums of each path's per-event ``values`` ((..., n_events) ->
     (..., B, n_out)) over its events at or before each output time, added
-    in event order: each row keeps one running sum per path, adds each
-    output interval's events to it in turn and is copied out after each."""
-    idx, off = block.by_out, block.out_off
-    pid, B, n_out = block.pid[idx], len(block), len(off) - 1
+    in event order from zero, whichever plan the block has: by interval,
+    each row keeps one running sum per path, adds each output interval's
+    events to it in turn and is copied out after each; by rank, each
+    level's slots add the slots of the level before."""
+    plan, B = block.sums, len(block)
     lead = values.shape[:-1]
-    rows = np.take(values, idx, axis=-1).reshape(math.prod(lead), idx.size)
+    rows = values.reshape(math.prod(lead), values.shape[-1])
+    if plan.at is not None:
+        cells = np.zeros((len(rows), plan.off[-1]))
+        np.take(rows, plan.take, axis=1, out=cells[:, B:])
+        for lo, hi, end in zip(plan.off[:-2], plan.off[1:-1], plan.off[2:]):
+            cells[:, hi:end] += cells[:, lo:lo + end - hi]
+        return np.take(cells, plan.at, axis=1).reshape(lead + plan.at.shape)
+    rows, pid, off = np.take(rows, plan.take, axis=1), plan.pid, plan.off
+    n_out = len(off) - 1
     sums = np.empty((len(rows), B, n_out))
     for row, row_sums in zip(rows, sums):
         # with no event in the first interval bincount gives int64 zeros
@@ -402,7 +461,7 @@ def _simulate_block(
     block = _draw_marked_events(ctx, seed, sids, u_count)
     block.first_stream, block.dw = first, dw
     ev_times, marks, order = block.ev_times, block.ev_marks, block.order
-    block.by_out, block.out_off = _group_by_interval(ev_times, ctx.out_times)
+    block.sums = _sum_plan(block.pid, block.ev_off, ev_times, ctx.out_times)
     n = ctx.n
     gauss = _gaussian_sums(ctx.segments, dw, res, slice(0 if stocks else n, None))
     if stocks:

@@ -14,6 +14,7 @@ restriction's own two legs stay on disjoint streams.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -600,9 +601,16 @@ def restriction_check(
 # -- nested conditional expectation machinery ------------------------------------------
 
 
+class _NeglectedModel(NamedTuple):
+    cdfs: list
+    log1p_y: np.ndarray
+    shift: np.ndarray
+    seg: blocks._Segments | None
+
+
 def _neglected_factor_model(
     spec: MarketSpec, fict: FictitiousMarket, intensities, t: float
-):
+) -> _NeglectedModel:
     """Constant data describing the neglected part of the price factorization.
 
     The neglected part of stock i is exp(-sum_m y_im * Lam_m) times the
@@ -625,7 +633,7 @@ def _neglected_factor_model(
         knots = merged_breakpoints([fn for row in rows for fn in row], 0.0, t)
         seg = blocks._segment_gaussians(rows, knots, [t])
     cdfs = [poisson_cdf(lam) if lam > 0.0 else np.ones(1) for lam in lam_int]
-    return cdfs, np.log1p(y), y @ lam_int, seg
+    return _NeglectedModel(cdfs, np.log1p(y), y @ lam_int, seg)
 
 
 def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: int):
@@ -643,7 +651,7 @@ def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: i
     """
     cdfs, log1p_y, shift, seg = model
     P, J, M = len(outer_ids), n_inner, len(cdfs)
-    width = 0 if seg is None else seg.varies.size + int(seg.varies.sum())
+    width = 0 if seg is None else seg.n_normals
     n_u, n_z = M * J, width * J
     n_c = (n_u + 1) // 2
     u = uniforms(seed, "inner", np.arange(n_c + (n_z + 1) // 2), outer_ids[:, None])
@@ -669,14 +677,13 @@ def _outer_chunks(n_outer: int, width: int) -> list[np.ndarray]:
     return [np.arange(lo, min(lo + step, n_outer)) for lo in range(0, n_outer, step)]
 
 
-def _inner_width(spec: MarketSpec, model, n_inner: int) -> int:
+def _inner_width(n: int, seg, n_inner: int) -> int:
     """The cells one outer path holds in :func:`_neglected_factors`: per
-    inner sample its n factors and, with a dropped Brownian, its normals
-    and its (n, K) Gaussian sums."""
-    seg = model[3]
-    per_sample = spec.n
+    inner sample its n factors and, with dropped Brownians (``seg``), its
+    normals and its (n, K) Gaussian sums."""
+    per_sample = n
     if seg is not None:
-        per_sample += seg.varies.size + int(seg.varies.sum()) + spec.n * len(seg.dt)
+        per_sample += seg.n_normals + n * len(seg.dt)
     return per_sample * n_inner
 
 
@@ -721,7 +728,7 @@ def cost_of_construction_check(
     retained = [m for group in fict.driver_groups for m in group]
     neglected = list(fict.neglected)
     inner_means = np.empty(n_outer)
-    for ids in _outer_chunks(n_outer, _inner_width(spec, model, n_inner)):
+    for ids in _outer_chunks(n_outer, _inner_width(spec.n, model.seg, n_inner)):
         factors, neg_counts = _neglected_factors(spec, model, ids, n_inner, seed)
         # one row per (outer path, inner sample)
         stocks = outer.stocks[ids, :, -1][:, None, :] * factors.transpose(0, 2, 1)
@@ -772,7 +779,7 @@ def projection_consistency_check(
     outer = simulate_terminal(fict.spec, [t], n_outer, seed)
     inner_mean_factors = np.empty((n_outer, spec.n))
     inner_se_factors = np.empty((n_outer, spec.n))
-    for ids in _outer_chunks(n_outer, _inner_width(spec, model, n_inner)):
+    for ids in _outer_chunks(n_outer, _inner_width(spec.n, model.seg, n_inner)):
         factors, _ = _neglected_factors(spec, model, ids, n_inner, seed)
         inner_mean_factors[ids] = factors.sum(axis=-1) / n_inner
         inner_se_factors[ids] = factors.std(axis=-1, ddof=1) / np.sqrt(n_inner)

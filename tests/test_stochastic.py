@@ -44,7 +44,8 @@ from upliftemm.blocks import (
     _event_log_factors,
     _event_log_phi,
     _event_sums,
-    _group_by_interval,
+    _interval_plan,
+    _rank_plan,
     _path_draws,
     _per_driver,
     _simulate_block,
@@ -631,15 +632,20 @@ class TestBlockDraws:
         density_mass_check(spec, emm, 500, seed=3)
 
 
-def _events_block(paths, out):
+def _events_block(paths, out, by_rank):
     """A block whose path p has the sorted event times ``paths[p]``, its
-    events grouped for the output times ``out``."""
+    event sums planned for the output times ``out`` by rank or by
+    interval."""
     sizes = [len(times) for times in paths]
     times = np.array([t for path in paths for t in path], dtype=float)
     pid = np.repeat(np.arange(len(paths)), sizes)
     ev_off = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
     block = _Block(pid, ev_off, times, np.zeros(times.size, dtype=np.int64))
-    block.by_out, block.out_off = _group_by_interval(times, np.asarray(out, dtype=float))
+    out = np.asarray(out, dtype=float)
+    if by_rank:
+        block.sums = _rank_plan(pid, ev_off, times, out)
+    else:
+        block.sums = _interval_plan(pid, times, out)
     return block
 
 
@@ -663,9 +669,10 @@ def _looped_event_sums(paths, values, out):
 
 
 class TestEventSums:
-    @pytest.mark.parametrize("n_out", [1, 2, 9, 33])
+    @pytest.mark.parametrize("by_rank", [False, True])
+    @pytest.mark.parametrize("n_out", [1, 2, 9, 33, 252])
     @pytest.mark.parametrize("lead", [(), (3,)])
-    def test_edge_cases_match_the_loop(self, n_out, lead):
+    def test_edge_cases_match_the_loop(self, n_out, lead, by_rank):
         # outputs from 0 on; paths without events; events exactly at an
         # output time and after the last one
         out = np.linspace(0.0, 0.8, n_out) if n_out > 1 else np.array([0.8])
@@ -680,24 +687,26 @@ class TestEventSums:
         n_events = sum(map(len, paths))
         scales = 10.0 ** rng.integers(-6, 7, n_events)
         values = rng.standard_normal(lead + (n_events,)) * scales
-        block = _events_block(paths, out)
+        block = _events_block(paths, out, by_rank)
         sums = _event_sums(block, values)
         assert sums.shape == lead + (len(paths), n_out) and sums.dtype == float
         assert np.array_equal(sums, _looped_event_sums(paths, values, out))
 
+    @pytest.mark.parametrize("by_rank", [False, True])
     @pytest.mark.parametrize("paths", [[], [[], [], []], [[1.5], [], [2.0, 3.0]]])
     @pytest.mark.parametrize("lead", [(), (2,)])
-    def test_no_event_to_sum(self, paths, lead):
+    def test_no_event_to_sum(self, paths, lead, by_rank):
         # an empty block, a block without events and one whose events all
         # come after the last output time: float zeros of the full shape
         n_events = sum(map(len, paths))
         values = np.ones(lead + (n_events,))
-        sums = _event_sums(_events_block(paths, [0.0, 0.5, 1.0]), values)
+        sums = _event_sums(_events_block(paths, [0.0, 0.5, 1.0], by_rank), values)
         assert sums.shape == lead + (len(paths), 3) and sums.dtype == float
         assert np.all(sums == 0.0)
 
-    def test_an_output_at_zero_counts_the_events_at_zero(self):
-        block = _events_block([[0.0, 0.0, 0.3], [0.2]], [0.0])
+    @pytest.mark.parametrize("by_rank", [False, True])
+    def test_an_output_at_zero_counts_the_events_at_zero(self, by_rank):
+        block = _events_block([[0.0, 0.0, 0.3], [0.2]], [0.0], by_rank)
         sums = _event_sums(block, np.array([1.0, 2.0, 4.0, 8.0]))
         assert np.array_equal(sums, [[3.0], [0.0]])
 
@@ -717,16 +726,33 @@ class TestEventSums:
         assert np.array_equal(half.z[:, 0], both.z[:, 0])
         assert np.array_equal(half.counts, both.counts)
 
+    @pytest.mark.parametrize("n_out, by_rank", [(1, False), (9, False), (33, True), (252, True)])
+    def test_few_output_times_sum_by_interval(self, three_stock_market, neglect_plan, n_out, by_rank):
+        # a block picks the interval plan while its output times are no
+        # more than its most events on a path, else the rank plan; both
+        # give the same bits
+        emm, _, _ = build_uplifted_emm(three_stock_market, neglect_plan)
+        ctx = SimulationContext(three_stock_market, np.linspace(0.0, 1.0, n_out + 1)[1:],
+                                measure_emm=emm)
+        block = _simulate_block(ctx, 7, 0, _block_size(ctx))
+        assert (block.sums.at is not None) == by_rank
+        values = _event_log_factors(ctx, block.ev_times, block.ev_marks, block.order)
+        sums = _event_sums(block, values)
+        args = block.pid, block.ev_off, block.ev_times, ctx.out_times
+        block.sums = _interval_plan(args[0], *args[2:]) if by_rank else _rank_plan(*args)
+        assert np.array_equal(_event_sums(block, values), sums)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
-    n_out=st.sampled_from([1, 2, 9, 33]),
+    n_out=st.sampled_from([1, 2, 9, 33, 252]),
     lead=st.sampled_from([(), (3,)]),
     seed=st.integers(0, 2**32 - 1),
+    by_rank=st.booleans(),
 )
-def test_event_sums_add_each_path_in_event_order(data, n_out, lead, seed):
-    # one running sum per path over the output intervals performs the same
+def test_event_sums_add_each_path_in_event_order(data, n_out, lead, seed, by_rank):
+    # running sums by output interval or by rank perform the same
     # additions, in the same order, as a loop over each path's events
     out = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_out, max_size=n_out)))
     time = st.floats(0.0, 1.25) | st.sampled_from(out)
@@ -734,7 +760,7 @@ def test_event_sums_add_each_path_in_event_order(data, n_out, lead, seed):
     n_events = sum(map(len, paths))
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(lead + (n_events,)) * 10.0 ** rng.integers(-8, 9, n_events)
-    sums = _event_sums(_events_block(paths, out), values)
+    sums = _event_sums(_events_block(paths, out, by_rank), values)
     assert np.array_equal(sums, _looped_event_sums(paths, values, out))
 
 
