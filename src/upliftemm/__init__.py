@@ -16,7 +16,7 @@ load the Monte Carlo engine (``pricing``, ``stochastic``, ``blocks``,
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
@@ -81,12 +81,10 @@ _EXPORTS = {
         "DEFAULT_SEED",
         "PathBundle",
         "RngStreamSpec",
-        "rn_density_path",
         "sample_marked_point_process",
         "sample_poisson_inhomogeneous",
         "simulate_path",
         "simulate_terminal",
-        "stock_path_exact",
     ),
     "timefns": ("TimeFunction", "adaptive_simpson", "integrate_product"),
     "uplift": (

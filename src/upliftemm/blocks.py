@@ -53,13 +53,8 @@ class PathBundle:
     stock_values: np.ndarray
     z_values: np.ndarray | None = None
 
-    def counts_by_driver(self, n_drivers: int) -> np.ndarray:
-        if self.event_marks.dtype.kind != "i":
-            raise ValueError("continuous marks have no driver counts")
-        return np.bincount(self.event_marks, minlength=n_drivers)
 
-
-# -- per-event factors (shared with the one-path reference) ---------------------
+# -- per-event factors --------------------------------------------------------------
 
 
 def _per_driver(rows, times, marks, order=None) -> np.ndarray:
@@ -81,13 +76,13 @@ def _per_driver(rows, times, marks, order=None) -> np.ndarray:
 
 
 def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks, order=None):
-    """(n, n_events) log jump factors ln(1 + y_i) at each event."""
-    n = ctx.n
-    if ev_times.size == 0:
-        return np.zeros((n, 0))
+    """(n, n_events) log jump factors ln(1 + y_i) at each event; one
+    (1, n_events) row on a continuous-mark market, where every stock
+    jumps by the mark."""
     if ctx.kind == "continuous":
-        row = np.log1p(ev_marks.astype(float))
-        return np.tile(row, (n, 1))
+        return np.log1p(ev_marks.astype(float))[None, :]
+    if ev_times.size == 0:
+        return np.zeros((ctx.n, 0))
     out = _per_driver(ctx.spec.jumps.loadings, ev_times, ev_marks, order)
     return np.log1p(out, out=out)
 

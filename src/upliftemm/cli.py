@@ -34,7 +34,7 @@ from .pricing import (
     restriction_check,
 )
 from .reduction import _is_complete_neglect, reduce_market
-from .stochastic import DEFAULT_SEED, iterate_bundles
+from .stochastic import DEFAULT_SEED, SimulationContext, _blocks
 from .uplift import build_uplifted_emm, Emm, verify_uplift
 
 SEED_ENV_VAR = "UPLIFTEMM_SEED"
@@ -162,22 +162,24 @@ def _cmd_simulate(args) -> int:
     times = (
         [float(x) for x in args.times.split(",")] if args.times else [spec.horizon]
     )
+    ctx = SimulationContext(
+        spec, times, measure_emm=measure_emm, density_emm=density_emm
+    )
     lines_out = []
-    for bundle in iterate_bundles(
-        spec, times, args.paths, _seed(args),
-        measure_emm=measure_emm, density_emm=density_emm,
-    ):
-        marks = bundle.event_marks
-        rec = {
-            "stream": bundle.stream_id,
-            "events": [
-                [float(t), int(m) if marks.dtype.kind == "i" else float(m)]
-                for t, m in zip(bundle.event_times, marks)
-            ],
-            "terminal": [float(x) for x in bundle.stock_values[:, -1]],
-            "z": None if bundle.z_values is None else float(bundle.z_values[-1]),
-        }
-        lines_out.append(dump_json(rec, pretty=False))
+    for _, block in _blocks(ctx, _seed(args), 0, args.paths):
+        mark = int if block.ev_marks.dtype.kind == "i" else float
+        for p in range(len(block)):
+            lo, hi = block.ev_off[p], block.ev_off[p + 1]
+            rec = {
+                "stream": block.first_stream + p,
+                "events": [
+                    [float(t), mark(m)]
+                    for t, m in zip(block.ev_times[lo:hi], block.ev_marks[lo:hi])
+                ],
+                "terminal": [float(x) for x in block.stocks[p, :, -1]],
+                "z": None if block.z is None else float(block.z[p, -1]),
+            }
+            lines_out.append(dump_json(rec, pretty=False))
     text = "\n".join(lines_out)
     if args.out:
         with open(args.out, "w") as fh:

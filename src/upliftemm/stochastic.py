@@ -16,8 +16,9 @@ is a block of one, and row k of :func:`simulate_terminal` equals it on
 stream ``stream_offset + k``.  It wraps ``_terminal_sample``, which also
 sums a per-event hook over each path's events in order (the restriction's
 cell counts, hedging's jump leg) and can skip the stock paths of a sample
-that only reads Z, counts and increments.  The standalone samplers draw
-the same events on one stream or on many.
+that only reads Z, counts and increments.  ``_blocks`` yields the blocks
+themselves, whose rows ``upliftemm simulate`` writes out.  The standalone
+samplers draw the same events on one stream or on many.
 """
 
 from __future__ import annotations
@@ -31,17 +32,11 @@ from .blocks import (
     PathBundle,
     _block_size,
     _draw_marked_events,
-    _event_log_factors,
-    _event_log_phi,
     _segment_gaussians,
     _simulate_block,
     _stream_ids,
 )
-from .errors import (
-    NullMark,
-    UnboundedIntensity,
-    UndeterminedIntegral,
-)
+from .errors import NullMark, UnboundedIntensity
 from .model import JUMP_GRID_POINTS, ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
 from .philox import poisson_cdf, uniforms
 from .timefns import (
@@ -60,11 +55,8 @@ __all__ = [
     "SimulationContext",
     "sample_poisson_inhomogeneous",
     "sample_marked_point_process",
-    "stock_path_exact",
-    "rn_density_path",
     "simulate_path",
     "simulate_terminal",
-    "iterate_bundles",
     "DEFAULT_SEED",
 ]
 
@@ -321,7 +313,6 @@ def sample_marked_point_process(
     streams: RngStreamSpec,
     measure_emm: Emm | None = None,
     n_streams: int | None = None,
-    _ctx: "SimulationContext | None" = None,
 ):
     """Event times plus marks (driver indices or continuous jump sizes).
 
@@ -332,18 +323,16 @@ def sample_marked_point_process(
     lists of the times and of the marks on each of that many consecutive
     streams, drawn in blocks.
     """
-    if _ctx is None:
-        spec_like = MarketSpec(
-            horizon=horizon, s0=(1.0,), alpha=(0.0,), rate=0.0,
-            sigma=((),), jumps=jumps,
-        )
-        _ctx = SimulationContext(spec_like, [horizon], measure_emm=measure_emm)
+    spec_like = MarketSpec(
+        horizon=horizon, s0=(1.0,), alpha=(0.0,), rate=0.0, sigma=((),), jumps=jumps,
+    )
+    ctx = SimulationContext(spec_like, [horizon], measure_emm=measure_emm)
     count = 1 if n_streams is None else n_streams
-    size = _block_size(_ctx)
+    size = _block_size(ctx)
     times, marks, per_path = [], [], []
     for lo in range(0, count, size):
         sids = _stream_ids(streams.stream_id + lo, min(size, count - lo))
-        events = _draw_marked_events(_ctx, streams.master_seed, sids)
+        events = _draw_marked_events(ctx, streams.master_seed, sids)
         times.append(events.ev_times)
         marks.append(events.ev_marks)
         per_path.append(np.diff(events.ev_off))
@@ -351,124 +340,6 @@ def sample_marked_point_process(
     times = np.split(np.concatenate(times), cuts)
     marks = np.split(np.concatenate(marks), cuts)
     return (times[0], marks[0]) if n_streams is None else (times, marks)
-
-
-# -- exact stock evaluation -------------------------------------------------------
-
-
-def _out_indices(grid: np.ndarray, out_times: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(grid, out_times)
-    if np.any(np.abs(grid[np.minimum(idx, len(grid) - 1)] - out_times) > 1e-12):
-        raise ValueError("output times must be grid nodes")
-    return idx
-
-
-def _require_step_coefficients(fns, what: str) -> None:
-    """A bundle's (grid, dw) fixes the integral of a coefficient against
-    dW only where the coefficient is a step function on the grid."""
-    if not all(fn.is_piecewise_constant for fn in fns):
-        raise UndeterminedIntegral(
-            f"an interpolated {what} varies inside a grid segment, so the "
-            "path's increments do not determine its stochastic integral"
-        )
-
-
-def _stock_values_from_parts(
-    ctx: SimulationContext,
-    grid: np.ndarray,
-    dw: np.ndarray,
-    ev_times: np.ndarray,
-    ev_marks: np.ndarray,
-    out_idx: np.ndarray,
-) -> np.ndarray:
-    n = ctx.n
-    dt = np.diff(grid)
-    K = len(dt)
-    # cumulative stochastic integral and variance drag per stock at nodes
-    sig3 = np.moveaxis(ctx.spec.sigma_values(grid[:-1]), 0, -1)  # (n, D, K)
-    drive = np.einsum("idk,kd->ki", sig3, dw) if dw.size else np.zeros((K, n))
-    drag = 0.5 * np.einsum("idk,k->ki", sig3**2, dt)
-    cum = np.empty((K + 1, n))
-    cum[0] = 0.0
-    np.cumsum(drive - drag, axis=0, out=cum[1:])
-    ev_logs = _event_log_factors(ctx, ev_times, ev_marks)  # (n, n_ev)
-    cum_ev = np.empty((n, ev_logs.shape[1] + 1))
-    cum_ev[:, 0] = 0.0
-    np.cumsum(ev_logs, axis=1, out=cum_ev[:, 1:])
-    n_ev_before = np.searchsorted(ev_times, ctx.out_times, side="right")
-    s0 = np.asarray(ctx.spec.s0)
-    log_total = (
-        cum[out_idx, :] + ctx.det_drift + cum_ev[:, n_ev_before].T
-    )  # (n_out, n)
-    return (s0 * np.exp(log_total)).T
-
-
-def stock_path_exact(
-    spec: MarketSpec,
-    event_times: np.ndarray,
-    event_marks: np.ndarray,
-    grid: np.ndarray,
-    dw: np.ndarray,
-    out_times,
-    measure_emm: Emm | None = None,
-) -> np.ndarray:
-    """Exact stock values given all of the path's randomness.
-
-    Under the physical measure the drift uses alpha and the physical
-    compensator; with ``measure_emm`` the drift uses the short rate and
-    the risk-neutral compensator, i.e. the dynamics under that measure.
-    Output times must be nodes of ``grid``, and sigma a step function on
-    it: an interpolated sigma that varies raises
-    :class:`UndeterminedIntegral`.
-    """
-    _require_step_coefficients([fn for row in spec.sigma for fn in row], "sigma")
-    ctx = SimulationContext(spec, out_times, measure_emm=measure_emm)
-    out_idx = _out_indices(grid, ctx.out_times)
-    return _stock_values_from_parts(
-        ctx, grid, dw, event_times, event_marks, out_idx
-    )
-
-
-def _z_values_from_parts(
-    ctx: SimulationContext,
-    grid: np.ndarray,
-    dw: np.ndarray,
-    ev_times: np.ndarray,
-    ev_marks: np.ndarray,
-    out_idx: np.ndarray,
-) -> np.ndarray:
-    emm = ctx.density_emm
-    dt = np.diff(grid)
-    D = ctx.n_brownians
-    if D and emm.theta:
-        th = np.vstack([np.atleast_1d(fn.value(grid[:-1])) for fn in emm.theta])
-        seg = -np.einsum("dk,kd->k", th, dw) - 0.5 * np.einsum("dk,k->k", th**2, dt)
-        cum_z1 = np.concatenate([[0.0], np.cumsum(seg)])
-    else:
-        cum_z1 = np.zeros(len(dt) + 1)
-    log_phi = _event_log_phi(ctx, ev_times, ev_marks)
-    cum_phi = np.concatenate([[0.0], np.cumsum(log_phi)])
-    n_ev_before = np.searchsorted(ev_times, ctx.out_times, side="right")
-    z = np.empty(len(out_idx))
-    for j, k in enumerate(out_idx):
-        z[j] = np.exp(cum_z1[k] + ctx.z2_drift[j] + cum_phi[n_ev_before[j]])
-    return z
-
-
-def rn_density_path(spec: MarketSpec, emm: Emm, bundle: PathBundle) -> np.ndarray:
-    """Density process of ``emm`` against the physical measure along a path.
-
-    Exact given the path: a Gaussian exponential in the Brownian
-    increments times the jump-intensity ratio factors, with the
-    deterministic compensator drift.  An interpolated theta that varies
-    raises :class:`UndeterminedIntegral`.
-    """
-    _require_step_coefficients(emm.theta, "theta")
-    ctx = SimulationContext(spec, bundle.out_times, density_emm=emm)
-    out_idx = _out_indices(bundle.grid, ctx.out_times)
-    return _z_values_from_parts(
-        ctx, bundle.grid, bundle.dw, bundle.event_times, bundle.event_marks, out_idx
-    )
 
 
 # -- running blocks ----------------------------------------------------------------
@@ -618,20 +489,3 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None
     )
     return sample, sums
 
-
-def iterate_bundles(
-    spec: MarketSpec,
-    out_times,
-    n_paths: int,
-    master_seed: int = DEFAULT_SEED,
-    measure_emm: Emm | None = None,
-    density_emm: Emm | None = None,
-    stream_offset: int = 0,
-):
-    """Yield full path bundles one at a time (for file output)."""
-    ctx = SimulationContext(
-        spec, out_times, measure_emm=measure_emm, density_emm=density_emm
-    )
-    for _, block in _blocks(ctx, master_seed, stream_offset, n_paths):
-        for p in range(len(block)):
-            yield block.bundle(ctx, p, master_seed)

@@ -13,7 +13,7 @@ from upliftemm import (
     TimeFunction,
     reduce_discrete,
 )
-from upliftemm.errors import FactorAtMinusOne, PlanMismatch
+from upliftemm.errors import FactorAtMinusOne, PlanMismatch, UndeterminedIntegral
 
 # The canonical worked instance used throughout: three stocks, one
 # Brownian driver, three Poisson drivers.  Reducing away driver 2 leaves
@@ -153,6 +153,99 @@ def time_varying_market() -> MarketSpec:
 
 
 # -- test oracles -------------------------------------------------------------
+# Those that read the engine import it when called: fresh-interpreter tests
+# import this module and check that the pipeline alone never loads it.
+
+
+def _out_indices(grid: np.ndarray, out_times: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(grid, out_times)
+    if np.any(np.abs(grid[np.minimum(idx, len(grid) - 1)] - out_times) > 1e-12):
+        raise ValueError("output times must be grid nodes")
+    return idx
+
+
+def _require_step_coefficients(fns, what: str) -> None:
+    """A path's (grid, dw) fixes the integral of a coefficient against
+    dW only where the coefficient is a step function on the grid."""
+    if not all(fn.is_piecewise_constant for fn in fns):
+        raise UndeterminedIntegral(
+            f"an interpolated {what} varies inside a grid segment, so the "
+            "path's increments do not determine its stochastic integral"
+        )
+
+
+def stock_path_exact(
+    spec: MarketSpec, event_times, event_marks, grid, dw, out_times, measure_emm=None
+) -> np.ndarray:
+    """(n, n_out) stock values of one path from all of its randomness,
+    summed one path at a time: the per-path reference of the block engine.
+
+    Under the physical measure the drift uses alpha and the physical
+    compensator; with ``measure_emm`` the short rate and that measure's
+    compensator.  Output times must be nodes of ``grid``, and sigma a step
+    function on it: an interpolated sigma that varies raises
+    :class:`UndeterminedIntegral`.
+    """
+    from upliftemm.blocks import _event_log_factors
+    from upliftemm.stochastic import SimulationContext
+
+    _require_step_coefficients([fn for row in spec.sigma for fn in row], "sigma")
+    ctx = SimulationContext(spec, out_times, measure_emm=measure_emm)
+    out_idx = _out_indices(grid, ctx.out_times)
+    dt = np.diff(grid)
+    # cumulative stochastic integral and variance drag per stock at nodes
+    sig3 = np.moveaxis(spec.sigma_values(grid[:-1]), 0, -1)  # (n, D, K)
+    drive = np.einsum("idk,kd->ki", sig3, dw) if dw.size else 0.0
+    drag = 0.5 * np.einsum("idk,k->ki", sig3**2, dt)
+    cum = np.zeros((len(dt) + 1, spec.n))
+    np.cumsum(drive - drag, axis=0, out=cum[1:])
+    # (n, n_events), or one row every stock shares on a continuous-mark market
+    ev_logs = _event_log_factors(ctx, event_times, event_marks)
+    cum_ev = np.zeros((len(ev_logs), ev_logs.shape[1] + 1))
+    np.cumsum(ev_logs, axis=1, out=cum_ev[:, 1:])
+    n_ev_before = np.searchsorted(event_times, ctx.out_times, side="right")
+    log_total = cum[out_idx] + ctx.det_drift + cum_ev[:, n_ev_before].T  # (n_out, n)
+    return (np.asarray(spec.s0) * np.exp(log_total)).T
+
+
+def rn_density_path(spec: MarketSpec, emm, bundle) -> np.ndarray:
+    """(n_out,) density process of ``emm`` against the physical measure
+    along the path of ``bundle``, summed one path at a time.
+
+    A Gaussian exponential in the Brownian increments times the
+    jump-intensity ratio factors, with the deterministic compensator
+    drift.  An interpolated theta that varies raises
+    :class:`UndeterminedIntegral`.
+    """
+    from upliftemm.blocks import _event_log_phi
+    from upliftemm.stochastic import SimulationContext
+
+    _require_step_coefficients(emm.theta, "theta")
+    ctx = SimulationContext(spec, bundle.out_times, density_emm=emm)
+    grid, dw, times = bundle.grid, bundle.dw, bundle.event_times
+    out_idx = _out_indices(grid, ctx.out_times)
+    dt = np.diff(grid)
+    cum_z1 = np.zeros(len(dt) + 1)
+    if ctx.n_brownians and emm.theta:
+        th = np.vstack([np.atleast_1d(fn.value(grid[:-1])) for fn in emm.theta])
+        seg = -np.einsum("dk,kd->k", th, dw) - 0.5 * np.einsum("dk,k->k", th**2, dt)
+        np.cumsum(seg, out=cum_z1[1:])
+    log_phi = _event_log_phi(ctx, times, bundle.event_marks)
+    cum_phi = np.concatenate([[0.0], np.cumsum(log_phi)])
+    n_ev_before = np.searchsorted(times, ctx.out_times, side="right")
+    return np.exp(cum_z1[out_idx] + ctx.z2_drift + cum_phi[n_ev_before])
+
+
+def block_rows(ctx, seed: int, n_paths: int, first_stream: int = 0):
+    """Each path of the engine's blocks in stream order, as (block, row,
+    event times, event marks): row p of a block is stream
+    ``block.first_stream + p``."""
+    from upliftemm.stochastic import _blocks
+
+    for _, block in _blocks(ctx, seed, first_stream, n_paths):
+        for p in range(len(block)):
+            lo, hi = block.ev_off[p], block.ev_off[p + 1]
+            yield block, p, block.ev_times[lo:hi], block.ev_marks[lo:hi]
 
 
 def project_price_closed_form(
@@ -173,10 +266,6 @@ def project_price_closed_form(
         raise PlanMismatch(
             "closed-form projection requires a complete-neglect plan"
         )
-    # local import: fresh-interpreter tests import this module and check
-    # that the pipeline alone never loads the engine
-    from upliftemm.stochastic import stock_path_exact
-
     fict = reduce_discrete(spec, plan)
     values = stock_path_exact(
         fict.spec,

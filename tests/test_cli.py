@@ -3,11 +3,19 @@ import json
 import pytest
 
 import upliftemm.blocks
+from upliftemm.blocks import _block_size
 from upliftemm.cli import main
-from upliftemm.io import dump_json, market_to_json
+from upliftemm.io import dump_json, load_json, market_to_json
 from upliftemm.model import DiscreteJumpSpec, MarketSpec
+from upliftemm.stochastic import (
+    RngStreamSpec,
+    SimulationContext,
+    sample_marked_point_process,
+    simulate_terminal,
+)
+from upliftemm.uplift import Emm
 
-from conftest import make_three_stock_market
+from conftest import make_three_stock_market, make_uniform_mark_market
 
 
 @pytest.fixture
@@ -164,6 +172,48 @@ class TestSimulate:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 3
         assert all(rec["z"] > 0 for rec in records)
+
+    @pytest.mark.parametrize("measure", ["p", "q", "pz"])
+    @pytest.mark.parametrize("market, plan", [
+        (make_three_stock_market, {"retain": [0, 1], "neglect": [2]}),
+        (make_uniform_mark_market, {"cells": [[-0.5, 0.0]], "neglect_remainder": True}),
+    ], ids=["discrete", "continuous"])
+    def test_records_match_the_sample_and_the_sampler(
+        self, tmp_path, monkeypatch, market, plan, measure
+    ):
+        # a few paths per block, so the records cross block boundaries
+        monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", 400)
+        spec, n_paths, seed, times = market(), 50, 9, [0.5, 1.0]
+        dump_json(market_to_json(spec), tmp_path / "market.json")
+        dump_json(plan, tmp_path / "plan.json")
+        run("uplift", "-m", tmp_path / "market.json", "-p", tmp_path / "plan.json",
+            "--out", tmp_path / "emm.json")
+        emm = Emm.from_json(load_json(tmp_path / "emm.json"))
+        flag, kw = {
+            "p": ([], {}),
+            "q": (["--measure", tmp_path / "emm.json"], {"measure_emm": emm}),
+            "pz": (["--density", tmp_path / "emm.json"], {"density_emm": emm}),
+        }[measure]
+        assert _block_size(SimulationContext(spec, times, **kw)) < n_paths
+        out = tmp_path / "paths.jsonl"
+        assert run(
+            "simulate", "-m", tmp_path / "market.json", "--paths", n_paths,
+            "--seed", seed, "--times", "0.5,1.0", *flag, "--out", out,
+        ) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        sample = simulate_terminal(spec, times, n_paths, seed, **kw)
+        ev_times, ev_marks = sample_marked_point_process(
+            spec.jumps, spec.horizon, RngStreamSpec(seed, 0),
+            measure_emm=kw.get("measure_emm"), n_streams=n_paths,
+        )
+        assert [rec["stream"] for rec in records] == list(range(n_paths))
+        assert sum(len(rec["events"]) for rec in records) > n_paths
+        for k, rec in enumerate(records):
+            assert rec["terminal"] == sample.stocks[k, :, -1].tolist(), k
+            assert rec["z"] == (None if sample.z is None else sample.z[k, -1]), k
+            assert rec["events"] == [
+                [t, m] for t, m in zip(ev_times[k].tolist(), ev_marks[k].tolist())
+            ], k
 
 
 class TestVerifySuite:

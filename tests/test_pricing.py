@@ -38,10 +38,12 @@ from upliftemm.errors import (
     ShapeMismatch,
     TooFewPaths,
 )
-from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
+from upliftemm.stochastic import SimulationContext, _terminal_sample
 from upliftemm.pricing import _neglected_factor_model
 from upliftemm.timefns import integrate_product
 from upliftemm.uplift import cell_index
+
+from conftest import block_rows
 
 N_MC = 20_000
 
@@ -355,9 +357,7 @@ class TestRestriction:
         assert lines["first_retained_quiet"]["a"]["estimate"] == np.sum(quiet) / N_MC
         assert np.all(in_cells[:, 0] <= full.counts[:, 0])
         assert np.any(in_cells[:, 0] < full.counts[:, 0])
-        bundles = iterate_bundles(spec, [1.0], 300, seed, density_emm=emm)
-        for k, bundle in enumerate(bundles):
-            y = bundle.event_marks
+        for k, (_, _, _, y) in enumerate(block_rows(ctx, seed, 300)):
             assert in_cells[k, 0] == np.sum((y >= -0.5) & (y <= 0.0)), k
 
     @pytest.mark.parametrize(
@@ -740,14 +740,16 @@ def _hedging_reference(spec, emm, strategy, payoff, n_paths, seed):
         for h, lam in zip(strategy.jump_integrand, emm.intensities)
     )
     errors, gains = [], []
-    for bundle in iterate_bundles(spec, times, n_paths, seed, measure_emm=emm):
-        increments = np.diff(bundle.stock_values * disc[None, :], axis=1)
+    ctx = SimulationContext(spec, times, measure_emm=emm)
+    for block, p, event_times, marks in block_rows(ctx, seed, n_paths):
+        stocks = block.stocks[p]
+        increments = np.diff(stocks * disc[None, :], axis=1)
         paid = 0.0
-        for u, m in zip(bundle.event_times, bundle.event_marks):
+        for u, m in zip(event_times, marks):
             paid += strategy.jump_integrand[m].value(float(u))
         gain = float(np.sum(hold * increments)) + (paid - compensator)
-        counts = bundle.counts_by_driver(spec.n_jump_drivers)[None, :]
-        c = payoff.undiscounted_values(bundle.stock_values[:, -1][None, :], counts)
+        counts = np.bincount(marks, minlength=spec.n_jump_drivers)[None, :]
+        c = payoff.undiscounted_values(stocks[:, -1][None, :], counts)
         c = c[0] * disc[-1] if payoff.discounted else c[0]
         errors.append((c - strategy.v0) - gain)
         gains.append(gain)

@@ -22,12 +22,10 @@ from upliftemm import (
     hedging_error,
     reduce_market,
     restriction_check,
-    rn_density_path,
     sample_marked_point_process,
     sample_poisson_inhomogeneous,
     simulate_path,
     simulate_terminal,
-    stock_path_exact,
     two_route_check,
 )
 from upliftemm.errors import (
@@ -41,6 +39,7 @@ import upliftemm.pricing
 from upliftemm.blocks import (
     _Block,
     _block_size,
+    _draw_marked_events,
     _event_log_factors,
     _event_log_phi,
     _event_sums,
@@ -52,15 +51,18 @@ from upliftemm.blocks import (
     _stream_ids,
 )
 from upliftemm.philox import box_muller, poisson_counts
-from upliftemm.stochastic import SimulationContext, _terminal_sample, iterate_bundles
+from upliftemm.stochastic import SimulationContext, _terminal_sample
 from upliftemm.timefns import adaptive_simpson, integrate_product
 from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn
 
 from conftest import (
     JumpProcessPath,
+    block_rows,
     doleans_dade_eval,
     empirical_intensity_test,
     project_price_closed_form,
+    rn_density_path,
+    stock_path_exact,
 )
 from test_pricing import black_scholes_call
 
@@ -105,9 +107,7 @@ class TestPoissonSampling:
                     simulate_path(ctx, RngStreamSpec(3, sid))
             with pytest.raises(UnboundedIntensity):
                 for sid in range(5):
-                    sample_marked_point_process(
-                        spec.jumps, 1.0, RngStreamSpec(3, sid), _ctx=ctx
-                    )
+                    _draw_marked_events(ctx, 3, _stream_ids(sid, 1))
 
     def test_majorant_covers_a_left_limit(self):
         # the summed intensity rises to 5.413 as t rises to 0.5, where the
@@ -261,15 +261,11 @@ class TestVaryingCellMarks:
             ctx = SimulationContext(spec, [0.5, 1.0], measure_emm=emm)
             n_paths = _block_size(ctx) + 5  # across a block boundary
             seed, offset, n_remainder = 31, 7, 0
-            bundles = iterate_bundles(
-                spec, [0.5, 1.0], n_paths, seed, measure_emm=emm, stream_offset=offset
-            )
-            for k, bundle in enumerate(bundles):
-                times = bundle.event_times
+            rows = block_rows(ctx, seed, n_paths, offset)
+            for k, (_, _, times, marks) in enumerate(rows):
                 u = _uniforms(seed, offset + k, times.size)
-                ref = _reference_marks(mm, u, times)
-                assert np.array_equal(bundle.event_marks, ref), k
-                n_remainder += np.sum(mm.phi_values(bundle.event_marks, times) == 1.0)
+                assert np.array_equal(marks, _reference_marks(mm, u, times)), k
+                n_remainder += np.sum(mm.phi_values(marks, times) == 1.0)
             assert n_remainder > 5
             # the one-path sampler reads the same rule
             times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 40))
@@ -312,11 +308,10 @@ class TestVaryingCellMarks:
         ctx = SimulationContext(spec, [1.0], measure_emm=emm)
         n_paths = _block_size(ctx) + 5
         n_remainder = 0
-        bundles = iterate_bundles(spec, [1.0], n_paths, 8, measure_emm=emm)
-        for k, bundle in enumerate(bundles):
-            got = ctx.sample_marks(RngStreamSpec(8, k), bundle.event_times)
-            assert np.array_equal(bundle.event_marks, got), k
-            n_remainder += np.sum(mm.phi_values(got, bundle.event_times) == 1.0)
+        for k, (_, _, times, marks) in enumerate(block_rows(ctx, 8, n_paths)):
+            got = ctx.sample_marks(RngStreamSpec(8, k), times)
+            assert np.array_equal(marks, got), k
+            n_remainder += np.sum(mm.phi_values(got, times) == 1.0)
         assert n_remainder > 5
 
     def test_mean_jump_intensity_on_a_grid_matches_scalar_calls(
@@ -864,7 +859,7 @@ class TestStockPathExactness:
                         assert np.array_equal(whole.z[k], bundle.z_values), case
                     counts = (
                         [bundle.event_times.size] if label.startswith("cont")
-                        else bundle.counts_by_driver(spec.jumps.n_drivers)
+                        else np.bincount(bundle.event_marks, minlength=spec.jumps.n_drivers)
                     )
                     assert np.array_equal(whole.counts[k], counts), case
                     w_in_order = np.cumsum(bundle.dw, axis=0)[-1]
@@ -954,10 +949,9 @@ class TestExactSegments:
             ctx = SimulationContext(spec, [0.5, 1.0], **{key: emm})
             assert ctx.base_knots.tolist() == expected
             n_events = 0
-            for bundle in iterate_bundles(spec, [0.5, 1.0], 50, 43, **{key: emm}):
-                assert np.array_equal(bundle.grid, ctx.base_knots)
-                assert bundle.dw.shape == (len(expected) - 1, 2)
-                n_events += bundle.event_times.size
+            for block, p, times, _ in block_rows(ctx, 43, 50):
+                assert block.dw[p].shape == (len(expected) - 1, 2)
+                n_events += times.size
             assert n_events > 50  # events do not join the grid
 
     def test_reference_refuses_interpolated_coefficients(self):
@@ -1002,6 +996,22 @@ class TestExactSegments:
             assert np.max(np.abs(again / bundle.stock_values - 1.0)) < 1e-12
             z = rn_density_path(spec, emm, bundle)
             assert np.max(np.abs(z / bundle.z_values - 1.0)) < 1e-12
+        # on a continuous-mark market both stocks add the one row of mark factors
+        cont = MarketSpec(
+            horizon=1.0, s0=[10.0, 20.0], alpha=[0.05, 0.03], rate=0.0,
+            sigma=[[step], [0.3]],
+            jumps=ContinuousJumpSpec(
+                density=Density("uniform", (-0.5, 0.5), {}), total_intensity=3.0
+            ),
+        )
+        ctx = SimulationContext(cont, [0.5, 1.0])
+        for sid in range(5):
+            bundle = simulate_path(ctx, RngStreamSpec(45, sid))
+            again = stock_path_exact(
+                cont, bundle.event_times, bundle.event_marks, bundle.grid,
+                bundle.dw, bundle.out_times,
+            )
+            assert np.max(np.abs(again / bundle.stock_values - 1.0)) < 1e-12
 
     def test_event_values_per_driver_match_masks(
         self, time_varying_market, batch_plan, monkeypatch

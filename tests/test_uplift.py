@@ -696,9 +696,9 @@ PACKAGE_EXPORTS = {
         "reduce_continuous", "reduce_discrete", "reduce_market",
     ),
     "stochastic": (
-        "DEFAULT_SEED", "PathBundle", "RngStreamSpec", "rn_density_path",
+        "DEFAULT_SEED", "PathBundle", "RngStreamSpec",
         "sample_marked_point_process", "sample_poisson_inhomogeneous",
-        "simulate_path", "simulate_terminal", "stock_path_exact",
+        "simulate_path", "simulate_terminal",
     ),
     "timefns": ("TimeFunction", "adaptive_simpson", "integrate_product"),
     "uplift": (
