@@ -7,14 +7,14 @@ and draws each segment's Brownian integrals as one exact Gaussian
 and the density only through each path's sums of per-event values up to
 each output time, added in event order by output interval or, with more
 output times than events on a path, by rank (:func:`_event_sums`).
-Every draw is addressed by its path's stream id, its role and its index
-within the path (:mod:`upliftemm.philox`), so a block makes two kernel
-calls for all of its paths: counts with normals, then candidate times
-with marks.  It sums on whole-block arrays, each path's sums in its own
-order, so a path's values do not depend on the block size
-(``_SEGMENT_BUDGET``, read at call time).  A density-only block
-(``stocks=False``) computes Z, counts and increments but no stock path.
-The entry points live in :mod:`upliftemm.stochastic`.
+Every draw is addressed by its path's stream id, role and index within
+the path (:mod:`upliftemm.philox`), so a block makes two kernel calls
+for all of its paths: counts with normals, then one counter per
+candidate, whose thinning draw also marks it.  It sums on whole-block
+arrays, each path's sums in its own order, so a path's values do not
+depend on the block size (``_SEGMENT_BUDGET``, read at call time).  A
+density-only block (``stocks=False``) computes Z, counts and increments
+but no stock path.  The entry points live in :mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
@@ -236,10 +236,6 @@ class _Block:
         )
 
 
-# the role of each row of the candidates' (2, N_cand) counter grid
-_TIMES_AND_MARKS = np.array([ROLE_IDS["event_times"], ROLE_IDS["marks"]])
-
-
 def _stream_ids(first: int, count: int) -> np.ndarray:
     """The 64-bit stream ids ``first .. first + count - 1`` (wrapping)."""
     return np.uint64(first & MASK64) + np.arange(count, dtype=np.uint64)
@@ -253,15 +249,15 @@ def _draw_marked_events(
     time order and intensities.
 
     Path p's candidate count inverts the context's Poisson table at its
-    ``count`` uniform (``u_count``, drawn here when not given).  One kernel
-    call on a (2, N_cand) counter grid then gives candidate j of path p
-    its ``event_times`` counter j, its time and thinning uniform, and its
-    ``marks`` counter j.  The thinning uniforms are independent of every
-    candidate time, so the sorted times take them in counter order.
-    Accepted event l of path p reads the marks row at candidate column
-    ``start[p] + l``, which is marks counter l since l < n_cand[p]; its
-    two uniforms cover every mark rule; a discrete market's intensities,
-    evaluated once per candidate, mark them from their accepted columns.
+    ``count`` uniform (``u_count``, drawn here when not given).  Candidate
+    j of path p reads one counter, ``event_times`` j: its time and its
+    thinning uniform, independent of every time, so the sorted times take
+    them in counter order.  It is accepted iff w = thin * majorant <=
+    total(t), and then w is uniform on [0, total(t)], so w also picks the
+    driver or region with probability lambda_m(t) / total(t) (Lewis and
+    Shedler, 1979).  Continuous event l takes double l % 2 of the path's
+    ``marks`` counter l // 2 as its quantile, from ceil(n_cand / 2) that
+    the same kernel call draws per path.
     """
     B = len(sids)
     n_cand = np.zeros(B, dtype=np.int64)
@@ -270,14 +266,19 @@ def _draw_marked_events(
             u_count = uniforms(seed, "count", 0, sids)[0]
         n_cand = poisson_counts(ctx.count_cdf, u_count)
     pid = np.repeat(np.arange(B), n_cand)
-    start = np.cumsum(n_cand) - n_cand
-    u = np.zeros((2, 2, 0))
-    ev_times, accept = np.zeros(0), np.zeros(0, dtype=bool)
-    order = lam = None
+    j = np.arange(pid.size) - (np.cumsum(n_cand) - n_cand)[pid]
+    half = (n_cand + 1) // 2  # each path's quantile counters on a continuous market
+    ev_times, w, u = np.zeros(0), np.zeros(0), np.zeros((2, 0))
+    accept, order, lam = np.zeros(0, dtype=bool), None, None
     if pid.size:
-        j = np.arange(pid.size) - start[pid]
-        u = uniforms(seed, _TIMES_AND_MARKS[:, None], j, sids[pid])
-        t, thin = u[:, 0]
+        roles, ids = ROLE_IDS["event_times"], sids[pid]
+        if ctx.kind == "continuous":
+            qid = np.repeat(np.arange(B), half)
+            roles = np.repeat([roles, ROLE_IDS["marks"]], [pid.size, qid.size])
+            j = np.concatenate([j, np.arange(qid.size) - (np.cumsum(half) - half)[qid]])
+            ids = np.concatenate([ids, sids[qid]])
+        u = uniforms(seed, roles, j, ids)
+        t, thin = u[:, :pid.size]
         filled = np.arange(n_cand.max()) < n_cand[:, None]
         pad = np.full(filled.shape, np.inf)
         pad[filled] = ctx.horizon * t
@@ -293,17 +294,23 @@ def _draw_marked_events(
             total = ctx.total_intensity_at(cand)
         if np.any(total > ctx.majorant):  # thinning is exact only below it
             raise UnboundedIntensity("intensity exceeds the thinning majorant")
-        accept = thin * ctx.majorant <= total
-        ev_times = cand[accept]
+        w = thin * ctx.majorant
+        accept = w <= total
+        ev_times, w = cand[accept], w[accept]
+        if ctx.kind == "continuous":  # the region uniform, over the total thinning read
+            w /= total[accept]
         if order is not None:  # each accepted candidate's event index, in time order
             order = (np.cumsum(accept) - 1)[order[accept[order]]]
         lam = None if lam is None else lam.compress(accept, axis=1)  # C-ordered: sums run by row
-    pid = pid[accept]
+    n, pid = pid.size, pid[accept]
     ev_off = np.concatenate([[0], np.cumsum(np.bincount(pid, minlength=B))])
-    local = np.arange(ev_times.size) - ev_off[pid]
     marks = np.zeros(0, dtype=np.int64)
-    if ctx.kind != "none":
-        marks = ctx.marks_from_uniforms(u[:, 1, start[pid] + local], ev_times, lam)
+    if ctx.kind == "continuous":
+        local = np.arange(ev_times.size) - ev_off[pid]
+        q = u[local % 2, n + (np.cumsum(half) - half)[pid] + local // 2]
+        marks = ctx.marks_from_uniforms(w, q, ev_times)
+    elif ctx.kind == "discrete" and ev_times.size:
+        marks = ctx.marks_from_uniforms(w, None, ev_times, lam)
     return _Block(pid, ev_off, ev_times, marks, order, lam)
 
 
@@ -409,6 +416,18 @@ def _gaussian_sums(seg: _Segments, dw, res, rows=slice(None)) -> np.ndarray:
     return sums
 
 
+def _gaussian_ends(seg: _Segments, dw, res) -> np.ndarray:
+    """(Y, B) :func:`_gaussian_sums` to the grid's end, the same bits
+    added one segment at a time in grid order, with no (Y, B, K) array."""
+    end = 0.0
+    for k in range(len(seg.dt)):
+        x = _sum_d(seg.mean[..., k], dw[:, k].T)
+        if res is not None:
+            x += _sum_d(seg.tilt[..., k], res[:, k].T)
+        end = end + (x - seg.drag[..., k])
+    return end
+
+
 def _event_sums(block: _Block, values) -> np.ndarray:
     """Sums of each path's per-event ``values`` ((..., n_events) ->
     (..., B, n_out)) over its events at or before each output time, added
@@ -444,8 +463,8 @@ def _simulate_block(
     """Simulate the paths of streams ``first .. first + count - 1``.
 
     The block makes two kernel calls: each path's candidate count with
-    its normals on the shared grid, then every candidate's time, thinning
-    uniform and mark uniforms.  Every draw is addressed by its path's
+    its normals, then each candidate's time and thinning uniform with a
+    continuous market's quantiles.  Every draw is addressed by its path's
     stream id and its index within the path, and everything else is done
     on whole-block arrays, so path k's values do not depend on the block
     it is in.  Without ``stocks`` the block carries only the density and

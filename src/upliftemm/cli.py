@@ -9,6 +9,7 @@ codes: 0 success/PASS, 1 FAIL or domain error, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -165,28 +166,23 @@ def _cmd_simulate(args) -> int:
     ctx = SimulationContext(
         spec, times, measure_emm=measure_emm, density_emm=density_emm
     )
-    lines_out = []
-    for _, block in _blocks(ctx, _seed(args), 0, args.paths):
-        mark = int if block.ev_marks.dtype.kind == "i" else float
-        for p in range(len(block)):
-            lo, hi = block.ev_off[p], block.ev_off[p + 1]
-            rec = {
-                "stream": block.first_stream + p,
-                "events": [
-                    [float(t), mark(m)]
-                    for t, m in zip(block.ev_times[lo:hi], block.ev_marks[lo:hi])
-                ],
-                "terminal": [float(x) for x in block.stocks[p, :, -1]],
-                "z": None if block.z is None else float(block.z[p, -1]),
-            }
-            lines_out.append(dump_json(rec, pretty=False))
-    text = "\n".join(lines_out)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        for _, block in _blocks(ctx, _seed(args), 0, args.paths):
+            mark = int if block.ev_marks.dtype.kind == "i" else float
+            for p in range(len(block)):
+                lo, hi = block.ev_off[p], block.ev_off[p + 1]
+                rec = {
+                    "stream": block.first_stream + p,
+                    "events": [
+                        [float(t), mark(m)]
+                        for t, m in zip(block.ev_times[lo:hi], block.ev_marks[lo:hi])
+                    ],
+                    "terminal": [float(x) for x in block.stocks[p, :, -1]],
+                    "z": None if block.z is None else float(block.z[p, -1]),
+                }
+                fh.write(dump_json(rec, pretty=False) + "\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         print(f"wrote {args.paths} paths to {args.out}")
-    else:
-        print(text)
     return 0
 
 

@@ -6,9 +6,10 @@ j, role id, stream id low word, stream id high word).  One counter gives
 four 32-bit words, read as two doubles in [0, 1) of 53 bits each, so
 draw j of path k under a role is computed directly, for every path of a
 block in one kernel call (Salmon, Moraes, Dror and Shaw, "Parallel
-Random Numbers: As Easy as 1, 2, 3", SC'11).  The transforms below are
-inversions or fixed-count maps, with no rejection, so a path consumes
-the same counters however many paths are drawn with it.
+Random Numbers: As Easy as 1, 2, 3", SC'11); a thinning candidate reads
+one counter.  The transforms below are inversions or fixed-count maps,
+with no rejection, so a path consumes the same counters however many
+paths are drawn with it.
 """
 
 from __future__ import annotations

@@ -664,7 +664,7 @@ def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: i
         log_f += _sum_d(log1p_y.T[:, :, None], counts.transpose(1, 0, 2)[:, :, None])
     if n_z:
         z = box_muller(u[:, :, n_c:]).reshape(P, -1)[:, :n_z].reshape(P * J, width)
-        gauss = blocks._gaussian_sums(seg, *blocks._segment_normals(seg, z))[..., -1]
+        gauss = blocks._gaussian_ends(seg, *blocks._segment_normals(seg, z))
         log_f += gauss.reshape(spec.n, P, J).transpose(1, 0, 2)
     log_f -= shift[:, None]
     return np.exp(log_f), counts
@@ -680,10 +680,10 @@ def _outer_chunks(n_outer: int, width: int) -> list[np.ndarray]:
 def _inner_width(n: int, seg, n_inner: int) -> int:
     """The cells one outer path holds in :func:`_neglected_factors`: per
     inner sample its n factors and, with dropped Brownians (``seg``), its
-    normals and its (n, K) Gaussian sums."""
+    normals and its n running Gaussian sums."""
     per_sample = n
     if seg is not None:
-        per_sample += seg.n_normals + n * len(seg.dt)
+        per_sample += seg.n_normals + n
     return per_sample * n_inner
 
 

@@ -1,13 +1,13 @@
 """Exact path simulation and density processes along paths.
 
 Event times come from thinning against a constant majorant, which samples
-an inhomogeneous Poisson process exactly.  The log price is a Gaussian
-plus closed-form drift integrals plus the jump factors, and the Gaussian
-is drawn exactly over each segment of a grid shared by all paths, so no
-coefficient kind carries Euler error.  Randomness is counter-based
-(:mod:`upliftemm.philox`): every draw is addressed by (master seed, role,
-path stream id, draw index), which makes every path reproducible bit for
-bit independently of how the paths are chunked.
+an inhomogeneous Poisson process exactly, and the draw that accepts an
+event also picks its driver or mark region.  The log price is a Gaussian
+plus closed-form drift integrals plus the jump factors, each segment's
+Gaussian exact on a grid shared by all paths, so no coefficient kind
+carries Euler error.  Randomness is counter-based (:mod:`upliftemm.philox`):
+every draw is addressed by (master seed, role, path stream id, draw
+index), so every path is the same bit for bit however paths are chunked.
 
 Paths are simulated in blocks (:mod:`upliftemm.blocks`), one block after
 another on one thread, with two kernel calls for all of a block's paths.
@@ -154,8 +154,8 @@ class SimulationContext:
             fn.is_constant for fn in self.sim_intensities
         ):
             vals = np.array([fn.constant_value for fn in self.sim_intensities])
-            self.const_total = float(vals.sum())
-            self.const_mark_cum = np.cumsum(vals) / vals.sum()
+            self.const_mark_cum = np.cumsum(vals)
+            self.const_total = float(self.const_mark_cum[-1])
         elif self.kind == "continuous" and self.sim_total_fn.is_constant:
             self.const_total = self.sim_total_fn.constant_value
 
@@ -262,33 +262,33 @@ class SimulationContext:
         return any(fn.kind == "samples" and not fn.is_constant for row in rows for fn in row)
 
     def sample_marks(self, streams: RngStreamSpec, times: np.ndarray) -> np.ndarray:
-        """The marks of a path's events at ``times``, from the path's first
-        ``len(times)`` ``marks`` counters, as a block draws them."""
-        return self.marks_from_uniforms(streams.uniforms("marks", times.size), times)
+        """The marks of the events at ``times`` of the path on ``streams``,
+        which read its thinning draws: those of a block of one."""
+        sid = _stream_ids(streams.stream_id, 1)
+        events = _draw_marked_events(self, streams.master_seed, sid)
+        return events.ev_marks[np.isin(events.ev_times, times)]
 
-    def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray, lam=None):
-        """Marks from two rows of uniforms, one column per event.
-
-        Row 0 picks the driver, by ``lam``, the (M, n_events) intensities
-        at ``times`` (evaluated when not given), or the mark's quantile; on
-        a cell measure row 0 picks the region and row 1 the quantile inside it.
+    def marks_from_uniforms(self, w: np.ndarray, q, times: np.ndarray, lam=None):
+        """Marks of accepted events at ``times`` from their thinning draws
+        ``w``, uniform on [0, total(t)], and quantile uniforms ``q``: the
+        driver m with cum_{m-1}(t) <= w < cum_m(t), the last on w = total(t),
+        for the constant or ``lam``'s cumulative intensities in driver order;
+        or the quantile ``q`` in the region that ``w``, here w / total(t), picks.
         """
         if self.kind == "discrete":
             if self.const_mark_cum is not None:
-                # the cumulative shares below each uniform: searchsorted's
-                # side="left" count, faster by comparisons in so short a table
-                idx = (u[0] > self.const_mark_cum[:, None]).sum(axis=0, dtype=np.int64)
+                # the cumulative intensities at or below each draw: searchsorted's
+                # side="right" count, faster by comparisons in so short a table
+                idx = (w >= self.const_mark_cum[:, None]).sum(axis=0, dtype=np.int64)
             else:
-                if lam is None:
-                    lam = np.array([fn.value(times) for fn in self.sim_intensities])
-                share, cum, idx = lam / lam.sum(axis=0), 0.0, 0
-                for row in share:  # each event's cumulative share, row by row
+                cum, idx = 0.0, 0
+                for row in lam:  # each event's cumulative intensity, row by row
                     cum = cum + row
-                    idx = idx + (u[0] > cum)
+                    idx = idx + (w >= cum)
             return np.minimum(idx, len(self.sim_intensities) - 1)
         if self.mark_measure is not None:
-            return self.mark_measure.marks_from_uniforms(u, times)
-        return np.asarray(self.spec.jumps.density.ppf(u[0], times), dtype=float)
+            return self.mark_measure.marks_from_uniforms(w, q, times)
+        return np.asarray(self.spec.jumps.density.ppf(q, times), dtype=float)
 
 
 def sample_poisson_inhomogeneous(

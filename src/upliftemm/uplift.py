@@ -196,13 +196,12 @@ class CellMeasure:
             self._functions[key] = derive(getattr(self, name), inputs, grid)
         return self._functions[key]
 
-    def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Marks at event ``times`` from a (2, n) array of uniforms.
-
-        Row 0 picks the region (a cell or a gap of the remainder) by its
-        intensity at the event's time over the total; row 1 is the
-        quantile of the base density restricted to that region, so a mark
-        is one inverse-CDF draw, with no rejection.
+    def marks_from_uniforms(self, u: np.ndarray, q: np.ndarray, times: np.ndarray):
+        """Marks at event ``times`` from region uniforms ``u`` and quantile
+        uniforms ``q``: ``u`` picks the region (a cell or a gap of the
+        remainder) by its intensity at the event's time over the total, and
+        ``q`` is the quantile of the base density restricted to that
+        region, so a mark is one inverse-CDF draw, with no rejection.
         """
         times = np.asarray(times, dtype=float)
         if times.size == 0:
@@ -211,11 +210,11 @@ class CellMeasure:
         # contiguous rows: each sums the way that row alone would
         probs = np.ascontiguousarray((rates / rates.sum(axis=0)).T)
         cum = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
-        # the first region whose cumulative probability reaches u[0]
-        k = np.minimum((cum < u[0][:, None]).sum(axis=1), len(rates) - 1)
+        # the first region whose cumulative probability reaches u
+        k = np.minimum((cum < u[:, None]).sum(axis=1), len(rates) - 1)
         col = np.arange(times.size)
         lo, mass = (np.broadcast_to(x, rates.shape)[k, col] for x in (lo, mass))
-        return np.asarray(self.base.ppf(lo + u[1] * mass, times))
+        return np.asarray(self.base.ppf(lo + q * mass, times))
 
     def to_json(self):
         return {

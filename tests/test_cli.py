@@ -215,6 +215,22 @@ class TestSimulate:
                 [t, m] for t, m in zip(ev_times[k].tolist(), ev_marks[k].tolist())
             ], k
 
+    def test_stdout_and_out_file_give_the_same_text(self, workdir, monkeypatch, capsys):
+        # written block by block: the same lines to either sink, whatever
+        # the block size
+        args = ["simulate", "-m", workdir / "market.json", "--paths", 40, "--seed", 9]
+        texts = []
+        for budget in (300, 100):
+            monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", budget)
+            assert run(*args, "--out", workdir / "paths.jsonl") == 0
+            texts.append((workdir / "paths.jsonl").read_text())
+            capsys.readouterr()
+            assert run(*args) == 0
+            texts.append(capsys.readouterr().out)
+        assert _block_size(SimulationContext(make_three_stock_market(), [1.0])) < 20
+        assert len(set(texts)) == 1 and texts[0].endswith("}\n")
+        assert [json.loads(line)["stream"] for line in texts[0].splitlines()] == list(range(40))
+
 
 class TestVerifySuite:
     def test_pass_and_byte_identical_across_block_sizes(self, workdir, monkeypatch):

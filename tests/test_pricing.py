@@ -599,7 +599,7 @@ class TestProjectionCheck:
         assert np.max(wrong_z) > 4.0
 
     def test_dropped_brownian_chunks_within_the_budget(self, monkeypatch):
-        # a dropped Brownian's normals and (n, K) Gaussian sums count
+        # a dropped Brownian's normals and running Gaussian sums count
         # toward a chunk's cells, so a 64-piece dropped sigma peaks near
         # the same market with every Brownian kept; its reports are the
         # same for every chunk size
@@ -634,6 +634,21 @@ class TestProjectionCheck:
             rep = projection_consistency_check(spec, plan, 50, 1_000, seed=5)
             assert np.array_equal(rep.inner_mean_factors, dropped.inner_mean_factors)
             assert np.array_equal(rep.inner_se_factors, dropped.inner_se_factors)
+
+
+    def test_dropped_gaussians_sum_to_the_end_in_grid_order(self):
+        # the nested checks' sums to t, one segment at a time, are the last
+        # column of the whole grid's running sums bit for bit
+        knots = np.linspace(0.0, 0.6, 9)
+        const = TimeFunction.constant
+        rows = [[TimeFunction.piecewise(knots, 0.2 + 0.1 * np.sin(knots[:-1])), const(0.1)],
+                [const(0.3), TimeFunction.samples([0.0, 0.6], [0.15, 0.35])]]
+        seg = upliftemm.blocks._segment_gaussians(rows, knots, [0.6])
+        assert seg.varies.any()
+        z = np.random.default_rng(4).standard_normal((700, seg.n_normals))
+        dw, res = upliftemm.blocks._segment_normals(seg, z)
+        whole = upliftemm.blocks._gaussian_sums(seg, dw, res)[..., -1]
+        assert upliftemm.blocks._gaussian_ends(seg, dw, res).tobytes() == whole.tobytes()
 
 
 class TestHedging:

@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -53,7 +54,7 @@ from upliftemm.blocks import (
 from upliftemm.philox import box_muller, poisson_counts
 from upliftemm.stochastic import SimulationContext, _terminal_sample
 from upliftemm.timefns import adaptive_simpson, integrate_product
-from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn
+from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn, cell_index
 
 from conftest import (
     JumpProcessPath,
@@ -134,6 +135,19 @@ class TestPoissonSampling:
             )
 
 
+def _assert_shares_by_bin(times, picks, probs, n_bins=10):
+    """Each time bin's count of each pick k against the sum of its events'
+    probabilities ``probs[k]``, at |z| < 4: given the times, the events'
+    picks are independent draws."""
+    bins = np.minimum((times * n_bins).astype(int), n_bins - 1)
+    for b in range(n_bins):
+        at = bins == b
+        for k, p in enumerate(probs[:, at]):
+            obs = np.sum(picks[at] == k)
+            z = (obs - p.sum()) / np.sqrt(np.sum(p * (1.0 - p)))
+            assert abs(z) < 4.0, (b, k, obs, p.sum())
+
+
 class TestMarkedSampling:
     def test_mark_fractions(self):
         jumps = DiscreteJumpSpec(intensities=[1.0, 3.0], loadings=[[0.1, 0.2]])
@@ -148,6 +162,21 @@ class TestMarkedSampling:
         frac = n_type2 / n_total
         se = np.sqrt(0.75 * 0.25 / n_total)
         assert abs(frac - 0.75) < 4 * se
+
+    def test_driver_shares_follow_the_intensities_in_time(self):
+        # given the event times, each event's driver is m with probability
+        # lambda_m(t) / total(t): compare each time bin's driver counts
+        # (the varying driver last, then first, where a wrong cumulative
+        # intensity is not hidden by the last driver's clip)
+        lam2 = TimeFunction.samples([0.0, 1.0], [1.0, 2.0])  # 1 + t
+        for intensities in ([2.0, 1.0, lam2], [lam2, 2.0, 1.0]):
+            jumps = DiscreteJumpSpec(intensities=intensities, loadings=[[0.1, 0.2, 0.3]])
+            times, marks = sample_marked_point_process(
+                jumps, 1.0, RngStreamSpec(12, 0), n_streams=20_000
+            )
+            times, marks = np.concatenate(times), np.concatenate(marks)
+            lam = np.array([fn.value(times) for fn in jumps.intensities])
+            _assert_shares_by_bin(times, marks, lam / lam.sum(axis=0))
 
     def test_single_driver_matches_plain_poisson_exactly(self):
         lam = TimeFunction.samples([0.0, 2.0], [1.0, 2.0])
@@ -192,10 +221,10 @@ class TestMarkedSampling:
         assert np.all(np.diff(times) > 0)
 
 
-def _reference_marks(mm: CellMeasure, u, times) -> np.ndarray:
+def _reference_marks(mm: CellMeasure, u, q, times) -> np.ndarray:
     """Cell-measure marks one event at a time from scalar calls: the first
     region (a cell, then a gap the cells leave in the support) whose
-    cumulative probability reaches u[0, j], then the base quantile u[1, j]
+    cumulative probability reaches u[j], then the base quantile q[j]
     between that region's CDF edges."""
     regions = list(mm.cells)
     if mm.remainder_physical:
@@ -214,9 +243,9 @@ def _reference_marks(mm: CellMeasure, u, times) -> np.ndarray:
             rates += [phys * mm.base.mass(a, b, t) for a, b in regions[len(mm.cells):]]
         probs = np.asarray(rates) / total
         cum = np.cumsum(probs) / probs.sum()
-        k = int(min(np.searchsorted(cum, u[0, j], side="left"), len(probs) - 1))
+        k = int(min(np.searchsorted(cum, u[j], side="left"), len(probs) - 1))
         lo, hi = mm.base.cdf(regions[k][0], t), mm.base.cdf(regions[k][1], t)
-        marks[j] = mm.base.ppf(lo + u[1, j] * (hi - lo), t)
+        marks[j] = mm.base.ppf(lo + q[j] * (hi - lo), t)
     return marks
 
 
@@ -242,12 +271,6 @@ def _varying_cell_measures():
     ]
 
 
-def _uniforms(seed, stream, n):
-    """A path's mark uniforms, one counter per event: one row to pick the
-    region, one for the quantile."""
-    return RngStreamSpec(seed, stream).uniforms("marks", n)
-
-
 class TestVaryingCellMarks:
     def test_block_marks_match_scalar_reference(self, monkeypatch):
         # the per-path reference is slow: shrink the blocks it must cross
@@ -263,21 +286,22 @@ class TestVaryingCellMarks:
             seed, offset, n_remainder = 31, 7, 0
             rows = block_rows(ctx, seed, n_paths, offset)
             for k, (_, _, times, marks) in enumerate(rows):
-                u = _uniforms(seed, offset + k, times.size)
-                assert np.array_equal(marks, _reference_marks(mm, u, times)), k
+                got, w, total, _ = _path_events(ctx, seed, offset + k)
+                assert np.array_equal(got, times), k
+                q = _quantiles(seed, offset + k, times.size)
+                assert np.array_equal(marks, _reference_marks(mm, w / total, q, times)), k
                 n_remainder += np.sum(mm.phi_values(marks, times) == 1.0)
             assert n_remainder > 5
             # the one-path sampler reads the same rule
-            times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 40))
-            got = ctx.sample_marks(RngStreamSpec(5, 2), times)
-            assert np.array_equal(got, _reference_marks(mm, _uniforms(5, 2, 40), times))
+            streams = RngStreamSpec(seed, offset + n_paths - 1)
+            assert np.array_equal(ctx.sample_marks(streams, times), marks)
 
     @pytest.mark.parametrize("t", [0.2, 0.75])
     def test_marks_follow_reweighted_density(self, t):
         n = 100_000
         for i, (base, _, mm) in enumerate(_varying_cell_measures()):
             u = np.random.default_rng(40 + i).uniform(size=(2, n))
-            marks = mm.marks_from_uniforms(u, np.full(n, t))
+            marks = mm.marks_from_uniforms(u[0], u[1], np.full(n, t))
             lo, hi = base.support
             edges = np.unique(np.concatenate(
                 [np.linspace(lo, hi, 25), np.ravel(mm.cells)]
@@ -291,6 +315,18 @@ class TestVaryingCellMarks:
                 )
                 z = (obs - n * p) / np.sqrt(n * p * (1.0 - p))
                 assert abs(z) < 4.0, (i, a, b, obs, n * p)
+
+    def test_region_shares_follow_the_intensities_in_time(self):
+        # given the event times, each mark's region (a cell or a gap of the
+        # remainder) is k with probability rate_k(t) / total(t)
+        base, phys, mm = _varying_cell_measures()[0]
+        jumps = ContinuousJumpSpec(density=base, total_intensity=phys)
+        times, marks = sample_marked_point_process(
+            jumps, 1.0, RngStreamSpec(13, 0), Emm(theta=(0.1,), jump_measure=mm), 12_000
+        )
+        times, marks = np.concatenate(times), np.concatenate(marks)
+        rates = mm._table(times)[0]
+        _assert_shares_by_bin(times, cell_index(mm._regions, marks), rates / rates.sum(axis=0))
 
     def test_constant_block_marks_match_one_path_sampler(self):
         base = Density("truncnorm", (-0.5, 0.5), {"mu": 0.05, "sigma": 0.3})
@@ -440,26 +476,35 @@ class TestContextBuild:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("intensities", [[2.0, 1.0, 3.0], [2.0]])
-    def test_constant_shares_mark_as_a_left_search(self, intensities):
-        # counting the cumulative shares below a uniform is searchsorted's
-        # side="left", ties included; one driver still gets an int64 array
+    def test_a_draw_on_a_cumulative_intensity_picks_the_driver_above(self, intensities):
+        # a thinning draw w picks the m with cum_{m-1} <= w < cum_m: a draw on
+        # cum_m picks driver m + 1, one on the total the last driver, as
+        # searchsorted's side="right" clipped; the constant table and the
+        # intensities agree; one driver gets an int64 array too
         spec = MarketSpec(
             horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
             jumps=DiscreteJumpSpec(
                 intensities=intensities, loadings=[[0.1] * len(intensities)]
             ),
         )
-        ctx = SimulationContext(spec, [1.0])
-        cum = ctx.const_mark_cum
-        u0 = np.concatenate([
-            np.random.default_rng(5).random(500), [0.0, 1.0], cum,
-            np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+        fast, general = (SimulationContext(spec, [1.0]) for _ in range(2))
+        cum, total = fast.const_mark_cum, fast.const_total
+        assert cum[-1] == total and general.const_total == total
+        general.const_mark_cum = None
+        w = np.concatenate([
+            np.random.default_rng(5).random(500) * total, [0.0], cum,
+            np.nextafter(cum, 0.0), np.nextafter(cum[:-1], total),
         ])
-        u = np.stack([u0, np.full(u0.size, 0.5)])
-        marks = ctx.marks_from_uniforms(u, np.full(u0.size, 0.5))
-        want = np.minimum(np.searchsorted(cum, u0, side="left"), len(intensities) - 1)
-        assert marks.dtype == np.int64 and np.array_equal(marks, want)
-        one = ctx.marks_from_uniforms(u[:, :1], np.full(1, 0.5))
+        times = np.full(w.size, 0.5)
+        want = np.minimum(np.searchsorted(cum, w, side="right"), len(intensities) - 1)
+        assert want[501] == min(1, len(intensities) - 1) and want[500 + len(cum)] == len(cum) - 1
+        lam = np.repeat(np.array(intensities)[:, None], w.size, axis=1)
+        for marks in (
+            fast.marks_from_uniforms(w, None, times),
+            general.marks_from_uniforms(w, None, times, lam),
+        ):
+            assert marks.dtype == np.int64 and np.array_equal(marks, want)
+        one = fast.marks_from_uniforms(w[:1], None, times[:1])
         assert isinstance(one, np.ndarray) and one.shape == (1,) and one.dtype == np.int64
 
     @pytest.mark.parametrize("market", ["time_varying", "piecewise_mark"])
@@ -506,20 +551,53 @@ def _total_intensity(ctx, times):
     return total
 
 
+def _path_events(ctx, seed, stream):
+    """One path's accepted events from its own ``RngStreamSpec.uniforms``
+    draws: count 0, then candidate j's ``event_times`` counter j, its time
+    and thinning uniform (the sorted times take the thinning uniforms in
+    counter order).  Returns the accepted times, their thinning draws w =
+    thin * majorant, the totals thinning tested them against and the
+    candidate count."""
+    streams = RngStreamSpec(seed, stream)
+    if ctx.kind == "none" or ctx.majorant == 0.0:
+        return np.zeros(0), np.zeros(0), np.zeros(0), 0
+    n_cand = int(poisson_counts(ctx.count_cdf, streams.uniforms("count", 1)[0])[0])
+    t, thin = streams.uniforms("event_times", n_cand)
+    cand = np.sort(ctx.horizon * t)
+    w, total = thin * ctx.majorant, _total_intensity(ctx, cand)
+    accept = w <= total
+    return cand[accept], w[accept], total[accept], n_cand
+
+
+def _quantiles(seed, stream, n):
+    """A path's first n quantile uniforms: double l % 2 of its ``marks``
+    counter l // 2."""
+    return RngStreamSpec(seed, stream).uniforms("marks", (n + 1) // 2).T.ravel()[:n]
+
+
+def _reference_drivers(ctx, w, times):
+    """Each event's driver: the m with cum_{m-1}(t) <= w < cum_m(t) for the
+    cumulative intensities in driver order, the last on w = total(t)."""
+    cum = np.cumsum([fn.value(times) for fn in ctx.sim_intensities], axis=0)
+    return np.minimum((w >= cum).sum(axis=0), len(cum) - 1)
+
+
 def _per_path_draws(ctx, seed, stream):
     """One path's events, marks, increments and varying-segment normals
-    from its own ``RngStreamSpec.uniforms(role, n)`` draws: count 0, then
-    candidate j's ``event_times`` counter j (the sorted times take the
-    thinning uniforms in counter order), event l's ``marks`` counter l and
-    the ``brownian`` pairs.  Also returns the candidate count."""
+    from its own draws: :func:`_path_events`, each event's driver from its
+    thinning draw, or its region from w / total and its quantile from
+    :func:`_quantiles`, and the ``brownian`` pairs.  Also returns the
+    candidate count."""
     streams = RngStreamSpec(seed, stream)
-    times, n_cand = np.zeros(0), 0
-    if ctx.kind != "none" and ctx.majorant > 0.0:
-        n_cand = int(poisson_counts(ctx.count_cdf, streams.uniforms("count", 1)[0])[0])
-        t, thin = streams.uniforms("event_times", n_cand)
-        cand = np.sort(ctx.horizon * t)
-        times = cand[thin * ctx.majorant <= _total_intensity(ctx, cand)]
-    marks = ctx.sample_marks(streams, times) if ctx.kind != "none" else np.zeros(0)
+    times, w, total, n_cand = _path_events(ctx, seed, stream)
+    marks = np.zeros(0)
+    if ctx.kind == "discrete":
+        marks = _reference_drivers(ctx, w, times)
+    elif ctx.kind == "continuous":
+        q = _quantiles(seed, stream, times.size)
+        mm = ctx.mark_measure
+        marks = (ctx.spec.jumps.density.ppf(q, times) if mm is None
+                 else _reference_marks(mm, w / total, q, times))
     seg = ctx.segments
     K, D = seg.varies.shape
     n_dw, n_res = K * D, int(seg.varies.sum())
@@ -588,6 +666,33 @@ class TestBlockDraws:
             # (1 + n_pairs, B), then (2, N_cand) when there are candidates
             assert len(calls) == (2 if block.ev_times.size else 1)
             assert calls[0][-1] == 150
+
+    @pytest.mark.parametrize("name", DRAW_CONTEXTS + ["constant"])
+    def test_a_block_draws_one_counter_per_candidate(self, name, request, monkeypatch):
+        # B (1 + n_pairs) count and Brownian counters, one per candidate and,
+        # on a continuous market, ceil(n_cand / 2) quantile counters per path
+        if name == "constant":
+            ctx = SimulationContext(request.getfixturevalue("three_stock_market"), [1.0])
+        else:
+            ctx = _draw_context(name, request)
+        B, seed, first = 150, 23, 40
+        n_cand = np.zeros(B, dtype=np.int64)
+        if ctx.count_cdf is not None:
+            u_count = upliftemm.philox.uniforms(seed, "count", 0, _stream_ids(first, B))[0]
+            n_cand = poisson_counts(ctx.count_cdf, u_count)
+        want = B * (1 + (ctx.segments.n_normals + 1) // 2) + n_cand.sum()
+        if ctx.kind == "continuous":
+            want += ((n_cand + 1) // 2).sum()
+        counters = []
+        kernel = upliftemm.philox.philox4x32
+
+        def counted(counter, key):
+            counters.append(math.prod(np.broadcast_shapes(*(np.shape(c) for c in counter))))
+            return kernel(counter, key)
+
+        monkeypatch.setattr(upliftemm.philox, "philox4x32", counted)
+        _simulate_block(ctx, seed, first, B)
+        assert sum(counters) == want and len(counters) == (1 if name == "no_jumps" else 2)
 
     @pytest.mark.parametrize("market, plan", [
         ("three_stock_market", "neglect_plan"),
