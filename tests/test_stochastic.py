@@ -476,6 +476,35 @@ class TestContextBuild:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("intensities", [[2.0, 1.0, 3.0], [2.0]])
+    def test_constant_shares_mark_as_a_left_search(self, intensities):
+        # a cell measure's region is the first whose cumulative share reaches
+        # the draw w / total: searchsorted's side="left", ties included,
+        # unlike a driver's pick below; one event still gets an array
+        base = Density("truncnorm", (-0.6, 0.6), {"mu": 0.0, "sigma": 0.3})
+        cells = ((-0.6, -0.3), (-0.3, 0.0), (0.1, 0.3))[:len(intensities)]
+        mm = CellMeasure(
+            base=base, physical_intensity=TimeFunction.constant(6.0), cells=cells,
+            cell_intensities=tuple(TimeFunction.constant(x) for x in intensities),
+        )
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=ContinuousJumpSpec(density=base, total_intensity=6.0),
+        )
+        ctx = SimulationContext(spec, [1.0], measure_emm=Emm(theta=(0.1,), jump_measure=mm))
+        probs = np.array(intensities) / np.sum(intensities)
+        cum = np.cumsum(probs) / probs.sum()
+        u = np.concatenate([
+            np.random.default_rng(5).random(500), [0.0, 1.0], cum,
+            np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+        ])
+        q, times = np.full(u.size, 0.5), np.full(u.size, 0.5)
+        marks = ctx.marks_from_uniforms(u, q, times)
+        want = np.minimum(np.searchsorted(cum, u, side="left"), len(intensities) - 1)
+        assert np.array_equal(cell_index(cells, marks), want)
+        one = ctx.marks_from_uniforms(u[:1], q[:1], times[:1])
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+
+    @pytest.mark.parametrize("intensities", [[2.0, 1.0, 3.0], [2.0]])
     def test_a_draw_on_a_cumulative_intensity_picks_the_driver_above(self, intensities):
         # a thinning draw w picks the m with cum_{m-1} <= w < cum_m: a draw on
         # cum_m picks driver m + 1, one on the total the last driver, as
