@@ -16,7 +16,7 @@ load the Monte Carlo engine (``pricing``, ``stochastic``, ``blocks``,
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
@@ -25,7 +25,6 @@ _EXPORTS = {
         "BudgetExceeded",
         "EmptyCell",
         "EmptyRetention",
-        "FactorAtMinusOne",
         "InvalidIntensities",
         "NonpositiveGamma",
         "NonReducedEvent",
@@ -35,7 +34,6 @@ _EXPORTS = {
         "QuadratureFailure",
         "ShapeMismatch",
         "UnboundedIntensity",
-        "UndeterminedIntegral",
         "UpliftError",
     ),
     "model": (

@@ -149,6 +149,8 @@ def _cmd_uplift(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if _too_few_paths(args, 0):
+        return 2
     if args.measure != "physical" and args.density:
         print("--density records a density along physical paths; "
               "it cannot be combined with --measure FILE", file=sys.stderr)
@@ -186,12 +188,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _too_few_paths(args) -> bool:
-    """Print a config error and return True when ``--paths`` is below 2,
-    which leaves no standard error."""
-    if args.paths >= 2:
+def _too_few_paths(args, least: int = 2) -> bool:
+    """Print a config error and return True when ``--paths`` is below
+    ``least``: 2 leave an estimate a standard error, and ``simulate``
+    writes any count from 0."""
+    if args.paths >= least:
         return False
-    print(f"config error: --paths must be at least 2, got {args.paths}",
+    print(f"config error: --paths must be at least {least}, got {args.paths}",
           file=sys.stderr)
     return True
 

@@ -45,20 +45,12 @@ class NullMark(UpliftError):
     """A realized mark has zero risk-neutral intensity: measures not equivalent."""
 
 
-class FactorAtMinusOne(UpliftError):
-    """A stochastic-exponential jump factor hit -1 (process absorbed at zero)."""
-
-
 class NonReducedEvent(UpliftError):
     """An event references randomness outside the reduced filtration."""
 
 
 class BudgetExceeded(UpliftError):
     """A nested Monte Carlo request exceeds its computational budget."""
-
-
-class UndeterminedIntegral(UpliftError):
-    """A path's grid and increments do not determine a stochastic integral."""
 
 
 class TooFewPaths(UpliftError):

@@ -42,71 +42,53 @@ def market_to_json(spec: MarketSpec) -> dict:
             }
             for i in range(spec.n)
         ],
+        "jumps": None,
     }
     jumps = spec.jumps
     if isinstance(jumps, DiscreteJumpSpec):
         doc["jumps"] = {
             "type": "discrete",
             "intensities": [_fn_doc(fn) for fn in jumps.intensities],
-            "loadings": [
-                [_fn_doc(fn) for fn in row] for row in jumps.loadings
-            ],
+            "loadings": [[_fn_doc(fn) for fn in row] for row in jumps.loadings],
         }
         if jumps.marks is not None:
             doc["jumps"]["marks"] = list(jumps.marks)
     elif isinstance(jumps, ContinuousJumpSpec):
-        dens = jumps.density.to_json()
         doc["jumps"] = {
             "type": "density",
-            "family": dens["family"],
-            "params": dens["params"],
-            "support": dens["support"],
+            **jumps.density.to_json(),
             "total_intensity": _fn_doc(jumps.total_intensity),
         }
-    else:
-        doc["jumps"] = None
     return doc
 
 
 def market_from_json(doc: dict) -> MarketSpec:
+    """The market a document describes; the spec types coerce its numbers
+    and time-function documents."""
     stocks = doc["stocks"]
     jumps_doc = doc.get("jumps")
     jumps = None
     if jumps_doc:
         if jumps_doc["type"] == "discrete":
             jumps = DiscreteJumpSpec(
-                intensities=tuple(
-                    TimeFunction.coerce(x) for x in jumps_doc["intensities"]
-                ),
-                loadings=tuple(
-                    tuple(TimeFunction.coerce(x) for x in row)
-                    for row in jumps_doc["loadings"]
-                ),
-                marks=(
-                    tuple(jumps_doc["marks"]) if "marks" in jumps_doc else None
-                ),
+                intensities=jumps_doc["intensities"],
+                loadings=jumps_doc["loadings"],
+                marks=jumps_doc.get("marks"),
             )
         elif jumps_doc["type"] == "density":
             jumps = ContinuousJumpSpec(
-                density=Density(
-                    family=jumps_doc["family"],
-                    support=tuple(jumps_doc["support"]),
-                    params=dict(jumps_doc.get("params", {})),
-                ),
-                total_intensity=TimeFunction.coerce(jumps_doc["total_intensity"]),
+                density=Density.from_json(jumps_doc),
+                total_intensity=jumps_doc["total_intensity"],
             )
         else:
             raise ValueError(f"unknown jumps type {jumps_doc['type']!r}")
     n_brownians = int(doc.get("brownians", len(stocks[0].get("sigma", []))))
     spec = MarketSpec(
         horizon=float(doc["horizon"]),
-        s0=tuple(s["s0"] for s in stocks),
-        alpha=tuple(TimeFunction.coerce(s["alpha"]) for s in stocks),
-        rate=TimeFunction.coerce(doc["rate"]),
-        sigma=tuple(
-            tuple(TimeFunction.coerce(x) for x in s.get("sigma", []))
-            for s in stocks
-        ),
+        s0=[s["s0"] for s in stocks],
+        alpha=[s["alpha"] for s in stocks],
+        rate=doc["rate"],
+        sigma=[s.get("sigma", []) for s in stocks],
         jumps=jumps,
     )
     if spec.n_brownians != n_brownians:
@@ -118,21 +100,19 @@ def market_from_json(doc: dict) -> MarketSpec:
 
 
 def plan_from_json(doc: dict):
+    """The plan a document describes; the plan types coerce its lists."""
+    keep = doc.get("keep_brownians")
     if "cells" in doc:
         return ContinuousPlan(
-            cells=tuple(tuple(c) for c in doc["cells"]),
+            cells=doc["cells"],
             neglect_remainder=bool(doc.get("neglect_remainder", False)),
-            keep_brownians=(
-                tuple(doc["keep_brownians"]) if "keep_brownians" in doc else None
-            ),
+            keep_brownians=keep,
         )
     return DiscretePlan(
-        retain=tuple(doc.get("retain", ())),
-        batches=tuple(tuple(b) for b in doc.get("batches", ())),
-        neglect=tuple(doc.get("neglect", ())),
-        keep_brownians=(
-            tuple(doc["keep_brownians"]) if "keep_brownians" in doc else None
-        ),
+        retain=doc.get("retain", ()),
+        batches=doc.get("batches", ()),
+        neglect=doc.get("neglect", ()),
+        keep_brownians=keep,
     )
 
 

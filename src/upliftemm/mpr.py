@@ -83,14 +83,6 @@ class MarketClassification:
     nonpositive_intensities: tuple[int, ...]
     solution_note: str = ""
 
-    @property
-    def is_complete(self) -> bool:
-        return self.tag == COMPLETE
-
-    @property
-    def emm_valid(self) -> bool:
-        return self.is_complete and not self.nonpositive_intensities
-
 
 def _assemble(spec: MarketSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacked systems at K times: A (K, n, D+M) and b (K, n)."""

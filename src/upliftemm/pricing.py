@@ -182,12 +182,9 @@ class Payoff:
 
     def is_reduced_measurable(self, spec: MarketSpec, fict: FictitiousMarket) -> bool:
         """Whether the claim depends only on retained, unbatched randomness."""
-        retained = {
-            m for group in fict.driver_groups if len(group) == 1 for m in group
-        }
-        return self.referenced_drivers(spec) <= retained and (
-            self.referenced_brownians(spec) <= set(fict.brownian_map)
-        )
+        return fict.unreduced_reason(
+            self.referenced_drivers(spec), self.referenced_brownians(spec)
+        ) is None
 
     def to_json(self):
         if self.kind == "linear":
@@ -538,24 +535,10 @@ def restriction_check(
     _require_paths(n_paths)
     if fict is None:
         fict = reduce_market(spec, plan)
-    retained = {m for group in fict.driver_groups for m in group}
-    kept_b = set(fict.brownian_map)
     for ev in events:
-        if not ev.referenced_drivers() <= retained:
-            raise NonReducedEvent(
-                f"event {ev.label!r} references a neglected driver"
-            )
-        if not ev.referenced_brownians() <= kept_b:
-            raise NonReducedEvent(
-                f"event {ev.label!r} references a dropped Brownian driver"
-            )
-        for driver in ev.referenced_drivers():
-            group = fict.driver_groups[fict.reduced_index_of(driver)]
-            if len(group) > 1:
-                raise NonReducedEvent(
-                    f"event {ev.label!r} references a batched driver; "
-                    "individual counts are not reduced-information"
-                )
+        reason = fict.unreduced_reason(ev.referenced_drivers(), ev.referenced_brownians())
+        if reason is not None:
+            raise NonReducedEvent(f"event {ev.label!r} references {reason}")
 
     # both samples are density-only, as the indicators read only counts and
     # W_T; on a continuous market the reduced drivers are the plan's cells,
@@ -670,21 +653,30 @@ def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: i
     return np.exp(log_f), counts
 
 
-def _outer_chunks(n_outer: int, width: int) -> list[np.ndarray]:
-    """Consecutive outer paths in chunks of about ``blocks._SEGMENT_BUDGET``
-    cells, each outer path holding ``width`` of them."""
-    step = max(1, blocks._SEGMENT_BUDGET // width)
-    return [np.arange(lo, min(lo + step, n_outer)) for lo in range(0, n_outer, step)]
+def _nested_factors(
+    spec: MarketSpec, fict: FictitiousMarket, intensities, t: float,
+    n_outer: int, n_inner: int, seed: int,
+):
+    """Outer paths 0..n_outer-1 in consecutive chunks: each chunk's ids and
+    its :func:`_neglected_factors` at time t, the neglected drivers at
+    ``intensities``.
 
+    The model is built at once, so a neglected loading that varies raises
+    PlanMismatch before anything is drawn; the chunks follow lazily.  A
+    chunk holds about ``blocks._SEGMENT_BUDGET`` cells: per inner sample
+    its n factors and, with dropped Brownians, its normals and its n
+    running Gaussian sums.
+    """
+    model = _neglected_factor_model(spec, fict, intensities, t)
+    per_sample = spec.n if model.seg is None else 2 * spec.n + model.seg.n_normals
+    step = max(1, blocks._SEGMENT_BUDGET // (per_sample * n_inner))
 
-def _inner_width(n: int, seg, n_inner: int) -> int:
-    """The cells one outer path holds in :func:`_neglected_factors`: per
-    inner sample its n factors and, with dropped Brownians (``seg``), its
-    normals and its n running Gaussian sums."""
-    per_sample = n
-    if seg is not None:
-        per_sample += seg.n_normals + n
-    return per_sample * n_inner
+    def chunks():
+        for lo in range(0, n_outer, step):
+            ids = np.arange(lo, min(lo + step, n_outer))
+            yield (ids, *_neglected_factors(spec, model, ids, n_inner, seed))
+
+    return chunks()
 
 
 def cost_of_construction_check(
@@ -722,14 +714,12 @@ def cost_of_construction_check(
         fict = reduce_market(spec, plan)
     T = spec.horizon
     # under the consistent uplift the neglected intensities are physical
-    model = _neglected_factor_model(spec, fict, emm.intensities, T)
-
+    chunks = _nested_factors(spec, fict, emm.intensities, T, n_outer, n_inner, seed)
     outer = simulate_terminal(fict.spec, [T], n_outer, seed, measure_emm=fict_emm)
     retained = [m for group in fict.driver_groups for m in group]
     neglected = list(fict.neglected)
     inner_means = np.empty(n_outer)
-    for ids in _outer_chunks(n_outer, _inner_width(spec.n, model.seg, n_inner)):
-        factors, neg_counts = _neglected_factors(spec, model, ids, n_inner, seed)
+    for ids, factors, neg_counts in chunks:
         # one row per (outer path, inner sample)
         stocks = outer.stocks[ids, :, -1][:, None, :] * factors.transpose(0, 2, 1)
         counts = np.zeros((len(ids), n_inner, spec.n_jump_drivers))
@@ -761,26 +751,29 @@ def projection_consistency_check(
     seed: int = DEFAULT_SEED,
     fict: FictitiousMarket | None = None,
 ) -> "ProjectionReport":
-    """Conditional Monte Carlo oracle for the closed-form projected price.
+    """Conditional Monte Carlo check of the projection at time t.
 
-    For each retained path the full price averaged over fresh neglected
-    randomness must match the projected price within the inner standard
-    error; the neglected part contributes a mean-one factor.
+    Given the retained information, the full price of each stock is its
+    projected (reduced-market) price times a factor of the neglected
+    randomness alone, whose mean is one.  The projected price cancels, so
+    outer path p's statistic is its inner mean factor against 1, in units
+    of its inner standard error, and the check reads only the ``inner``
+    counters of stream ids 0..n_outer-1: no reduced-market path is drawn.
     """
     if not _is_complete_neglect(plan):
         raise PlanMismatch("projection supports complete-neglect plans")
     _require_paths(n_inner)
     _require_paths(n_outer, 1)
+    t = 0.5 * spec.horizon if t is None else float(t)
+    if not 0.0 <= t <= spec.horizon:
+        raise ValueError(f"t must lie in [0, horizon], got {t:g}")
     if fict is None:
         fict = reduce_market(spec, plan)
-    t = 0.5 * spec.horizon if t is None else float(t)
-    # the neglected drivers at their physical intensities
-    model = _neglected_factor_model(spec, fict, spec.jumps.intensities, t)
-    outer = simulate_terminal(fict.spec, [t], n_outer, seed)
     inner_mean_factors = np.empty((n_outer, spec.n))
     inner_se_factors = np.empty((n_outer, spec.n))
-    for ids in _outer_chunks(n_outer, _inner_width(spec.n, model.seg, n_inner)):
-        factors, _ = _neglected_factors(spec, model, ids, n_inner, seed)
+    # the neglected drivers at their physical intensities
+    chunks = _nested_factors(spec, fict, spec.jumps.intensities, t, n_outer, n_inner, seed)
+    for ids, factors, _ in chunks:
         inner_mean_factors[ids] = factors.sum(axis=-1) / n_inner
         inner_se_factors[ids] = factors.std(axis=-1, ddof=1) / np.sqrt(n_inner)
     # a factor with no neglected randomness is exactly 1, with z 0
@@ -788,7 +781,6 @@ def projection_consistency_check(
     z_scores = np.divide(diff, se, out=np.where(diff > 0, np.inf, 0.0), where=se > 0)
     return ProjectionReport(
         t=t,
-        projected=outer.stocks[:, :, 0],  # (n_outer, n): the reduced-market prices
         inner_mean_factors=inner_mean_factors,
         inner_se_factors=inner_se_factors,
         z_scores=z_scores,
@@ -799,7 +791,6 @@ def projection_consistency_check(
 @dataclass(frozen=True)
 class ProjectionReport:
     t: float
-    projected: np.ndarray
     inner_mean_factors: np.ndarray
     inner_se_factors: np.ndarray
     z_scores: np.ndarray

@@ -184,6 +184,20 @@ class FictitiousMarket:
         except ValueError:
             return None
 
+    def unreduced_reason(self, drivers, brownians) -> str | None:
+        """Why randomness read through original ``drivers`` and Brownian
+        columns ``brownians`` lies outside the reduced information, or None
+        when it lies inside: the first of a neglected driver, a dropped
+        Brownian and a batched driver."""
+        group_size = {m: len(group) for group in self.driver_groups for m in group}
+        if not set(drivers) <= group_size.keys():
+            return "a neglected driver"
+        if not set(brownians) <= set(self.brownian_map):
+            return "a dropped Brownian driver"
+        if any(group_size[m] > 1 for m in drivers):
+            return "a batched driver; individual counts are not reduced-information"
+        return None
+
 
 def _completeness_warning(spec: MarketSpec, n_drivers: int) -> None:
     if n_drivers != spec.n:

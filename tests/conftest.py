@@ -13,7 +13,16 @@ from upliftemm import (
     TimeFunction,
     reduce_discrete,
 )
-from upliftemm.errors import FactorAtMinusOne, PlanMismatch, UndeterminedIntegral
+from upliftemm.errors import PlanMismatch, UpliftError
+
+
+class FactorAtMinusOne(UpliftError):
+    """A stochastic-exponential jump factor hit -1 (process absorbed at zero)."""
+
+
+class UndeterminedIntegral(UpliftError):
+    """A path's grid and increments do not determine a stochastic integral."""
+
 
 # The canonical worked instance used throughout: three stocks, one
 # Brownian driver, three Poisson drivers.  Reducing away driver 2 leaves

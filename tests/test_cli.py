@@ -134,6 +134,22 @@ class TestSimulate:
         assert set(rec) == {"stream", "events", "terminal", "z"}
         assert len(rec["terminal"]) == 3
 
+    def test_negative_path_count_is_config_error(self, workdir, capsys):
+        out = workdir / "paths.jsonl"
+        assert run(
+            "simulate", "-m", workdir / "market.json", "--paths", "-3", "--out", out,
+        ) == 2
+        assert "--paths must be at least 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_paths_write_an_empty_output(self, workdir, capsys):
+        out = workdir / "paths.jsonl"
+        assert run(
+            "simulate", "-m", workdir / "market.json", "--paths", "0", "--out", out,
+        ) == 0
+        assert out.read_text() == ""
+        assert "wrote 0 paths" in capsys.readouterr().out
+
     def test_measure_flag_changes_law_not_schema(self, workdir):
         emm_path = workdir / "emm.json"
         run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",

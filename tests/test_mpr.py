@@ -158,7 +158,6 @@ class TestSolve:
         cls = solve_mpr(assemble_mpr_system(spec, 0.0))
         assert cls.tag == COMPLETE
         assert cls.nonpositive_intensities == (0,)
-        assert not cls.emm_valid
 
     def test_runtime_under_a_millisecond(self):
         system = assemble_mpr_system(reduced_system_spec(), 0.0)
@@ -333,7 +332,7 @@ class TestStackedGrid:
         # a market of constant and piecewise-constant coefficients is solved
         # at the left end of each piece, any other at the grid nodes
         nodes = _per_node(spec, derivation(spec.coefficient_functions(), grid)[0])
-        bad = next((e for e in nodes if not e.is_complete), None)
+        bad = next((e for e in nodes if e.tag != COMPLETE), None)
         if bad is not None:
             error, message = NotComplete, (
                 f"market is {bad.tag} at t={bad.t:g} "

@@ -363,7 +363,7 @@ class TestRestriction:
     @pytest.mark.parametrize(
         "market, plan, simulations",
         [
-            ("three_stock_market", "neglect_plan", 4),
+            ("three_stock_market", "neglect_plan", 3),
             ("three_stock_market", "batch_plan", 3),
             ("uniform_mark_market", "cell_plan", 3),
         ],
@@ -386,8 +386,9 @@ class TestRestriction:
 
         monkeypatch.setattr(upliftemm.stochastic, "_blocks", counting)
         report = verify_suite(spec, plan, paths=n, seed=seed, grid_points=256)
-        # restriction (full and reduced), projection when it applies,
-        # martingale; the density mass is the restriction's omega line
+        # restriction (full and reduced) and martingale: the projection
+        # draws only inner counters, and the density mass is the
+        # restriction's omega line
         assert len(calls) == simulations
         monkeypatch.undo()
         alone = verify_suite(
@@ -399,6 +400,57 @@ class TestRestriction:
         assert omega["label"] == "omega"
         assert mass["details"]["estimate"] == omega["a"]["estimate"]
         assert mass["details"]["std_error"] == omega["a"]["std_error"]
+
+    @pytest.mark.parametrize(
+        "event, payoff, reason",
+        [
+            (MarketEvent("kept", count_eq=((0, 1),), brownian_gt=((0, 0.0),)),
+             Payoff.terminal(0), None),
+            (MarketEvent("neglected", count_eq=((2, 0),)),
+             Payoff.indicator_count(2, 0), "a neglected driver"),
+            (MarketEvent("batched", count_eq=((3, 0),)),
+             Payoff.indicator_count(3, 0),
+             "a batched driver; individual counts are not reduced-information"),
+            (MarketEvent("dropped", brownian_gt=((1, 0.0),)),
+             Payoff.terminal(1), "a dropped Brownian driver"),
+            (MarketEvent("all", count_eq=((1, 0), (2, 0)), brownian_gt=((1, 0.0),)),
+             Payoff.linear([(1.0, Payoff.indicator_count(1, 0)),
+                            (1.0, Payoff.indicator_count(2, 0)),
+                            (1.0, Payoff.terminal(1))]),
+             "a neglected driver"),
+        ],
+        ids=["kept", "neglected", "batched", "dropped_brownian", "first_reason"],
+    )
+    def test_rejects_exactly_the_events_a_claim_cannot_measure(
+        self, monkeypatch, event, payoff, reason
+    ):
+        # stock 0 loads on driver 0 and Brownian 0, stock 1 only on the
+        # dropped Brownian 1; drivers 1 and 3 are batched, 2 neglected
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0, 50.0], alpha=[0.07, 0.04], rate=0.02,
+            sigma=[[0.2, 0.0], [0.0, 0.3]],
+            jumps=DiscreteJumpSpec(
+                intensities=[2.0, 1.0, 3.0, 0.5],
+                loadings=[[0.1, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+            ),
+        )
+        plan = DiscretePlan(retain=(0,), batches=((1, 3),), neglect=(2,), keep_brownians=(0,))
+        fict = reduce_market(spec, plan)
+        assert event.referenced_drivers() == payoff.referenced_drivers(spec)
+        assert event.referenced_brownians() == payoff.referenced_brownians(spec)
+
+        class Simulated(Exception):
+            pass
+
+        def simulated(*args, **kwargs):
+            raise Simulated
+
+        monkeypatch.setattr(upliftemm.pricing, "_terminal_sample", simulated)
+        assert payoff.is_reduced_measurable(spec, fict) == (reason is None)
+        with pytest.raises(Simulated if reason is None else NonReducedEvent) as err:
+            restriction_check(spec, plan, None, None, (event,), 100, seed=1, fict=fict)
+        if reason is not None:
+            assert str(err.value) == f"event {event.label!r} references {reason}"
 
     def test_neglected_event_rejected(self, uplifted):
         spec, plan, emm, fict, fict_emm = uplifted
@@ -498,6 +550,26 @@ class TestCostOfConstruction:
                 n_outer=10**6, n_inner=10**6, seed=1, fict=fict,
             )
 
+    def test_varying_neglected_loading_rejected_before_simulating(self, monkeypatch):
+        # the closed-form factor needs a constant log(1 + y): both nested
+        # checks refuse a varying neglected loading before drawing a path
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[0.07], rate=0.02, sigma=[[0.2]],
+            jumps=DiscreteJumpSpec(
+                intensities=[2.0, 3.0],
+                loadings=[[0.1, TimeFunction.piecewise([0.0, 0.5, 1.0], [0.1, 0.2])]],
+            ),
+        )
+        plan = DiscretePlan(retain=(0,), neglect=(1,))
+        _forbid_simulation(monkeypatch)
+        emm = Emm(theta=(0.1,), intensities=(2.0, 3.0))
+        with pytest.raises(PlanMismatch, match="constant neglected loadings"):
+            cost_of_construction_check(
+                spec, plan, emm, emm, Payoff.terminal(0), n_outer=10, n_inner=10
+            )
+        with pytest.raises(PlanMismatch, match="constant neglected loadings"):
+            projection_consistency_check(spec, plan, n_outer=10, n_inner=10)
+
 
 class TestProjectionCheck:
     def test_conditional_mc_matches(self, uplifted):
@@ -518,6 +590,13 @@ class TestProjectionCheck:
         wrong_mean = report.inner_mean_factors * np.exp(-y3 * lam3 * t)
         wrong_z = np.abs(wrong_mean - 1.0) / report.inner_se_factors
         assert np.max(wrong_z) > 4.0
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_time_outside_the_horizon_rejected(self, uplifted, t):
+        spec, plan, _, fict, _ = uplifted
+        assert spec.horizon == 1.0
+        with pytest.raises(ValueError, match=r"t must lie in \[0, horizon\]"):
+            projection_consistency_check(spec, plan, n_outer=4, n_inner=4, t=t, fict=fict)
 
     def test_batch_plan_rejected(self, three_stock_market, batch_plan):
         with pytest.raises(PlanMismatch):

@@ -29,12 +29,7 @@ from upliftemm import (
     simulate_terminal,
     two_route_check,
 )
-from upliftemm.errors import (
-    FactorAtMinusOne,
-    NullMark,
-    UnboundedIntensity,
-    UndeterminedIntegral,
-)
+from upliftemm.errors import NullMark, UnboundedIntensity
 import upliftemm.philox
 import upliftemm.pricing
 from upliftemm.blocks import (
@@ -57,7 +52,9 @@ from upliftemm.timefns import adaptive_simpson, integrate_product
 from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn, cell_index
 
 from conftest import (
+    FactorAtMinusOne,
     JumpProcessPath,
+    UndeterminedIntegral,
     block_rows,
     doleans_dade_eval,
     empirical_intensity_test,

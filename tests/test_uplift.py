@@ -671,11 +671,10 @@ def test_pipeline_loads_no_engine():
 PACKAGE_EXPORTS = {
     "densities": ("Density",),
     "errors": (
-        "BudgetExceeded", "EmptyCell", "EmptyRetention", "FactorAtMinusOne",
-        "InvalidIntensities", "NonpositiveGamma", "NonReducedEvent",
-        "NotComplete", "NullMark", "PlanMismatch", "QuadratureFailure",
-        "ShapeMismatch", "UnboundedIntensity", "UndeterminedIntegral",
-        "UpliftError",
+        "BudgetExceeded", "EmptyCell", "EmptyRetention", "InvalidIntensities",
+        "NonpositiveGamma", "NonReducedEvent", "NotComplete", "NullMark",
+        "PlanMismatch", "QuadratureFailure", "ShapeMismatch",
+        "UnboundedIntensity", "UpliftError",
     ),
     "model": (
         "ContinuousJumpSpec", "DiscreteJumpSpec", "MarketSpec",

@@ -1,0 +1,94 @@
+"""Print the canonical report hashes beside the recorded ones.
+
+The canonical 1e4-path verify reports (generator seed 2001, MC seed 11),
+the sorted-key two-route and hedging reports at the benchmark's path counts
+and generated MC seed (hedging is the one report with several output
+times), then `upliftemm simulate` at 3,000 paths and seed 7 (several
+blocks) under P, under the uplifted measure (q) and under P with its
+density (pz), at output times 0.5,1.0 and at the horizon alone.  Each line
+ends in `same` or `DIFFERENT`.  The workloads come from the benchmark's
+generator, `perfbench/workloads.py`, which this script only reads.
+
+Run from the repository root:
+
+    PYTHONPATH=src:perfbench python tools/report_hashes.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from upliftemm import cli, pricing, uplift
+from upliftemm.io import market_from_json, plan_from_json
+from workloads import WORKLOADS, generate
+
+# (verify, two-route, hedging) hash prefixes by workload
+RECORDED = {
+    "const-neglect": ("6d4713f4edee6f40", "cee04db1e8fe2973", "ac45556115303118"),
+    "tv-batch": ("30c056bc3dfa62aa", "bb7efd061faa6d21", "d218ece0195c14c1"),
+    "cont-cells": ("59234297af8ad143", "b5b61f1443a12f17", "d60fb791e678c109"),
+}
+# simulate's (p, q, pz) hash prefixes by workload and --times
+SIMULATED = {
+    "const-neglect": {
+        "0.5,1.0": ("bbc535d3bafcbdfc", "fca8d0f66704d54c", "9b21d27dd61ba545"),
+        "1.0": ("1bb76814d21da6ea", "20e7b5d167002a74", "13d9ee092eb0edcd"),
+    },
+    "tv-batch": {
+        "0.5,1.0": ("e41acdad0f05c937", "c7c61dd9dbbdc18a", "f9d0c6fb6b5332d3"),
+        "1.0": ("ec59c7926b3b0392", "843fc192433b3c3d", "b2ded54d5a6c9584"),
+    },
+    "cont-cells": {
+        "0.5,1.0": ("e5489fa559f593f6", "18e659f6f9bc757e", "bb8cab249ec96578"),
+        "1.0": ("c3147406f3d65dbd", "def0c20ab8cf83fc", "8516c7d22d61f64a"),
+    },
+}
+
+
+def show(name, what, doc, want):
+    got = hashlib.sha256(doc).hexdigest()
+    print(f"{name:14s} {what:17s} {got}  recorded {want}  "
+          f"{'same' if got.startswith(want) else 'DIFFERENT'}")
+
+
+def quiet_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main([str(a) for a in argv])
+
+
+def main(tmp: Path):
+    market, plan, out = tmp / "market.json", tmp / "plan.json", tmp / "report.json"
+    emm_file, paths = tmp / "emm.json", tmp / "paths.jsonl"
+    for name, wants in RECORDED.items():
+        gen = generate(name, 2001)
+        market.write_text(json.dumps(gen["market"]))
+        plan.write_text(json.dumps(gen["plan"]))
+        quiet_cli("verify", "-m", market, "-p", plan, "--paths", 10000, "--seed", 11,
+                  "--out", out)
+        spec, w, h = market_from_json(gen["market"]), WORKLOADS[name], gen["hedge"]
+        emm = uplift.build_uplifted_emm(spec, plan_from_json(gen["plan"]))[0]
+        book = {k: pricing.Payoff.from_json(v) for k, v in gen["book"].items()}
+        strategy = pricing.Strategy(holdings=tuple(h["holdings"]),
+                                    jump_integrand=tuple(h["jump_integrand"]), v0=h["v0"])
+        route = pricing.two_route_check(spec, emm, book, w.route_paths, gen["mc_seed"])
+        hedge = pricing.hedging_error(spec, emm, strategy, pricing.Payoff.from_json(h["payoff"]),
+                                      w.hedge_paths, gen["mc_seed"])
+        docs = (out.read_bytes(),
+                *(json.dumps(rep.to_json(), sort_keys=True).encode() for rep in (route, hedge)))
+        for what, doc, want in zip(("verify", "two-route", "hedging"), docs, wants):
+            show(name, what, doc, want)
+        quiet_cli("uplift", "-m", market, "-p", plan, "--out", emm_file)
+        measures = ([], ["--measure", emm_file], ["--density", emm_file])
+        for times, sims in SIMULATED[name].items():
+            for what, extra, want in zip(("p", "q", "pz"), measures, sims):
+                quiet_cli("simulate", "-m", market, "--paths", 3000, "--seed", 7,
+                          "--times", times, *extra, "--out", paths)
+                show(name, f"simulate {what} {times}", paths.read_bytes(), want)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        main(Path(tmp))
