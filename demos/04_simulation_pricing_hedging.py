@@ -63,7 +63,7 @@ events = (
     MarketEvent("no_driver0_events", count_eq=((0, 0),)),
     MarketEvent("brownian_up", brownian_gt=((0, 0.0),)),
 )
-check = restriction_check(market, plan, emm, fict_emm, events, N, seed=779, fict=fict)
+check = restriction_check(fict, emm, fict_emm, events, N, seed=779)
 print("\nrestriction to the reduced information set:")
 for line in check.lines:
     print(f"  {line.label:20s} |diff| = {abs(line.difference):.5f} "

@@ -260,10 +260,7 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
             events.append(
                 MarketEvent("brownian_positive", brownian_gt=((fict.brownian_map[0], 0.0),))
             )
-        rc = restriction_check(
-            spec, plan, emm, fict_emm, tuple(events), paths,
-            seed=seed, fict=fict,
-        )
+        rc = restriction_check(fict, emm, fict_emm, tuple(events), paths, seed=seed)
         report["checks"]["restriction"] = rc.to_json()
         ok = ok and rc.passed
 
@@ -272,8 +269,7 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
             report["checks"]["projection"] = {"skipped": "needs a complete-neglect plan"}
         else:
             pr = projection_consistency_check(
-                spec, plan, n_outer=50, n_inner=max(paths // 10, 1000),
-                seed=seed, fict=fict,
+                fict, n_outer=50, n_inner=max(paths // 10, 1000), seed=seed
             )
             report["checks"]["projection"] = pr.to_json()
             ok = ok and pr.passed

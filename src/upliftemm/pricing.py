@@ -29,13 +29,7 @@ from .errors import (
 )
 from .model import DiscreteJumpSpec, MarketSpec
 from .philox import box_muller, poisson_cdf, poisson_counts, uniforms
-from .reduction import (
-    ContinuousPlan,
-    DiscretePlan,
-    FictitiousMarket,
-    _is_complete_neglect,
-    reduce_market,
-)
+from .reduction import ContinuousPlan, FictitiousMarket, _is_complete_neglect
 from .stochastic import (
     DEFAULT_SEED,
     SimulationContext,
@@ -180,8 +174,18 @@ class Payoff:
             return set()
         return _asset_brownians(spec, self.asset)
 
-    def is_reduced_measurable(self, spec: MarketSpec, fict: FictitiousMarket) -> bool:
-        """Whether the claim depends only on retained, unbatched randomness."""
+    def is_reduced_measurable(self, fict: FictitiousMarket) -> bool:
+        """Whether the claim depends only on the reduced information: on a
+        discrete market, retained, unbatched randomness.  A continuous
+        market's reduced information holds each cell's count, not the marks,
+        so it holds no stock price, and the total count (column 0) only
+        when the cells cover the support."""
+        spec = fict.original
+        if isinstance(fict.plan, ContinuousPlan):
+            if self.kind == "linear":
+                return all(p.is_reduced_measurable(fict) for _, p in self.terms)
+            return (self.kind == "indicator_count" and self.asset is None
+                    and self.driver == 0 and fict.plan.covers(spec))
         return fict.unreduced_reason(
             self.referenced_drivers(spec), self.referenced_brownians(spec)
         ) is None
@@ -516,14 +520,12 @@ def martingale_check(
 
 
 def restriction_check(
-    spec: MarketSpec,
-    plan,
+    fict: FictitiousMarket,
     emm: Emm,
     fict_emm: Emm,
     events: tuple[MarketEvent, ...],
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    fict: FictitiousMarket | None = None,
 ) -> CheckReport:
     """E_P[Z* 1_A] vs E_P[Z~ 1_A] for reduced-information events A.
 
@@ -533,8 +535,6 @@ def restriction_check(
     makes the uplift an extension of the fictitious measure.
     """
     _require_paths(n_paths)
-    if fict is None:
-        fict = reduce_market(spec, plan)
     for ev in events:
         reason = fict.unreduced_reason(ev.referenced_drivers(), ev.referenced_brownians())
         if reason is not None:
@@ -543,12 +543,13 @@ def restriction_check(
     # both samples are density-only, as the indicators read only counts and
     # W_T; on a continuous market the reduced drivers are the plan's cells,
     # so the full market's marks are counted cell by cell
+    spec = fict.original
     ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
-    if isinstance(plan, ContinuousPlan):
-        cols = np.arange(len(plan.cells))
+    if isinstance(fict.plan, ContinuousPlan):
+        cols = np.arange(len(fict.cells))
 
         def in_cells(times, marks, order):  # one-hot of each mark's cell
-            return (cell_index(plan.cells, marks)[:, None] == cols).astype(float)
+            return (cell_index(fict.cells, marks)[:, None] == cols).astype(float)
 
         full, full_counts = _terminal_sample(
             ctx, n_paths, seed, 0, in_cells, stocks=False
@@ -592,7 +593,7 @@ class _NeglectedModel(NamedTuple):
 
 
 def _neglected_factor_model(
-    spec: MarketSpec, fict: FictitiousMarket, intensities, t: float
+    fict: FictitiousMarket, intensities, t: float
 ) -> _NeglectedModel:
     """Constant data describing the neglected part of the price factorization.
 
@@ -603,7 +604,7 @@ def _neglected_factor_model(
     and the dropped Brownians' exact per-segment Gaussians on the knots of
     their sigma (None when no Brownian is dropped).
     """
-    neglected = list(fict.neglected)
+    spec, neglected = fict.original, list(fict.neglected)
     loadings = spec.jumps.loadings
     if not all(loadings[i][m].is_constant for i in range(spec.n) for m in neglected):
         raise PlanMismatch("nested conditioning needs constant neglected loadings")
@@ -654,8 +655,7 @@ def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: i
 
 
 def _nested_factors(
-    spec: MarketSpec, fict: FictitiousMarket, intensities, t: float,
-    n_outer: int, n_inner: int, seed: int,
+    fict: FictitiousMarket, intensities, t: float, n_outer: int, n_inner: int, seed: int
 ):
     """Outer paths 0..n_outer-1 in consecutive chunks: each chunk's ids and
     its :func:`_neglected_factors` at time t, the neglected drivers at
@@ -667,7 +667,8 @@ def _nested_factors(
     its n factors and, with dropped Brownians, its normals and its n
     running Gaussian sums.
     """
-    model = _neglected_factor_model(spec, fict, intensities, t)
+    spec = fict.original
+    model = _neglected_factor_model(fict, intensities, t)
     per_sample = spec.n if model.seg is None else 2 * spec.n + model.seg.n_normals
     step = max(1, blocks._SEGMENT_BUDGET // (per_sample * n_inner))
 
@@ -680,8 +681,7 @@ def _nested_factors(
 
 
 def cost_of_construction_check(
-    spec: MarketSpec,
-    plan: DiscretePlan,
+    fict: FictitiousMarket,
     emm: Emm,
     fict_emm: Emm,
     payoff: Payoff,
@@ -690,7 +690,6 @@ def cost_of_construction_check(
     n_direct: int = 100_000,
     seed: int = DEFAULT_SEED,
     budget: int = 20_000_000,
-    fict: FictitiousMarket | None = None,
 ) -> CheckReport:
     """Nested estimate of the fictitious-claim price vs the direct price.
 
@@ -700,8 +699,9 @@ def cost_of_construction_check(
     The inner expectation integrates over the neglected drivers (whose
     risk-neutral intensities are their physical ones).
     """
-    if not _is_complete_neglect(plan):
+    if not _is_complete_neglect(fict.plan):
         raise PlanMismatch("nested conditioning supports complete-neglect plans")
+    spec = fict.original
     _require_paths(n_outer)
     _require_paths(n_inner, 1)
     _require_paths(n_direct)
@@ -710,11 +710,9 @@ def cost_of_construction_check(
         raise BudgetExceeded(
             f"{n_outer} x {n_inner} inner paths exceed the budget {budget}"
         )
-    if fict is None:
-        fict = reduce_market(spec, plan)
     T = spec.horizon
     # under the consistent uplift the neglected intensities are physical
-    chunks = _nested_factors(spec, fict, emm.intensities, T, n_outer, n_inner, seed)
+    chunks = _nested_factors(fict, emm.intensities, T, n_outer, n_inner, seed)
     outer = simulate_terminal(fict.spec, [T], n_outer, seed, measure_emm=fict_emm)
     retained = [m for group in fict.driver_groups for m in group]
     neglected = list(fict.neglected)
@@ -743,13 +741,11 @@ def cost_of_construction_check(
 
 
 def projection_consistency_check(
-    spec: MarketSpec,
-    plan: DiscretePlan,
+    fict: FictitiousMarket,
     n_outer: int,
     n_inner: int,
     t: float | None = None,
     seed: int = DEFAULT_SEED,
-    fict: FictitiousMarket | None = None,
 ) -> "ProjectionReport":
     """Conditional Monte Carlo check of the projection at time t.
 
@@ -760,19 +756,18 @@ def projection_consistency_check(
     of its inner standard error, and the check reads only the ``inner``
     counters of stream ids 0..n_outer-1: no reduced-market path is drawn.
     """
-    if not _is_complete_neglect(plan):
+    if not _is_complete_neglect(fict.plan):
         raise PlanMismatch("projection supports complete-neglect plans")
+    spec = fict.original
     _require_paths(n_inner)
     _require_paths(n_outer, 1)
     t = 0.5 * spec.horizon if t is None else float(t)
     if not 0.0 <= t <= spec.horizon:
         raise ValueError(f"t must lie in [0, horizon], got {t:g}")
-    if fict is None:
-        fict = reduce_market(spec, plan)
     inner_mean_factors = np.empty((n_outer, spec.n))
     inner_se_factors = np.empty((n_outer, spec.n))
     # the neglected drivers at their physical intensities
-    chunks = _nested_factors(spec, fict, spec.jumps.intensities, t, n_outer, n_inner, seed)
+    chunks = _nested_factors(fict, spec.jumps.intensities, t, n_outer, n_inner, seed)
     for ids, factors, _ in chunks:
         inner_mean_factors[ids] = factors.sum(axis=-1) / n_inner
         inner_se_factors[ids] = factors.std(axis=-1, ddof=1) / np.sqrt(n_inner)

@@ -38,8 +38,31 @@ __all__ = [
 ]
 
 
+class _BrownianSelection:
+    """``keep_brownians``, one rule for both plan kinds: None keeps every
+    Brownian column, else it lists distinct columns in range."""
+
+    def _coerce_brownians(self):
+        kb = self.keep_brownians
+        object.__setattr__(self, "keep_brownians", kb if kb is None else tuple(map(int, kb)))
+
+    def _validate_brownians(self, spec: MarketSpec) -> None:
+        kb = self.keep_brownians or ()
+        if len(set(kb)) != len(kb) or not set(kb) <= set(range(spec.n_brownians)):
+            raise ShapeMismatch("keep_brownians out of range")
+
+    def kept_brownians(self, spec: MarketSpec) -> tuple[int, ...]:
+        kb = self.keep_brownians
+        return tuple(range(spec.n_brownians)) if kb is None else tuple(sorted(kb))
+
+    def _json_with_brownians(self, doc: dict) -> dict:
+        if self.keep_brownians is not None:
+            doc["keep_brownians"] = list(self.keep_brownians)
+        return doc
+
+
 @dataclass(frozen=True)
-class DiscretePlan:
+class DiscretePlan(_BrownianSelection):
     """Partition of the jump drivers into retained, batched, and neglected.
 
     ``keep_brownians`` selects Brownian columns (None keeps all).  The
@@ -58,10 +81,7 @@ class DiscretePlan:
             self, "batches", tuple(tuple(int(i) for i in b) for b in self.batches)
         )
         object.__setattr__(self, "neglect", tuple(int(i) for i in self.neglect))
-        if self.keep_brownians is not None:
-            object.__setattr__(
-                self, "keep_brownians", tuple(int(i) for i in self.keep_brownians)
-            )
+        self._coerce_brownians()
 
     def validate(self, spec: MarketSpec) -> None:
         if isinstance(spec.jumps, ContinuousJumpSpec):
@@ -76,30 +96,18 @@ class DiscretePlan:
             raise ShapeMismatch(
                 "retain + batches + neglect must partition the driver set"
             )
-        if self.keep_brownians is not None:
-            D = spec.n_brownians
-            kb = self.keep_brownians
-            if len(set(kb)) != len(kb) or any(d < 0 or d >= D for d in kb):
-                raise ShapeMismatch("keep_brownians out of range")
-
-    def kept_brownians(self, spec: MarketSpec) -> tuple[int, ...]:
-        if self.keep_brownians is None:
-            return tuple(range(spec.n_brownians))
-        return tuple(sorted(self.keep_brownians))
+        self._validate_brownians(spec)
 
     def to_json(self):
-        doc = {
+        return self._json_with_brownians({
             "retain": list(self.retain),
             "batches": [list(b) for b in self.batches],
             "neglect": list(self.neglect),
-        }
-        if self.keep_brownians is not None:
-            doc["keep_brownians"] = list(self.keep_brownians)
-        return doc
+        })
 
 
 @dataclass(frozen=True)
-class ContinuousPlan:
+class ContinuousPlan(_BrownianSelection):
     """Disjoint cells of the mark space; the uncovered remainder may be
     kept as an (unhedged, unpriced) cell or must be empty."""
 
@@ -110,10 +118,12 @@ class ContinuousPlan:
     def __post_init__(self):
         cells = tuple((float(a), float(b)) for a, b in self.cells)
         object.__setattr__(self, "cells", cells)
-        if self.keep_brownians is not None:
-            object.__setattr__(
-                self, "keep_brownians", tuple(int(i) for i in self.keep_brownians)
-            )
+        self._coerce_brownians()
+
+    def covers(self, spec: MarketSpec) -> bool:
+        """Whether the cells cover the mark space's support."""
+        lo, hi = spec.jumps.support
+        return sum(b - a for a, b in self.cells) >= (hi - lo) * (1.0 - 1e-9)
 
     def validate(self, spec: MarketSpec) -> None:
         if not isinstance(spec.jumps, ContinuousJumpSpec):
@@ -126,26 +136,17 @@ class ContinuousPlan:
         for (_, b1), (a2, _) in zip(cells, cells[1:]):
             if a2 < b1 - 1e-12:
                 raise ShapeMismatch("cells overlap")
-        if not self.neglect_remainder:
-            covered = sum(b - a for a, b in cells)
-            if covered < (hi - lo) * (1.0 - 1e-9):
-                raise ShapeMismatch(
-                    "cells do not cover the support; set neglect_remainder"
-                )
-
-    def kept_brownians(self, spec: MarketSpec) -> tuple[int, ...]:
-        if self.keep_brownians is None:
-            return tuple(range(spec.n_brownians))
-        return tuple(sorted(self.keep_brownians))
+        if not (self.neglect_remainder or self.covers(spec)):
+            raise ShapeMismatch(
+                "cells do not cover the support; set neglect_remainder"
+            )
+        self._validate_brownians(spec)
 
     def to_json(self):
-        doc = {
+        return self._json_with_brownians({
             "cells": [list(c) for c in self.cells],
             "neglect_remainder": self.neglect_remainder,
-        }
-        if self.keep_brownians is not None:
-            doc["keep_brownians"] = list(self.keep_brownians)
-        return doc
+        })
 
 
 ReductionPlan = DiscretePlan | ContinuousPlan
@@ -155,11 +156,14 @@ ReductionPlan = DiscretePlan | ContinuousPlan
 class FictitiousMarket:
     """A reduced market plus the provenance needed to undo the reduction.
 
+    The uplift and the consistency checks read the ``original`` market,
+    its ``plan`` and the rest from here rather than reducing again.
+    ``brownian_map[d]`` is the original column of reduced Brownian d;
     ``driver_groups[k]`` lists the original driver indices aggregated into
     reduced driver k (singletons for retained drivers); ``weights[k]``
     holds the conditional probabilities delta of each member within its
     group.  For continuous reductions the groups refer to cells instead
-    and ``cells``/``remainder`` describe the mark-space partition.
+    and ``cells``/``remainder_mass`` describe the mark-space partition.
     """
 
     spec: MarketSpec
@@ -173,16 +177,12 @@ class FictitiousMarket:
     remainder_mass: TimeFunction | None = None
 
     def reduced_index_of(self, original_driver: int) -> int | None:
-        for k, group in enumerate(self.driver_groups):
-            if original_driver in group:
-                return k
-        return None
+        groups = enumerate(self.driver_groups)
+        return next((k for k, group in groups if original_driver in group), None)
 
     def reduced_brownian_of(self, original_d: int) -> int | None:
-        try:
-            return self.brownian_map.index(original_d)
-        except ValueError:
-            return None
+        kept = self.brownian_map
+        return kept.index(original_d) if original_d in kept else None
 
     def unreduced_reason(self, drivers, brownians) -> str | None:
         """Why randomness read through original ``drivers`` and Brownian
@@ -215,9 +215,10 @@ def batch_weights(
 
     delta_m(t) = lambda_m(t) / gamma(t), derived from the member
     intensities by :func:`timefns.derive` (exact unless an intensity is
-    interpolated, then sampled on the grid, default 256 points).  Weights
-    built here are reused verbatim by the uplift so the two stay
-    consistent bit for bit.
+    interpolated, then sampled on the grid, default 256 points).
+    :func:`reduce_discrete` stores the weights in
+    ``FictitiousMarket.weights``, where the uplift reads them, so the
+    reduction and the uplift share one delta.
     """
     members = [spec.jumps.intensities[m] for m in batch]
     if grid is None:

@@ -26,6 +26,7 @@ from .errors import (
     InvalidIntensities,
     NonpositiveGamma,
     NotComplete,
+    PlanMismatch,
     ShapeMismatch,
 )
 from .model import (
@@ -36,12 +37,7 @@ from .model import (
     default_grid,
 )
 from .mpr import classify_over_grid
-from .reduction import (
-    ContinuousPlan,
-    DiscretePlan,
-    batch_weights,
-    reduce_market,
-)
+from .reduction import ContinuousPlan, FictitiousMarket, reduce_market
 from .timefns import TimeFunction, derivation, derive, stack_values
 
 __all__ = [
@@ -366,9 +362,9 @@ def solve_unique_emm(spec: MarketSpec, grid=None) -> Emm:
 # -- uplift constructions -------------------------------------------------------
 
 
-def _uplift_theta(fict_emm: Emm, spec: MarketSpec, kept: tuple[int, ...]):
-    theta = [TimeFunction.constant(0.0)] * spec.n_brownians
-    for reduced_d, original_d in enumerate(kept):
+def _uplift_theta(fict_emm: Emm, fict: FictitiousMarket):
+    theta = [TimeFunction.constant(0.0)] * fict.original.n_brownians
+    for reduced_d, original_d in enumerate(fict.brownian_map):
         theta[original_d] = fict_emm.theta[reduced_d]
     return tuple(theta)
 
@@ -378,47 +374,44 @@ def _require_discrete_solution(fict_emm: Emm):
         raise NotComplete("fictitious solution is empty")
 
 
-def uplift_discrete(
-    fict_emm: Emm, spec: MarketSpec, plan: DiscretePlan, grid=None
-) -> Emm:
+def uplift_discrete(fict_emm: Emm, fict: FictitiousMarket, grid=None) -> Emm:
     """Extend a discrete-plan solution to the original market.
 
     Retained drivers take their solved intensities.  Member m of a batch
     with solved intensity gamma*(t) receives lambda~*_m(t) = gamma*(t) *
     delta_m(t), the share proportional to its physical conditional
-    probability within the batch.  Neglected drivers carry no risk
-    premium, so their risk-neutral intensities equal the physical ones,
-    and dropped Brownian drivers get theta = 0.
+    probability within the batch, with the reduction's own delta_m.
+    Neglected drivers carry no risk premium, so their risk-neutral
+    intensities equal the physical ones, and dropped Brownian drivers get
+    theta = 0.
     """
-    plan.validate(spec)
+    if isinstance(fict.plan, ContinuousPlan):
+        raise PlanMismatch("discrete plans apply to discrete jump drivers")
     _require_discrete_solution(fict_emm)
-    theta = _uplift_theta(fict_emm, spec, plan.kept_brownians(spec))
-    provenance = "uplift: batching" if plan.batches else "uplift: complete neglect"
+    spec, batches = fict.original, fict.plan.batches
+    theta = _uplift_theta(fict_emm, fict)
+    provenance = "uplift: batching" if batches else "uplift: complete neglect"
     if spec.jumps is None:
         return Emm(theta=theta, provenance=provenance)
-    retained = tuple(sorted(plan.retain))
     fict_lams = fict_emm.intensities or ()
-    if len(fict_lams) != len(retained) + len(plan.batches):
+    if len(fict_lams) != len(fict.driver_groups):
         raise NotComplete("fictitious solution does not match the plan")
 
     lams: list[TimeFunction] = list(spec.jumps.intensities)
-    for m, lam in zip(retained, fict_lams):
-        lams[m] = lam
-    if plan.batches and grid is None:
+    if batches and grid is None:
         grid = default_grid(spec.horizon)
-    for batch, gamma_star in zip(plan.batches, fict_lams[len(retained):]):
-        batch = tuple(sorted(batch))
-        if gamma_star.min_value(0.0, spec.horizon) <= 0.0:
-            raise NonpositiveGamma(
-                f"solved batch intensity nonpositive for batch {batch}"
-            )
-        _, deltas = batch_weights(spec, batch, grid)
+    for group, deltas, lam in zip(fict.driver_groups, fict.weights, fict_lams):
+        if len(group) == 1:
+            lams[group[0]] = lam
+            continue
+        if lam.min_value(0.0, spec.horizon) <= 0.0:
+            raise NonpositiveGamma(f"solved batch intensity nonpositive for batch {group}")
         shares = derive(
-            lambda t: gamma_star.value(t) * np.array([d.value(t) for d in deltas]),
-            (gamma_star, *deltas),
+            lambda t: lam.value(t) * np.array([d.value(t) for d in deltas]),
+            (lam, *deltas),
             grid,
         )
-        for m, share in zip(batch, shares):
+        for m, share in zip(group, shares):
             lams[m] = share
     bad = [m for m, fn in enumerate(lams) if fn.min_value(0.0, spec.horizon) <= 0.0]
     if bad:
@@ -426,45 +419,39 @@ def uplift_discrete(
     return Emm(theta=theta, intensities=tuple(lams), provenance=provenance)
 
 
-def uplift_continuous(
-    fict_emm: Emm, spec: MarketSpec, plan: ContinuousPlan, grid=None
-) -> Emm:
+def uplift_continuous(fict_emm: Emm, fict: FictitiousMarket) -> Emm:
     """Extend a cell solution to a reweighted mark density.
 
     The unique consistent density keeps the physical shape within each
     cell and scales it to the solved cell probability; an uncovered
     remainder keeps the physical intensity measure (no risk premium).
+    The reduction has already refused a cell of ~zero probability.
     """
-    plan.validate(spec)
+    if not isinstance(fict.plan, ContinuousPlan):
+        raise PlanMismatch("cell plans apply to continuous mark spaces")
     _require_discrete_solution(fict_emm)
-    kept = plan.kept_brownians(spec)
-    theta = _uplift_theta(fict_emm, spec, kept)
+    spec = fict.original
+    theta = _uplift_theta(fict_emm, fict)
     fict_lams = fict_emm.intensities or ()
-    if len(fict_lams) != len(plan.cells):
+    if len(fict_lams) != len(fict.cells):
         raise NotComplete("fictitious solution does not match the cell count")
-    dens = spec.jumps.density
-    for (a, b), lam in zip(plan.cells, fict_lams):
-        if dens.mass(a, b, 0.0) < 1e-12:
-            raise EmptyCell(f"cell ({a:g}, {b:g}) has ~zero probability")
-        if lam.min_value(0.0, spec.horizon) <= 0.0:
-            raise InvalidIntensities("cell intensity nonpositive")
+    if any(lam.min_value(0.0, spec.horizon) <= 0.0 for lam in fict_lams):
+        raise InvalidIntensities("cell intensity nonpositive")
     measure = CellMeasure(
-        base=dens,
+        base=spec.jumps.density,
         physical_intensity=spec.jumps.total_intensity,
-        cells=plan.cells,
+        cells=fict.cells,
         cell_intensities=tuple(fict_lams),
-        remainder_physical=plan.neglect_remainder,
+        remainder_physical=fict.plan.neglect_remainder,
     )
     return Emm(theta=theta, jump_measure=measure, provenance="uplift: continuous")
 
 
-def uplift_general(
-    fict_emm: Emm, spec: MarketSpec, plan, grid=None
-) -> Emm:
+def uplift_general(fict_emm: Emm, fict: FictitiousMarket, grid=None) -> Emm:
     """Dispatch on the plan kind; compositions agree with one-shot results."""
-    if isinstance(plan, ContinuousPlan):
-        return uplift_continuous(fict_emm, spec, plan, grid)
-    return uplift_discrete(fict_emm, spec, plan, grid)
+    if isinstance(fict.plan, ContinuousPlan):
+        return uplift_continuous(fict_emm, fict)
+    return uplift_discrete(fict_emm, fict, grid)
 
 
 def build_uplifted_emm(spec: MarketSpec, plan, grid=None):
@@ -476,7 +463,7 @@ def build_uplifted_emm(spec: MarketSpec, plan, grid=None):
         grid = default_grid(spec.horizon)
     fict = reduce_market(spec, plan, grid)
     fict_emm = solve_unique_emm(fict.spec, grid)
-    emm = uplift_general(fict_emm, spec, plan, grid)
+    emm = uplift_general(fict_emm, fict, grid)
     return emm, fict, fict_emm
 
 

@@ -29,6 +29,7 @@ from upliftemm import (
     martingale_check,
     price_mc,
     projection_consistency_check,
+    reduce_market,
     restriction_check,
     sample_marked_point_process,
     sample_poisson_inhomogeneous,
@@ -117,10 +118,9 @@ def test_complete_neglect_uplift_solves_original_equations(canonical):
     )
     seq = uplift_discrete(
         uplift_discrete(
-            fict_emm4, mid, DiscretePlan(retain=(0, 1), neglect=(2,))
+            fict_emm4, reduce_market(mid, DiscretePlan(retain=(0, 1), neglect=(2,)))
         ),
-        spec4,
-        DiscretePlan(retain=(0, 1, 2), neglect=(3,)),
+        reduce_market(spec4, DiscretePlan(retain=(0, 1, 2), neglect=(3,))),
     )
     assert seq.theta == one_shot.theta
     assert seq.intensities == one_shot.intensities
@@ -158,7 +158,7 @@ def test_reweighted_density_integrates_correctly():
     given = Emm(theta=(0.0,), intensities=(1.5, 3.5))
     from upliftemm import reduce_market, uplift_continuous
 
-    emm = uplift_continuous(given, spec, plan)
+    emm = uplift_continuous(given, reduce_market(spec, plan))
     fict = reduce_market(spec, plan)
     mm = emm.jump_measure
     probs = cell_probabilities(mm, 0.0)
@@ -252,9 +252,7 @@ def test_restriction_to_reduced_information(canonical):
         MarketEvent("one_and_zero", count_eq=((0, 1), (1, 0))),
         MarketEvent("brownian_positive", brownian_gt=((0, 0.0),)),
     )
-    check = restriction_check(
-        spec, plan, emm, fict_emm, events, N_FULL, seed=303, fict=fict
-    )
+    check = restriction_check(fict, emm, fict_emm, events, N_FULL, seed=303)
     assert check.passed, [ln.to_json() for ln in check.lines]
     report(
         "restriction_to_reduced_information",
@@ -265,7 +263,7 @@ def test_restriction_to_reduced_information(canonical):
 def test_projected_price_matches_conditional_mc(canonical):
     spec, plan, *_ = canonical
     check = projection_consistency_check(
-        spec, plan, n_outer=100, n_inner=10_000, t=0.5, seed=304
+        reduce_market(spec, plan), n_outer=100, n_inner=10_000, t=0.5, seed=304
     )
     assert check.passed, check.max_z
 

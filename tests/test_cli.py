@@ -87,6 +87,21 @@ class TestSolve:
         assert doc["residual"] < 1e-10
 
 
+class TestReduce:
+    @pytest.mark.parametrize("keep", [[5], [0, 0], [-1]], ids=["range", "twice", "negative"])
+    @pytest.mark.parametrize("plan", [
+        {"retain": [0, 1], "neglect": [2]},
+        {"cells": [[-0.5, 0.5]], "neglect_remainder": False},
+    ], ids=["discrete", "continuous"])
+    def test_bad_brownian_columns_exit_one(self, tmp_path, capsys, plan, keep):
+        spec = make_three_stock_market() if "retain" in plan else make_uniform_mark_market()
+        dump_json(market_to_json(spec), tmp_path / "market.json")
+        dump_json({**plan, "keep_brownians": keep}, tmp_path / "plan.json")
+        code = run("reduce", "-m", tmp_path / "market.json", "-p", tmp_path / "plan.json")
+        assert code == 1
+        assert "error: ShapeMismatch: keep_brownians out of range" in capsys.readouterr().err
+
+
 class TestRoundTrips:
     def test_reduce_output_validates(self, workdir):
         fict_path = workdir / "fict.json"

@@ -43,7 +43,7 @@ from upliftemm.pricing import _neglected_factor_model
 from upliftemm.timefns import integrate_product
 from upliftemm.uplift import cell_index
 
-from conftest import block_rows
+from conftest import block_rows, make_three_stock_market, make_uniform_mark_market
 
 N_MC = 20_000
 
@@ -159,7 +159,7 @@ class TestCountColumns:
                 spec, emm, {"ok": Payoff.terminal(0), "bad": bad}, 1000
             ),
             lambda: cost_of_construction_check(
-                spec, plan, emm, fict_emm, bad, n_outer=10, n_inner=10, fict=fict
+                fict, emm, fict_emm, bad, n_outer=10, n_inner=10
             ),
             lambda: hedging_error(spec, emm, hold, bad, 1000),
         ]
@@ -180,7 +180,7 @@ class TestTooFewPaths:
             lambda: martingale_check(spec, emm, n_paths),
             lambda: density_mass_check(spec, emm, n_paths),
             lambda: restriction_check(
-                spec, plan, emm, fict_emm, (MarketEvent("omega"),), n_paths, fict=fict
+                fict, emm, fict_emm, (MarketEvent("omega"),), n_paths
             ),
             lambda: two_route_check(spec, emm, {"s0": Payoff.terminal(0)}, n_paths),
         ]
@@ -201,14 +201,14 @@ class TestTooFewPaths:
             lambda: zweighted_price_mc(spec, emm, call, n_paths),
             lambda: hedging_error(spec, emm, idle, call, n_paths),
             lambda: cost_of_construction_check(
-                spec, plan, emm, fict_emm, call, n_outer=n_paths, n_inner=10, fict=fict
+                fict, emm, fict_emm, call, n_outer=n_paths, n_inner=10
             ),
             lambda: cost_of_construction_check(
-                spec, plan, emm, fict_emm, call, n_outer=10, n_inner=10,
-                n_direct=n_paths, fict=fict,
+                fict, emm, fict_emm, call, n_outer=10, n_inner=10,
+                n_direct=n_paths,
             ),
             lambda: projection_consistency_check(
-                spec, plan, n_outer=10, n_inner=n_paths, fict=fict
+                fict, n_outer=10, n_inner=n_paths
             ),
         ]
         for call_with_too_few in calls:
@@ -223,18 +223,18 @@ class TestTooFewPaths:
         call = Payoff.call(0, 100.0)
         with pytest.raises(TooFewPaths, match="at least 1 path, got 0"):
             cost_of_construction_check(
-                spec, plan, emm, fict_emm, call, n_outer=10, n_inner=0, fict=fict
+                fict, emm, fict_emm, call, n_outer=10, n_inner=0
             )
         with pytest.raises(TooFewPaths, match="at least 1 path, got 0"):
-            projection_consistency_check(spec, plan, n_outer=0, n_inner=10, fict=fict)
+            projection_consistency_check(fict, n_outer=0, n_inner=10)
 
     def test_one_nested_path_is_enough(self, uplifted):
         spec, plan, emm, fict, fict_emm = uplifted
         call = Payoff.call(0, 100.0)
         cost_of_construction_check(
-            spec, plan, emm, fict_emm, call, n_outer=10, n_inner=1, fict=fict, seed=3
+            fict, emm, fict_emm, call, n_outer=10, n_inner=1, seed=3
         )
-        projection_consistency_check(spec, plan, n_outer=1, n_inner=10, fict=fict, seed=3)
+        projection_consistency_check(fict, n_outer=1, n_inner=10, seed=3)
 
     def test_two_paths_have_a_standard_error(self, uplifted):
         spec, _, emm, _, _ = uplifted
@@ -247,9 +247,57 @@ class TestMeasurability:
         spec, plan, emm, fict, _ = uplifted
         reduced_claim = Payoff.indicator_count(0, 1)
         full_claim = Payoff.terminal(0)  # stock 0 loads on the neglected driver
-        assert reduced_claim.is_reduced_measurable(spec, fict)
-        assert not full_claim.is_reduced_measurable(spec, fict)
+        assert reduced_claim.is_reduced_measurable(fict)
+        assert not full_claim.is_reduced_measurable(fict)
         assert full_claim.referenced_drivers(spec) == {0, 1, 2}
+
+    @pytest.mark.parametrize("cells, remainder, total_count", [
+        (((-0.5, 0.0),), True, False),
+        (((-0.5, 0.0), (0.0, 0.5)), False, True),
+        (((-0.5, 0.0), (0.0, 0.5)), True, True),
+    ], ids=["remainder_neglected", "covering", "covering_remainder_empty"])
+    def test_continuous_market_knows_cell_counts_not_marks(
+        self, uniform_mark_market, cells, remainder, total_count
+    ):
+        # the total count is the cells' counts summed only when they cover
+        # the support; every price jumps by the marks themselves
+        fict = reduce_market(
+            uniform_mark_market, ContinuousPlan(cells=cells, neglect_remainder=remainder)
+        )
+        assert Payoff.indicator_count(0, 0).is_reduced_measurable(fict) == total_count
+        both = Payoff.linear([(1.0, Payoff.indicator_count(0, 1)),
+                              (2.0, Payoff.indicator_count(0, 2))])
+        assert both.is_reduced_measurable(fict) == total_count
+        for claim in (
+            Payoff.terminal(0), Payoff.call(1, 80.0), Payoff.indicator_count(1, 0),
+            Payoff.indicator_count(0, 0, asset=0),
+            Payoff.linear([(1.0, Payoff.indicator_count(0, 0)), (1.0, Payoff.terminal(1))]),
+        ):
+            assert not claim.is_reduced_measurable(fict), claim
+
+
+class TestPlanKind:
+    """The nested checks need a complete-neglect reduction and refuse any
+    other before anything is simulated; the restriction check takes both
+    plan kinds."""
+
+    @pytest.mark.parametrize("plan", [
+        DiscretePlan(retain=(0,), batches=((1, 2),)),
+        ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True),
+    ], ids=["batch", "continuous"])
+    def test_nested_checks_refuse_other_reductions(self, monkeypatch, plan):
+        spec = (
+            make_uniform_mark_market() if isinstance(plan, ContinuousPlan)
+            else make_three_stock_market()
+        )
+        emm, fict, fict_emm = build_uplifted_emm(spec, plan)
+        _forbid_simulation(monkeypatch)
+        with pytest.raises(PlanMismatch, match="complete-neglect"):
+            cost_of_construction_check(
+                fict, emm, fict_emm, Payoff.terminal(0), n_outer=10, n_inner=10
+            )
+        with pytest.raises(PlanMismatch, match="complete-neglect"):
+            projection_consistency_check(fict, n_outer=10, n_inner=10)
 
 
 class TestParityAndMonotonicity:
@@ -330,7 +378,7 @@ class TestRestriction:
             MarketEvent("brownian_up", brownian_gt=((0, 0.0),)),
         )
         report = restriction_check(
-            spec, plan, emm, fict_emm, events, N_MC, seed=108, fict=fict
+            fict, emm, fict_emm, events, N_MC, seed=108
         )
         assert report.passed, [ln.to_json() for ln in report.lines]
         omega = report.lines[0]
@@ -446,9 +494,9 @@ class TestRestriction:
             raise Simulated
 
         monkeypatch.setattr(upliftemm.pricing, "_terminal_sample", simulated)
-        assert payoff.is_reduced_measurable(spec, fict) == (reason is None)
+        assert payoff.is_reduced_measurable(fict) == (reason is None)
         with pytest.raises(Simulated if reason is None else NonReducedEvent) as err:
-            restriction_check(spec, plan, None, None, (event,), 100, seed=1, fict=fict)
+            restriction_check(fict, None, None, (event,), 100, seed=1)
         if reason is not None:
             assert str(err.value) == f"event {event.label!r} references {reason}"
 
@@ -456,18 +504,18 @@ class TestRestriction:
         spec, plan, emm, fict, fict_emm = uplifted
         with pytest.raises(NonReducedEvent):
             restriction_check(
-                spec, plan, emm, fict_emm,
+                fict, emm, fict_emm,
                 (MarketEvent("neglected", count_eq=((2, 0),)),),
-                100, seed=1, fict=fict,
+                100, seed=1,
             )
 
     def test_batched_event_rejected(self, three_stock_market, batch_plan):
         emm, fict, fict_emm = build_uplifted_emm(three_stock_market, batch_plan)
         with pytest.raises(NonReducedEvent):
             restriction_check(
-                three_stock_market, batch_plan, emm, fict_emm,
+                fict, emm, fict_emm,
                 (MarketEvent("member", count_eq=((1, 0),)),),
-                100, seed=1, fict=fict,
+                100, seed=1,
             )
 
 
@@ -490,16 +538,16 @@ class TestCostOfConstruction:
         spec, plan, emm, fict, fict_emm = uplifted
         payoff = Payoff.indicator_count(0, 0, discounted=False)
         report = cost_of_construction_check(
-            spec, plan, emm, fict_emm, payoff,
-            n_outer=4_000, n_inner=8, n_direct=N_MC, seed=109, fict=fict,
+            fict, emm, fict_emm, payoff,
+            n_outer=4_000, n_inner=8, n_direct=N_MC, seed=109,
         )
         assert report.passed
 
     def test_full_information_claim(self, uplifted):
         spec, plan, emm, fict, fict_emm = uplifted
         report = cost_of_construction_check(
-            spec, plan, emm, fict_emm, Payoff.terminal(0),
-            n_outer=2_000, n_inner=200, n_direct=N_MC, seed=110, fict=fict,
+            fict, emm, fict_emm, Payoff.terminal(0),
+            n_outer=2_000, n_inner=200, n_direct=N_MC, seed=110,
         )
         assert report.passed, report.lines[0].to_json()
 
@@ -529,8 +577,8 @@ class TestCostOfConstruction:
         emm, fict, fict_emm = build_uplifted_emm(spec, plan)
         for payoff in (Payoff.call(1, 100.0), Payoff.put(1, 80.0)):
             report = cost_of_construction_check(
-                spec, plan, emm, fict_emm, payoff,
-                n_outer=4_000, n_inner=200, n_direct=100_000, seed=125, fict=fict,
+                fict, emm, fict_emm, payoff,
+                n_outer=4_000, n_inner=200, n_direct=100_000, seed=125,
             )
             assert report.passed, report.lines[0].to_json()
 
@@ -538,7 +586,7 @@ class TestCostOfConstruction:
         spec, plan = _varying_dropped_sigma_market()
         fict = reduce_market(spec, plan)
         for t in (0.5, 1.0):
-            seg = _neglected_factor_model(spec, fict, spec.jumps.intensities, t)[-1]
+            seg = _neglected_factor_model(fict, spec.jumps.intensities, t)[-1]
             want = [0.5 * integrate_product(row[1], row[1], 0.0, t) for row in spec.sigma]
             assert np.abs(seg.drag[:, 0].sum(axis=-1) - want).max() < 1e-12
 
@@ -546,8 +594,8 @@ class TestCostOfConstruction:
         spec, plan, emm, fict, fict_emm = uplifted
         with pytest.raises(BudgetExceeded):
             cost_of_construction_check(
-                spec, plan, emm, fict_emm, Payoff.terminal(0),
-                n_outer=10**6, n_inner=10**6, seed=1, fict=fict,
+                fict, emm, fict_emm, Payoff.terminal(0),
+                n_outer=10**6, n_inner=10**6, seed=1,
             )
 
     def test_varying_neglected_loading_rejected_before_simulating(self, monkeypatch):
@@ -565,17 +613,18 @@ class TestCostOfConstruction:
         emm = Emm(theta=(0.1,), intensities=(2.0, 3.0))
         with pytest.raises(PlanMismatch, match="constant neglected loadings"):
             cost_of_construction_check(
-                spec, plan, emm, emm, Payoff.terminal(0), n_outer=10, n_inner=10
+                reduce_market(spec, plan), emm, emm, Payoff.terminal(0),
+                n_outer=10, n_inner=10,
             )
         with pytest.raises(PlanMismatch, match="constant neglected loadings"):
-            projection_consistency_check(spec, plan, n_outer=10, n_inner=10)
+            projection_consistency_check(reduce_market(spec, plan), n_outer=10, n_inner=10)
 
 
 class TestProjectionCheck:
     def test_conditional_mc_matches(self, uplifted):
         spec, plan, *_ = uplifted
         report = projection_consistency_check(
-            spec, plan, n_outer=60, n_inner=4_000, t=0.5, seed=112
+            reduce_market(spec, plan), n_outer=60, n_inner=4_000, t=0.5, seed=112
         )
         assert report.passed, report.max_z
 
@@ -583,7 +632,7 @@ class TestProjectionCheck:
         # omitting the neglected compensator shifts every factor by e^{y lam t}
         spec, plan, *_ = uplifted
         report = projection_consistency_check(
-            spec, plan, n_outer=30, n_inner=4_000, t=0.5, seed=113
+            reduce_market(spec, plan), n_outer=30, n_inner=4_000, t=0.5, seed=113
         )
         lam3, t = 3.0, 0.5
         y3 = np.array([0.2, -0.15, 0.25])
@@ -596,12 +645,12 @@ class TestProjectionCheck:
         spec, plan, _, fict, _ = uplifted
         assert spec.horizon == 1.0
         with pytest.raises(ValueError, match=r"t must lie in \[0, horizon\]"):
-            projection_consistency_check(spec, plan, n_outer=4, n_inner=4, t=t, fict=fict)
+            projection_consistency_check(fict, n_outer=4, n_inner=4, t=t)
 
     def test_batch_plan_rejected(self, three_stock_market, batch_plan):
         with pytest.raises(PlanMismatch):
             projection_consistency_check(
-                three_stock_market, batch_plan, n_outer=4, n_inner=4
+                reduce_market(three_stock_market, batch_plan), n_outer=4, n_inner=4
             )
 
     def test_stock_without_neglected_exposure(self):
@@ -616,7 +665,7 @@ class TestProjectionCheck:
         )
         plan = DiscretePlan(retain=(0,), neglect=(1,))
         report = projection_consistency_check(
-            spec, plan, n_outer=20, n_inner=1_000, seed=125
+            reduce_market(spec, plan), n_outer=20, n_inner=1_000, seed=125
         )
         assert np.all(report.inner_mean_factors[:, 1] == 1.0)
         assert np.all(report.z_scores[:, 1] == 0.0)
@@ -630,14 +679,14 @@ class TestProjectionCheck:
 
         def run(n_outer):
             rep = projection_consistency_check(
-                spec, plan, n_outer=n_outer, n_inner=n_inner, seed=124, fict=fict
+                fict, n_outer=n_outer, n_inner=n_inner, seed=124
             )
             return rep.inner_mean_factors, rep.inner_se_factors
 
         def nested():
             return cost_of_construction_check(
-                spec, plan, emm, fict_emm, Payoff.call(0, 100.0),
-                n_outer=20, n_inner=n_inner, n_direct=100, seed=124, fict=fict,
+                fict, emm, fict_emm, Payoff.call(0, 100.0),
+                n_outer=20, n_inner=n_inner, n_direct=100, seed=124,
             ).lines[0].a
 
         mean, se = run(50)
@@ -668,7 +717,7 @@ class TestProjectionCheck:
         )
         plan = DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=(0,))
         report = projection_consistency_check(
-            spec, plan, n_outer=40, n_inner=4_000, t=0.5, seed=123
+            reduce_market(spec, plan), n_outer=40, n_inner=4_000, t=0.5, seed=123
         )
         assert report.passed, report.max_z
         # negative control: omitting the -1/2 int sigma^2 drag must fail
@@ -695,10 +744,10 @@ class TestProjectionCheck:
         def run(keep):
             plan = DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=keep)
             fict = reduce_market(spec, plan)
-            projection_consistency_check(spec, plan, 2, 10, seed=5, fict=fict)  # warm
+            projection_consistency_check(fict, 2, 10, seed=5)  # warm
             tracemalloc.start()
             try:
-                rep = projection_consistency_check(spec, plan, 50, 1_000, seed=5, fict=fict)
+                rep = projection_consistency_check(fict, 50, 1_000, seed=5)
                 return rep, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -710,7 +759,7 @@ class TestProjectionCheck:
         plan = DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=(0,))
         for budget in (1 << 10, 1 << 20):
             monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", budget)
-            rep = projection_consistency_check(spec, plan, 50, 1_000, seed=5)
+            rep = projection_consistency_check(reduce_market(spec, plan), 50, 1_000, seed=5)
             assert np.array_equal(rep.inner_mean_factors, dropped.inner_mean_factors)
             assert np.array_equal(rep.inner_se_factors, dropped.inner_se_factors)
 

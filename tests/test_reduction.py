@@ -26,6 +26,7 @@ from upliftemm.stochastic import SimulationContext
 
 from conftest import (
     make_four_driver_market,
+    make_three_stock_market,
     make_uniform_mark_market,
     project_price_closed_form,
 )
@@ -383,3 +384,39 @@ class TestDispatch:
         cont = make_uniform_mark_market()
         fict = reduce_market(cont, ContinuousPlan(cells=((-0.5, 0.0), (0.0, 0.5))))
         assert isinstance(fict.spec.jumps, DiscreteJumpSpec)
+
+
+# each plan kind on a one-Brownian market it applies to, keeping ``keep``
+BROWNIAN_PLANS = {
+    "discrete": (
+        make_three_stock_market,
+        lambda keep: DiscretePlan(retain=(0, 1), neglect=(2,), keep_brownians=keep),
+    ),
+    "continuous": (
+        make_uniform_mark_market,
+        lambda keep: ContinuousPlan(cells=((-0.5, 0.5),), keep_brownians=keep),
+    ),
+}
+
+
+class TestBrownianSelection:
+    """Both plan kinds select Brownian columns by one rule."""
+
+    @pytest.mark.parametrize("kind", sorted(BROWNIAN_PLANS))
+    @pytest.mark.parametrize("keep", [[5], [0, 0], [-1]], ids=["range", "twice", "negative"])
+    def test_bad_columns_refused(self, kind, keep):
+        make_spec, make_plan = BROWNIAN_PLANS[kind]
+        with pytest.raises(ShapeMismatch, match="keep_brownians out of range"):
+            reduce_market(make_spec(), make_plan(keep))
+
+    @pytest.mark.parametrize("kind", sorted(BROWNIAN_PLANS))
+    def test_coerced_kept_and_written(self, kind):
+        make_spec, make_plan = BROWNIAN_PLANS[kind]
+        spec = make_spec()
+        plan = make_plan([np.int64(0)])
+        assert plan.keep_brownians == (0,) and type(plan.keep_brownians[0]) is int
+        assert plan.kept_brownians(spec) == (0,)
+        assert plan.to_json()["keep_brownians"] == [0]
+        assert reduce_market(spec, plan).brownian_map == (0,)
+        assert "keep_brownians" not in make_plan(None).to_json()
+        assert make_plan(None).kept_brownians(spec) == (0,)

@@ -752,9 +752,7 @@ class TestBlockDraws:
             assert np.array_equal(getattr(dens, name), getattr(full, name)), name
         assert np.array_equal(dens_sums, full_sums)
         # the checks that read only Z, counts and W_T build no stock path
-        restriction_check(
-            spec, plan, emm, fict_emm, (MarketEvent("omega"),), 500, seed=3, fict=fict
-        )
+        restriction_check(fict, emm, fict_emm, (MarketEvent("omega"),), 500, seed=3)
         density_mass_check(spec, emm, 500, seed=3)
 
 

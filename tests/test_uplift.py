@@ -111,10 +111,10 @@ class TestCompleteNeglectUplift:
             ),
         )
         step1 = uplift_discrete(
-            fict_emm, mid, DiscretePlan(retain=(0, 1), neglect=(2,))
+            fict_emm, reduce_market(mid, DiscretePlan(retain=(0, 1), neglect=(2,)))
         )
         step2 = uplift_discrete(
-            step1, spec, DiscretePlan(retain=(0, 1, 2), neglect=(3,))
+            step1, reduce_market(spec, DiscretePlan(retain=(0, 1, 2), neglect=(3,)))
         )
         assert step2.theta == one_shot.theta
         assert step2.intensities == one_shot.intensities
@@ -222,7 +222,7 @@ class TestContinuousUplift:
     def test_uniform_two_cell_density_values(self, uniform_mark_market):
         plan = ContinuousPlan(cells=((-0.5, 0.0), (0.0, 0.5)))
         given = Emm(theta=(0.0,), intensities=(1.5, 3.5))  # probabilities .3/.7
-        emm = uplift_continuous(given, uniform_mark_market, plan)
+        emm = uplift_continuous(given, reduce_market(uniform_mark_market, plan))
         f = emm.jump_measure.density_value
         assert f(-0.25) == pytest.approx(0.6, abs=1e-12)
         assert f(0.25) == pytest.approx(1.4, abs=1e-12)
@@ -230,7 +230,7 @@ class TestContinuousUplift:
     def test_physical_probabilities_reproduce_density(self, uniform_mark_market):
         plan = ContinuousPlan(cells=((-0.5, 0.0), (0.0, 0.5)))
         given = Emm(theta=(0.0,), intensities=(2.0, 2.0))
-        emm = uplift_continuous(given, uniform_mark_market, plan)
+        emm = uplift_continuous(given, reduce_market(uniform_mark_market, plan))
         ys = np.linspace(-0.49, 0.49, 33)
         base = uniform_mark_market.jumps.density
         assert np.allclose(emm.jump_measure.density_value(ys), base.pdf(ys), atol=1e-12)
@@ -238,7 +238,7 @@ class TestContinuousUplift:
     def test_cell_masses_and_means_against_quadrature(self, uniform_mark_market):
         plan = ContinuousPlan(cells=((-0.5, 0.0), (0.0, 0.5)))
         given = Emm(theta=(0.0,), intensities=(1.5, 3.5))
-        emm = uplift_continuous(given, uniform_mark_market, plan)
+        emm = uplift_continuous(given, reduce_market(uniform_mark_market, plan))
         mm = emm.jump_measure
         fict = reduce_market(uniform_mark_market, plan)
         probs = cell_probabilities(mm, 0.0)
@@ -269,7 +269,7 @@ class TestContinuousUplift:
         )
         plan = ContinuousPlan(cells=((0.0, 0.3), (0.3, 1.0)))
         given = Emm(theta=(0.0,), intensities=(0.8, 1.1))
-        emm = uplift_continuous(given, spec, plan)
+        emm = uplift_continuous(given, reduce_market(spec, plan))
         assert emm.jump_measure.density_value(0.45) == 0.0
         assert emm.jump_measure.density_value(1.5) == 0.0
 
@@ -280,7 +280,7 @@ class TestContinuousUplift:
     def test_remainder_keeps_physical_measure(self, uniform_mark_market):
         plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
         given = Emm(theta=(0.0,), intensities=(1.0,))
-        emm = uplift_continuous(given, uniform_mark_market, plan)
+        emm = uplift_continuous(given, reduce_market(uniform_mark_market, plan))
         mm = emm.jump_measure
         # phi = d(lambda~)/d(lambda) is one on the remainder
         assert mm.phi(0.25, 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -403,7 +403,7 @@ class TestDiscreteUplift:
             raise AssertionError("complete neglect built a grid")
 
         monkeypatch.setattr(upliftemm.uplift, "default_grid", no_grid)
-        emm = uplift_discrete(fict_emm, three_stock_market, neglect_plan)
+        emm = uplift_discrete(fict_emm, fict)
         assert emm.provenance == "uplift: complete neglect"
 
     def test_continuous_market_rejected(self):
@@ -411,7 +411,38 @@ class TestDiscreteUplift:
         spec = make_uniform_mark_market()
         for uplift in (uplift_discrete, uplift_general):
             with pytest.raises(PlanMismatch):
-                uplift(Emm(theta=(0.1,)), spec, DiscretePlan())
+                uplift(Emm(theta=(0.1,)), reduce_market(spec, DiscretePlan()))
+
+
+class TestUpliftReadsTheReduction:
+    def test_batch_weights_derived_once_per_batch(self, monkeypatch):
+        # the uplift splits gamma* by the reduction's own weights
+        spec = make_four_driver_market()
+        plan = DiscretePlan(batches=((0, 1), (2, 3)))
+        original = upliftemm.reduction.batch_weights
+        calls = []
+
+        def counted(spec, batch, grid=None):
+            calls.append(batch)
+            return original(spec, batch, grid)
+
+        for module in (upliftemm.reduction, upliftemm.uplift):
+            if getattr(module, "batch_weights", None) is original:
+                monkeypatch.setattr(module, "batch_weights", counted)
+        emm, _, _ = build_uplifted_emm(spec, plan)
+        assert calls == [(0, 1), (2, 3)]
+        assert verify_uplift(emm, spec).passed
+
+    def test_reduction_of_the_other_kind_refused(self, three_stock_market):
+        discrete = reduce_market(three_stock_market, DiscretePlan(retain=(0, 1), neglect=(2,)))
+        cells = reduce_market(
+            make_uniform_mark_market(), ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        )
+        given = Emm(theta=(0.0,), intensities=(1.0, 1.0))
+        with pytest.raises(PlanMismatch, match="discrete plans apply"):
+            uplift_discrete(given, cells)
+        with pytest.raises(PlanMismatch, match="cell plans apply"):
+            uplift_continuous(given, discrete)
 
 
 class TestGeneralDispatch:
@@ -419,8 +450,8 @@ class TestGeneralDispatch:
         plan = DiscretePlan(retain=(0,), batches=((1, 2),))
         fict = reduce_market(three_stock_market, plan)
         fict_emm = solve_unique_emm(fict.spec)
-        via_general = uplift_general(fict_emm, three_stock_market, plan)
-        via_discrete = uplift_discrete(fict_emm, three_stock_market, plan)
+        via_general = uplift_general(fict_emm, fict)
+        via_discrete = uplift_discrete(fict_emm, fict)
         assert via_general.theta == via_discrete.theta
         assert via_general.intensities == via_discrete.intensities
 
@@ -428,7 +459,7 @@ class TestGeneralDispatch:
         plan = ContinuousPlan(cells=((-0.5, 0.0), (0.0, 0.5)))
         given = Emm(theta=(0.0,), intensities=(1.0, 1.0))
         with pytest.raises(PlanMismatch):
-            uplift_continuous(given, three_stock_market, plan)
+            uplift_continuous(given, reduce_market(three_stock_market, plan))
 
 
 class TestVerify:

@@ -3,10 +3,11 @@
 The canonical 1e4-path verify reports (generator seed 2001, MC seed 11),
 the sorted-key two-route and hedging reports at the benchmark's path counts
 and generated MC seed (hedging is the one report with several output
-times), then `upliftemm simulate` at 3,000 paths and seed 7 (several
-blocks) under P, under the uplifted measure (q) and under P with its
-density (pz), at output times 0.5,1.0 and at the horizon alone.  Each line
-ends in `same` or `DIFFERENT`.  The workloads come from the benchmark's
+times), the `upliftemm reduce --out` and `upliftemm uplift --out` files,
+then `upliftemm simulate` at 3,000 paths and seed 7 (several blocks)
+under P, under the uplifted measure (q) and under P with its density
+(pz), at output times 0.5,1.0 and at the horizon alone.  Each line ends
+in `same` or `DIFFERENT`.  The workloads come from the benchmark's
 generator, `perfbench/workloads.py`, which this script only reads.
 
 Run from the repository root:
@@ -30,6 +31,12 @@ RECORDED = {
     "const-neglect": ("6d4713f4edee6f40", "cee04db1e8fe2973", "ac45556115303118"),
     "tv-batch": ("30c056bc3dfa62aa", "bb7efd061faa6d21", "d218ece0195c14c1"),
     "cont-cells": ("59234297af8ad143", "b5b61f1443a12f17", "d60fb791e678c109"),
+}
+# the reduce --out and uplift --out hash prefixes by workload
+REDUCED = {
+    "const-neglect": ("f38ff6f9e783d5a1", "9d3bb55a23b1de40"),
+    "tv-batch": ("f6a758ede1f5988f", "3c291da5382d9e0d"),
+    "cont-cells": ("e2e5d4b254af8891", "b00cd370b0f85590"),
 }
 # simulate's (p, q, pz) hash prefixes by workload and --times
 SIMULATED = {
@@ -61,7 +68,7 @@ def quiet_cli(*argv):
 
 def main(tmp: Path):
     market, plan, out = tmp / "market.json", tmp / "plan.json", tmp / "report.json"
-    emm_file, paths = tmp / "emm.json", tmp / "paths.jsonl"
+    fict_file, emm_file, paths = tmp / "fict.json", tmp / "emm.json", tmp / "paths.jsonl"
     for name, wants in RECORDED.items():
         gen = generate(name, 2001)
         market.write_text(json.dumps(gen["market"]))
@@ -80,7 +87,10 @@ def main(tmp: Path):
                 *(json.dumps(rep.to_json(), sort_keys=True).encode() for rep in (route, hedge)))
         for what, doc, want in zip(("verify", "two-route", "hedging"), docs, wants):
             show(name, what, doc, want)
+        quiet_cli("reduce", "-m", market, "-p", plan, "--out", fict_file)
         quiet_cli("uplift", "-m", market, "-p", plan, "--out", emm_file)
+        for what, file, want in zip(("reduce", "uplift"), (fict_file, emm_file), REDUCED[name]):
+            show(name, what, file.read_bytes(), want)
         measures = ([], ["--measure", emm_file], ["--density", emm_file])
         for times, sims in SIMULATED[name].items():
             for what, extra, want in zip(("p", "q", "pz"), measures, sims):
