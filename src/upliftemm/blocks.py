@@ -91,7 +91,7 @@ def _event_log_phi(ctx: SimulationContext, ev_times, ev_marks, order=None, lam=N
     """log d(lambda~)/d(lambda) of the density measure at each event;
     ``lam``, a block's simulation intensities at them, are lambda under P."""
     emm = ctx.density_emm
-    if ev_times.size == 0 or ctx.kind == "none":
+    if ev_times.size == 0:
         return np.zeros(0)
     if ctx.kind == "continuous":
         phis = emm.jump_measure.phi_values(ev_marks, ev_times)
@@ -261,7 +261,7 @@ def _draw_marked_events(
     """
     B = len(sids)
     n_cand = np.zeros(B, dtype=np.int64)
-    if ctx.kind != "none" and ctx.majorant > 0.0:
+    if ctx.majorant > 0.0:
         if u_count is None:
             u_count = uniforms(seed, "count", 0, sids)[0]
         n_cand = poisson_counts(ctx.count_cdf, u_count)
@@ -309,7 +309,7 @@ def _draw_marked_events(
         local = np.arange(ev_times.size) - ev_off[pid]
         q = u[local % 2, n + (np.cumsum(half) - half)[pid] + local // 2]
         marks = ctx.marks_from_uniforms(w, q, ev_times)
-    elif ctx.kind == "discrete" and ev_times.size:
+    elif ev_times.size:
         marks = ctx.marks_from_uniforms(w, None, ev_times, lam)
     return _Block(pid, ev_off, ev_times, marks, order, lam)
 

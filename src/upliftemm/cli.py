@@ -36,7 +36,7 @@ from .pricing import (
 )
 from .reduction import _is_complete_neglect, reduce_market
 from .stochastic import DEFAULT_SEED, SimulationContext, _blocks
-from .uplift import build_uplifted_emm, Emm, verify_uplift
+from .uplift import _check_emm_shape, build_uplifted_emm, Emm, verify_uplift
 
 SEED_ENV_VAR = "UPLIFTEMM_SEED"
 ALL_CHECKS = ("uplift", "restriction", "projection", "martingale", "density_mass")
@@ -55,6 +55,14 @@ def _load_market(path: str):
     if "market" in doc and "stocks" not in doc:
         doc = doc["market"]
     return market_from_json(doc)
+
+
+def _load_emm(path: str, spec) -> Emm:
+    """A measure file, refused with ShapeMismatch unless it has the parts
+    the market's drivers need."""
+    emm = Emm.from_json(load_json(path))
+    _check_emm_shape(emm, spec)
+    return emm
 
 
 def _emit(report: dict, args, default_text) -> None:
@@ -138,11 +146,7 @@ def _cmd_uplift(args) -> int:
     emm, fict, fict_emm = build_uplifted_emm(spec, plan, grid)
     ver = verify_uplift(emm, spec, grid)
     doc = emm.to_json()
-    doc["verify"] = {
-        "max_residual": ver.max_residual,
-        "tolerance": ver.tolerance,
-        "passed": ver.passed,
-    }
+    doc["verify"] = ver.to_json()
     _emit(doc, args, f"uplift ({emm.provenance}); verify residual "
                      f"{ver.max_residual:.3e} -> {'PASS' if ver.passed else 'FAIL'}")
     return 0 if ver.passed else 1
@@ -159,9 +163,9 @@ def _cmd_simulate(args) -> int:
     measure_emm = None
     density_emm = None
     if args.measure != "physical":
-        measure_emm = Emm.from_json(load_json(args.measure))
+        measure_emm = _load_emm(args.measure, spec)
     elif args.density:
-        density_emm = Emm.from_json(load_json(args.density))
+        density_emm = _load_emm(args.density, spec)
     times = (
         [float(x) for x in args.times.split(",")] if args.times else [spec.horizon]
     )
@@ -203,7 +207,7 @@ def _cmd_price(args) -> int:
     if _too_few_paths(args):
         return 2
     spec = _load_market(args.market)
-    emm = Emm.from_json(load_json(args.emm))
+    emm = _load_emm(args.emm, spec)
     payoff = Payoff.from_json(load_json(args.payoff))
     report = price_mc(spec, emm, payoff, args.paths, _seed(args))
     doc = report.to_json()
@@ -244,11 +248,7 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
 
     if "uplift" in selected:
         ver = verify_uplift(emm, spec, grid)
-        report["checks"]["uplift"] = {
-            "max_residual": ver.max_residual,
-            "tolerance": ver.tolerance,
-            "passed": ver.passed,
-        }
+        report["checks"]["uplift"] = ver.to_json()
         ok = ok and ver.passed
 
     if "restriction" in selected:
@@ -302,7 +302,7 @@ def _cmd_verify(args) -> int:
         if unknown:
             print(f"unknown checks: {sorted(unknown)}", file=sys.stderr)
             return 2
-    emm = Emm.from_json(load_json(args.emm)) if args.emm else None
+    emm = _load_emm(args.emm, spec) if args.emm else None
     report = verify_suite(
         spec, plan,
         paths=args.paths, seed=_seed(args),

@@ -45,7 +45,7 @@ def market_to_json(spec: MarketSpec) -> dict:
         "jumps": None,
     }
     jumps = spec.jumps
-    if isinstance(jumps, DiscreteJumpSpec):
+    if isinstance(jumps, DiscreteJumpSpec) and jumps.n_drivers:  # else null
         doc["jumps"] = {
             "type": "discrete",
             "intensities": [_fn_doc(fn) for fn in jumps.intensities],

@@ -131,7 +131,12 @@ class ContinuousJumpSpec:
 
 @dataclass(frozen=True)
 class MarketSpec:
-    """n stocks, D Brownian drivers, and jump drivers on horizon [0, T]."""
+    """n stocks, D Brownian drivers, and jump drivers on horizon [0, T].
+
+    A market without jumps holds a discrete spec with no drivers (``jumps``
+    None builds it), and one without Brownians n empty sigma rows (``[]``
+    builds them), so each absent driver class has one form.
+    """
 
     horizon: float
     s0: tuple[float, ...]
@@ -144,10 +149,12 @@ class MarketSpec:
         object.__setattr__(self, "s0", tuple(float(x) for x in self.s0))
         object.__setattr__(self, "alpha", _coerce_fns(self.alpha))
         object.__setattr__(self, "rate", TimeFunction.coerce(self.rate))
-        rows = tuple(_coerce_fns(row) for row in self.sigma)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        rows = tuple(_coerce_fns(row) for row in self.sigma) or ((),) * self.n
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatch("sigma rows must all have the same length")
         object.__setattr__(self, "sigma", rows)
+        if self.jumps is None:
+            object.__setattr__(self, "jumps", DiscreteJumpSpec((), ((),) * self.n))
 
     @property
     def n(self) -> int:
@@ -169,14 +176,12 @@ class MarketSpec:
 
     @property
     def is_constant(self) -> bool:
-        const = (
+        return (
             all(fn.is_constant for fn in self.alpha)
             and self.rate.is_constant
             and all(fn.is_constant for row in self.sigma for fn in row)
+            and self.jumps.is_constant
         )
-        if self.jumps is not None:
-            const = const and self.jumps.is_constant
-        return const
 
     def coefficient_functions(self) -> list[TimeFunction]:
         fns = list(self.alpha) + [self.rate]
@@ -234,7 +239,7 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
         bad.append(Violation("ShapeMismatch", "initial prices must be positive"))
     if len(spec.alpha) != spec.n:
         bad.append(Violation("ShapeMismatch", "need one alpha per stock"))
-    if len(spec.sigma) not in (0, spec.n):
+    if len(spec.sigma) != spec.n:
         bad.append(Violation("ShapeMismatch", "sigma must have one row per stock"))
 
     for fn in spec.coefficient_functions():

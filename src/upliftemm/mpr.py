@@ -86,7 +86,7 @@ class MarketClassification:
 
 def _assemble(spec: MarketSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacked systems at K times: A (K, n, D+M) and b (K, n)."""
-    if spec.jumps is not None and not isinstance(spec.jumps, DiscreteJumpSpec):
+    if not isinstance(spec.jumps, DiscreteJumpSpec):
         raise ShapeMismatch(
             "continuous mark spaces have no finite unknown vector; "
             "reduce to cells first"
@@ -94,13 +94,10 @@ def _assemble(spec: MarketSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     D, M = spec.n_brownians, spec.n_jump_drivers
     A = np.zeros((len(ts), spec.n, D + M))
     A[:, :, :D] = spec.sigma_values(ts)
+    ys = spec.jumps.loading_values(ts)
+    A[:, :, D:] = -ys
     b = stack_values(spec.alpha, ts) - spec.rate.value(ts)[:, None]
-    if M:
-        lams = spec.jumps.intensity_values(ts)
-        ys = spec.jumps.loading_values(ts)
-        A[:, :, D:] = -ys
-        b = b - (ys @ lams[:, :, None])[:, :, 0]
-    return A, b
+    return A, b - (ys @ spec.jumps.intensity_values(ts)[:, :, None])[:, :, 0]
 
 
 def _unknowns(spec: MarketSpec) -> tuple[str, ...]:

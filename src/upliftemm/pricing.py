@@ -13,6 +13,7 @@ restriction's own two legs stay on disjoint streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 Z_LIMIT = 4.0
+# two deterministic estimates (standard error 0) this close relative to
+# their size differ by rounding alone
+ROUNDING_RTOL = 1e-12
 
 
 # -- payoffs -------------------------------------------------------------------
@@ -251,11 +255,11 @@ def _asset_drivers(spec: MarketSpec, asset: int | None) -> set[int]:
             if not (fn.is_constant and fn.constant_value == 0.0):
                 out.add(m)
         return out
-    return {0} if spec.jumps is not None else set()
+    return {0}
 
 
 def _asset_brownians(spec: MarketSpec, asset: int | None) -> set[int]:
-    if asset is None or not spec.sigma:
+    if asset is None:
         return set()
     out = set()
     for d, fn in enumerate(spec.sigma[asset]):
@@ -323,9 +327,14 @@ def _mc_report(values: np.ndarray, seed: int, measure: str) -> McReport:
     return McReport(estimate=est, std_error=se, n_paths=n, seed=seed, measure=measure)
 
 
-def _z(diff: float, se: float) -> float:
-    """|diff| in standard errors; 0 when the standard error is 0."""
-    return abs(diff) / se if se > 0 else 0.0
+def _z(a: float, b: float, se: float) -> float:
+    """|a - b| in standard errors ``se``.  With se 0 it is 0 if a and b
+    agree to rounding (``ROUNDING_RTOL``), else inf.  Every Monte Carlo
+    verdict is z < Z_LIMIT."""
+    diff = abs(a - b)
+    if se > 0:
+        return diff / se
+    return 0.0 if diff <= ROUNDING_RTOL * max(abs(a), abs(b)) else math.inf
 
 
 def _require_paths(n_paths: int, least: int = 2) -> None:
@@ -334,11 +343,6 @@ def _require_paths(n_paths: int, least: int = 2) -> None:
     if n_paths < least:
         plural = "s" * (least > 1)
         raise TooFewPaths(f"an estimate needs at least {least} path{plural}, got {n_paths}")
-
-
-def _agrees(diff: float, se: float) -> bool:
-    """Within Z_LIMIT standard errors of 0; exactly 0 when se is 0."""
-    return _z(diff, se) < Z_LIMIT if se > 0 else diff == 0.0
 
 
 def _price(sample: TerminalSample, spec: MarketSpec, payoff: Payoff) -> McReport:
@@ -403,11 +407,11 @@ class ComparisonLine:
 
     @property
     def z(self) -> float:
-        return _z(self.difference, self.combined_se)
+        return _z(self.a.estimate, self.b.estimate, self.combined_se)
 
     @property
     def passed(self) -> bool:
-        return _agrees(self.difference, self.combined_se)
+        return self.z < Z_LIMIT
 
     def to_json(self):
         return {
@@ -489,7 +493,7 @@ def density_mass_check(
 
 def _density_mass_report(rep: McReport) -> CheckReport:
     """The density-mass verdict on an estimate of E_P[Z(T)]."""
-    z = _z(rep.estimate - 1.0, rep.std_error)
+    z = _z(rep.estimate, 1.0, rep.std_error)
     return CheckReport(
         name="density_mass",
         passed=bool(z < Z_LIMIT),
@@ -509,7 +513,7 @@ def martingale_check(
     zs = {}
     for i, target in enumerate(spec.s0):
         rep = _price(sample, spec, Payoff.terminal(i))
-        z = _z(rep.estimate - target, rep.std_error)
+        z = _z(rep.estimate, target, rep.std_error)
         zs[f"stock_{i}"] = {"estimate": rep.estimate, "target": target,
                             "std_error": rep.std_error, "z": z}
     passed = all(line["z"] < Z_LIMIT for line in zs.values())
@@ -772,8 +776,7 @@ def projection_consistency_check(
         inner_mean_factors[ids] = factors.sum(axis=-1) / n_inner
         inner_se_factors[ids] = factors.std(axis=-1, ddof=1) / np.sqrt(n_inner)
     # a factor with no neglected randomness is exactly 1, with z 0
-    diff, se = np.abs(inner_mean_factors - 1.0), inner_se_factors
-    z_scores = np.divide(diff, se, out=np.where(diff > 0, np.inf, 0.0), where=se > 0)
+    z_scores = np.vectorize(_z, otypes=[float])(inner_mean_factors, 1.0, inner_se_factors)
     return ProjectionReport(
         t=t,
         inner_mean_factors=inner_mean_factors,
@@ -870,7 +873,7 @@ def hedging_error(
     measure.  Reports the error and the total gain with the empirical
     "gains have zero expectation" verdict.
     """
-    if not isinstance(spec.jumps, (DiscreteJumpSpec, type(None))) and strategy.jump_integrand:
+    if not isinstance(spec.jumps, DiscreteJumpSpec) and strategy.jump_integrand:
         raise PlanMismatch("jump integrands are defined per discrete driver")
     _require_paths(n_paths)
     _check_count_columns(spec, payoff)
@@ -902,7 +905,7 @@ def hedging_error(
     gains = terms.reshape(n_paths, -1).sum(axis=1) + gain_jump
     errors = (payoff.values(sample, spec) - strategy.v0) - gains
     gain = _mc_report(gains, seed, "Q*")
-    unpriced = _agrees(gain.estimate, gain.std_error)
+    unpriced = _z(gain.estimate, 0.0, gain.std_error) < Z_LIMIT
     return HedgingReport(
         error=_mc_report(errors, seed, "Q*"), gain=gain, gain_is_unpriced=unpriced
     )

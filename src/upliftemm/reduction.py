@@ -163,7 +163,7 @@ class FictitiousMarket:
     reduced driver k (singletons for retained drivers); ``weights[k]``
     holds the conditional probabilities delta of each member within its
     group.  For continuous reductions the groups refer to cells instead
-    and ``cells``/``remainder_mass`` describe the mark-space partition.
+    and ``cells`` describes the mark-space partition.
     """
 
     spec: MarketSpec
@@ -174,7 +174,6 @@ class FictitiousMarket:
     weights: tuple[tuple[TimeFunction, ...], ...] = ()
     neglected: tuple[int, ...] = ()
     cells: tuple[tuple[float, float], ...] = ()
-    remainder_mass: TimeFunction | None = None
 
     def reduced_index_of(self, original_driver: int) -> int | None:
         groups = enumerate(self.driver_groups)
@@ -294,20 +293,17 @@ def reduce_discrete(
     if not kept_b and not groups:
         raise EmptyRetention("every driver neglected and no Brownians kept")
     _completeness_warning(spec, len(kept_b) + len(groups))
-    new_jumps = None
-    if groups:
-        new_jumps = DiscreteJumpSpec(
-            intensities=tuple(intensities),
-            loadings=tuple(
-                tuple(load_cols[k][i] for k in range(len(groups)))
-                for i in range(spec.n)
-            ),
-            marks=(
-                tuple(jumps.marks[m] for m in retained)
-                if jumps.marks and not plan.batches
-                else None
-            ),
-        )
+    new_jumps = DiscreteJumpSpec(
+        intensities=tuple(intensities),
+        loadings=tuple(
+            tuple(load_cols[k][i] for k in range(len(groups))) for i in range(spec.n)
+        ),
+        marks=(
+            tuple(jumps.marks[m] for m in retained)
+            if jumps.marks and not plan.batches
+            else None
+        ),
+    )
     return FictitiousMarket(
         spec=_reduced_spec(spec, kept_b, new_jumps),
         original=spec,
@@ -338,16 +334,15 @@ def reduce_continuous(
     cells = plan.cells
 
     def cell_parts(t):
-        """Each cell's mass, each cell's mean, the remainder's mass."""
+        """Each cell's mass, then each cell's mean."""
         masses = [dens.mass(a, b, t) for a, b in cells]
         for (a, b), mass in zip(cells, masses):
             if np.any(mass < 1e-12):
                 raise EmptyCell(f"cell ({a:g}, {b:g}) has ~zero probability")
         means = [dens._partial_moment(a, b, t) / m for (a, b), m in zip(cells, masses)]
-        rest = np.maximum(1.0 - sum(masses), np.zeros(len(t)))  # one per node
-        return np.array([*masses, *means, rest])
+        return np.reshape([*masses, *means], (-1, len(t)))
 
-    *parts, remainder_mass = derive(cell_parts, dens.time_functions, grid)
+    parts = derive(cell_parts, dens.time_functions, grid)
     masses, loadings = parts[:len(cells)], parts[len(cells):]
 
     def cell_intensities(t):
@@ -370,7 +365,6 @@ def reduce_continuous(
         weights=tuple((TimeFunction.constant(1.0),) for _ in plan.cells),
         neglected=(),
         cells=plan.cells,
-        remainder_mass=remainder_mass,
     )
 
 

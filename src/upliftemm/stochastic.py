@@ -112,12 +112,7 @@ class SimulationContext:
         self.n_brownians = spec.n_brownians
 
         jumps = spec.jumps
-        if jumps is None:
-            self.kind = "none"
-        elif isinstance(jumps, DiscreteJumpSpec):
-            self.kind = "discrete"
-        else:
-            self.kind = "continuous"
+        self.kind = "discrete" if isinstance(jumps, DiscreteJumpSpec) else "continuous"
 
         # simulation-measure intensities and thinning majorant
         self.sim_intensities: tuple[TimeFunction, ...] = ()
@@ -129,19 +124,16 @@ class SimulationContext:
             else:
                 self.sim_intensities = jumps.intensities
             self.majorant = sum_max_value(self.sim_intensities, 0.0, T) * (1 + 1e-9)
-        elif self.kind == "continuous":
-            if measure_emm is not None and measure_emm.jump_measure is not None:
-                mm = measure_emm.jump_measure
-                self.mark_measure = mm
-                self.sim_total_fn = mm.time_function("total_intensity", T)
-                safety = 1 + (1e-9 if self.sim_total_fn.is_piecewise_constant else 1e-2)
-                self.majorant = self.sim_total_fn.max_value(0.0, T) * safety
-            else:
-                self.sim_total_fn = jumps.total_intensity
-                self.majorant = jumps.total_intensity.max_value(0.0, T) * (1 + 1e-9)
+        elif measure_emm is not None and measure_emm.jump_measure is not None:
+            mm = measure_emm.jump_measure
+            self.mark_measure = mm
+            self.sim_total_fn = mm.time_function("total_intensity", T)
+            safety = 1 + (1e-9 if self.sim_total_fn.is_piecewise_constant else 1e-2)
+            self.majorant = self.sim_total_fn.max_value(0.0, T) * safety
         else:
-            self.majorant = 0.0
-        if self.kind != "none" and not np.isfinite(self.majorant):
+            self.sim_total_fn = jumps.total_intensity
+            self.majorant = jumps.total_intensity.max_value(0.0, T) * (1 + 1e-9)
+        if not np.isfinite(self.majorant):
             raise UnboundedIntensity("intensity has no finite majorant on the grid")
         # candidate counts are drawn by inverting this table
         mean = self.majorant * T
@@ -155,7 +147,7 @@ class SimulationContext:
         ):
             vals = np.array([fn.constant_value for fn in self.sim_intensities])
             self.const_mark_cum = np.cumsum(vals)
-            self.const_total = float(self.const_mark_cum[-1])
+            self.const_total = float(self.const_mark_cum[-1:].sum())  # 0 without drivers
         elif self.kind == "continuous" and self.sim_total_fn.is_constant:
             self.const_total = self.sim_total_fn.constant_value
 
@@ -208,8 +200,6 @@ class SimulationContext:
         """integral over [0, tau] of the stock-i jump drift under the
         simulation measure, at each output time tau."""
         spec, lim = self.spec, self._limits
-        if self.kind == "none":
-            return 0.0
         if self.kind == "discrete":
             total = 0.0
             for m, lam in enumerate(self.sim_intensities):
@@ -232,8 +222,6 @@ class SimulationContext:
         """log of the deterministic density factor at each output time:
         integral of (physical minus risk-neutral) total intensity."""
         spec, lim = self.spec, self._limits
-        if self.kind == "none":
-            return 0.0
         if self.kind == "discrete":
             total = 0.0
             for lam, lam_t in zip(spec.jumps.intensities, emm.intensities):
@@ -386,7 +374,7 @@ class TerminalSample:
 def _count_width(spec: MarketSpec) -> int:
     if isinstance(spec.jumps, DiscreteJumpSpec):
         return spec.jumps.n_drivers
-    return 1 if spec.jumps is not None else 0
+    return 1
 
 
 def run_paths(
@@ -474,7 +462,7 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None
             rows[lo:hi, pos_c:pos_w] = np.bincount(
                 block.pid * cw + block.ev_marks, minlength=(hi - lo) * cw
             ).reshape(hi - lo, cw)
-        elif cw:
+        else:
             rows[lo:hi, pos_c] = np.diff(block.ev_off)
         rows[lo:hi, pos_w:] = np.cumsum(block.dw, axis=1)[:, -1]
         del block  # free it before the next block is simulated

@@ -240,14 +240,15 @@ class Emm:
 
     theta[d] shifts Brownian d (W + int theta dt is the new Brownian);
     for discrete markets ``intensities[m]`` is the risk-neutral rate of
-    driver m, and for continuous ones ``jump_measure`` carries the
-    reweighted intensity measure.  The same object parameterizes both
+    driver m (None reads as no driver, and no driver is written as null),
+    and for continuous ones ``jump_measure`` carries the reweighted
+    intensity measure.  The same object parameterizes both
     direct simulation under the new measure and the density process along
     physical paths.
     """
 
     theta: tuple[TimeFunction, ...]
-    intensities: tuple[TimeFunction, ...] | None = None
+    intensities: tuple[TimeFunction, ...] = ()
     jump_measure: CellMeasure | None = None
     provenance: str = ""
 
@@ -255,21 +256,16 @@ class Emm:
         object.__setattr__(
             self, "theta", tuple(TimeFunction.coerce(f) for f in self.theta)
         )
-        if self.intensities is not None:
-            object.__setattr__(
-                self,
-                "intensities",
-                tuple(TimeFunction.coerce(f) for f in self.intensities),
-            )
+        object.__setattr__(
+            self,
+            "intensities",
+            tuple(TimeFunction.coerce(f) for f in self.intensities or ()),
+        )
 
     def to_json(self):
         return {
             "theta": [fn.to_json() for fn in self.theta],
-            "lambda_tilde": (
-                None
-                if self.intensities is None
-                else [fn.to_json() for fn in self.intensities]
-            ),
+            "lambda_tilde": [fn.to_json() for fn in self.intensities] or None,
             "density": (
                 None if self.jump_measure is None else self.jump_measure.to_json()
             ),
@@ -296,16 +292,14 @@ def physical_emm(spec: MarketSpec) -> Emm:
     if isinstance(spec.jumps, DiscreteJumpSpec):
         return Emm(theta=theta, intensities=spec.jumps.intensities,
                    provenance="physical")
-    if isinstance(spec.jumps, ContinuousJumpSpec):
-        lo, hi = spec.jumps.support
-        measure = CellMeasure(
-            base=spec.jumps.density,
-            physical_intensity=spec.jumps.total_intensity,
-            cells=((lo, hi),),
-            cell_intensities=(spec.jumps.total_intensity,),
-        )
-        return Emm(theta=theta, jump_measure=measure, provenance="physical")
-    return Emm(theta=theta, provenance="physical")
+    lo, hi = spec.jumps.support
+    measure = CellMeasure(
+        base=spec.jumps.density,
+        physical_intensity=spec.jumps.total_intensity,
+        cells=((lo, hi),),
+        cell_intensities=(spec.jumps.total_intensity,),
+    )
+    return Emm(theta=theta, jump_measure=measure, provenance="physical")
 
 
 # -- solving the fictitious market --------------------------------------------
@@ -356,7 +350,7 @@ def solve_unique_emm(spec: MarketSpec, grid=None) -> Emm:
         )
     fns = tuple(_solved_fn(col, make) for col in cls.solution_matrix().T)
     D = spec.n_brownians
-    return Emm(theta=fns[:D], intensities=fns[D:] or None, provenance="solved")
+    return Emm(theta=fns[:D], intensities=fns[D:], provenance="solved")
 
 
 # -- uplift constructions -------------------------------------------------------
@@ -370,7 +364,7 @@ def _uplift_theta(fict_emm: Emm, fict: FictitiousMarket):
 
 
 def _require_discrete_solution(fict_emm: Emm):
-    if fict_emm.intensities is None and fict_emm.theta == ():
+    if fict_emm.intensities == () and fict_emm.theta == ():
         raise NotComplete("fictitious solution is empty")
 
 
@@ -391,9 +385,7 @@ def uplift_discrete(fict_emm: Emm, fict: FictitiousMarket, grid=None) -> Emm:
     spec, batches = fict.original, fict.plan.batches
     theta = _uplift_theta(fict_emm, fict)
     provenance = "uplift: batching" if batches else "uplift: complete neglect"
-    if spec.jumps is None:
-        return Emm(theta=theta, provenance=provenance)
-    fict_lams = fict_emm.intensities or ()
+    fict_lams = fict_emm.intensities
     if len(fict_lams) != len(fict.driver_groups):
         raise NotComplete("fictitious solution does not match the plan")
 
@@ -432,7 +424,7 @@ def uplift_continuous(fict_emm: Emm, fict: FictitiousMarket) -> Emm:
     _require_discrete_solution(fict_emm)
     spec = fict.original
     theta = _uplift_theta(fict_emm, fict)
-    fict_lams = fict_emm.intensities or ()
+    fict_lams = fict_emm.intensities
     if len(fict_lams) != len(fict.cells):
         raise NotComplete("fictitious solution does not match the cell count")
     if any(lam.min_value(0.0, spec.horizon) <= 0.0 for lam in fict_lams):
@@ -480,6 +472,13 @@ class UpliftVerification:
     def passed(self) -> bool:
         return self.max_residual < self.tolerance
 
+    def to_json(self):
+        return {
+            "max_residual": self.max_residual,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+        }
+
 
 def verify_uplift(emm: Emm, spec: MarketSpec, grid=None) -> UpliftVerification:
     """Substitute the measure into the original risk-premium equations.
@@ -505,15 +504,15 @@ def verify_uplift(emm: Emm, spec: MarketSpec, grid=None) -> UpliftVerification:
     theta = stack_values(emm.theta, ts)
     lhs = stack_values(spec.alpha, ts) - np.asarray(spec.rate.value(ts))[..., None]
     rhs = (spec.sigma_values(ts) @ theta[..., None])[..., 0]
-    if isinstance(spec.jumps, DiscreteJumpSpec):
-        lam = spec.jumps.intensity_values(ts) - stack_values(emm.intensities or (), ts)
-        rhs = rhs + (spec.jumps.loading_values(ts) @ lam[..., None])[..., 0]
-    elif continuous:  # physical minus risk-neutral jump drift
+    if continuous:  # physical minus risk-neutral jump drift
         jump_drift = (
             spec.jumps.total_intensity.value(ts) * spec.jumps.density.mean(ts)
             - emm.jump_measure.mean_jump_intensity(ts)
         )
         rhs = rhs + np.asarray(jump_drift)[..., None]
+    else:
+        lam = spec.jumps.intensity_values(ts) - stack_values(emm.intensities, ts)
+        rhs = rhs + (spec.jumps.loading_values(ts) @ lam[..., None])[..., 0]
     worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
     return UpliftVerification(max_residual=worst, tolerance=tol, grid=grid)
 
@@ -522,8 +521,8 @@ def _check_emm_shape(emm: Emm, spec: MarketSpec):
     """ShapeMismatch unless ``emm`` has the parts the market's drivers need."""
     need = {"theta functions": (len(emm.theta), spec.n_brownians)}
     if isinstance(spec.jumps, DiscreteJumpSpec):
-        need["driver intensities"] = (len(emm.intensities or ()), spec.n_jump_drivers)
-    elif isinstance(spec.jumps, ContinuousJumpSpec):
+        need["driver intensities"] = (len(emm.intensities), spec.n_jump_drivers)
+    else:
         need["jump measures"] = (int(emm.jump_measure is not None), 1)
     for part, (given, expected) in need.items():
         if given != expected:
@@ -533,7 +532,7 @@ def _check_emm_shape(emm: Emm, spec: MarketSpec):
 
 
 def _emm_constant(emm: Emm) -> bool:
-    fns = list(emm.theta) + list(emm.intensities or ())
+    fns = list(emm.theta) + list(emm.intensities)
     if emm.jump_measure is not None:
         fns.extend(emm.jump_measure.cell_intensities)
         fns.append(emm.jump_measure.physical_intensity)

@@ -6,7 +6,8 @@ import upliftemm.blocks
 from upliftemm.blocks import _block_size
 from upliftemm.cli import main
 from upliftemm.io import dump_json, load_json, market_to_json
-from upliftemm.model import DiscreteJumpSpec, MarketSpec
+from upliftemm.densities import Density
+from upliftemm.model import ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
 from upliftemm.stochastic import (
     RngStreamSpec,
     SimulationContext,
@@ -385,3 +386,80 @@ class TestVerifySuite:
         report = json.loads(out.read_text())
         assert report["aggregate"] == "FAIL"
         assert not report["checks"]["uplift"]["passed"]
+
+
+def _black_scholes_doc():
+    return {"horizon": 1.0, "rate": 0.03, "brownians": 1,
+            "stocks": [{"s0": 100.0, "alpha": 0.08, "sigma": [0.2]}], "jumps": None}
+
+
+class TestNoDrivers:
+    # a market without jumps or without Brownians has one representation,
+    # so every command runs on it as on any other market
+    def _verify(self, tmp_path, market_doc, plan_doc, capsys):
+        dump_json(market_doc, tmp_path / "m.json")
+        dump_json(plan_doc, tmp_path / "p.json")
+        code = run("verify", "-m", tmp_path / "m.json", "-p", tmp_path / "p.json",
+                   "--paths", 2000, "--seed", 3)
+        return code, capsys.readouterr().out
+
+    def test_black_scholes_verifies_with_empty_plan(self, tmp_path, capsys):
+        code, out = self._verify(tmp_path, _black_scholes_doc(), {}, capsys)
+        assert code == 0
+        assert "aggregate        PASS" in out
+        assert "projection       PASS" in out
+
+    def test_black_scholes_uplift_writes_null_intensities(self, tmp_path):
+        dump_json(_black_scholes_doc(), tmp_path / "m.json")
+        dump_json({}, tmp_path / "p.json")
+        out = tmp_path / "emm.json"
+        assert run("uplift", "-m", tmp_path / "m.json", "-p", tmp_path / "p.json",
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["lambda_tilde"] is None
+
+    def test_empty_discrete_jumps_simulate(self, tmp_path):
+        doc = _black_scholes_doc()
+        doc["jumps"] = {"type": "discrete", "intensities": [], "loadings": [[]]}
+        dump_json(doc, tmp_path / "m.json")
+        out = tmp_path / "paths.jsonl"
+        assert run("simulate", "-m", tmp_path / "m.json", "--paths", 5, "--seed", 7,
+                   "--out", out) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["stream"] for r in records] == list(range(5))
+        assert all(r["events"] == [] for r in records)
+
+    def test_remainder_only_plan_verifies(self, tmp_path, capsys):
+        spec = MarketSpec(
+            horizon=1.0, s0=[1.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=ContinuousJumpSpec(
+                density=Density("truncnorm", (-0.5, 0.5), {"mu": 0.0, "sigma": 0.3}),
+                total_intensity=4.0,
+            ),
+        )
+        plan = {"cells": [], "neglect_remainder": True}
+        code, out = self._verify(tmp_path, market_to_json(spec), plan, capsys)
+        assert code == 0
+        assert "restriction      PASS" in out and "aggregate        PASS" in out
+        # the reduced market has no driver, written as a market without jumps
+        fict = tmp_path / "fict.json"
+        assert run("reduce", "-m", tmp_path / "m.json", "-p", tmp_path / "p.json",
+                   "--out", fict) == 0
+        assert json.loads(fict.read_text())["market"]["jumps"] is None
+
+    def test_pure_jump_market_verifies(self, tmp_path, capsys):
+        spec = MarketSpec(horizon=1.0, s0=[1.0], alpha=[0.05], rate=0.0, sigma=[],
+                          jumps=DiscreteJumpSpec([2.0], [[0.1]]))
+        doc = market_to_json(spec)
+        assert doc["brownians"] == 0 and doc["stocks"][0]["sigma"] == []
+        code, out = self._verify(tmp_path, doc, {"retain": [0]}, capsys)
+        assert code == 0
+        assert "aggregate        PASS" in out
+
+    def test_measure_without_intensities_is_refused_on_a_jump_market(self, workdir, capsys):
+        # null lambda_tilde reads as no driver, which a three-driver market
+        # cannot simulate under: a typed error, not a market without jumps
+        emm = workdir / "emm.json"
+        dump_json({"theta": [0.0], "lambda_tilde": None}, emm)
+        assert run("simulate", "-m", workdir / "market.json", "--paths", 3,
+                   "--measure", emm) == 1
+        assert "ShapeMismatch" in capsys.readouterr().err

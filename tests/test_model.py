@@ -22,8 +22,6 @@ def compensator_drift(spec: MarketSpec, i: int, t: float) -> float:
     Continuous marks: total_intensity(t) * mean mark at t.
     """
     jumps = spec.jumps
-    if jumps is None:
-        return 0.0
     if isinstance(jumps, DiscreteJumpSpec):
         return float(jumps.intensity_values(t) @ jumps.loading_values(t)[i])
     return float(jumps.total_intensity.value(t) * jumps.density.mean(t))
@@ -177,6 +175,19 @@ class TestCompensatorDrift:
             assert compensator_drift(scaled, i, 0.4) == pytest.approx(
                 scale * compensator_drift(base, i, 0.4), rel=1e-12, abs=1e-12
             )
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_absent_drivers_have_one_form(n):
+    # None and [] build the same market as an explicit spec with no drivers
+    # and one empty sigma row per stock
+    base = dict(horizon=1.0, s0=[1.0] * n, alpha=[0.05] * n, rate=0.02)
+    jumps = DiscreteJumpSpec([2.0], [[0.1]] * n)
+    assert (MarketSpec(**base, sigma=[[0.2]] * n, jumps=None)
+            == MarketSpec(**base, sigma=[[0.2]] * n, jumps=DiscreteJumpSpec([], [[]] * n)))
+    assert (MarketSpec(**base, sigma=[], jumps=jumps)
+            == MarketSpec(**base, sigma=[[]] * n, jumps=jumps))
+    assert MarketSpec(**base, sigma=[]).jumps.n_drivers == 0
 
 
 class TestCoefficientArrays:

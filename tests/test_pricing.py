@@ -900,7 +900,8 @@ def _hedging_reference(spec, emm, strategy, payoff, n_paths, seed):
     return upliftemm.pricing.HedgingReport(
         error=upliftemm.pricing._mc_report(np.array(errors), seed, "Q*"),
         gain=gain,
-        gain_is_unpriced=upliftemm.pricing._agrees(gain.estimate, gain.std_error),
+        gain_is_unpriced=bool(upliftemm.pricing._z(gain.estimate, 0.0, gain.std_error)
+                              < upliftemm.pricing.Z_LIMIT),
     )
 
 
@@ -921,3 +922,21 @@ class TestMartingaleSuite:
         line = report.details["stock_0"]
         assert line["std_error"] == 0.0 and line["z"] == 0.0
         assert report.passed
+
+    def test_a_deterministic_miss_fails(self):
+        # with no event on any path Z(T) is the same 0.998 on every path:
+        # standard error 0 but not mass 1, so z is infinite
+        spec = MarketSpec(horizon=1, s0=(1,), alpha=(0.05,), rate=0, sigma=((),),
+                          jumps=DiscreteJumpSpec((1e-9,), ((0.5,),)))
+        report = density_mass_check(spec, Emm(theta=(), intensities=(2e-3,)), 100, seed=1)
+        assert report.details["std_error"] == 0.0
+        assert report.details["z"] == np.inf and not report.passed
+
+    def test_every_verdict_reads_one_z_rule(self):
+        z = upliftemm.pricing._z
+        assert z(1.0, 1.0, 0.0) == 0.0 and z(10.0 + 2e-15, 10.0, 0.0) == 0.0
+        assert z(1.0, 1.5, 0.0) == np.inf and z(1.0, 1.5, 0.25) == 2.0
+        rep = upliftemm.pricing._mc_report(np.ones(4), 1, "P")
+        missed = upliftemm.pricing.ComparisonLine(
+            "x", rep, upliftemm.pricing.McReport(2.0, 0.0, 4, 1, "P"))
+        assert missed.z == np.inf and not missed.passed

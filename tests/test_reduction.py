@@ -21,6 +21,7 @@ from upliftemm import (
     simulate_path,
 )
 from upliftemm.errors import EmptyCell, EmptyRetention, PlanMismatch, ShapeMismatch
+from upliftemm.io import market_to_json
 import upliftemm.reduction
 from upliftemm.stochastic import SimulationContext
 
@@ -63,7 +64,8 @@ class TestCompleteNeglect:
         )
         plan = DiscretePlan(neglect=(0,), keep_brownians=(0, 1))
         fict = reduce_discrete(spec, plan)
-        assert fict.spec.jumps is None
+        assert fict.spec.n_jump_drivers == 0
+        assert market_to_json(fict.spec)["jumps"] is None
         assert fict.spec.n_brownians == 2
         assert np.allclose(fict.spec.sigma_values(0.0), [[0.2, 0.1], [0.0, 0.3]])
         assert fict.brownian_map == (0, 1)
@@ -268,7 +270,7 @@ class TestContinuousReduction:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fict = reduce_continuous(uniform_mark_market, plan)
-        assert fict.remainder_mass.constant_value == pytest.approx(0.5, abs=1e-12)
+        assert fict.spec.n_jump_drivers == 1
 
     @pytest.mark.parametrize("mu", [0.0, TimeFunction.samples([0.0, 1.0], [-0.1, 0.1])])
     def test_remainder_only_plan_has_no_drivers(self, mu):
@@ -281,8 +283,6 @@ class TestContinuousReduction:
         )
         fict = reduce_continuous(spec, ContinuousPlan(cells=(), neglect_remainder=True))
         assert fict.spec.jumps.intensities == () and fict.spec.jumps.loadings == ((),)
-        assert fict.remainder_mass.min_value(0.0, 1.0) == 1.0
-        assert fict.remainder_mass.max_value(0.0, 1.0) == 1.0
 
     def test_split_and_merge_reproduces_cell(self, uniform_mark_market):
         # refining a cell and merging the two halves recovers the original

@@ -585,7 +585,7 @@ def _path_events(ctx, seed, stream):
     thin * majorant, the totals thinning tested them against and the
     candidate count."""
     streams = RngStreamSpec(seed, stream)
-    if ctx.kind == "none" or ctx.majorant == 0.0:
+    if ctx.majorant == 0.0:
         return np.zeros(0), np.zeros(0), np.zeros(0), 0
     n_cand = int(poisson_counts(ctx.count_cdf, streams.uniforms("count", 1)[0])[0])
     t, thin = streams.uniforms("event_times", n_cand)
@@ -617,7 +617,7 @@ def _per_path_draws(ctx, seed, stream):
     streams = RngStreamSpec(seed, stream)
     times, w, total, n_cand = _path_events(ctx, seed, stream)
     marks = np.zeros(0)
-    if ctx.kind == "discrete":
+    if ctx.kind == "discrete" and times.size:  # no driver fires on a path without events
         marks = _reference_drivers(ctx, w, times)
     elif ctx.kind == "continuous":
         q = _quantiles(seed, stream, times.size)
@@ -637,8 +637,8 @@ def _per_path_draws(ctx, seed, stream):
 def _draw_context(name, request):
     """A context for each way a block draws: thinning that rejects
     candidates on a time-varying discrete market, a cell measure's
-    two-uniform marks, and a market without jumps whose sigma varies
-    inside segments."""
+    two-uniform marks, a market without jumps whose sigma varies inside
+    segments and one without Brownians whose intensity varies."""
     if name == "time_varying":
         spec = request.getfixturevalue("time_varying_market")
         emm, _, _ = build_uplifted_emm(spec, request.getfixturevalue("batch_plan"))
@@ -648,10 +648,12 @@ def _draw_context(name, request):
         plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
         emm, _, _ = build_uplifted_emm(spec, plan)
         return SimulationContext(spec, [0.5, 1.0], measure_emm=emm)
+    if name == "pure_jumps":
+        return SimulationContext(_pure_jump_market(), [0.5, 1.0])
     return SimulationContext(_linear_sigma_market(), [0.5, 1.0])
 
 
-DRAW_CONTEXTS = ["time_varying", "cell_measure", "no_jumps"]
+DRAW_CONTEXTS = ["time_varying", "cell_measure", "no_jumps", "pure_jumps"]
 
 
 class TestBlockDraws:
@@ -1015,6 +1017,53 @@ def _linear_sigma_market(rate=0.0):
         horizon=1.0, s0=[100.0], alpha=[rate], rate=rate,
         sigma=[[TimeFunction.samples([0.0, 1.0], [0.1, 0.5])]],
     )
+
+
+def _pure_jump_market(lam=TimeFunction.samples([0.0, 1.0], [1.0, 3.0])):
+    """Two stocks, no Brownians (``sigma`` []), two drivers, the first at
+    intensity ``lam``."""
+    return MarketSpec(
+        horizon=1.0, s0=[100.0, 50.0], alpha=[0.05, 0.01], rate=0.02, sigma=[],
+        jumps=DiscreteJumpSpec([lam, 0.5], [[0.1, -0.2], [-0.15, 0.05]]),
+    )
+
+
+class TestNoDrivers:
+    # a market without jumps holds a jump spec with no drivers and one
+    # without Brownians empty sigma rows; the engine runs both on its one path
+    def test_no_jump_paths_are_geometric_brownian(self):
+        spec = MarketSpec(horizon=1.0, s0=[100.0], alpha=[0.08], rate=0.03,
+                          sigma=[[0.2]], jumps=DiscreteJumpSpec([], [[]]))
+        sample = simulate_terminal(spec, [1.0], 500, master_seed=4)
+        assert sample.counts.shape == (500, 0)
+        want = 100.0 * np.exp(0.08 - 0.02 + 0.2 * sample.w_terminal[:, 0])
+        assert np.allclose(sample.terminal_stocks()[:, 0], want, rtol=1e-12)
+
+    def test_pure_jump_paths_are_jump_products(self):
+        spec = _pure_jump_market(lam=2.0)
+        sample = simulate_terminal(spec, [1.0], 500, master_seed=4)
+        assert sample.w_terminal.shape == (500, 0)
+        y, lam = np.array([[0.1, -0.2], [-0.15, 0.05]]), np.array([2.0, 0.5])
+        want = (np.array(spec.s0) * np.exp(np.array([0.05, 0.01]) - y @ lam)
+                * np.prod((1 + y)[None] ** sample.counts[:, None, :], axis=2))
+        assert np.allclose(sample.terminal_stocks(), want, rtol=1e-12)
+        assert sample.counts.sum() > 0
+
+    def test_remainder_only_reduction_weights_brownian_paths(self):
+        spec = MarketSpec(
+            horizon=1.0, s0=[1.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=ContinuousJumpSpec(
+                density=Density("truncnorm", (-0.5, 0.5), {"mu": 0.0, "sigma": 0.3}),
+                total_intensity=4.0,
+            ),
+        )
+        plan = ContinuousPlan(cells=(), neglect_remainder=True)
+        _, fict, fict_emm = build_uplifted_emm(spec, plan)
+        ctx = SimulationContext(fict.spec, [1.0], density_emm=fict_emm)
+        sample, _ = _terminal_sample(ctx, 500, 9, 0, stocks=False)
+        theta = fict_emm.theta[0].constant_value
+        want = np.exp(-theta * sample.w_terminal[:, 0] - 0.5 * theta ** 2)
+        assert np.allclose(sample.z_terminal(), want, rtol=1e-12)
 
 
 def _masked(fns, times, marks):

@@ -6,9 +6,12 @@ and generated MC seed (hedging is the one report with several output
 times), the `upliftemm reduce --out` and `upliftemm uplift --out` files,
 then `upliftemm simulate` at 3,000 paths and seed 7 (several blocks)
 under P, under the uplifted measure (q) and under P with its density
-(pz), at output times 0.5,1.0 and at the horizon alone.  Each line ends
-in `same` or `DIFFERENT`.  The workloads come from the benchmark's
-generator, `perfbench/workloads.py`, which this script only reads.
+(pz), at output times 0.5,1.0 and at the horizon alone.  Last, the
+verify reports (10,000 paths, seed 11) of two markets that lack one driver
+class: a Black-Scholes market (`"jumps": null`, plan `{}`) and a pure-jump
+market (`"sigma": []`).  Each line ends in `same` or `DIFFERENT`.  The
+workloads come from the benchmark's generator, `perfbench/workloads.py`,
+which this script only reads.
 
 Run from the repository root:
 
@@ -54,6 +57,25 @@ SIMULATED = {
     },
 }
 
+# (market, plan, verify hash prefix) of the markets without one driver class
+NO_DRIVERS = {
+    "black-scholes": (
+        {"horizon": 1.0, "rate": 0.03, "brownians": 1, "jumps": None,
+         "stocks": [{"s0": 100.0, "alpha": 0.08, "sigma": [0.2]}]},
+        {},
+        "41796e60fa70e115",
+    ),
+    "pure-jump": (
+        {"horizon": 1.0, "rate": 0.02, "brownians": 0,
+         "stocks": [{"s0": 100.0, "alpha": 0.05, "sigma": []},
+                    {"s0": 50.0, "alpha": 0.01, "sigma": []}],
+         "jumps": {"type": "discrete", "intensities": [2.0, 1.0],
+                   "loadings": [[0.1, -0.2], [-0.15, 0.05]]}},
+        {"retain": [0, 1]},
+        "177f1df7e3e0fe7d",
+    ),
+}
+
 
 def show(name, what, doc, want):
     got = hashlib.sha256(doc).hexdigest()
@@ -97,6 +119,12 @@ def main(tmp: Path):
                 quiet_cli("simulate", "-m", market, "--paths", 3000, "--seed", 7,
                           "--times", times, *extra, "--out", paths)
                 show(name, f"simulate {what} {times}", paths.read_bytes(), want)
+    for name, (market_doc, plan_doc, want) in NO_DRIVERS.items():
+        market.write_text(json.dumps(market_doc))
+        plan.write_text(json.dumps(plan_doc))
+        quiet_cli("verify", "-m", market, "-p", plan, "--paths", 10000, "--seed", 11,
+                  "--out", out)
+        show(name, "verify", out.read_bytes(), want)
 
 
 if __name__ == "__main__":
