@@ -255,9 +255,8 @@ def _draw_marked_events(
     them in counter order.  It is accepted iff w = thin * majorant <=
     total(t), and then w is uniform on [0, total(t)], so w also picks the
     driver or region with probability lambda_m(t) / total(t) (Lewis and
-    Shedler, 1979).  Continuous event l takes double l % 2 of the path's
-    ``marks`` counter l // 2 as its quantile, from ceil(n_cand / 2) that
-    the same kernel call draws per path.
+    Shedler, 1979), and a continuous mark's quantile is w / total(t)
+    rescaled within its region (:meth:`SimulationContext.marks_from_uniforms`).
     """
     B = len(sids)
     n_cand = np.zeros(B, dtype=np.int64)
@@ -267,18 +266,10 @@ def _draw_marked_events(
         n_cand = poisson_counts(ctx.count_cdf, u_count)
     pid = np.repeat(np.arange(B), n_cand)
     j = np.arange(pid.size) - (np.cumsum(n_cand) - n_cand)[pid]
-    half = (n_cand + 1) // 2  # each path's quantile counters on a continuous market
-    ev_times, w, u = np.zeros(0), np.zeros(0), np.zeros((2, 0))
+    ev_times, w = np.zeros(0), np.zeros(0)
     accept, order, lam = np.zeros(0, dtype=bool), None, None
     if pid.size:
-        roles, ids = ROLE_IDS["event_times"], sids[pid]
-        if ctx.kind == "continuous":
-            qid = np.repeat(np.arange(B), half)
-            roles = np.repeat([roles, ROLE_IDS["marks"]], [pid.size, qid.size])
-            j = np.concatenate([j, np.arange(qid.size) - (np.cumsum(half) - half)[qid]])
-            ids = np.concatenate([ids, sids[qid]])
-        u = uniforms(seed, roles, j, ids)
-        t, thin = u[:, :pid.size]
+        t, thin = uniforms(seed, "event_times", j, sids[pid])
         filled = np.arange(n_cand.max()) < n_cand[:, None]
         pad = np.full(filled.shape, np.inf)
         pad[filled] = ctx.horizon * t
@@ -297,20 +288,16 @@ def _draw_marked_events(
         w = thin * ctx.majorant
         accept = w <= total
         ev_times, w = cand[accept], w[accept]
-        if ctx.kind == "continuous":  # the region uniform, over the total thinning read
+        if ctx.kind == "continuous":  # the mark uniform, over the total thinning read
             w /= total[accept]
         if order is not None:  # each accepted candidate's event index, in time order
             order = (np.cumsum(accept) - 1)[order[accept[order]]]
         lam = None if lam is None else lam.compress(accept, axis=1)  # C-ordered: sums run by row
-    n, pid = pid.size, pid[accept]
+    pid = pid[accept]
     ev_off = np.concatenate([[0], np.cumsum(np.bincount(pid, minlength=B))])
     marks = np.zeros(0, dtype=np.int64)
-    if ctx.kind == "continuous":
-        local = np.arange(ev_times.size) - ev_off[pid]
-        q = u[local % 2, n + (np.cumsum(half) - half)[pid] + local // 2]
-        marks = ctx.marks_from_uniforms(w, q, ev_times)
-    elif ev_times.size:
-        marks = ctx.marks_from_uniforms(w, None, ev_times, lam)
+    if ctx.kind == "continuous" or ev_times.size:
+        marks = ctx.marks_from_uniforms(w, ev_times, lam)
     return _Block(pid, ev_off, ev_times, marks, order, lam)
 
 
@@ -463,12 +450,12 @@ def _simulate_block(
     """Simulate the paths of streams ``first .. first + count - 1``.
 
     The block makes two kernel calls: each path's candidate count with
-    its normals, then each candidate's time and thinning uniform with a
-    continuous market's quantiles.  Every draw is addressed by its path's
-    stream id and its index within the path, and everything else is done
-    on whole-block arrays, so path k's values do not depend on the block
-    it is in.  Without ``stocks`` the block carries only the density and
-    the counts: no stock row, jump factor or exp is computed.
+    its normals, then each candidate's time and thinning uniform, which
+    also marks it.  Every draw is addressed by its path's stream id and
+    its index within the path, and everything else is done on whole-block
+    arrays, so path k's values do not depend on the block it is in.
+    Without ``stocks`` the block carries only the density and the counts:
+    no stock row, jump factor or exp is computed.
     """
     sids = _stream_ids(first, count)
     u_count, dw, res = _path_draws(ctx, seed, sids)

@@ -117,8 +117,15 @@ def plan_from_json(doc: dict):
 
 
 def dump_json(doc, path=None, pretty: bool = True) -> str:
-    """Canonical JSON text: sorted keys, no whitespace variance."""
-    text = json.dumps(doc, sort_keys=True, indent=2 if pretty else None)
+    """Canonical JSON text: sorted keys, no whitespace variance, and strict:
+    a non-finite float is written as the string "Infinity", "-Infinity" or
+    "NaN"."""
+    indent = 2 if pretty else None
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:  # read back, each non-finite constant becomes its name
+        doc = json.loads(json.dumps(doc), parse_constant=str)
+        text = json.dumps(doc, sort_keys=True, indent=indent)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -24,7 +24,7 @@ _MULT = (0xD2511F53, 0xCD9E8D57)
 _WEYL = (0x9E3779B9, 0xBB67AE85)
 _ROUNDS = 10
 
-ROLE_IDS = {"brownian": 1, "event_times": 2, "marks": 3, "count": 4, "inner": 5}
+ROLE_IDS = {"brownian": 1, "event_times": 2, "count": 4, "inner": 5}
 
 
 def philox4x32(counter, key):

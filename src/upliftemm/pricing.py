@@ -155,28 +155,22 @@ class Payoff:
             vals = vals * spec.discount_factor(spec.horizon)
         return vals
 
+    def _leaves(self) -> list["Payoff"]:
+        """The claims a linear payoff combines, at any depth; else itself."""
+        if self.kind != "linear":
+            return [self]
+        return [leaf for _, p in self.terms for leaf in p._leaves()]
+
     def referenced_drivers(self, spec: MarketSpec) -> set[int]:
-        if self.kind == "indicator_count":
-            refs = {self.driver}
-            if self.asset is not None:
-                refs |= _asset_drivers(spec, self.asset)
-            return refs
-        if self.kind == "linear":
-            out: set[int] = set()
-            for _, p in self.terms:
-                out |= p.referenced_drivers(spec)
-            return out
-        return _asset_drivers(spec, self.asset)
+        refs = set()
+        for p in self._leaves():
+            refs |= _asset_drivers(spec, p.asset)
+            if p.kind == "indicator_count":
+                refs.add(p.driver)
+        return refs
 
     def referenced_brownians(self, spec: MarketSpec) -> set[int]:
-        if self.kind == "linear":
-            out: set[int] = set()
-            for _, p in self.terms:
-                out |= p.referenced_brownians(spec)
-            return out
-        if self.kind == "indicator_count" and self.asset is None:
-            return set()
-        return _asset_brownians(spec, self.asset)
+        return set().union(*(_asset_brownians(spec, p.asset) for p in self._leaves()))
 
     def is_reduced_measurable(self, fict: FictitiousMarket) -> bool:
         """Whether the claim depends only on the reduced information: on a
@@ -186,10 +180,8 @@ class Payoff:
         when the cells cover the support."""
         spec = fict.original
         if isinstance(fict.plan, ContinuousPlan):
-            if self.kind == "linear":
-                return all(p.is_reduced_measurable(fict) for _, p in self.terms)
-            return (self.kind == "indicator_count" and self.asset is None
-                    and self.driver == 0 and fict.plan.covers(spec))
+            return all(p.kind == "indicator_count" and p.asset is None and p.driver == 0
+                       and fict.plan.covers(spec) for p in self._leaves())
         return fict.unreduced_reason(
             self.referenced_drivers(spec), self.referenced_brownians(spec)
         ) is None
@@ -231,41 +223,39 @@ class Payoff:
         )
 
 
-def _check_count_columns(spec: MarketSpec, payoff: Payoff) -> None:
+def _check_claim(spec: MarketSpec, payoff: Payoff) -> None:
     """Raise ShapeMismatch, before anything is simulated, when ``payoff``
-    reads a count column that the market's terminal sample lacks."""
-    if payoff.kind == "linear":
-        for _, term in payoff.terms:
-            _check_count_columns(spec, term)
-    elif payoff.kind == "indicator_count":
-        width = _count_width(spec)
-        if not 0 <= payoff.driver < width:
+    reads a stock or a count column that the market's terminal sample
+    lacks."""
+    width = _count_width(spec)
+    for p in payoff._leaves():
+        if p.asset is not None and not 0 <= p.asset < spec.n:
             raise ShapeMismatch(
-                f"payoff counts driver {payoff.driver}, but the market's "
+                f"payoff reads asset {p.asset}, but the market has {spec.n} stock(s)"
+            )
+        if p.kind == "indicator_count" and not 0 <= p.driver < width:
+            raise ShapeMismatch(
+                f"payoff counts driver {p.driver}, but the market's "
                 f"sample has {width} count column(s)"
             )
+
+
+def _nonzero(fns) -> set[int]:
+    """The indices of the functions that are not identically 0."""
+    return {k for k, fn in enumerate(fns)
+            if not (fn.is_constant and fn.constant_value == 0.0)}
 
 
 def _asset_drivers(spec: MarketSpec, asset: int | None) -> set[int]:
     if asset is None:
         return set()
     if isinstance(spec.jumps, DiscreteJumpSpec):
-        out = set()
-        for m, fn in enumerate(spec.jumps.loadings[asset]):
-            if not (fn.is_constant and fn.constant_value == 0.0):
-                out.add(m)
-        return out
+        return _nonzero(spec.jumps.loadings[asset])
     return {0}
 
 
 def _asset_brownians(spec: MarketSpec, asset: int | None) -> set[int]:
-    if asset is None:
-        return set()
-    out = set()
-    for d, fn in enumerate(spec.sigma[asset]):
-        if not (fn.is_constant and fn.constant_value == 0.0):
-            out.add(d)
-    return out
+    return set() if asset is None else _nonzero(spec.sigma[asset])
 
 
 # -- events (for the restriction theorem) -----------------------------------------
@@ -366,7 +356,7 @@ def price_mc(
     """E[payoff] by simulating directly under the pricing measure, after
     checking that the measure solves the risk-premium equations."""
     _require_paths(n_paths)
-    _check_count_columns(spec, payoff)
+    _check_claim(spec, payoff)
     rep = verify_uplift(emm, spec)
     if not rep.passed:
         raise ValueError(
@@ -386,7 +376,7 @@ def zweighted_price_mc(
 ) -> McReport:
     """E[payoff] as a density-weighted physical-measure expectation."""
     _require_paths(n_paths)
-    _check_count_columns(spec, payoff)
+    _check_claim(spec, payoff)
     sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, density_emm=emm)
     return _price(sample, spec, payoff)
 
@@ -457,7 +447,7 @@ def two_route_check(
     """
     _require_paths(n_paths)
     for payoff in payoffs.values():
-        _check_count_columns(spec, payoff)
+        _check_claim(spec, payoff)
     T = spec.horizon
     direct = simulate_terminal(spec, [T], n_paths, seed, measure_emm=emm)
     weighted = simulate_terminal(
@@ -709,7 +699,7 @@ def cost_of_construction_check(
     _require_paths(n_outer)
     _require_paths(n_inner, 1)
     _require_paths(n_direct)
-    _check_count_columns(spec, payoff)
+    _check_claim(spec, payoff)
     if n_outer * n_inner > budget:
         raise BudgetExceeded(
             f"{n_outer} x {n_inner} inner paths exceed the budget {budget}"
@@ -876,7 +866,12 @@ def hedging_error(
     if not isinstance(spec.jumps, DiscreteJumpSpec) and strategy.jump_integrand:
         raise PlanMismatch("jump integrands are defined per discrete driver")
     _require_paths(n_paths)
-    _check_count_columns(spec, payoff)
+    n_hold, n_jump = len(strategy.holdings), len(strategy.jump_integrand)
+    M = spec.n_jump_drivers
+    if n_hold != spec.n or n_jump not in (0, M):
+        raise ShapeMismatch(f"{n_hold} holding(s) and {n_jump} jump integrand(s) for "
+                            f"{spec.n} stock(s) and {M} driver(s)")
+    _check_claim(spec, payoff)
     T = spec.horizon
     times = strategy.rebalance_times(T)
     if times[-1] < T:

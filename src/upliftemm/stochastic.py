@@ -2,12 +2,13 @@
 
 Event times come from thinning against a constant majorant, which samples
 an inhomogeneous Poisson process exactly, and the draw that accepts an
-event also picks its driver or mark region.  The log price is a Gaussian
-plus closed-form drift integrals plus the jump factors, each segment's
-Gaussian exact on a grid shared by all paths, so no coefficient kind
-carries Euler error.  Randomness is counter-based (:mod:`upliftemm.philox`):
-every draw is addressed by (master seed, role, path stream id, draw
-index), so every path is the same bit for bit however paths are chunked.
+event also marks it: its driver, or its mark's region and quantile.  The
+log price is a Gaussian plus closed-form drift integrals plus the jump
+factors, each segment's Gaussian exact on a grid shared by all paths, so
+no coefficient kind carries Euler error.  Randomness is counter-based
+(:mod:`upliftemm.philox`): every draw is addressed by (master seed, role,
+path stream id, draw index), so every path is the same bit for bit
+however paths are chunked.
 
 Paths are simulated in blocks (:mod:`upliftemm.blocks`), one block after
 another on one thread, with two kernel calls for all of a block's paths.
@@ -256,12 +257,12 @@ class SimulationContext:
         events = _draw_marked_events(self, streams.master_seed, sid)
         return events.ev_marks[np.isin(events.ev_times, times)]
 
-    def marks_from_uniforms(self, w: np.ndarray, q, times: np.ndarray, lam=None):
+    def marks_from_uniforms(self, w: np.ndarray, times: np.ndarray, lam=None):
         """Marks of accepted events at ``times`` from their thinning draws
-        ``w``, uniform on [0, total(t)], and quantile uniforms ``q``: the
-        driver m with cum_{m-1}(t) <= w < cum_m(t), the last on w = total(t),
-        for the constant or ``lam``'s cumulative intensities in driver order;
-        or the quantile ``q`` in the region that ``w``, here w / total(t), picks.
+        ``w``, uniform on [0, total(t)]: the driver m with cum_{m-1}(t) <= w
+        < cum_m(t), the last on w = total(t), for the constant or ``lam``'s
+        cumulative intensities in driver order; or, with ``w`` here
+        w / total(t), the cell measure's mark or the density's quantile w.
         """
         if self.kind == "discrete":
             if self.const_mark_cum is not None:
@@ -275,8 +276,8 @@ class SimulationContext:
                     idx = idx + (w >= cum)
             return np.minimum(idx, len(self.sim_intensities) - 1)
         if self.mark_measure is not None:
-            return self.mark_measure.marks_from_uniforms(w, q, times)
-        return np.asarray(self.spec.jumps.density.ppf(q, times), dtype=float)
+            return self.mark_measure.marks_from_uniforms(w, times)
+        return np.asarray(self.spec.jumps.density.ppf(w, times), dtype=float)
 
 
 def sample_poisson_inhomogeneous(

@@ -80,7 +80,7 @@ class CellMeasure:
     any) keeps the physical intensity measure unchanged.  So the measure
     is a finite mixture of the base density restricted to regions (the
     cells, then the gaps of the remainder), and a mark is one exact
-    inverse-CDF draw from two uniforms: the region, then the quantile.
+    inverse-CDF draw from one uniform: the region, then the quantile.
     Every time-dependent quantity takes a time or an array of times.
     """
 
@@ -192,12 +192,15 @@ class CellMeasure:
             self._functions[key] = derive(getattr(self, name), inputs, grid)
         return self._functions[key]
 
-    def marks_from_uniforms(self, u: np.ndarray, q: np.ndarray, times: np.ndarray):
-        """Marks at event ``times`` from region uniforms ``u`` and quantile
-        uniforms ``q``: ``u`` picks the region (a cell or a gap of the
-        remainder) by its intensity at the event's time over the total, and
-        ``q`` is the quantile of the base density restricted to that
-        region, so a mark is one inverse-CDF draw, with no rejection.
+    def marks_from_uniforms(self, u: np.ndarray, times: np.ndarray):
+        """Marks at event ``times`` from uniforms ``u``: ``u`` picks the
+        region k (a cell or a gap of the remainder) with c_{k-1} < u <= c_k
+        for the cumulative shares c of the regions' intensities at the
+        event's time, and its residual q = (u - c_{k-1}) / (c_k - c_{k-1}),
+        again uniform and independent of k, is the quantile of the base
+        density restricted to that region (Devroye, *Non-Uniform Random
+        Variate Generation*, 1986), so a mark is one inverse-CDF draw, with
+        no rejection.
         """
         times = np.asarray(times, dtype=float)
         if times.size == 0:
@@ -209,8 +212,12 @@ class CellMeasure:
         # the first region whose cumulative probability reaches u
         k = np.minimum((cum < u[:, None]).sum(axis=1), len(rates) - 1)
         col = np.arange(times.size)
+        below = np.where(k > 0, cum[col, k - 1], 0.0)
+        width = cum[col, k] - below
+        # a region of zero width is reached only on an exact tie
+        q = np.divide(u - below, width, out=np.zeros(u.shape), where=width > 0.0)
         lo, mass = (np.broadcast_to(x, rates.shape)[k, col] for x in (lo, mass))
-        return np.asarray(self.base.ppf(lo + q * mass, times))
+        return np.asarray(self.base.ppf(lo + np.clip(q, 0.0, 1.0) * mass, times))
 
     def to_json(self):
         return {

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import upliftemm.blocks
+import upliftemm.pricing
 from upliftemm.blocks import _block_size
 from upliftemm.cli import main
 from upliftemm.io import dump_json, load_json, market_to_json
@@ -368,6 +369,25 @@ class TestVerifySuite:
             ) == 0
             assert json.loads(out.read_text())["seed"] == int(seed, 0)
 
+    def test_payoff_on_a_missing_asset_exits_one_unsimulated(
+        self, workdir, monkeypatch, capsys
+    ):
+        emm_path = workdir / "emm.json"
+        run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--out", emm_path)
+        dump_json({"type": "call", "asset": 7, "strike": 100}, workdir / "bad.json")
+
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before the payoff was checked")
+
+        monkeypatch.setattr(upliftemm.pricing, "simulate_terminal", simulated)
+        capsys.readouterr()
+        assert run(
+            "price", "-m", workdir / "market.json", "-e", emm_path,
+            "--payoff", workdir / "bad.json", "--paths", "500",
+        ) == 1
+        assert "error: ShapeMismatch: payoff reads asset 7" in capsys.readouterr().err
+
     def test_tampered_emm_fails_suite(self, workdir):
         emm_path = workdir / "emm.json"
         run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
@@ -454,6 +474,30 @@ class TestNoDrivers:
         code, out = self._verify(tmp_path, doc, {"retain": [0]}, capsys)
         assert code == 0
         assert "aggregate        PASS" in out
+
+    def test_an_infinite_z_is_written_as_strict_json(self, tmp_path, capsys):
+        # a pure-jump market whose driver almost never fires, under a measure
+        # that moves its intensity: every path's density is the same, so the
+        # density-mass check's standard error is 0 and its z is infinite
+        market = {"horizon": 1.0, "rate": 0.0, "brownians": 0,
+                  "stocks": [{"s0": 100.0, "alpha": -0.05, "sigma": []}],
+                  "jumps": {"type": "discrete", "intensities": [1e-9],
+                            "loadings": [[0.5]]}}
+        dump_json(market, tmp_path / "m.json")
+        dump_json({"retain": [0]}, tmp_path / "p.json")
+        dump_json({"theta": [], "lambda_tilde": [0.002]}, tmp_path / "emm.json")
+        out = tmp_path / "r.json"
+        assert run("verify", "-m", tmp_path / "m.json", "-p", tmp_path / "p.json",
+                   "-e", tmp_path / "emm.json", "--checks", "density_mass",
+                   "--paths", 100, "--seed", 1, "--out", out) == 1
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        details = report["checks"]["density_mass"]["details"]
+        assert details["z"] == "Infinity" and details["std_error"] == 0.0
+        assert report["aggregate"] == "FAIL"
 
     def test_measure_without_intensities_is_refused_on_a_jump_market(self, workdir, capsys):
         # null lambda_tilde reads as no driver, which a three-driver market

@@ -70,7 +70,7 @@ def test_uniforms_in_unit_interval_and_finite_normals():
     ones, zeros = np.uint64(0xFFFFFFFF), np.uint64(0)
     assert _unit(ones, ones) == 1.0 - 2.0**-53
     assert _unit(zeros, zeros) == 0.0
-    u = uniforms(3, "marks", np.arange(N_DRAWS), 11)
+    u = uniforms(3, "inner", np.arange(N_DRAWS), 11)
     assert u.shape == (2, N_DRAWS) and u.min() >= 0.0 and u.max() < 1.0
     extremes = np.array([[0.0, 1.0 - 2.0**-53], [0.25, 0.75]])
     with np.errstate(divide="raise", invalid="raise"):
@@ -81,21 +81,21 @@ def test_uniforms_in_unit_interval_and_finite_normals():
 
 def test_high_words_address_distinct_streams():
     big = 2**32
-    first = RngStreamSpec(1, 5).uniforms("marks", 8)
+    first = RngStreamSpec(1, 5).uniforms("inner", 8)
     for other in (RngStreamSpec(1 + big, 5), RngStreamSpec(1, 5 + big)):
-        assert not np.any(other.uniforms("marks", 8) == first)
+        assert not np.any(other.uniforms("inner", 8) == first)
     # roles and draw indices address distinct counters too
     assert not np.any(RngStreamSpec(1, 5).uniforms("brownian", 8) == first)
-    assert np.array_equal(uniforms(1, "marks", 3, [5, 6])[:, 0], first[:, 3])
+    assert np.array_equal(uniforms(1, "inner", 3, [5, 6])[:, 0], first[:, 3])
 
 
 def test_one_call_draws_several_roles():
     # a grid of role ids and draw indices reads the same counters as one
     # call per role
-    roles = np.array([ROLE_IDS["count"], ROLE_IDS["brownian"], ROLE_IDS["marks"]])
+    roles = np.array([ROLE_IDS["count"], ROLE_IDS["brownian"], ROLE_IDS["event_times"]])
     got = uniforms(7, roles, np.array([0, 4, 2]), np.array([[3], [2**40 + 1]]))
     for row, stream in enumerate((3, 2**40 + 1)):
-        for col, (role, j) in enumerate((("count", 0), ("brownian", 4), ("marks", 2))):
+        for col, (role, j) in enumerate((("count", 0), ("brownian", 4), ("event_times", 2))):
             alone = RngStreamSpec(7, stream).uniforms(role, j + 1)[:, j]
             assert np.array_equal(got[:, row, col], alone)
 

@@ -168,6 +168,46 @@ class TestCountColumns:
                 call()
 
 
+class TestClaimShape:
+    """A claim on a stock the market lacks, or a strategy whose holdings or
+    jump integrands do not match the market's stocks and drivers, is a
+    typed error, raised before anything is simulated."""
+
+    @pytest.mark.parametrize("asset", [-1, 3, 7])
+    def test_asset_out_of_range(self, uplifted, monkeypatch, asset):
+        spec, plan, emm, fict, fict_emm = uplifted  # three stocks
+        bad = Payoff.linear(
+            [(1.0, Payoff.terminal(0)), (1.0, Payoff.indicator_count(0, 1, asset=asset))]
+        )
+        hold = Strategy(holdings=(0.0, 0.0, 0.0))
+        _forbid_simulation(monkeypatch)
+        calls = [
+            lambda: price_mc(spec, emm, Payoff.terminal(asset), 2000, 3),
+            lambda: zweighted_price_mc(spec, emm, Payoff.call(asset, 100.0), 2000),
+            lambda: two_route_check(spec, emm, {"ok": Payoff.terminal(0), "bad": bad}, 1000),
+            lambda: cost_of_construction_check(
+                fict, emm, fict_emm, bad, n_outer=10, n_inner=10
+            ),
+            lambda: hedging_error(spec, emm, hold, Payoff.put(asset, 90.0), 1000),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch, match=f"asset {asset}, .* 3 stock"):
+                call()
+
+    @pytest.mark.parametrize("holdings, integrand, match", [
+        ((1.0,), (), "1 holding.* 3 stock"),
+        ((0.0,) * 4, (), "4 holding.* 3 stock"),
+        ((0.0,) * 3, (0.5, -0.25), "2 jump integrand.* 3 driver"),
+        ((0.0,) * 3, (0.5,) * 4, "4 jump integrand.* 3 driver"),
+    ])
+    def test_strategy_width(self, uplifted, monkeypatch, holdings, integrand, match):
+        spec, _, emm, _, _ = uplifted  # three stocks, three drivers
+        strategy = Strategy(holdings=holdings, jump_integrand=integrand, v0=100.0)
+        _forbid_simulation(monkeypatch)
+        with pytest.raises(ShapeMismatch, match=match):
+            hedging_error(spec, emm, strategy, Payoff.terminal(0), 2000, 3)
+
+
 class TestTooFewPaths:
     """An estimate's standard error (ddof=1) needs two paths, so fewer is a
     typed error, raised before anything is simulated."""

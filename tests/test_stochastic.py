@@ -218,11 +218,11 @@ class TestMarkedSampling:
         assert np.all(np.diff(times) > 0)
 
 
-def _reference_marks(mm: CellMeasure, u, q, times) -> np.ndarray:
+def _reference_marks(mm: CellMeasure, u, times) -> np.ndarray:
     """Cell-measure marks one event at a time from scalar calls: the first
-    region (a cell, then a gap the cells leave in the support) whose
-    cumulative probability reaches u[j], then the base quantile q[j]
-    between that region's CDF edges."""
+    region k (a cell, then a gap the cells leave in the support) whose
+    cumulative probability c_k reaches u[j], then the base quantile
+    (u[j] - c_{k-1}) / (c_k - c_{k-1}) between that region's CDF edges."""
     regions = list(mm.cells)
     if mm.remainder_physical:
         edges = [mm.base.support[0], *sorted(x for c in mm.cells for x in c),
@@ -232,17 +232,16 @@ def _reference_marks(mm: CellMeasure, u, q, times) -> np.ndarray:
     for j, t in enumerate(times):
         t = float(t)
         rates = [float(fn.value(t)) for fn in mm.cell_intensities]
-        total = sum(rates)
         if mm.remainder_physical:
-            covered = sum(mm.base.mass(a, b, t) for a, b in mm.cells)
             phys = float(mm.physical_intensity.value(t))
-            total = sum([*rates, phys * max(1.0 - covered, 0.0)])
             rates += [phys * mm.base.mass(a, b, t) for a, b in regions[len(mm.cells):]]
-        probs = np.asarray(rates) / total
+        probs = np.asarray(rates) / sum(rates)  # the total in region order
         cum = np.cumsum(probs) / probs.sum()
         k = int(min(np.searchsorted(cum, u[j], side="left"), len(probs) - 1))
+        below = cum[k - 1] if k else 0.0
+        q = (u[j] - below) / (cum[k] - below) if cum[k] > below else 0.0
         lo, hi = mm.base.cdf(regions[k][0], t), mm.base.cdf(regions[k][1], t)
-        marks[j] = mm.base.ppf(lo + q[j] * (hi - lo), t)
+        marks[j] = mm.base.ppf(lo + min(max(q, 0.0), 1.0) * (hi - lo), t)
     return marks
 
 
@@ -285,8 +284,7 @@ class TestVaryingCellMarks:
             for k, (_, _, times, marks) in enumerate(rows):
                 got, w, total, _ = _path_events(ctx, seed, offset + k)
                 assert np.array_equal(got, times), k
-                q = _quantiles(seed, offset + k, times.size)
-                assert np.array_equal(marks, _reference_marks(mm, w / total, q, times)), k
+                assert np.array_equal(marks, _reference_marks(mm, w / total, times)), k
                 n_remainder += np.sum(mm.phi_values(marks, times) == 1.0)
             assert n_remainder > 5
             # the one-path sampler reads the same rule
@@ -297,8 +295,8 @@ class TestVaryingCellMarks:
     def test_marks_follow_reweighted_density(self, t):
         n = 100_000
         for i, (base, _, mm) in enumerate(_varying_cell_measures()):
-            u = np.random.default_rng(40 + i).uniform(size=(2, n))
-            marks = mm.marks_from_uniforms(u[0], u[1], np.full(n, t))
+            u = np.random.default_rng(40 + i).uniform(size=n)
+            marks = mm.marks_from_uniforms(u, np.full(n, t))
             lo, hi = base.support
             edges = np.unique(np.concatenate(
                 [np.linspace(lo, hi, 25), np.ravel(mm.cells)]
@@ -386,6 +384,77 @@ class TestVaryingCellMarks:
             SimulationContext(spec, times, measure_emm=emm).det_drift
             SimulationContext(spec, times, measure_emm=emm, density_emm=emm).det_drift
             assert calls == {"mean_jump_intensity": n_times, "total_intensity": n_times}
+
+
+def _small_cell_measure():
+    """Truncnorm marks with mu linear in time: a cell of share about 1e-3,
+    a large cell with a varying intensity, and the remainder's three gaps."""
+    base = Density("truncnorm", (-0.6, 0.6), {
+        "mu": TimeFunction.samples([0.0, 1.0], [-0.1, 0.15]), "sigma": 0.25,
+    })
+    return CellMeasure(
+        base=base, physical_intensity=TimeFunction.constant(6.0),
+        cells=((0.4, 0.45), (-0.5, 0.1)),
+        cell_intensities=(TimeFunction.constant(0.005),
+                          TimeFunction.samples([0.0, 1.0], [3.0, 4.0])),
+        remainder_physical=True,
+    )
+
+
+def _assert_quantiles_uniform(mm: CellMeasure, k, times, marks):
+    """Region k's marks have a uniform base CDF within the region, each at
+    its own time (KS, p > 1e-4)."""
+    from scipy.stats import kstest
+
+    a, b = mm._regions[k]
+    lo, hi = mm.base.cdf(a, times), mm.base.cdf(b, times)
+    v = (mm.base.cdf(marks, times) - lo) / (hi - lo)
+    assert kstest(v, "uniform").pvalue > 1e-4, (k, marks.size)
+
+
+def _assert_regions_and_quantiles(mm: CellMeasure, times, marks, min_marks):
+    """Given the event times, each mark's region k has probability
+    rate_k(t) / total(t) (binomial |z| < 4), and each region's marks
+    follow the base density restricted to it."""
+    idx = cell_index(mm._regions, marks)
+    assert np.all(idx >= 0)
+    rates = mm._table(times)[0]
+    for k, p in enumerate(rates / rates.sum(axis=0)):
+        at = idx == k
+        z = (at.sum() - p.sum()) / np.sqrt(np.sum(p * (1.0 - p)))
+        assert abs(z) < 4.0 and at.sum() >= min_marks, (k, at.sum(), p.sum())
+        _assert_quantiles_uniform(mm, k, times[at], marks[at])
+
+
+class TestResidualQuantile:
+    """A mark's quantile within its region is the residual of the uniform
+    that picked the region, rescaled by the region's share."""
+
+    @pytest.mark.parametrize("t", [0.2, 0.8])
+    def test_marks_from_one_uniform_follow_the_regions(self, t):
+        mm = _small_cell_measure()
+        n = 200_000
+        times = np.full(n, t)
+        u = np.random.default_rng(int(10 * t)).random(n)
+        marks = mm.marks_from_uniforms(u, times)
+        share = mm._table(t)[0][0, 0] / mm.total_intensity(t)
+        assert 5e-4 < share < 2e-3
+        _assert_regions_and_quantiles(mm, times, marks, min_marks=100)
+        # uniforms inside the small cell's share alone: 4,000 of its marks
+        u = np.random.default_rng(7).uniform(0.0, share, 4000)
+        marks = mm.marks_from_uniforms(u, times[:4000])
+        assert np.all(cell_index(mm._regions, marks) == 0)
+        _assert_quantiles_uniform(mm, 0, times[:4000], marks)
+
+    def test_block_marks_follow_the_regions(self):
+        mm = _small_cell_measure()
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], alpha=[0.05], rate=0.02, sigma=[[0.2]],
+            jumps=ContinuousJumpSpec(density=mm.base, total_intensity=6.0),
+        )
+        ctx = SimulationContext(spec, [1.0], measure_emm=Emm(theta=(0.1,), jump_measure=mm))
+        block = _simulate_block(ctx, 29, 0, 30_000, stocks=False)
+        _assert_regions_and_quantiles(mm, block.ev_times, block.ev_marks, min_marks=100)
 
 
 def _drift_per_time(spec, out, sim, under_q, density):
@@ -476,7 +545,10 @@ class TestContextBuild:
     def test_constant_shares_mark_as_a_left_search(self, intensities):
         # a cell measure's region is the first whose cumulative share reaches
         # the draw w / total: searchsorted's side="left", ties included,
-        # unlike a driver's pick below; one event still gets an array
+        # unlike a driver's pick below; one event still gets an array.  A
+        # tie's residual quantile is 1 (or 0 just above it), so its mark is a
+        # region edge up to the ppf's rounding, on which cells (-0.3, 0.0)
+        # and (0.1, 0.3) tell a left search from a right one
         base = Density("truncnorm", (-0.6, 0.6), {"mu": 0.0, "sigma": 0.3})
         cells = ((-0.6, -0.3), (-0.3, 0.0), (0.1, 0.3))[:len(intensities)]
         mm = CellMeasure(
@@ -494,11 +566,13 @@ class TestContextBuild:
             np.random.default_rng(5).random(500), [0.0, 1.0], cum,
             np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
         ])
-        q, times = np.full(u.size, 0.5), np.full(u.size, 0.5)
-        marks = ctx.marks_from_uniforms(u, q, times)
+        times = np.full(u.size, 0.5)
+        marks = ctx.marks_from_uniforms(u, times)
         want = np.minimum(np.searchsorted(cum, u, side="left"), len(intensities) - 1)
-        assert np.array_equal(cell_index(cells, marks), want)
-        one = ctx.marks_from_uniforms(u[:1], q[:1], times[:1])
+        assert np.array_equal(cell_index(cells, marks[:500]), want[:500])
+        lo, hi = np.array(cells)[want].T
+        assert np.all((lo - 1e-12 <= marks) & (marks <= hi + 1e-12))
+        one = ctx.marks_from_uniforms(u[:1], times[:1])
         assert isinstance(one, np.ndarray) and one.shape == (1,)
 
     @pytest.mark.parametrize("intensities", [[2.0, 1.0, 3.0], [2.0]])
@@ -526,11 +600,11 @@ class TestContextBuild:
         assert want[501] == min(1, len(intensities) - 1) and want[500 + len(cum)] == len(cum) - 1
         lam = np.repeat(np.array(intensities)[:, None], w.size, axis=1)
         for marks in (
-            fast.marks_from_uniforms(w, None, times),
-            general.marks_from_uniforms(w, None, times, lam),
+            fast.marks_from_uniforms(w, times),
+            general.marks_from_uniforms(w, times, lam),
         ):
             assert marks.dtype == np.int64 and np.array_equal(marks, want)
-        one = fast.marks_from_uniforms(w[:1], None, times[:1])
+        one = fast.marks_from_uniforms(w[:1], times[:1])
         assert isinstance(one, np.ndarray) and one.shape == (1,) and one.dtype == np.int64
 
     @pytest.mark.parametrize("market", ["time_varying", "piecewise_mark"])
@@ -595,12 +669,6 @@ def _path_events(ctx, seed, stream):
     return cand[accept], w[accept], total[accept], n_cand
 
 
-def _quantiles(seed, stream, n):
-    """A path's first n quantile uniforms: double l % 2 of its ``marks``
-    counter l // 2."""
-    return RngStreamSpec(seed, stream).uniforms("marks", (n + 1) // 2).T.ravel()[:n]
-
-
 def _reference_drivers(ctx, w, times):
     """Each event's driver: the m with cum_{m-1}(t) <= w < cum_m(t) for the
     cumulative intensities in driver order, the last on w = total(t)."""
@@ -611,19 +679,17 @@ def _reference_drivers(ctx, w, times):
 def _per_path_draws(ctx, seed, stream):
     """One path's events, marks, increments and varying-segment normals
     from its own draws: :func:`_path_events`, each event's driver from its
-    thinning draw, or its region from w / total and its quantile from
-    :func:`_quantiles`, and the ``brownian`` pairs.  Also returns the
-    candidate count."""
+    thinning draw, or its continuous mark from w / total, and the
+    ``brownian`` pairs.  Also returns the candidate count."""
     streams = RngStreamSpec(seed, stream)
     times, w, total, n_cand = _path_events(ctx, seed, stream)
     marks = np.zeros(0)
     if ctx.kind == "discrete" and times.size:  # no driver fires on a path without events
         marks = _reference_drivers(ctx, w, times)
     elif ctx.kind == "continuous":
-        q = _quantiles(seed, stream, times.size)
         mm = ctx.mark_measure
-        marks = (ctx.spec.jumps.density.ppf(q, times) if mm is None
-                 else _reference_marks(mm, w / total, q, times))
+        marks = (ctx.spec.jumps.density.ppf(w / total, times) if mm is None
+                 else _reference_marks(mm, w / total, times))
     seg = ctx.segments
     K, D = seg.varies.shape
     n_dw, n_res = K * D, int(seg.varies.sum())
@@ -637,7 +703,7 @@ def _per_path_draws(ctx, seed, stream):
 def _draw_context(name, request):
     """A context for each way a block draws: thinning that rejects
     candidates on a time-varying discrete market, a cell measure's
-    two-uniform marks, a market without jumps whose sigma varies inside
+    one-uniform marks, a market without jumps whose sigma varies inside
     segments and one without Brownians whose intensity varies."""
     if name == "time_varying":
         spec = request.getfixturevalue("time_varying_market")
@@ -697,8 +763,8 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("name", DRAW_CONTEXTS + ["constant"])
     def test_a_block_draws_one_counter_per_candidate(self, name, request, monkeypatch):
-        # B (1 + n_pairs) count and Brownian counters, one per candidate and,
-        # on a continuous market, ceil(n_cand / 2) quantile counters per path
+        # B (1 + n_pairs) count and Brownian counters and one per candidate,
+        # on every market kind
         if name == "constant":
             ctx = SimulationContext(request.getfixturevalue("three_stock_market"), [1.0])
         else:
@@ -709,8 +775,6 @@ class TestBlockDraws:
             u_count = upliftemm.philox.uniforms(seed, "count", 0, _stream_ids(first, B))[0]
             n_cand = poisson_counts(ctx.count_cdf, u_count)
         want = B * (1 + (ctx.segments.n_normals + 1) // 2) + n_cand.sum()
-        if ctx.kind == "continuous":
-            want += ((n_cand + 1) // 2).sum()
         counters = []
         kernel = upliftemm.philox.philox4x32
 

@@ -9,7 +9,10 @@ under P, under the uplifted measure (q) and under P with its density
 (pz), at output times 0.5,1.0 and at the horizon alone.  Last, the
 verify reports (10,000 paths, seed 11) of two markets that lack one driver
 class: a Black-Scholes market (`"jumps": null`, plan `{}`) and a pure-jump
-market (`"sigma": []`).  Each line ends in `same` or `DIFFERENT`.  The
+market (`"sigma": []`), and `upliftemm simulate --measure` (3,000 paths,
+seed 7, output times 0.5,1.0) of a truncnorm cell market whose mu steps in
+time, so a mark's residual quantile goes through a nonlinear inverse CDF.
+Each line ends in `same` or `DIFFERENT`.  The
 workloads come from the benchmark's generator, `perfbench/workloads.py`,
 which this script only reads.
 
@@ -33,7 +36,7 @@ from workloads import WORKLOADS, generate
 RECORDED = {
     "const-neglect": ("6d4713f4edee6f40", "cee04db1e8fe2973", "ac45556115303118"),
     "tv-batch": ("30c056bc3dfa62aa", "bb7efd061faa6d21", "d218ece0195c14c1"),
-    "cont-cells": ("59234297af8ad143", "b5b61f1443a12f17", "d60fb791e678c109"),
+    "cont-cells": ("d3b385fe09a63a9c", "f237a7e512e3d6fa", "98babc91fcc395c9"),
 }
 # the reduce --out and uplift --out hash prefixes by workload
 REDUCED = {
@@ -52,8 +55,8 @@ SIMULATED = {
         "1.0": ("ec59c7926b3b0392", "843fc192433b3c3d", "b2ded54d5a6c9584"),
     },
     "cont-cells": {
-        "0.5,1.0": ("e5489fa559f593f6", "18e659f6f9bc757e", "bb8cab249ec96578"),
-        "1.0": ("c3147406f3d65dbd", "def0c20ab8cf83fc", "8516c7d22d61f64a"),
+        "0.5,1.0": ("8bbeed44cc1df26a", "8e3d0b088f5e0f37", "7c1d09b2968d41b4"),
+        "1.0": ("704310ec810fa8ab", "3573b26f32375eb1", "b91a69b98de0808e"),
     },
 }
 
@@ -75,6 +78,19 @@ NO_DRIVERS = {
         "177f1df7e3e0fe7d",
     ),
 }
+
+# (market, plan, simulate q hash prefix) of a truncnorm market with a cell
+TRUNCNORM = (
+    {"horizon": 1.0, "rate": 0.02, "brownians": 1,
+     "stocks": [{"s0": 100.0, "alpha": 0.08, "sigma": [0.25]},
+                {"s0": 80.0, "alpha": 0.03, "sigma": [0.4]}],
+     "jumps": {"type": "density", "family": "truncnorm", "support": [-0.6, 0.6],
+               "params": {"mu": {"piecewise": {"t": [0.0, 0.4, 1.0], "v": [-0.1, 0.1]}},
+                          "sigma": 0.25},
+               "total_intensity": 4.0}},
+    {"cells": [[-0.5, 0.0]], "neglect_remainder": True},
+    "327dc1fc74a02a18",
+)
 
 
 def show(name, what, doc, want):
@@ -125,6 +141,13 @@ def main(tmp: Path):
         quiet_cli("verify", "-m", market, "-p", plan, "--paths", 10000, "--seed", 11,
                   "--out", out)
         show(name, "verify", out.read_bytes(), want)
+    market_doc, plan_doc, want = TRUNCNORM
+    market.write_text(json.dumps(market_doc))
+    plan.write_text(json.dumps(plan_doc))
+    quiet_cli("uplift", "-m", market, "-p", plan, "--out", emm_file)
+    quiet_cli("simulate", "-m", market, "--paths", 3000, "--seed", 7, "--times", "0.5,1.0",
+              "--measure", emm_file, "--out", paths)
+    show("truncnorm", "simulate q 0.5,1.0", paths.read_bytes(), want)
 
 
 if __name__ == "__main__":
