@@ -217,7 +217,9 @@ class CellMeasure:
         # a region of zero width is reached only on an exact tie
         q = np.divide(u - below, width, out=np.zeros(u.shape), where=width > 0.0)
         lo, mass = (np.broadcast_to(x, rates.shape)[k, col] for x in (lo, mass))
-        return np.asarray(self.base.ppf(lo + np.clip(q, 0.0, 1.0) * mass, times))
+        marks = self.base.ppf(lo + np.clip(q, 0.0, 1.0) * mass, times)
+        # ppf(cdf(a)) need not be a: keep each mark in the region it picked
+        return np.clip(marks, *self._regions[k].T)
 
     def to_json(self):
         return {

@@ -547,8 +547,8 @@ class TestContextBuild:
         # the draw w / total: searchsorted's side="left", ties included,
         # unlike a driver's pick below; one event still gets an array.  A
         # tie's residual quantile is 1 (or 0 just above it), so its mark is a
-        # region edge up to the ppf's rounding, on which cells (-0.3, 0.0)
-        # and (0.1, 0.3) tell a left search from a right one
+        # region edge, kept in its region although ppf(cdf(a)) need not be a;
+        # cells (-0.3, 0.0) and (0.1, 0.3) tell a left search from a right one
         base = Density("truncnorm", (-0.6, 0.6), {"mu": 0.0, "sigma": 0.3})
         cells = ((-0.6, -0.3), (-0.3, 0.0), (0.1, 0.3))[:len(intensities)]
         mm = CellMeasure(
@@ -569,9 +569,11 @@ class TestContextBuild:
         times = np.full(u.size, 0.5)
         marks = ctx.marks_from_uniforms(u, times)
         want = np.minimum(np.searchsorted(cum, u, side="left"), len(intensities) - 1)
-        assert np.array_equal(cell_index(cells, marks[:500]), want[:500])
         lo, hi = np.array(cells)[want].T
-        assert np.all((lo - 1e-12 <= marks) & (marks <= hi + 1e-12))
+        assert np.all((lo <= marks) & (marks <= hi))
+        # off an edge two cells share, the mark's cell is the region picked
+        off = ~np.isin(marks, np.intersect1d(*np.array(cells).T))
+        assert np.array_equal(cell_index(cells, marks[off]), want[off])
         one = ctx.marks_from_uniforms(u[:1], times[:1])
         assert isinstance(one, np.ndarray) and one.shape == (1,)
 
