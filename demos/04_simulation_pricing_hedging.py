@@ -64,10 +64,10 @@ events = (
     MarketEvent("brownian_up", brownian_gt=((0, 0.0),)),
 )
 check = restriction_check(fict, emm, fict_emm, events, N, seed=779)
-print("\nrestriction to the reduced information set:")
+print("\nrestriction to the reduced information set (leg b, Q~*(A), is exact):")
 for line in check.lines:
     print(f"  {line.label:20s} |diff| = {abs(line.difference):.5f} "
-          f"({line.z:.2f} combined SE)")
+          f"({line.z:.2f} standard errors of leg a)")
 
 # hedging: holding one discounted share replicates it with zero error,
 # while a compensated jump bet has zero expected gain under the uplift

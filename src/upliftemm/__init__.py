@@ -16,7 +16,7 @@ load the Monte Carlo engine (``pricing``, ``stochastic``, ``blocks``,
 
 import importlib
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {

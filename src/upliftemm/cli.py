@@ -221,6 +221,21 @@ def _cmd_price(args) -> int:
     return 0
 
 
+def restriction_events(fict) -> tuple[MarketEvent, ...]:
+    """The events that verify's restriction check tests: the whole space,
+    no event of the first unbatched reduced driver, and the first kept
+    Brownian ending above 0, each when the reduced market has it."""
+    events = [MarketEvent("omega")]
+    singles = [g[0] for g in fict.driver_groups if len(g) == 1]
+    if singles:
+        events.append(MarketEvent("first_retained_quiet", count_eq=((singles[0], 0),)))
+    if fict.brownian_map:
+        events.append(
+            MarketEvent("brownian_positive", brownian_gt=((fict.brownian_map[0], 0.0),))
+        )
+    return tuple(events)
+
+
 def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None):
     """Run the uplift checks end to end and aggregate PASS/FAIL.
 
@@ -252,15 +267,7 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
         ok = ok and ver.passed
 
     if "restriction" in selected:
-        events = [MarketEvent("omega")]
-        singles = [g[0] for g in fict.driver_groups if len(g) == 1]
-        if singles:
-            events.append(MarketEvent("first_retained_quiet", count_eq=((singles[0], 0),)))
-        if fict.brownian_map:
-            events.append(
-                MarketEvent("brownian_positive", brownian_gt=((fict.brownian_map[0], 0.0),))
-            )
-        rc = restriction_check(fict, emm, fict_emm, tuple(events), paths, seed=seed)
+        rc = restriction_check(fict, emm, fict_emm, restriction_events(fict), paths, seed=seed)
         report["checks"]["restriction"] = rc.to_json()
         ok = ok and rc.passed
 

@@ -8,7 +8,7 @@ ranges, making the "within 4 combined standard errors" criteria meaningful.
 All payoffs of one two-route report share its two samples, so its lines
 are correlated with each other.  In a verify run the density mass is leg a
 of the restriction check's ``omega`` line (Z* 1_omega is Z*); the
-restriction's own two legs stay on disjoint streams.
+restriction's leg b is exact, so it draws no stream.
 """
 
 from __future__ import annotations
@@ -272,20 +272,12 @@ class MarketEvent:
     count_eq: tuple[tuple[int, int], ...] = ()
     brownian_gt: tuple[tuple[int, float], ...] = ()
 
-    def indicator(
-        self,
-        counts: np.ndarray,
-        w_terminal: np.ndarray,
-        driver_map=None,
-        brownian_map=None,
-    ) -> np.ndarray:
+    def indicator(self, counts: np.ndarray, w_terminal: np.ndarray) -> np.ndarray:
         ok = np.ones(len(counts), dtype=bool)
         for driver, k in self.count_eq:
-            col = driver if driver_map is None else driver_map(driver)
-            ok &= counts[:, col] == k
+            ok &= counts[:, driver] == k
         for d, c in self.brownian_gt:
-            col = d if brownian_map is None else brownian_map(d)
-            ok &= w_terminal[:, col] > c
+            ok &= w_terminal[:, d] > c
         return ok.astype(float)
 
     def referenced_drivers(self) -> set[int]:
@@ -383,9 +375,14 @@ def zweighted_price_mc(
 
 @dataclass(frozen=True)
 class ComparisonLine:
+    """Leg a against leg b.  ``p_no_hit`` is set only on a restriction
+    line whose leg a has no path in its event: the chance of that under
+    P, which then judges the line in place of the legs' difference."""
+
     label: str
     a: McReport
     b: McReport
+    p_no_hit: float | None = None
 
     @property
     def difference(self) -> float:
@@ -397,6 +394,8 @@ class ComparisonLine:
 
     @property
     def z(self) -> float:
+        if self.p_no_hit is not None:
+            return _two_sided_deviate(self.p_no_hit)
         return _z(self.a.estimate, self.b.estimate, self.combined_se)
 
     @property
@@ -404,7 +403,7 @@ class ComparisonLine:
         return self.z < Z_LIMIT
 
     def to_json(self):
-        return {
+        doc = {
             "label": self.label,
             "a": self.a.to_json(),
             "b": self.b.to_json(),
@@ -413,6 +412,21 @@ class ComparisonLine:
             "z": self.z,
             "passed": self.passed,
         }
+        if self.p_no_hit is not None:
+            doc["p_no_hit"] = self.p_no_hit
+        return doc
+
+
+def _two_sided_deviate(p: float) -> float:
+    """The |z| whose two-sided normal tail 2 Phi(-|z|) is ``p``, so that
+    z < Z_LIMIT exactly when p exceeds the z-test's false-alarm rate."""
+    if p <= 0.0:
+        return math.inf
+    if p >= 1.0:
+        return 0.0
+    from statistics import NormalDist  # only a line with no hit reads it
+
+    return -NormalDist().inv_cdf(0.5 * p)
 
 
 @dataclass(frozen=True)
@@ -521,12 +535,15 @@ def restriction_check(
     n_paths: int,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
-    """E_P[Z* 1_A] vs E_P[Z~ 1_A] for reduced-information events A.
+    """E_P[Z* 1_A] vs Q~*(A) for reduced-information events A.
 
-    The left side weights full-market paths with the uplifted density; the
-    right side weights reduced-market paths with the fictitious density.
-    Equality for every A in the reduced terminal information set is what
-    makes the uplift an extension of the fictitious measure.
+    Leg a weights full-market paths with the uplifted density; leg b is
+    the fictitious measure's probability of A in closed form
+    (:func:`_event_probability`), so only leg a is random.  Equality for
+    every A in the reduced terminal information set is what makes the
+    uplift an extension of the fictitious measure.  A line whose leg a has
+    no path in A is judged by the chance of that under P instead:
+    (1 - P(A))^n_paths, with P(A) from the same closed form.
     """
     _require_paths(n_paths)
     for ev in events:
@@ -534,7 +551,7 @@ def restriction_check(
         if reason is not None:
             raise NonReducedEvent(f"event {ev.label!r} references {reason}")
 
-    # both samples are density-only, as the indicators read only counts and
+    # the sample is density-only, as the indicators read only counts and
     # W_T; on a continuous market the reduced drivers are the plan's cells,
     # so the full market's marks are counted cell by cell
     spec = fict.original
@@ -551,22 +568,26 @@ def restriction_check(
     else:
         full, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=False)
         full_counts = full.counts
-    fict_ctx = SimulationContext(fict.spec, [spec.horizon], density_emm=fict_emm)
-    reduced, _ = _terminal_sample(fict_ctx, n_paths, seed, n_paths, stocks=False)
+    # the reduced market under P: no drift shift, its own intensities
+    physical = Emm(
+        theta=(0.0,) * fict.spec.n_brownians, intensities=fict.spec.jumps.intensities
+    )
     lines = []
     for ev in events:
-        va = full.z_terminal() * ev.indicator(full_counts, full.w_terminal)
-        vb = reduced.z_terminal() * ev.indicator(
-            reduced.counts,
-            reduced.w_terminal,
-            driver_map=fict.reduced_index_of,
-            brownian_map=fict.reduced_brownian_of,
+        hit = ev.indicator(full_counts, full.w_terminal)
+        p_no_hit = None
+        if not hit.any():
+            p_no_hit = math.exp(n_paths * math.log1p(-_event_probability(ev, fict, physical)))
+        exact = McReport(
+            estimate=_event_probability(ev, fict, fict_emm),
+            std_error=0.0, n_paths=0, seed=seed, measure="Q~ exact",
         )
         lines.append(
             ComparisonLine(
                 label=ev.label,
-                a=_mc_report(va, seed, "P,Z*"),
-                b=_mc_report(vb, seed, "P,Z~"),
+                a=_mc_report(full.z_terminal() * hit, seed, "P,Z*"),
+                b=exact,
+                p_no_hit=p_no_hit,
             )
         )
     return CheckReport(
@@ -574,6 +595,39 @@ def restriction_check(
         passed=all(ln.passed for ln in lines),
         lines=tuple(lines),
     )
+
+
+def _event_probability(ev: MarketEvent, fict: FictitiousMarket, measure: Emm) -> float:
+    """The probability of a reduced-information event under a measure of
+    the reduced market with deterministic coefficients.
+
+    Reduced driver g then counts a Poisson number of events with mean
+    int_0^T measure.intensities[g] dt, and W_d(T) + int_0^T theta_d dt is
+    normal with variance T (Jacod and Shiryaev, *Limit Theorems for
+    Stochastic Processes*, II.4), all independent.  So conditions on
+    distinct drivers multiply; two counts on one driver that differ
+    cannot both hold, and of two levels on one Brownian the higher binds.
+    """
+    T = fict.original.horizon
+    counts, levels = {}, {}
+    for driver, k in ev.count_eq:
+        if counts.setdefault(fict.reduced_index_of(driver), k) != k:
+            return 0.0
+    for d, c in ev.brownian_gt:
+        b = fict.reduced_brownian_of(d)
+        levels[b] = max(c, levels.get(b, -math.inf))
+    p = 1.0
+    for g, k in counts.items():
+        p *= _poisson_pmf(k, measure.intensities[g].integral(0.0, T))
+    for b, c in levels.items():
+        p *= 0.5 * math.erfc((c + measure.theta[b].integral(0.0, T)) / math.sqrt(2.0 * T))
+    return p
+
+
+def _poisson_pmf(k: int, mean: float) -> float:
+    if k < 0 or mean == 0.0:
+        return float(k == 0)
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
 # -- nested conditional expectation machinery ------------------------------------------

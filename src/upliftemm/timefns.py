@@ -141,17 +141,27 @@ class TimeFunction:
         return self._antiderivative(b) - self._antiderivative(a)
 
     def _antiderivative(self, x):
+        """The integral from t[0] to x.  Outside the knots the value is the
+        end value, so there the antiderivative goes on linearly with it."""
         t, v, cum = self.t, self.v, self._cum
         array = isinstance(x, np.ndarray)
-        x = np.minimum(np.maximum(x, t[0]), t[-1]) if array else min(max(x, t[0]), t[-1])
-        j = t[1:-1].searchsorted(x, side="right")  # x's piece
-        dx = x - t[j]
+        if not array and not t[0] <= x <= t[-1]:
+            return float(v[0] * (x - t[0]) if x < t[0] else cum[-1] + v[-1] * (x - t[-1]))
+        inside = np.minimum(np.maximum(x, t[0]), t[-1]) if array else x
+        j = t[1:-1].searchsorted(inside, side="right")  # x's piece
+        dx = inside - t[j]
         if self.kind == _PIECEWISE:
             out = cum[j] + v[j] * dx
         else:
             slope = (v[j + 1] - v[j]) / (t[j + 1] - t[j])
             out = cum[j] + v[j] * dx + 0.5 * slope * dx * dx
-        return out if array else float(out)
+        if not array:
+            return float(out)
+        below, above = x < t[0], x > t[-1]
+        if below.any() or above.any():
+            out = np.where(below, v[0] * (x - t[0]), out)
+            out = np.where(above, cum[-1] + v[-1] * (x - t[-1]), out)
+        return out
 
     def limits(self, knots: np.ndarray):
         """The left and right limits at each of the sorted ``knots``, as two

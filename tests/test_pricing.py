@@ -1,4 +1,7 @@
+import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ from upliftemm import (
     two_route_check,
     zweighted_price_mc,
 )
-from upliftemm.cli import verify_suite
+from upliftemm.cli import restriction_events, verify_suite
+from upliftemm.io import market_from_json, plan_from_json
 from upliftemm.errors import (
     BudgetExceeded,
     NonReducedEvent,
@@ -39,13 +43,14 @@ from upliftemm.errors import (
     TooFewPaths,
 )
 from upliftemm.stochastic import SimulationContext, _terminal_sample
-from upliftemm.pricing import _neglected_factor_model
+from upliftemm.pricing import _event_probability, _neglected_factor_model
 from upliftemm.timefns import integrate_product
 from upliftemm.uplift import cell_index
 
 from conftest import block_rows, make_three_stock_market, make_uniform_mark_market
 
 N_MC = 20_000
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def black_scholes_call(s0, k, r, sigma, t):
@@ -423,7 +428,102 @@ class TestRestriction:
         assert report.passed, [ln.to_json() for ln in report.lines]
         omega = report.lines[0]
         assert abs(omega.a.estimate - 1.0) < 3 * omega.a.std_error
-        assert abs(omega.b.estimate - 1.0) < 3 * omega.b.std_error
+        assert omega.b.estimate == 1.0
+
+    def test_exact_leg_of_simple_events(self, uplifted):
+        spec, plan, emm, fict, fict_emm = uplifted
+        assert _event_probability(MarketEvent("omega"), fict, fict_emm) == 1.0
+        # kept driver 0 has Q~* intensity 1.5, solved to rounding
+        lam = fict_emm.intensities[0].constant_value
+        assert lam == pytest.approx(1.5, rel=1e-15)
+        quiet = MarketEvent("first_retained_quiet", count_eq=((0, 0),))
+        assert _event_probability(quiet, fict, fict_emm) == math.exp(-lam)
+        report = restriction_check(fict, emm, fict_emm, (quiet,), 100, seed=1)
+        assert report.lines[0].b.estimate == math.exp(-lam)
+        assert report.lines[0].b.std_error == 0.0
+        assert report.lines[0].combined_se == report.lines[0].a.std_error
+        # two different counts of one driver never hold together
+        both = MarketEvent("both", count_eq=((0, 1), (0, 2)))
+        assert _event_probability(both, fict, fict_emm) == 0.0
+        once = MarketEvent("once", count_eq=((0, 1), (0, 1)))
+        assert _event_probability(once, fict, fict_emm) == pytest.approx(
+            lam * math.exp(-lam), rel=1e-14
+        )
+        # of two levels on one Brownian the higher binds
+        levels = MarketEvent("levels", brownian_gt=((0, 0.1), (0, -0.3)))
+        higher = MarketEvent("higher", brownian_gt=((0, 0.1),))
+        p = _event_probability(higher, fict, fict_emm)
+        assert _event_probability(levels, fict, fict_emm) == p
+        theta = fict_emm.theta[0].constant_value
+        assert p == pytest.approx(norm.sf(0.1 + theta), rel=1e-14)
+
+    @pytest.mark.parametrize("workload", ["const-neglect", "tv-batch", "cont-cells"])
+    def test_exact_leg_matches_the_simulated_fictitious_market(
+        self, monkeypatch, workload
+    ):
+        # the route the exact leg replaced: the fictitious market simulated
+        # under P with its density, on streams [n, 2n)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from workloads import generate
+
+        gen = generate(workload, 2001)
+        spec = market_from_json(gen["market"])
+        _, fict, fict_emm = build_uplifted_emm(spec, plan_from_json(gen["plan"]))
+        n, seed = 10_000, 11
+        ctx = SimulationContext(fict.spec, [spec.horizon], density_emm=fict_emm)
+        reduced, _ = _terminal_sample(ctx, n, seed, n, stocks=False)
+        events = restriction_events(fict)
+        assert len(events) == 3
+        for ev in events:
+            on_reduced = MarketEvent(
+                ev.label,
+                count_eq=tuple((fict.reduced_index_of(m), k) for m, k in ev.count_eq),
+                brownian_gt=tuple((fict.reduced_brownian_of(d), c) for d, c in ev.brownian_gt),
+            )
+            values = reduced.z_terminal() * on_reduced.indicator(
+                reduced.counts, reduced.w_terminal
+            )
+            se = values.std(ddof=1) / np.sqrt(n)
+            exact = _event_probability(ev, fict, fict_emm)
+            assert abs(values.mean() - exact) < 4 * se, (ev.label, values.mean(), exact)
+
+    @pytest.mark.parametrize("paths", [1_000, 10_000])
+    def test_a_line_with_no_hit_is_judged_by_its_chance_under_p(self, paths):
+        # driver 0 fires 20 times a year, so no path is quiet: P(A) = e^-20
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0, 50.0], alpha=[0.1, 0.15], rate=0.02,
+            sigma=[[0.2], [0.3]],
+            jumps=DiscreteJumpSpec(intensities=[20.0, 1.0], loadings=[[0.01, -0.2], [0.02, 0.1]]),
+        )
+        plan = DiscretePlan(retain=(0,), neglect=(1,))
+        report = verify_suite(spec, plan, paths=paths, seed=1, grid_points=256)
+        assert report["aggregate"] == "PASS", report
+        lines = {ln["label"]: ln for ln in report["checks"]["restriction"]["lines"]}
+        quiet = lines["first_retained_quiet"]
+        assert quiet["a"]["estimate"] == 0.0 and quiet["a"]["std_error"] == 0.0
+        assert quiet["p_no_hit"] == pytest.approx((1.0 - math.exp(-20.0)) ** paths, rel=1e-12)
+        assert quiet["z"] == pytest.approx(norm.isf(quiet["p_no_hit"] / 2.0), rel=1e-9)
+        assert quiet["passed"]
+        assert "p_no_hit" not in lines["omega"]
+
+    def test_a_likely_event_with_no_hit_fails(self, monkeypatch, uplifted):
+        spec, plan, emm, fict, fict_emm = uplifted
+        indicator = MarketEvent.indicator
+
+        def no_quiet_path(ev, counts, w_terminal):
+            hits = indicator(ev, counts, w_terminal)
+            return 0.0 * hits if ev.label == "first_retained_quiet" else hits
+
+        monkeypatch.setattr(MarketEvent, "indicator", no_quiet_path)
+        events = restriction_events(fict)
+        report = restriction_check(fict, emm, fict_emm, events, 1_500, seed=3)
+        assert not report.passed
+        omega, quiet, up = report.lines
+        assert omega.passed and up.passed and not quiet.passed
+        # driver 0 is quiet with probability e^-2 under P
+        assert quiet.p_no_hit == pytest.approx((1.0 - math.exp(-2.0)) ** 1_500, rel=1e-12)
+        assert quiet.z > 4.0
 
     def test_continuous_market_counts_marks_in_retained_cell(self, uniform_mark_market):
         spec = uniform_mark_market
@@ -451,9 +551,9 @@ class TestRestriction:
     @pytest.mark.parametrize(
         "market, plan, simulations",
         [
-            ("three_stock_market", "neglect_plan", 3),
-            ("three_stock_market", "batch_plan", 3),
-            ("uniform_mark_market", "cell_plan", 3),
+            ("three_stock_market", "neglect_plan", 2),
+            ("three_stock_market", "batch_plan", 2),
+            ("uniform_mark_market", "cell_plan", 2),
         ],
     )
     def test_verify_takes_density_mass_from_the_restriction_sample(
@@ -474,9 +574,9 @@ class TestRestriction:
 
         monkeypatch.setattr(upliftemm.stochastic, "_blocks", counting)
         report = verify_suite(spec, plan, paths=n, seed=seed, grid_points=256)
-        # restriction (full and reduced) and martingale: the projection
-        # draws only inner counters, and the density mass is the
-        # restriction's omega line
+        # the restriction's full market and the martingale check: the
+        # restriction's reduced leg is exact, the projection draws only
+        # inner counters, and the density mass is the restriction's omega line
         assert len(calls) == simulations
         monkeypatch.undo()
         alone = verify_suite(

@@ -1005,6 +1005,16 @@ class TestStockPathExactness:
             )
             assert np.max(np.abs(again / bundle.stock_values - 1.0)) < 1e-12
 
+    def test_drift_known_only_after_its_first_knot(self):
+        # alpha's samples start at 0.4 and it is 0.5 before them as well
+        spec = MarketSpec(
+            horizon=1.0, s0=[100.0], rate=0.0, sigma=[[0.2]],
+            alpha=[{"samples": {"t": [0.4, 1.0], "v": [0.5, 0.5]}}],
+        )
+        vals = simulate_terminal(spec, [1.0], 20_000, 31).terminal_stocks()[:, 0]
+        se = vals.std(ddof=1) / np.sqrt(len(vals))
+        assert abs(vals.mean() - 100.0 * np.exp(0.5)) < 4 * se
+
     def test_pure_jump_market_without_brownians(self):
         spec = MarketSpec(
             horizon=1.0, s0=[10.0], alpha=[0.0], rate=0.0, sigma=[[]],

@@ -77,6 +77,18 @@ class TestIntegral:
         fn = TimeFunction.piecewise([0.0, 1.0, 2.0], [1.0, 3.0])
         assert fn.integral(0.5, 1.5) == pytest.approx(0.5 + 1.5, abs=1e-15)
 
+    def test_agrees_with_the_clamped_value_outside_the_knots(self):
+        # the value is 0.5 on [0, 0.4) too, so its integral over [0, 1] is 0.5
+        fn = TimeFunction.from_json({"samples": {"t": [0.4, 1.0], "v": [0.5, 0.5]}})
+        assert fn.value(0.2) == 0.5
+        assert fn.integral(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        step = TimeFunction.piecewise([0.2, 0.5, 0.8], [1.0, 2.0])
+        assert step.integral(0.0, 1.0) == pytest.approx(0.2 + 0.3 + 0.6 + 0.4, abs=1e-15)
+        limits = np.array([0.1, 0.2, 0.6, 1.0])
+        assert np.array_equal(
+            step.integral(0.0, limits), [step.integral(0.0, b) for b in limits]
+        )
+
     @given(
         st.lists(st.floats(0.01, 5.0), min_size=2, max_size=6),
         st.floats(0.0, 1.0),

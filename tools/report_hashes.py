@@ -34,9 +34,9 @@ from workloads import WORKLOADS, generate
 
 # (verify, two-route, hedging) hash prefixes by workload
 RECORDED = {
-    "const-neglect": ("6d4713f4edee6f40", "cee04db1e8fe2973", "ac45556115303118"),
-    "tv-batch": ("30c056bc3dfa62aa", "bb7efd061faa6d21", "d218ece0195c14c1"),
-    "cont-cells": ("d3b385fe09a63a9c", "f237a7e512e3d6fa", "98babc91fcc395c9"),
+    "const-neglect": ("829066e113fe0a92", "cee04db1e8fe2973", "ac45556115303118"),
+    "tv-batch": ("d25c51b7e68534da", "bb7efd061faa6d21", "d218ece0195c14c1"),
+    "cont-cells": ("8d3e22410d3b1db4", "f237a7e512e3d6fa", "98babc91fcc395c9"),
 }
 # the reduce --out and uplift --out hash prefixes by workload
 REDUCED = {
@@ -66,7 +66,7 @@ NO_DRIVERS = {
         {"horizon": 1.0, "rate": 0.03, "brownians": 1, "jumps": None,
          "stocks": [{"s0": 100.0, "alpha": 0.08, "sigma": [0.2]}]},
         {},
-        "41796e60fa70e115",
+        "f5cbca677a43a01a",
     ),
     "pure-jump": (
         {"horizon": 1.0, "rate": 0.02, "brownians": 0,
@@ -75,7 +75,7 @@ NO_DRIVERS = {
          "jumps": {"type": "discrete", "intensities": [2.0, 1.0],
                    "loadings": [[0.1, -0.2], [-0.15, 0.05]]}},
         {"retain": [0, 1]},
-        "177f1df7e3e0fe7d",
+        "a59cf5928255a827",
     ),
 }
 
