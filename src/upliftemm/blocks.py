@@ -61,12 +61,18 @@ def _per_driver(rows, times, marks, order=None) -> np.ndarray:
     """(len(rows), n_events): each event's value of its driver's function
     in each row of functions, 0 past a row's end.  Each function is
     evaluated once, on its driver's events, in time order when ``order``
-    sorts the events (where np.interp and step lookups are faster)."""
+    sorts the events (where np.interp and step lookups are faster).
+    Constant rows look nothing up: each event gathers its driver's column
+    of one zero-padded (len(rows), M) table."""
+    M = max(map(len, rows))
     if all(fn.is_constant for row in rows for fn in row):
-        order = None  # a constant looks nothing up, and scatters faster in event order
+        table = np.zeros((len(rows), M))
+        for r, row in enumerate(rows):
+            table[r, :len(row)] = [fn.constant_value for fn in row]
+        return table[:, marks]
     by_driver = marks if order is None else marks[order]
     out = np.zeros((len(rows), times.size))
-    for m in range(max(map(len, rows))):
+    for m in range(M):
         idx = np.flatnonzero(by_driver == m) if order is None else order[by_driver == m]
         at = times[idx]
         for r, row in enumerate(rows):
@@ -264,13 +270,16 @@ def _draw_marked_events(
         if u_count is None:
             u_count = uniforms(seed, "count", 0, sids)[0]
         n_cand = poisson_counts(ctx.count_cdf, u_count)
-    pid = np.repeat(np.arange(B), n_cand)
-    j = np.arange(pid.size) - (np.cumsum(n_cand) - n_cand)[pid]
+    # candidate j of path p is entry p * width + j of the candidate mask
+    width = n_cand.max(initial=0)
+    filled = np.arange(width) < n_cand[:, None]
+    at = np.flatnonzero(filled)
+    pid = at // width
+    j = at - pid * width
     ev_times, w = np.zeros(0), np.zeros(0)
     accept, order, lam = np.zeros(0, dtype=bool), None, None
     if pid.size:
         t, thin = uniforms(seed, "event_times", j, sids[pid])
-        filled = np.arange(n_cand.max()) < n_cand[:, None]
         pad = np.full(filled.shape, np.inf)
         pad[filled] = ctx.horizon * t
         pad.sort(axis=1)

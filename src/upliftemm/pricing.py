@@ -309,14 +309,15 @@ def _mc_report(values: np.ndarray, seed: int, measure: str) -> McReport:
     return McReport(estimate=est, std_error=se, n_paths=n, seed=seed, measure=measure)
 
 
-def _z(a: float, b: float, se: float) -> float:
-    """|a - b| in standard errors ``se``.  With se 0 it is 0 if a and b
-    agree to rounding (``ROUNDING_RTOL``), else inf.  Every Monte Carlo
-    verdict is z < Z_LIMIT."""
+def _z(a, b, se):
+    """|a - b| in standard errors ``se``, elementwise over arrays (a float
+    of floats).  Where se is 0 it is 0 if a and b agree to rounding
+    (``ROUNDING_RTOL``), else inf.  Every Monte Carlo verdict is
+    z < Z_LIMIT."""
     diff = abs(a - b)
-    if se > 0:
-        return diff / se
-    return 0.0 if diff <= ROUNDING_RTOL * max(abs(a), abs(b)) else math.inf
+    z = np.where(diff <= ROUNDING_RTOL * np.maximum(abs(a), abs(b)), 0.0, np.inf)
+    np.divide(diff, se, out=z, where=se > 0)
+    return z if z.ndim else float(z)
 
 
 def _require_paths(n_paths: int, least: int = 2) -> None:
@@ -634,7 +635,7 @@ def _poisson_pmf(k: int, mean: float) -> float:
 
 
 class _NeglectedModel(NamedTuple):
-    cdfs: list
+    tables: list
     log1p_y: np.ndarray
     shift: np.ndarray
     seg: blocks._Segments | None
@@ -648,7 +649,7 @@ def _neglected_factor_model(
     The neglected part of stock i is exp(-sum_m y_im * Lam_m) times the
     product of (1 + y_im)^{N_m}, times the stochastic exponential of any
     dropped Brownian columns on [0, t]; its expectation is one.  Returns
-    each Lam_m's Poisson CDF table, the (n, M) log(1 + y), the (n,) y Lam
+    each Lam_m's Poisson table, the (n, M) log(1 + y), the (n,) y Lam
     and the dropped Brownians' exact per-segment Gaussians on the knots of
     their sigma (None when no Brownian is dropped).
     """
@@ -664,8 +665,8 @@ def _neglected_factor_model(
         rows = [[spec.sigma[i][d] for d in dropped] for i in range(spec.n)]
         knots = merged_breakpoints([fn for row in rows for fn in row], 0.0, t)
         seg = blocks._segment_gaussians(rows, knots, [t])
-    cdfs = [poisson_cdf(lam) if lam > 0.0 else np.ones(1) for lam in lam_int]
-    return _NeglectedModel(cdfs, np.log1p(y), y @ lam_int, seg)
+    tables = [poisson_cdf(lam) for lam in lam_int]
+    return _NeglectedModel(tables, np.log1p(y), y @ lam_int, seg)
 
 
 def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: int):
@@ -681,25 +682,27 @@ def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: i
     the count uniforms: inner sample by inner sample, each its
     :func:`blocks._segment_normals`.
     """
-    cdfs, log1p_y, shift, seg = model
-    P, J, M = len(outer_ids), n_inner, len(cdfs)
+    tables, log1p_y, shift, seg = model
+    P, J, M = len(outer_ids), n_inner, len(tables)
     width = 0 if seg is None else seg.n_normals
     n_u, n_z = M * J, width * J
     n_c = (n_u + 1) // 2
     u = uniforms(seed, "inner", np.arange(n_c + (n_z + 1) // 2), outer_ids[:, None])
     cu = u[:, :, :n_c].transpose(1, 2, 0).reshape(P, -1)[:, :n_u].reshape(P, M, J)
     counts = np.empty((P, M, J), dtype=np.int64)
-    for m, cdf in enumerate(cdfs):
-        counts[:, m] = poisson_counts(cdf, cu[:, m])
-    log_f = np.zeros((P, spec.n, J))
-    if M:  # each sum runs in driver / segment order, whatever P is
-        log_f += _sum_d(log1p_y.T[:, :, None], counts.transpose(1, 0, 2)[:, :, None])
+    for m, table in enumerate(tables):
+        counts[:, m] = poisson_counts(table, cu[:, m])
+    # each sum runs in driver / segment order, whatever P is
+    if M:
+        log_f = _sum_d(log1p_y.T[:, :, None], counts.transpose(1, 0, 2)[:, :, None])
+    else:
+        log_f = np.zeros((P, spec.n, J))
     if n_z:
         z = box_muller(u[:, :, n_c:]).reshape(P, -1)[:, :n_z].reshape(P * J, width)
         gauss = blocks._gaussian_ends(seg, *blocks._segment_normals(seg, z))
         log_f += gauss.reshape(spec.n, P, J).transpose(1, 0, 2)
     log_f -= shift[:, None]
-    return np.exp(log_f), counts
+    return np.exp(log_f, out=log_f), counts
 
 
 def _nested_factors(
@@ -817,10 +820,16 @@ def projection_consistency_check(
     # the neglected drivers at their physical intensities
     chunks = _nested_factors(fict, spec.jumps.intensities, t, n_outer, n_inner, seed)
     for ids, factors, _ in chunks:
-        inner_mean_factors[ids] = factors.sum(axis=-1) / n_inner
-        inner_se_factors[ids] = factors.std(axis=-1, ddof=1) / np.sqrt(n_inner)
+        # each row's mean and ddof-1 deviation as np.std forms them, from
+        # one sum and one pass of squared deviations in sample order
+        mean = factors.sum(axis=-1) / n_inner
+        factors -= mean[..., None]
+        factors *= factors
+        var = factors.sum(axis=-1) / (n_inner - 1)
+        inner_mean_factors[ids] = mean
+        inner_se_factors[ids] = np.sqrt(var) / np.sqrt(n_inner)
     # a factor with no neglected randomness is exactly 1, with z 0
-    z_scores = np.vectorize(_z, otypes=[float])(inner_mean_factors, 1.0, inner_se_factors)
+    z_scores = _z(inner_mean_factors, 1.0, inner_se_factors)
     return ProjectionReport(
         t=t,
         inner_mean_factors=inner_mean_factors,

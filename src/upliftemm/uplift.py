@@ -206,14 +206,14 @@ class CellMeasure:
         if times.size == 0:
             return np.zeros(0)
         rates, mass, lo = self._table(times)
-        # contiguous rows: each sums the way that row alone would
-        probs = np.ascontiguousarray((rates / rates.sum(axis=0)).T)
-        cum = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
+        # (R, n): each event's shares added in region order, over their sum
+        cum = np.cumsum(rates / rates.sum(axis=0), axis=0)
+        cum /= cum[-1]
         # the first region whose cumulative probability reaches u
-        k = np.minimum((cum < u[:, None]).sum(axis=1), len(rates) - 1)
+        k = np.minimum((cum < u).sum(axis=0), len(rates) - 1)
         col = np.arange(times.size)
-        below = np.where(k > 0, cum[col, k - 1], 0.0)
-        width = cum[col, k] - below
+        below = np.where(k > 0, cum[k - 1, col], 0.0)
+        width = cum[k, col] - below
         # a region of zero width is reached only on an exact tie
         q = np.divide(u - below, width, out=np.zeros(u.shape), where=width > 0.0)
         lo, mass = (np.broadcast_to(x, rates.shape)[k, col] for x in (lo, mass))

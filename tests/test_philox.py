@@ -45,6 +45,52 @@ def test_known_answers(counter, key, expected):
     assert _hex(w[2] for w in words) == expected.split()
 
 
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((), (), (5,), (5,)),  # a scalar draw index with stream ids
+        ((7,), (), (), ()),  # draw indices with a scalar stream id
+        ((4, 1), (4, 1), (1, 6), (1, 6)),  # a (k, 1) x (1, B) grid
+    ],
+    ids=["scalar-j", "scalar-id", "grid"],
+)
+def test_kernel_broadcasts_like_the_broadcast_first_kernel(shapes):
+    # the first round broadcasts the counter words: the same words as
+    # when every word is broadcast to the full shape before the rounds
+    rng = np.random.default_rng(17)
+    counter = [rng.integers(0, 2**32, size=shape, dtype=np.uint64) for shape in shapes]
+    full = [np.array(w) for w in np.broadcast_arrays(*counter)]
+    key = (0x9E3779B9, 0x12345678)
+    got, want = philox4x32(counter, key), philox4x32(full, key)
+    shape = np.broadcast_shapes(*shapes)
+    for g, w in zip(got, want):
+        assert g.shape == shape and g.dtype == np.uint64
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("mean", [1e-3, 1.5, 6.5, 40.0, 1e3, 1e4])
+def test_indexed_search_gives_the_binary_search_count(mean):
+    # a uniform's bucket gives its count, or the CDF is searched in a bucket
+    # that an entry splits: both are the binary search's count everywhere,
+    # on and just below every entry included
+    table = poisson_cdf(mean)
+    cdf = table.cdf
+    # at least eight buckets per entry, at most 2**16
+    n = min(2**16, 1 << (8 * cdf.size - 1).bit_length())
+    assert cdf[-1] == 1.0 and table.index.size == n
+    u = np.concatenate([
+        cdf, np.nextafter(cdf, 0.0), [0.0, 1.0 - 2.0**-53],
+        uniforms(9, "count", np.arange(N_DRAWS // 2), 4).ravel(),
+    ])
+    u = u[u < 1.0]  # the uniforms' range, [0, 1 - 2**-53]
+    assert np.array_equal(poisson_counts(table, u), np.searchsorted(cdf, u, side="right"))
+
+
+def test_a_zero_mean_counts_zero():
+    u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+    assert np.array_equal(poisson_counts(poisson_cdf(0.0), u), [0, 0, 0])
+
+
 @pytest.mark.parametrize("mean", [0.5, 6.0, 1000.0])
 def test_poisson_inversion_moments(mean):
     u = uniforms(1, "count", np.arange(N_DRAWS), 3)[0]

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import norm, poisson
 
 import upliftemm.blocks
+import upliftemm.philox
 import upliftemm.pricing
 import upliftemm.stochastic
 from upliftemm import (
@@ -760,7 +761,100 @@ class TestCostOfConstruction:
             projection_consistency_check(reduce_market(spec, plan), n_outer=10, n_inner=10)
 
 
+def _dropped_brownian_fict():
+    """Stock 0's dropped column steps from 0.3 to 0.15 at t = 0.2, so its
+    normals run over two knot segments; driver 1 is neglected."""
+    spec = MarketSpec(
+        horizon=1.0, s0=[100.0, 50.0], alpha=[0.07, 0.04], rate=0.02,
+        sigma=[[0.2, TimeFunction.piecewise([0.0, 0.2, 1.0], [0.3, 0.15])],
+               [0.1, 0.25]],
+        jumps=DiscreteJumpSpec(
+            intensities=[2.0, 3.0], loadings=[[0.1, 0.2], [-0.1, -0.15]]
+        ),
+    )
+    return reduce_market(spec, DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=(0,)))
+
+
+def _projection_fict(name, monkeypatch):
+    """The benchmark's const-neglect market reduced by its plan (generator
+    seed 2001), or the dropped-Brownian market, whose inner samples also
+    draw normals."""
+    if name == "dropped-brownian":
+        return _dropped_brownian_fict()
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import generate
+
+    gen = generate(name, 2001)
+    return reduce_market(market_from_json(gen["market"]), plan_from_json(gen["plan"]))
+
+
+def _scalar_z(a, b, se):
+    """The z rule one line at a time: |a - b| / se, or with se 0 exactly 0
+    when a and b agree to rounding and inf when they do not."""
+    diff = abs(a - b)
+    if se > 0:
+        return diff / se
+    return 0.0 if diff <= upliftemm.pricing.ROUNDING_RTOL * max(abs(a), abs(b)) else math.inf
+
+
+def test_z_on_arrays_is_the_scalar_rule_elementwise():
+    a = np.array([1.02, 0.97, 1.0, 1.0 + 1e-14, 1.5, 0.0, 2.0, 1.0])
+    b = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0 + 1e-3])
+    se = np.array([0.01, 0.02, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-300])
+    want = [_scalar_z(*args) for args in zip(a, b, se)]
+    assert want[2:6] == [0.0, 0.0, math.inf, 0.0]  # se 0: legs that agree give 0, others inf
+    got = upliftemm.pricing._z(a, b, se)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert np.array_equal(upliftemm.pricing._z(a.reshape(2, 4), 1.0, se.reshape(2, 4)),
+                          np.reshape([_scalar_z(x, 1.0, s) for x, s in zip(a, se)], (2, 4)))
+    for args in zip(a, b, se):
+        one = upliftemm.pricing._z(*(float(x) for x in args))
+        assert type(one) is float and one == _scalar_z(*args)
+
+
 class TestProjectionCheck:
+    @pytest.mark.parametrize("name", ["const-neglect", "dropped-brownian"])
+    def test_moments_and_z_match_np_std(self, name, monkeypatch):
+        # each row's mean and ddof-1 deviation, and its z, are np.std's and
+        # the scalar z rule's bit for bit
+        fict = _projection_fict(name, monkeypatch)
+        n_outer, n_inner, t, seed = 300, 500, 0.5, 7
+        report = projection_consistency_check(fict, n_outer, n_inner, t=t, seed=seed)
+        mean = np.empty(report.inner_mean_factors.shape)
+        se = np.empty(mean.shape)
+        chunks = upliftemm.pricing._nested_factors(
+            fict, fict.original.jumps.intensities, t, n_outer, n_inner, seed
+        )
+        for ids, factors, _ in chunks:
+            mean[ids] = factors.sum(axis=-1) / n_inner
+            se[ids] = np.std(factors, axis=-1, ddof=1) / np.sqrt(n_inner)
+        z = np.vectorize(_scalar_z, otypes=[float])(mean, 1.0, se)
+        assert np.array_equal(report.inner_mean_factors, mean)
+        assert np.array_equal(report.inner_se_factors, se)
+        assert np.array_equal(report.z_scores, z)
+
+    @pytest.mark.parametrize("name", ["const-neglect", "dropped-brownian"])
+    def test_draws_every_inner_counter(self, name, monkeypatch):
+        # n_outer (ceil(M n_inner / 2) + ceil(n_z / 2)) counters, with n_z
+        # the n_inner samples' dropped-Brownian normals
+        fict = _projection_fict(name, monkeypatch)
+        n_outer, n_inner, t = 37, 301, 0.5
+        model = _neglected_factor_model(fict, fict.original.jumps.intensities, t)
+        n_z = 0 if model.seg is None else n_inner * model.seg.n_normals
+        assert (n_z > 0) == (name == "dropped-brownian")
+        want = n_outer * (-(-len(model.tables) * n_inner // 2) + -(-n_z // 2))
+        counters = []
+        kernel = upliftemm.philox.philox4x32
+
+        def counted(counter, key):
+            counters.append(math.prod(np.broadcast_shapes(*(np.shape(c) for c in counter))))
+            return kernel(counter, key)
+
+        monkeypatch.setattr(upliftemm.philox, "philox4x32", counted)
+        projection_consistency_check(fict, n_outer, n_inner, t=t, seed=3)
+        assert sum(counters) == want
+
     def test_conditional_mc_matches(self, uplifted):
         spec, plan, *_ = uplifted
         report = projection_consistency_check(
@@ -845,19 +939,8 @@ class TestProjectionCheck:
             assert nested() == cost
 
     def test_dropped_brownian(self):
-        # stock 0's dropped column steps from 0.3 to 0.15 at t = 0.2, so
-        # its normals run over two knot segments
-        spec = MarketSpec(
-            horizon=1.0, s0=[100.0, 50.0], alpha=[0.07, 0.04], rate=0.02,
-            sigma=[[0.2, TimeFunction.piecewise([0.0, 0.2, 1.0], [0.3, 0.15])],
-                   [0.1, 0.25]],
-            jumps=DiscreteJumpSpec(
-                intensities=[2.0, 3.0], loadings=[[0.1, 0.2], [-0.1, -0.15]]
-            ),
-        )
-        plan = DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=(0,))
         report = projection_consistency_check(
-            reduce_market(spec, plan), n_outer=40, n_inner=4_000, t=0.5, seed=123
+            _dropped_brownian_fict(), n_outer=40, n_inner=4_000, t=0.5, seed=123
         )
         assert report.passed, report.max_z
         # negative control: omitting the -1/2 int sigma^2 drag must fail

@@ -374,6 +374,52 @@ class TestCellTable:
             assert np.abs(cell_probabilities(mm, 0.3) - want).max() < 1e-15
 
 
+def _marks_in_event_rows(mm, u, times):
+    """CellMeasure.marks_from_uniforms on an (n, R) layout: each event's
+    shares in a contiguous row, added in region order and normalised by
+    the row's np.sum; also returns the (n, R) cumulative shares."""
+    rates, mass, lo = mm._table(times)
+    probs = np.ascontiguousarray((rates / rates.sum(axis=0)).T)
+    cum = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
+    k = np.minimum((cum < u[:, None]).sum(axis=1), len(rates) - 1)
+    col = np.arange(times.size)
+    below = np.where(k > 0, cum[col, k - 1], 0.0)
+    width = cum[col, k] - below
+    q = np.divide(u - below, width, out=np.zeros(u.shape), where=width > 0.0)
+    lo, mass = (np.broadcast_to(x, rates.shape)[k, col] for x in (lo, mass))
+    marks = mm.base.ppf(lo + np.clip(q, 0.0, 1.0) * mass, times)
+    return np.clip(marks, *mm._regions[k].T), cum
+
+
+@pytest.mark.parametrize("n_cells, remainder", [(n, False) for n in range(1, 8)] + [(3, True)])
+def test_cell_marks_match_the_event_row_layout(n_cells, remainder):
+    # below 8 regions numpy sums a row of shares in region order, as the
+    # cumulative sum does, so the (R, n) layout's marks are the same bits,
+    # draws on a cumulative share and just beside it included
+    edges = np.linspace(-0.55, 0.55, n_cells + 1)
+    cells = tuple((a + 0.01, b - 0.01) for a, b in zip(edges[:-1], edges[1:]))
+    mm = CellMeasure(
+        base=_table_bases()[0],
+        physical_intensity=TimeFunction.piecewise([0.0, 0.5, 1.0], [6.0, 9.0]),
+        cells=cells,
+        cell_intensities=tuple(
+            TimeFunction.samples([0.0, 1.0], [1.0 + k, 2.0 + 0.3 * k]) for k in range(n_cells)
+        ),
+        remainder_physical=remainder,
+    )
+    assert len(mm._regions) == (2 * n_cells + 1 if remainder else n_cells) <= 7
+    rng = np.random.default_rng(n_cells)
+    times = rng.random(400)
+    cum = _marks_in_event_rows(mm, rng.random(times.size), times)[1]
+    on = cum[np.arange(times.size), rng.integers(0, cum.shape[1], times.size)]
+    times = np.tile(times, 4)
+    u = np.concatenate([rng.random(on.size), on, np.nextafter(on, 0.0), np.nextafter(on, 2.0)])
+    keep = u <= 1.0
+    u, times = u[keep], times[keep]
+    want = _marks_in_event_rows(mm, u, times)[0]
+    assert mm.marks_from_uniforms(u, times).tobytes() == want.tobytes()
+
+
 class TestDiscreteUplift:
     """One uplift serves every discrete plan: complete neglect is the plan
     with no batches."""
