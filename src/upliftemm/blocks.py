@@ -13,8 +13,10 @@ for all of its paths: counts with normals, then one counter per
 candidate, whose thinning draw also marks it.  It sums on whole-block
 arrays, each path's sums in its own order, so a path's values do not
 depend on the block size (``_SEGMENT_BUDGET``, read at call time).  A
-density-only block (``stocks=False``) computes Z, counts and increments
-but no stock path.  The entry points live in :mod:`upliftemm.stochastic`.
+block builds only the stock rows it is asked for (``stocks``): row i of a
+subset equals row i of the full block bit for bit, and a density-only
+block (``stocks=()``) computes Z, counts and increments but no stock
+path.  The entry points live in :mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
@@ -81,15 +83,19 @@ def _per_driver(rows, times, marks, order=None) -> np.ndarray:
     return out
 
 
-def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks, order=None):
-    """(n, n_events) log jump factors ln(1 + y_i) at each event; one
-    (1, n_events) row on a continuous-mark market, where every stock
-    jumps by the mark."""
+def _event_log_factors(ctx: SimulationContext, ev_times, ev_marks, order=None,
+                       stocks=None):
+    """(len(stocks), n_events) log jump factors ln(1 + y_i) at each event
+    for the ``stocks`` rows (None: all n); one (1, n_events) row on a
+    continuous-mark market, where every stock jumps by the mark."""
     if ctx.kind == "continuous":
         return np.log1p(ev_marks.astype(float))[None, :]
+    loadings = ctx.spec.jumps.loadings
+    if stocks is not None:
+        loadings = [loadings[i] for i in stocks]
     if ev_times.size == 0:
-        return np.zeros((ctx.n, 0))
-    out = _per_driver(ctx.spec.jumps.loadings, ev_times, ev_marks, order)
+        return np.zeros((len(loadings), 0))
+    out = _per_driver(loadings, ev_times, ev_marks, order)
     return np.log1p(out, out=out)
 
 
@@ -269,7 +275,7 @@ def _draw_marked_events(
     if ctx.majorant > 0.0:
         if u_count is None:
             u_count = uniforms(seed, "count", 0, sids)[0]
-        n_cand = poisson_counts(ctx.count_cdf, u_count)
+        n_cand = poisson_counts(ctx.count_table, u_count)
     # candidate j of path p is entry p * width + j of the candidate mask
     width = n_cand.max(initial=0)
     filled = np.arange(width) < n_cand[:, None]
@@ -454,7 +460,7 @@ def _event_sums(block: _Block, values) -> np.ndarray:
 
 
 def _simulate_block(
-    ctx: SimulationContext, seed: int, first: int, count: int, stocks: bool = True
+    ctx: SimulationContext, seed: int, first: int, count: int, stocks=None
 ) -> _Block:
     """Simulate the paths of streams ``first .. first + count - 1``.
 
@@ -463,8 +469,10 @@ def _simulate_block(
     also marks it.  Every draw is addressed by its path's stream id and
     its index within the path, and everything else is done on whole-block
     arrays, so path k's values do not depend on the block it is in.
-    Without ``stocks`` the block carries only the density and the counts:
-    no stock row, jump factor or exp is computed.
+    ``stocks`` lists the stock rows the block builds, in that order, as
+    ``block.stocks[:, k]`` (None: all n).  Only those rows get Gaussian
+    sums, drift, jump factors, exp and s0; with ``()`` the block carries
+    only the density and the counts.
     """
     sids = _stream_ids(first, count)
     u_count, dw, res = _path_draws(ctx, seed, sids)
@@ -472,16 +480,20 @@ def _simulate_block(
     block.first_stream, block.dw = first, dw
     ev_times, marks, order = block.ev_times, block.ev_marks, block.order
     block.sums = _sum_plan(block.pid, block.ev_off, ev_times, ctx.out_times)
-    n = ctx.n
-    gauss = _gaussian_sums(ctx.segments, dw, res, slice(0 if stocks else n, None))
-    if stocks:
-        log_s = gauss[:n] + ctx.det_drift.T[:, None, :]  # (n, B, n_out)
-        log_s += _event_sums(block, _event_log_factors(ctx, ev_times, marks, order))
+    n, n_rows = ctx.n, len(ctx.segments.drag)  # -theta's row follows the stocks'
+    rows = slice(None) if stocks is None else list(stocks)
+    k = n if stocks is None else len(rows)
+    # all stocks or none take a slice of the Gaussians' rows, copying none
+    picked = slice(n - k, None) if stocks is None or not k else [*rows, *range(n, n_rows)]
+    gauss = _gaussian_sums(ctx.segments, dw, res, picked)
+    if k:
+        log_s = gauss[:k] + ctx.det_drift.T[rows, None, :]  # (k, B, n_out)
+        log_s += _event_sums(block, _event_log_factors(ctx, ev_times, marks, order, stocks))
         np.exp(log_s, out=log_s)
-        log_s *= np.asarray(ctx.spec.s0)[:, None, None]
+        log_s *= np.asarray(ctx.spec.s0)[rows, None, None]
         block.stocks = np.ascontiguousarray(log_s.transpose(1, 0, 2))
     if ctx.density_emm is not None:
-        log_z1 = gauss[-1] if len(ctx.segments.drag) > n else 0.0  # -theta's row
+        log_z1 = gauss[-1] if n_rows > n else 0.0  # -theta's row
         log_phi = _event_log_phi(ctx, ev_times, marks, order, block.lam)
         block.z = np.exp(log_z1 + ctx.z2_drift + _event_sums(block, log_phi))
     return block

@@ -35,6 +35,8 @@ from .stochastic import (
     DEFAULT_SEED,
     SimulationContext,
     TerminalSample,
+    _block_counts,
+    _blocks,
     _count_width,
     _terminal_sample,
     run_paths,  # unused here: the benchmark's tracer wraps pricing.run_paths
@@ -150,7 +152,11 @@ class Payoff:
         raise ValueError(f"unknown payoff kind {k!r}")
 
     def values(self, sample: TerminalSample, spec: MarketSpec) -> np.ndarray:
-        vals = self.undiscounted_values(sample.terminal_stocks(), sample.counts)
+        return self.terminal_values(sample.terminal_stocks(), sample.counts, spec)
+
+    def terminal_values(self, stocks, counts, spec: MarketSpec) -> np.ndarray:
+        """Per-path payoff at the horizon, discounted when the claim is."""
+        vals = self.undiscounted_values(stocks, counts)
         if self.discounted:
             vals = vals * spec.discount_factor(spec.horizon)
         return vals
@@ -492,7 +498,7 @@ def density_mass_check(
     """E[Z(T)] = 1 under the physical measure, within 4 standard errors."""
     _require_paths(n_paths)
     ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
-    sample, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=False)
+    sample, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=())
     return _density_mass_report(_mc_report(sample.z_terminal(), seed, "P"))
 
 
@@ -564,10 +570,10 @@ def restriction_check(
             return (cell_index(fict.cells, marks)[:, None] == cols).astype(float)
 
         full, full_counts = _terminal_sample(
-            ctx, n_paths, seed, 0, in_cells, stocks=False
+            ctx, n_paths, seed, 0, in_cells, stocks=()
         )
     else:
-        full, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=False)
+        full, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=())
         full_counts = full.counts
     # the reduced market under P: no drift shift, its own intensities
     physical = Emm(
@@ -775,9 +781,7 @@ def cost_of_construction_check(
         counts[:, :, retained] = outer.counts[ids][:, None, :]
         counts[:, :, neglected] = neg_counts.transpose(0, 2, 1)
         rows = (len(ids) * n_inner, -1)
-        vals = payoff.undiscounted_values(stocks.reshape(rows), counts.reshape(rows))
-        if payoff.discounted:
-            vals = vals * spec.discount_factor(T)
+        vals = payoff.terminal_values(stocks.reshape(rows), counts.reshape(rows), spec)
         inner_means[ids] = vals.reshape(len(ids), n_inner).sum(axis=1) / n_inner
     nested = _mc_report(inner_means, seed, "Q~ nested")
     direct = simulate_terminal(
@@ -924,7 +928,9 @@ def hedging_error(
     Stock gains accrue on discounted prices; the jump leg pays the
     integrand at events minus its compensator under the simulation
     measure.  Reports the error and the total gain with the empirical
-    "gains have zero expectation" verdict.
+    "gains have zero expectation" verdict.  Each block of paths is reduced
+    to its gains and payoff values as it is simulated, and only the stocks
+    held or paid on are simulated.
     """
     if not isinstance(spec.jumps, DiscreteJumpSpec) and strategy.jump_integrand:
         raise PlanMismatch("jump integrands are defined per discrete driver")
@@ -944,24 +950,38 @@ def hedging_error(
         [np.atleast_1d(fn.value(times[:-1])) for fn in strategy.holdings]
     )  # (n, K)
     ctx = SimulationContext(spec, times, measure_emm=emm)
-    paid = None
+    compensator = 0.0
     if strategy.jump_integrand:
         lam_sim = emm.intensities if emm is not None else spec.jumps.intensities
         compensator = sum(
             integrate_product(h, lam, 0.0, T)
             for h, lam in zip(strategy.jump_integrand, lam_sim)
         )
-
-        def paid(times, marks, order):  # the integrand of each event's driver
-            return _per_driver((strategy.jump_integrand,), times, marks, order).T
-
-    sample, paid_sums = _terminal_sample(ctx, n_paths, seed, 0, paid)
-    # each path's stock gain is one sum over its (stock, interval) terms
-    terms = np.diff(sample.stocks * disc, axis=2)
-    terms *= hold
-    gain_jump = 0.0 if paid is None else paid_sums[:, 0] - compensator
-    gains = terms.reshape(n_paths, -1).sum(axis=1) + gain_jump
-    errors = (payoff.values(sample, spec) - strategy.v0) - gains
+    # only the stocks held or paid on are simulated
+    read = _nonzero(strategy.holdings) | {p.asset for p in payoff._leaves()}
+    read = sorted(read - {None})
+    stocks = None if len(read) == spec.n else read
+    gains, values = np.empty(n_paths), np.empty(n_paths)
+    for lo, block in _blocks(ctx, seed, 0, n_paths, stocks):
+        B = len(block)
+        if stocks is None:
+            terms = np.diff(block.stocks * disc, axis=2)
+            terminal = block.stocks[:, :, -1]
+        else:  # every (stock, interval) term, 0 where unread, so sums group as in full
+            terms, terminal = np.zeros((B, spec.n, len(times) - 1)), np.zeros((B, spec.n))
+            if stocks:
+                terms[:, stocks] = np.diff(block.stocks * disc, axis=2)
+                terminal[:, stocks] = block.stocks[:, :, -1]
+        terms *= hold
+        jump = 0.0
+        if strategy.jump_integrand:  # the integrand of each event's driver
+            paid = _per_driver((strategy.jump_integrand,), block.ev_times, block.ev_marks,
+                               block.order)[0]
+            jump = np.bincount(block.pid, weights=paid, minlength=B) - compensator
+        gains[lo:lo + B] = terms.reshape(B, -1).sum(axis=1) + jump
+        values[lo:lo + B] = payoff.terminal_values(terminal, _block_counts(ctx, block), spec)
+        del block, terms, terminal  # free them before the next block is simulated
+    errors = (values - strategy.v0) - gains
     gain = _mc_report(gains, seed, "Q*")
     unpriced = _z(gain.estimate, 0.0, gain.std_error) < Z_LIMIT
     return HedgingReport(

@@ -16,10 +16,11 @@ A path's values do not depend on the block size: :func:`simulate_path`
 is a block of one, and row k of :func:`simulate_terminal` equals it on
 stream ``stream_offset + k``.  It wraps ``_terminal_sample``, which also
 sums a per-event hook over each path's events in order (the restriction's
-cell counts, hedging's jump leg) and can skip the stock paths of a sample
-that only reads Z, counts and increments.  ``_blocks`` yields the blocks
-themselves, whose rows ``upliftemm simulate`` writes out.  The standalone
-samplers draw the same events on one stream or on many.
+cell counts) and builds only the stock rows it is asked for, none in a
+sample that reads only Z, counts and increments.  ``_blocks`` yields the
+blocks themselves, which hedging reduces as they are made and whose rows
+``upliftemm simulate`` writes out.  The standalone samplers draw the same
+events on one stream or on many.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class SimulationContext:
             raise UnboundedIntensity("intensity has no finite majorant on the grid")
         # candidate counts are drawn by inverting this table
         mean = self.majorant * T
-        self.count_cdf = poisson_cdf(mean) if mean > 0.0 else None
+        self.count_table = poisson_cdf(mean) if mean > 0.0 else None
 
         # constant-intensity fast path for marking events
         self.const_total = None
@@ -335,8 +336,9 @@ def sample_marked_point_process(
 
 
 def _blocks(ctx: SimulationContext, master_seed: int, first_stream: int, n_paths: int,
-            stocks: bool = True):
-    """Yield (row, block) covering ``n_paths`` consecutive streams in order."""
+            stocks=None):
+    """Yield (row, block) covering ``n_paths`` consecutive streams in order,
+    each block building the ``stocks`` rows (None: all; (): none)."""
     size = _block_size(ctx)
     for lo in range(0, n_paths, size):
         yield lo, _simulate_block(
@@ -376,6 +378,17 @@ def _count_width(spec: MarketSpec) -> int:
     if isinstance(spec.jumps, DiscreteJumpSpec):
         return spec.jumps.n_drivers
     return 1
+
+
+def _block_counts(ctx: SimulationContext, block) -> np.ndarray:
+    """(B, :func:`_count_width`): each path's events per driver, or its
+    total on a continuous-mark market."""
+    if ctx.kind == "discrete":
+        cw = _count_width(ctx.spec)
+        return np.bincount(
+            block.pid * cw + block.ev_marks, minlength=len(block) * cw
+        ).reshape(len(block), cw)
+    return np.diff(block.ev_off)[:, None]
 
 
 def run_paths(
@@ -429,20 +442,22 @@ def simulate_terminal(
 
 
 def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None,
-                     stocks=True):
+                     stocks=None):
     """:func:`simulate_terminal` on a built context, plus each path's sums
     of ``event_values(times, marks, order)`` (``order`` sorts a block's
     events by time, or None), an (n_events, k) array, over its events
-    ((n_paths, k), added in event order; None without the hook).
-    Without ``stocks`` the sample is density-only: ``stocks`` is None and
-    ``z``, ``counts`` and ``w_terminal`` are those of the full sample."""
+    ((n_paths, k), added in event order; None without the hook).  The
+    sample holds the ``stocks`` rows of :func:`_simulate_block`; with
+    ``()`` it is density-only: ``stocks`` is None and ``z``, ``counts``
+    and ``w_terminal`` are those of the full sample."""
     spec = ctx.spec
     out_times = ctx.out_times
-    n, n_out = spec.n, len(out_times)
+    n = spec.n if stocks is None else len(stocks)
+    n_out = len(out_times)
     cw = _count_width(spec)
     D = spec.n_brownians
     with_z = ctx.density_emm is not None
-    pos_z = n * n_out if stocks else 0
+    pos_z = n * n_out
     pos_c = pos_z + (n_out if with_z else 0)
     pos_w = pos_c + cw
     rows = np.empty((n_paths, pos_w + D))
@@ -455,21 +470,16 @@ def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None
                 sums = np.zeros((n_paths, values.shape[1]))
             for c, col in enumerate(values.T):
                 sums[lo:hi, c] = np.bincount(block.pid, weights=col, minlength=hi - lo)
-        if stocks:
+        if n:
             rows[lo:hi, :pos_z] = block.stocks.reshape(hi - lo, pos_z)
         if with_z:
             rows[lo:hi, pos_z:pos_c] = block.z
-        if ctx.kind == "discrete":
-            rows[lo:hi, pos_c:pos_w] = np.bincount(
-                block.pid * cw + block.ev_marks, minlength=(hi - lo) * cw
-            ).reshape(hi - lo, cw)
-        else:
-            rows[lo:hi, pos_c] = np.diff(block.ev_off)
+        rows[lo:hi, pos_c:pos_w] = _block_counts(ctx, block)
         rows[lo:hi, pos_w:] = np.cumsum(block.dw, axis=1)[:, -1]
         del block  # free it before the next block is simulated
     sample = TerminalSample(
         out_times=out_times,
-        stocks=rows[:, :pos_z].reshape(n_paths, n, n_out) if stocks else None,
+        stocks=rows[:, :pos_z].reshape(n_paths, n, n_out) if n else None,
         z=rows[:, pos_z:pos_c] if with_z else None,
         counts=rows[:, pos_c:pos_w],
         w_terminal=rows[:, pos_w:],

@@ -207,19 +207,26 @@ class CellMeasure:
             return np.zeros(0)
         rates, mass, lo = self._table(times)
         # (R, n): each event's shares added in region order, over their sum
-        cum = np.cumsum(rates / rates.sum(axis=0), axis=0)
+        cum = rates / rates.sum(axis=0)
+        for r in range(1, len(cum)):
+            cum[r] += cum[r - 1]
         cum /= cum[-1]
         # the first region whose cumulative probability reaches u
+        n = times.size
         k = np.minimum((cum < u).sum(axis=0), len(rates) - 1)
-        col = np.arange(times.size)
-        below = np.where(k > 0, cum[k - 1, col], 0.0)
-        width = cum[k, col] - below
+        at = k * n + np.arange(n)  # event j's entry of region k in an (R, n) table
+        below = np.where(k > 0, cum.take(at - n), 0.0)  # (at - n wraps where k = 0)
+        width = cum.take(at) - below
         # a region of zero width is reached only on an exact tie
         q = np.divide(u - below, width, out=np.zeros(u.shape), where=width > 0.0)
-        lo, mass = (np.broadcast_to(x, rates.shape)[k, col] for x in (lo, mass))
-        marks = self.base.ppf(lo + np.clip(q, 0.0, 1.0) * mass, times)
+        np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
+        # lo and mass are (R, n), or (R, 1) for a base constant in time
+        lo, mass = (x.take(at if x.shape[1] == n else k) for x in (lo, mass))
+        marks = self.base.ppf(lo + q * mass, times)
         # ppf(cdf(a)) need not be a: keep each mark in the region it picked
-        return np.clip(marks, *self._regions[k].T)
+        # (the bound second, so that a tie returns the bound, as np.clip does)
+        np.maximum(marks, self._regions[:, 0].take(k), out=marks)
+        return np.minimum(marks, self._regions[:, 1].take(k), out=marks)
 
     def to_json(self):
         return {

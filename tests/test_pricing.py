@@ -473,7 +473,7 @@ class TestRestriction:
         _, fict, fict_emm = build_uplifted_emm(spec, plan_from_json(gen["plan"]))
         n, seed = 10_000, 11
         ctx = SimulationContext(fict.spec, [spec.horizon], density_emm=fict_emm)
-        reduced, _ = _terminal_sample(ctx, n, seed, n, stocks=False)
+        reduced, _ = _terminal_sample(ctx, n, seed, n, stocks=())
         events = restriction_events(fict)
         assert len(events) == 3
         for ev in events:
@@ -1002,6 +1002,12 @@ class TestProjectionCheck:
         assert upliftemm.blocks._gaussian_ends(seg, dw, res).tobytes() == whole.tobytes()
 
 
+def _steps(n, first, last):
+    """A holding over n equal rebalance intervals of [0, 1], stepping
+    evenly from ``first`` to ``last``."""
+    return TimeFunction.piecewise(np.linspace(0.0, 1.0, n + 1), np.linspace(first, last, n))
+
+
 class TestHedging:
     def test_buy_and_hold_replicates_exactly(self, uplifted):
         spec, _, emm, _, _ = uplifted
@@ -1047,35 +1053,55 @@ class TestHedging:
         assert abs(report.error.estimate) < 1e-12
 
     @pytest.mark.parametrize(
-        "integrand",
+        "holdings, integrand, payoff",
         [
-            (0.5, -0.25, 0.0),
+            ((_steps(8, 0.6, 0.4), _steps(8, 0.1, 0.3), 0.0), (0.5, -0.25, 0.0),
+             Payoff.call(0, 100.0)),
             (
-                TimeFunction.piecewise([0.0, 0.4, 1.0], [0.3, -0.2]),
-                0.25,
-                TimeFunction.piecewise([0.0, 0.7, 1.0], [-0.1, 0.6]),
+                (_steps(8, 0.6, 0.4), _steps(8, 0.1, 0.3), 0.0),
+                (
+                    TimeFunction.piecewise([0.0, 0.4, 1.0], [0.3, -0.2]),
+                    0.25,
+                    TimeFunction.piecewise([0.0, 0.7, 1.0], [-0.1, 0.6]),
+                ),
+                Payoff.call(0, 100.0),
             ),
+            # stock 1 unheld between held ones: each gain sums 3 x 5 terms
+            ((_steps(5, 0.6, 0.4), 0.0, _steps(5, 0.1, 0.3)), (0.5, -0.25, 0.0),
+             Payoff.call(0, 100.0)),
+            # a put on the unheld stock, whose row the payoff reads
+            ((_steps(5, 0.6, 0.4), 0.0, _steps(5, 0.1, 0.3)), (0.5, -0.25, 0.0),
+             Payoff.put(1, 50.0)),
+            # held stock 0 and claimed stock 1, with stock 2 read by neither
+            ((_steps(5, 0.6, 0.4), 0.0, 0.0), (0.5, -0.25, 0.0), Payoff.put(1, 50.0)),
         ],
-        ids=["constant", "piecewise"],
+        ids=["constant", "piecewise", "middle-unheld", "middle-unheld-put", "claimed-unheld"],
     )
-    def test_matches_per_path_reference(self, uplifted, monkeypatch, integrand):
+    def test_matches_per_path_reference(self, uplifted, monkeypatch, holdings, integrand,
+                                        payoff):
         spec, _, emm, _, _ = uplifted
-        knots = np.linspace(0.0, 1.0, 9)
-        strat = Strategy(
-            holdings=(
-                TimeFunction.piecewise(knots, np.linspace(0.6, 0.4, 8)),
-                TimeFunction.piecewise(knots, np.linspace(0.1, 0.3, 8)),
-                0.0,
-            ),
-            jump_integrand=integrand,
-            v0=10.0,
-        )
-        payoff = Payoff.call(0, 100.0)
+        strat = Strategy(holdings=holdings, jump_integrand=integrand, v0=10.0)
         n, seed = 600, 123
         report = hedging_error(spec, emm, strat, payoff, n, seed)
         assert report == _hedging_reference(spec, emm, strat, payoff, n, seed)
         monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", 100)
         assert hedging_error(spec, emm, strat, payoff, n, seed) == report
+
+    def test_simulates_only_the_held_and_claimed_stocks(self, uplifted, monkeypatch):
+        spec, _, emm, _, _ = uplifted
+        shapes = []
+        simulate = upliftemm.stochastic._simulate_block
+
+        def spy(*args):
+            block = simulate(*args)
+            shapes.append(block.stocks.shape)
+            return block
+
+        monkeypatch.setattr(upliftemm.stochastic, "_simulate_block", spy)
+        strat = Strategy(holdings=(_steps(8, 0.6, 0.4), 0.0, 0.0), v0=10.0)
+        hedging_error(spec, emm, strat, Payoff.call(0, 100.0), 600, seed=123)
+        assert sum(s[0] for s in shapes) == 600
+        assert {s[1:] for s in shapes} == {(1, 9)}  # stock 0 at 9 rebalance times
 
     def test_continuous_market_counts_events(self, uniform_mark_market):
         # the payoff's count is every event of the continuous market

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -47,7 +48,7 @@ from upliftemm.blocks import (
     _stream_ids,
 )
 from upliftemm.philox import box_muller, poisson_counts
-from upliftemm.stochastic import SimulationContext, _terminal_sample
+from upliftemm.stochastic import SimulationContext, _block_counts, _terminal_sample
 from upliftemm.timefns import adaptive_simpson, integrate_product
 from upliftemm.uplift import COLLAPSE_ULPS, CellMeasure, _solved_fn, cell_index
 
@@ -453,7 +454,7 @@ class TestResidualQuantile:
             jumps=ContinuousJumpSpec(density=mm.base, total_intensity=6.0),
         )
         ctx = SimulationContext(spec, [1.0], measure_emm=Emm(theta=(0.1,), jump_measure=mm))
-        block = _simulate_block(ctx, 29, 0, 30_000, stocks=False)
+        block = _simulate_block(ctx, 29, 0, 30_000, stocks=())
         _assert_regions_and_quantiles(mm, block.ev_times, block.ev_marks, min_marks=100)
 
 
@@ -663,7 +664,7 @@ def _path_events(ctx, seed, stream):
     streams = RngStreamSpec(seed, stream)
     if ctx.majorant == 0.0:
         return np.zeros(0), np.zeros(0), np.zeros(0), 0
-    n_cand = int(poisson_counts(ctx.count_cdf, streams.uniforms("count", 1)[0])[0])
+    n_cand = int(poisson_counts(ctx.count_table, streams.uniforms("count", 1)[0])[0])
     t, thin = streams.uniforms("event_times", n_cand)
     cand = np.sort(ctx.horizon * t)
     w, total = thin * ctx.majorant, _total_intensity(ctx, cand)
@@ -724,6 +725,14 @@ def _draw_context(name, request):
 DRAW_CONTEXTS = ["time_varying", "cell_measure", "no_jumps", "pure_jumps"]
 
 
+def _same_bits(a, b) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes (or both are None)."""
+    if a is None or b is None:
+        return a is b
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
 class TestBlockDraws:
     @pytest.mark.parametrize("name", DRAW_CONTEXTS)
     def test_block_equals_per_path_draws(self, name, request):
@@ -756,7 +765,7 @@ class TestBlockDraws:
             return kernel(counter, key)
 
         monkeypatch.setattr(upliftemm.philox, "philox4x32", counted)
-        for stocks in (True, False):
+        for stocks in (None, ()):
             calls.clear()
             block = _simulate_block(ctx, 23, 40, 150, stocks)
             # (1 + n_pairs, B), then (2, N_cand) when there are candidates
@@ -773,9 +782,9 @@ class TestBlockDraws:
             ctx = _draw_context(name, request)
         B, seed, first = 150, 23, 40
         n_cand = np.zeros(B, dtype=np.int64)
-        if ctx.count_cdf is not None:
+        if ctx.count_table is not None:
             u_count = upliftemm.philox.uniforms(seed, "count", 0, _stream_ids(first, B))[0]
-            n_cand = poisson_counts(ctx.count_cdf, u_count)
+            n_cand = poisson_counts(ctx.count_table, u_count)
         want = B * (1 + (ctx.segments.n_normals + 1) // 2) + n_cand.sum()
         counters = []
         kernel = upliftemm.philox.philox4x32
@@ -787,6 +796,33 @@ class TestBlockDraws:
         monkeypatch.setattr(upliftemm.philox, "philox4x32", counted)
         _simulate_block(ctx, seed, first, B)
         assert sum(counters) == want and len(counters) == (1 if name == "no_jumps" else 2)
+
+    @pytest.mark.parametrize("name", DRAW_CONTEXTS + ["three_stock", "mixed_loadings"])
+    def test_a_block_of_some_stocks_is_those_rows_of_the_full_block(self, name, request):
+        # a subset of the stock rows, in any order, is those rows of the full
+        # block bit for bit, and no row leaves the density and the counts
+        if name in DRAW_CONTEXTS:
+            ctx = _draw_context(name, request)
+        else:
+            spec = request.getfixturevalue("three_stock_market")
+            emm, _, _ = build_uplifted_emm(spec, request.getfixturevalue("neglect_plan"))
+            if name == "mixed_loadings":  # stock 1 alone reads a varying loading
+                loadings = [list(row) for row in spec.jumps.loadings]
+                loadings[1][0] = TimeFunction.samples([0.0, 1.0], [0.05, -0.1])
+                spec = dataclasses.replace(
+                    spec, jumps=DiscreteJumpSpec(spec.jumps.intensities, loadings))
+            ctx = SimulationContext(spec, [0.5, 1.0], density_emm=emm)
+        full = _simulate_block(ctx, 23, 40, 150)
+        subsets = [(i,) for i in range(ctx.n)] + ([(2, 0)] if ctx.n == 3 else [])
+        for stocks in subsets:
+            block = _simulate_block(ctx, 23, 40, 150, stocks)
+            assert _same_bits(block.stocks, full.stocks[:, list(stocks)]), stocks
+            assert _same_bits(block.z, full.z), stocks
+        dens = _simulate_block(ctx, 23, 40, 150, ())
+        assert dens.stocks is None
+        assert _same_bits(_block_counts(ctx, dens), _block_counts(ctx, full))
+        for attr in ("z", "dw", "ev_times", "ev_marks", "ev_off"):
+            assert _same_bits(getattr(dens, attr), getattr(full, attr)), attr
 
     @pytest.mark.parametrize("market, plan", [
         ("three_stock_market", "neglect_plan"),
@@ -814,7 +850,7 @@ class TestBlockDraws:
 
         monkeypatch.setattr(SimulationContext, "_jump_compensator", no_compensator)
         ctx = SimulationContext(spec, [0.5, 1.0], density_emm=emm)
-        dens, dens_sums = _terminal_sample(ctx, n_paths, seed, 9, hook, stocks=False)
+        dens, dens_sums = _terminal_sample(ctx, n_paths, seed, 9, hook, stocks=())
         assert dens.stocks is None and full.stocks is not None
         for name in ("z", "counts", "w_terminal"):
             assert np.array_equal(getattr(dens, name), getattr(full, name)), name
@@ -1136,7 +1172,7 @@ class TestNoDrivers:
         plan = ContinuousPlan(cells=(), neglect_remainder=True)
         _, fict, fict_emm = build_uplifted_emm(spec, plan)
         ctx = SimulationContext(fict.spec, [1.0], density_emm=fict_emm)
-        sample, _ = _terminal_sample(ctx, 500, 9, 0, stocks=False)
+        sample, _ = _terminal_sample(ctx, 500, 9, 0, stocks=())
         theta = fict_emm.theta[0].constant_value
         want = np.exp(-theta * sample.w_terminal[:, 0] - 0.5 * theta ** 2)
         assert np.allclose(sample.z_terminal(), want, rtol=1e-12)

@@ -11,7 +11,10 @@ verify reports (10,000 paths, seed 11) of two markets that lack one driver
 class: a Black-Scholes market (`"jumps": null`, plan `{}`) and a pure-jump
 market (`"sigma": []`), and `upliftemm simulate --measure` (3,000 paths,
 seed 7, output times 0.5,1.0) of a truncnorm cell market whose mu steps in
-time, so a mark's residual quantile goes through a nonlinear inverse CDF.
+time, so a mark's residual quantile goes through a nonlinear inverse CDF,
+and the const-neglect hedging report (its benchmark paths and MC seed) of a
+strategy that holds stocks 0 and 2 but not stock 1 over 5 rebalance
+intervals, with the jump integrand, against the book's put on stock 1.
 Each line ends in `same` or `DIFFERENT`.  The
 workloads come from the benchmark's generator, `perfbench/workloads.py`,
 which this script only reads.
@@ -28,8 +31,11 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from upliftemm import cli, pricing, uplift
 from upliftemm.io import market_from_json, plan_from_json
+from upliftemm.timefns import TimeFunction
 from workloads import WORKLOADS, generate
 
 # (verify, two-route, hedging) hash prefixes by workload
@@ -92,6 +98,9 @@ TRUNCNORM = (
     "327dc1fc74a02a18",
 )
 
+# the hedging hash prefix of that const-neglect strategy and put
+MIDDLE_UNHELD = "db6c70fa50d69fcd"
+
 
 def show(name, what, doc, want):
     got = hashlib.sha256(doc).hexdigest()
@@ -148,6 +157,18 @@ def main(tmp: Path):
     quiet_cli("simulate", "-m", market, "--paths", 3000, "--seed", 7, "--times", "0.5,1.0",
               "--measure", emm_file, "--out", paths)
     show("truncnorm", "simulate q 0.5,1.0", paths.read_bytes(), want)
+    gen, w = generate("const-neglect", 2001), WORKLOADS["const-neglect"]
+    spec, h = market_from_json(gen["market"]), gen["hedge"]
+    emm = uplift.build_uplifted_emm(spec, plan_from_json(gen["plan"]))[0]
+    knots, held = np.linspace(0.0, 1.0, 6), (np.linspace(0.6, 0.4, 5), np.linspace(0.1, 0.3, 5))
+    strategy = pricing.Strategy(
+        holdings=(TimeFunction.piecewise(knots, held[0]), 0.0,
+                  TimeFunction.piecewise(knots, held[1])),
+        jump_integrand=tuple(h["jump_integrand"]), v0=h["v0"])
+    put = pricing.Payoff.from_json(gen["book"]["put_1"])
+    hedge = pricing.hedging_error(spec, emm, strategy, put, w.hedge_paths, gen["mc_seed"])
+    show("const-neglect", "hedging mid-put",
+         json.dumps(hedge.to_json(), sort_keys=True).encode(), MIDDLE_UNHELD)
 
 
 if __name__ == "__main__":
