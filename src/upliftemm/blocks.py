@@ -418,18 +418,6 @@ def _gaussian_sums(seg: _Segments, dw, res, rows=slice(None)) -> np.ndarray:
     return sums
 
 
-def _gaussian_ends(seg: _Segments, dw, res) -> np.ndarray:
-    """(Y, B) :func:`_gaussian_sums` to the grid's end, the same bits
-    added one segment at a time in grid order, with no (Y, B, K) array."""
-    end = 0.0
-    for k in range(len(seg.dt)):
-        x = _sum_d(seg.mean[..., k], dw[:, k].T)
-        if res is not None:
-            x += _sum_d(seg.tilt[..., k], res[:, k].T)
-        end = end + (x - seg.drag[..., k])
-    return end
-
-
 def _event_sums(block: _Block, values) -> np.ndarray:
     """Sums of each path's per-event ``values`` ((..., n_events) ->
     (..., B, n_out)) over its events at or before each output time, added

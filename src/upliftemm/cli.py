@@ -250,52 +250,39 @@ def verify_suite(spec, plan, *, paths, seed, grid_points, checks=None, emm=None)
     grid = default_grid(spec.horizon, grid_points)
     derived, fict, fict_emm = build_uplifted_emm(spec, plan, grid)
     emm = derived if emm is None else emm
-    report = {
+    reports = {}  # check -> its report, None for a skipped projection
+    if "uplift" in selected:
+        reports["uplift"] = verify_uplift(emm, spec, grid)
+    if "restriction" in selected:
+        reports["restriction"] = restriction_check(
+            fict, emm, fict_emm, restriction_events(fict), paths, seed=seed
+        )
+    if "projection" in selected:
+        reports["projection"] = projection_consistency_check(
+            fict, n_outer=50, n_inner=max(paths // 10, 1000), seed=seed
+        ) if _is_complete_neglect(plan) else None
+    if "martingale" in selected:
+        reports["martingale"] = martingale_check(spec, emm, paths, seed=seed)
+    if "density_mass" in selected:
+        reports["density_mass"] = (  # Z* 1_omega is Z*: reuse the restriction sample
+            _density_mass_report(reports["restriction"].lines[0].a)
+            if "restriction" in selected
+            else density_mass_check(spec, emm, paths, seed=seed)
+        )
+    ok = all(rep.passed for rep in reports.values() if rep is not None)
+    return {
         "config": {
             "paths": paths,
             "seed": seed,
             "grid_points": grid_points,
             "checks": list(selected),
         },
-        "checks": {},
+        "checks": {
+            name: {"skipped": "needs a complete-neglect plan"} if rep is None else rep.to_json()
+            for name, rep in reports.items()
+        },
+        "aggregate": "PASS" if ok else "FAIL",
     }
-    ok = True
-
-    if "uplift" in selected:
-        ver = verify_uplift(emm, spec, grid)
-        report["checks"]["uplift"] = ver.to_json()
-        ok = ok and ver.passed
-
-    if "restriction" in selected:
-        rc = restriction_check(fict, emm, fict_emm, restriction_events(fict), paths, seed=seed)
-        report["checks"]["restriction"] = rc.to_json()
-        ok = ok and rc.passed
-
-    if "projection" in selected:
-        if not _is_complete_neglect(plan):
-            report["checks"]["projection"] = {"skipped": "needs a complete-neglect plan"}
-        else:
-            pr = projection_consistency_check(
-                fict, n_outer=50, n_inner=max(paths // 10, 1000), seed=seed
-            )
-            report["checks"]["projection"] = pr.to_json()
-            ok = ok and pr.passed
-
-    if "martingale" in selected:
-        mc = martingale_check(spec, emm, paths, seed=seed)
-        report["checks"]["martingale"] = mc.to_json()
-        ok = ok and mc.passed
-
-    if "density_mass" in selected:
-        dm = (  # Z* 1_omega is Z*: reuse the restriction sample
-            _density_mass_report(rc.lines[0].a) if "restriction" in selected
-            else density_mass_check(spec, emm, paths, seed=seed)
-        )
-        report["checks"]["density_mass"] = dm.to_json()
-        ok = ok and dm.passed
-
-    report["aggregate"] = "PASS" if ok else "FAIL"
-    return report
 
 
 def _cmd_verify(args) -> int:

@@ -14,7 +14,7 @@ restriction's leg b is exact, so it draws no stream.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +43,7 @@ from .stochastic import (
     simulate_terminal,
 )
 from .timefns import TimeFunction, integrate_product, merged_breakpoints
-from .uplift import Emm, cell_index, verify_uplift
+from .uplift import Emm, cell_index, physical_emm, verify_uplift
 
 __all__ = [
     "Payoff",
@@ -69,6 +69,16 @@ ROUNDING_RTOL = 1e-12
 
 # -- payoffs -------------------------------------------------------------------
 
+# each payoff kind and the fields it cannot do without
+_PAYOFF_NEEDS = {
+    "terminal": ("asset",),
+    "forward": ("asset", "strike"),
+    "call": ("asset", "strike"),
+    "put": ("asset", "strike"),
+    "indicator_count": ("driver", "count"),
+    "linear": (),
+}
+
 
 @dataclass(frozen=True)
 class Payoff:
@@ -78,7 +88,8 @@ class Payoff:
     "linear".  ``indicator_count`` pays 1{N_driver(T) == count}, times the
     terminal price of ``asset`` when one is given.  ``linear`` combines
     sub-payoffs with weights.  ``discounted`` multiplies by
-    exp(-integral of r over [0, T]).
+    exp(-integral of r over [0, T]).  An unknown kind, or a kind without
+    the fields it reads, raises ValueError when the payoff is made.
     """
 
     kind: str
@@ -88,6 +99,13 @@ class Payoff:
     count: int | None = None
     discounted: bool = True
     terms: tuple[tuple[float, "Payoff"], ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in _PAYOFF_NEEDS:
+            raise ValueError(f"unknown payoff kind {self.kind!r}")
+        missing = [key for key in _PAYOFF_NEEDS[self.kind] if getattr(self, key) is None]
+        if missing:
+            raise ValueError(f"payoff kind {self.kind!r} needs {' and '.join(missing)}")
 
     # convenience constructors
     @staticmethod
@@ -144,12 +162,10 @@ class Payoff:
             if self.asset is not None:
                 ind = ind * stocks[:, self.asset]
             return ind
-        if k == "linear":
-            acc = np.zeros(len(stocks))
-            for w, p in self.terms:
-                acc += w * p.undiscounted_values(stocks, counts)
-            return acc
-        raise ValueError(f"unknown payoff kind {k!r}")
+        acc = np.zeros(len(stocks))  # linear
+        for w, p in self.terms:
+            acc += w * p.undiscounted_values(stocks, counts)
+        return acc
 
     def values(self, sample: TerminalSample, spec: MarketSpec) -> np.ndarray:
         return self.terminal_values(sample.terminal_stocks(), sample.counts, spec)
@@ -315,6 +331,12 @@ def _mc_report(values: np.ndarray, seed: int, measure: str) -> McReport:
     return McReport(estimate=est, std_error=se, n_paths=n, seed=seed, measure=measure)
 
 
+def _exact(value: float, seed: int, measure: str = "exact") -> McReport:
+    """A closed-form leg: standard error 0, from no path."""
+    return McReport(estimate=float(value), std_error=0.0, n_paths=0, seed=seed,
+                    measure=measure)
+
+
 def _z(a, b, se):
     """|a - b| in standard errors ``se``, elementwise over arrays (a float
     of floats).  Where se is 0 it is 0 if a and b agree to rounding
@@ -438,17 +460,20 @@ def _two_sided_deviate(p: float) -> float:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """A Monte Carlo check: it passes when every line passes."""
+
     name: str
-    passed: bool
-    lines: tuple[ComparisonLine, ...] = ()
-    details: dict = field(default_factory=dict)
+    lines: tuple[ComparisonLine, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(ln.passed for ln in self.lines)
 
     def to_json(self):
         return {
             "name": self.name,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "lines": [ln.to_json() for ln in self.lines],
-            "details": self.details,
         }
 
 
@@ -474,19 +499,10 @@ def two_route_check(
     weighted = simulate_terminal(
         spec, [T], n_paths, seed, density_emm=emm, stream_offset=n_paths
     )
-    lines = [
-        ComparisonLine(
-            label=label,
-            a=_price(direct, spec, payoff),
-            b=_price(weighted, spec, payoff),
-        )
+    return CheckReport("two_route", tuple(
+        ComparisonLine(label, _price(direct, spec, payoff), _price(weighted, spec, payoff))
         for label, payoff in payoffs.items()
-    ]
-    return CheckReport(
-        name="two_route",
-        passed=all(ln.passed for ln in lines),
-        lines=tuple(lines),
-    )
+    ))
 
 
 def density_mass_check(
@@ -499,17 +515,12 @@ def density_mass_check(
     _require_paths(n_paths)
     ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
     sample, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=())
-    return _density_mass_report(_mc_report(sample.z_terminal(), seed, "P"))
+    return _density_mass_report(_mc_report(sample.z_terminal(), seed, "P,Z*"))
 
 
 def _density_mass_report(rep: McReport) -> CheckReport:
-    """The density-mass verdict on an estimate of E_P[Z(T)]."""
-    z = _z(rep.estimate, 1.0, rep.std_error)
-    return CheckReport(
-        name="density_mass",
-        passed=bool(z < Z_LIMIT),
-        details={"estimate": rep.estimate, "std_error": rep.std_error, "z": z},
-    )
+    """The density-mass line: an estimate of E_P[Z(T)] against exact 1."""
+    return CheckReport("density_mass", (ComparisonLine("mass", rep, _exact(1.0, rep.seed)),))
 
 
 def martingale_check(
@@ -521,14 +532,10 @@ def martingale_check(
     """Discounted terminal prices average to the initial prices under emm."""
     _require_paths(n_paths)
     sample = simulate_terminal(spec, [spec.horizon], n_paths, seed, measure_emm=emm)
-    zs = {}
-    for i, target in enumerate(spec.s0):
-        rep = _price(sample, spec, Payoff.terminal(i))
-        z = _z(rep.estimate, target, rep.std_error)
-        zs[f"stock_{i}"] = {"estimate": rep.estimate, "target": target,
-                            "std_error": rep.std_error, "z": z}
-    passed = all(line["z"] < Z_LIMIT for line in zs.values())
-    return CheckReport(name="martingale", passed=passed, details=zs)
+    return CheckReport("martingale", tuple(
+        ComparisonLine(f"stock_{i}", _price(sample, spec, Payoff.terminal(i)), _exact(s0, seed))
+        for i, s0 in enumerate(spec.s0)
+    ))
 
 
 # -- restriction of the uplift to the reduced information ---------------------------------
@@ -575,33 +582,20 @@ def restriction_check(
     else:
         full, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=())
         full_counts = full.counts
-    # the reduced market under P: no drift shift, its own intensities
-    physical = Emm(
-        theta=(0.0,) * fict.spec.n_brownians, intensities=fict.spec.jumps.intensities
-    )
+    physical = physical_emm(fict.spec)
     lines = []
     for ev in events:
         hit = ev.indicator(full_counts, full.w_terminal)
         p_no_hit = None
         if not hit.any():
             p_no_hit = math.exp(n_paths * math.log1p(-_event_probability(ev, fict, physical)))
-        exact = McReport(
-            estimate=_event_probability(ev, fict, fict_emm),
-            std_error=0.0, n_paths=0, seed=seed, measure="Q~ exact",
-        )
-        lines.append(
-            ComparisonLine(
-                label=ev.label,
-                a=_mc_report(full.z_terminal() * hit, seed, "P,Z*"),
-                b=exact,
-                p_no_hit=p_no_hit,
-            )
-        )
-    return CheckReport(
-        name="restriction",
-        passed=all(ln.passed for ln in lines),
-        lines=tuple(lines),
-    )
+        lines.append(ComparisonLine(
+            ev.label,
+            a=_mc_report(full.z_terminal() * hit, seed, "P,Z*"),
+            b=_exact(_event_probability(ev, fict, fict_emm), seed, "Q~ exact"),
+            p_no_hit=p_no_hit,
+        ))
+    return CheckReport("restriction", tuple(lines))
 
 
 def _event_probability(ev: MarketEvent, fict: FictitiousMarket, measure: Emm) -> float:
@@ -705,7 +699,7 @@ def _neglected_factors(spec: MarketSpec, model, outer_ids, n_inner: int, seed: i
         log_f = np.zeros((P, spec.n, J))
     if n_z:
         z = box_muller(u[:, :, n_c:]).reshape(P, -1)[:, :n_z].reshape(P * J, width)
-        gauss = blocks._gaussian_ends(seg, *blocks._segment_normals(seg, z))
+        gauss = blocks._gaussian_sums(seg, *blocks._segment_normals(seg, z))[..., 0]
         log_f += gauss.reshape(spec.n, P, J).transpose(1, 0, 2)
     log_f -= shift[:, None]
     return np.exp(log_f, out=log_f), counts
@@ -721,12 +715,13 @@ def _nested_factors(
     The model is built at once, so a neglected loading that varies raises
     PlanMismatch before anything is drawn; the chunks follow lazily.  A
     chunk holds about ``blocks._SEGMENT_BUDGET`` cells: per inner sample
-    its n factors and, with dropped Brownians, its normals and its n
-    running Gaussian sums.
+    its n factors and, with dropped Brownians, its normals and its (n, K)
+    running Gaussian sums over the K segments.
     """
     spec = fict.original
     model = _neglected_factor_model(fict, intensities, t)
-    per_sample = spec.n if model.seg is None else 2 * spec.n + model.seg.n_normals
+    seg = model.seg
+    per_sample = spec.n if seg is None else spec.n * (1 + len(seg.dt)) + seg.n_normals
     step = max(1, blocks._SEGMENT_BUDGET // (per_sample * n_inner))
 
     def chunks():
@@ -787,12 +782,8 @@ def cost_of_construction_check(
     direct = simulate_terminal(
         spec, [T], n_direct, seed, measure_emm=emm, stream_offset=n_outer
     )
-    line = ComparisonLine(
-        label="cost_of_construction", a=nested, b=_price(direct, spec, payoff)
-    )
-    return CheckReport(
-        name="cost_of_construction", passed=line.passed, lines=(line,)
-    )
+    line = ComparisonLine("cost_of_construction", nested, _price(direct, spec, payoff))
+    return CheckReport("cost_of_construction", (line,))
 
 
 def projection_consistency_check(

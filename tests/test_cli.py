@@ -4,6 +4,7 @@ import pytest
 
 import upliftemm.blocks
 import upliftemm.pricing
+import upliftemm.stochastic
 from upliftemm.blocks import _block_size
 from upliftemm.cli import main
 from upliftemm.io import dump_json, load_json, market_to_json
@@ -388,6 +389,36 @@ class TestVerifySuite:
         ) == 1
         assert "error: ShapeMismatch: payoff reads asset 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payoff, needs",
+        [
+            ({"type": "call", "asset": 0}, "payoff kind 'call' needs strike"),
+            ({"type": "indicator_count", "count": 0}, "payoff kind 'indicator_count' needs driver"),
+            ({"type": "bogus", "asset": 0}, "unknown payoff kind 'bogus'"),
+            ({"type": "linear", "terms": [{"weight": 1, "type": "terminal"}]},
+             "payoff kind 'terminal' needs asset"),
+        ],
+        ids=["no-strike", "no-driver", "unknown-kind", "term-without-asset"],
+    )
+    def test_malformed_payoff_is_config_error_unsimulated(
+        self, workdir, monkeypatch, capsys, payoff, needs
+    ):
+        emm_path = workdir / "emm.json"
+        run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
+            "--out", emm_path)
+        dump_json(payoff, workdir / "bad.json")
+
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before the payoff was checked")
+
+        monkeypatch.setattr(upliftemm.stochastic, "_blocks", simulated)
+        capsys.readouterr()
+        assert run(
+            "price", "-m", workdir / "market.json", "-e", emm_path,
+            "--payoff", workdir / "bad.json", "--paths", "500",
+        ) == 2
+        assert f"config error: {needs}" in capsys.readouterr().err
+
     def test_tampered_emm_fails_suite(self, workdir):
         emm_path = workdir / "emm.json"
         run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
@@ -495,8 +526,8 @@ class TestNoDrivers:
             raise ValueError(f"not JSON: {constant}")
 
         report = json.loads(out.read_text(), parse_constant=refuse)
-        details = report["checks"]["density_mass"]["details"]
-        assert details["z"] == "Infinity" and details["std_error"] == 0.0
+        (mass,) = report["checks"]["density_mass"]["lines"]
+        assert mass["z"] == "Infinity" and mass["a"]["std_error"] == 0.0
         assert report["aggregate"] == "FAIL"
 
     def test_measure_without_intensities_is_refused_on_a_jump_market(self, workdir, capsys):

@@ -285,7 +285,7 @@ class TestTooFewPaths:
     def test_two_paths_have_a_standard_error(self, uplifted):
         spec, _, emm, _, _ = uplifted
         report = martingale_check(spec, emm, 2, seed=5)
-        assert all(line["std_error"] > 0.0 for line in report.details.values())
+        assert all(line.a.std_error > 0.0 for line in report.lines)
 
 
 class TestMeasurability:
@@ -411,7 +411,7 @@ class TestTwoRoute:
     def test_density_mass(self, uplifted):
         spec, _, emm, _, _ = uplifted
         report = density_mass_check(spec, emm, N_MC, seed=107)
-        assert report.passed, report.details
+        assert report.passed, report.to_json()
 
 
 class TestRestriction:
@@ -587,8 +587,34 @@ class TestRestriction:
         assert alone["checks"]["density_mass"] == mass
         omega = report["checks"]["restriction"]["lines"][0]
         assert omega["label"] == "omega"
-        assert mass["details"]["estimate"] == omega["a"]["estimate"]
-        assert mass["details"]["std_error"] == omega["a"]["std_error"]
+        (line,) = mass["lines"]
+        assert line["a"] == omega["a"]
+        assert line["b"]["estimate"] == 1.0 and line["b"]["std_error"] == 0.0
+
+    def test_every_monte_carlo_check_is_lines(self, three_stock_market, neglect_plan,
+                                              monkeypatch):
+        # a check is its lines: it passes when they all do, and the verify
+        # aggregate follows
+        spec = three_stock_market
+        report = verify_suite(spec, neglect_plan, paths=400, seed=122, grid_points=256)
+        emm, _, _ = build_uplifted_emm(spec, neglect_plan)
+        route = two_route_check(spec, emm, {"call": Payoff.call(0, 100.0)}, 400, seed=122)
+        bodies = [report["checks"][name] for name in ("restriction", "martingale",
+                                                      "density_mass")]
+        for body in [*bodies, route.to_json()]:
+            assert set(body) == {"name", "passed", "lines"}
+            assert body["passed"] == all(ln["passed"] for ln in body["lines"])
+        assert [ln["label"] for ln in bodies[1]["lines"]] == ["stock_0", "stock_1", "stock_2"]
+        assert [ln["b"]["estimate"] for ln in bodies[1]["lines"]] == list(spec.s0)
+        assert report["aggregate"] == "PASS"
+        failing = upliftemm.pricing.ComparisonLine.passed.fget
+        monkeypatch.setattr(upliftemm.pricing.ComparisonLine, "passed",
+                            property(lambda ln: ln.label != "stock_1" and failing(ln)))
+        report = verify_suite(spec, neglect_plan, paths=400, seed=122, grid_points=256)
+        martingale = report["checks"]["martingale"]
+        assert [ln["passed"] for ln in martingale["lines"]] == [True, False, True]
+        assert not martingale["passed"] and report["checks"]["restriction"]["passed"]
+        assert report["aggregate"] == "FAIL"
 
     @pytest.mark.parametrize(
         "event, payoff, reason",
@@ -987,21 +1013,6 @@ class TestProjectionCheck:
             assert np.array_equal(rep.inner_se_factors, dropped.inner_se_factors)
 
 
-    def test_dropped_gaussians_sum_to_the_end_in_grid_order(self):
-        # the nested checks' sums to t, one segment at a time, are the last
-        # column of the whole grid's running sums bit for bit
-        knots = np.linspace(0.0, 0.6, 9)
-        const = TimeFunction.constant
-        rows = [[TimeFunction.piecewise(knots, 0.2 + 0.1 * np.sin(knots[:-1])), const(0.1)],
-                [const(0.3), TimeFunction.samples([0.0, 0.6], [0.15, 0.35])]]
-        seg = upliftemm.blocks._segment_gaussians(rows, knots, [0.6])
-        assert seg.varies.any()
-        z = np.random.default_rng(4).standard_normal((700, seg.n_normals))
-        dw, res = upliftemm.blocks._segment_normals(seg, z)
-        whole = upliftemm.blocks._gaussian_sums(seg, dw, res)[..., -1]
-        assert upliftemm.blocks._gaussian_ends(seg, dw, res).tobytes() == whole.tobytes()
-
-
 def _steps(n, first, last):
     """A holding over n equal rebalance intervals of [0, 1], stepping
     evenly from ``first`` to ``last``."""
@@ -1168,8 +1179,9 @@ class TestMartingaleSuite:
             horizon=1, s0=[10], alpha=[0.05], rate=0.05, sigma=[[0.0]], jumps=None
         )
         report = martingale_check(spec, Emm(theta=(0.0,)), 100, seed=1)
-        line = report.details["stock_0"]
-        assert line["std_error"] == 0.0 and line["z"] == 0.0
+        (line,) = report.lines
+        assert line.label == "stock_0" and line.b.estimate == 10.0
+        assert line.a.std_error == 0.0 and line.z == 0.0
         assert report.passed
 
     def test_a_deterministic_miss_fails(self):
@@ -1178,8 +1190,9 @@ class TestMartingaleSuite:
         spec = MarketSpec(horizon=1, s0=(1,), alpha=(0.05,), rate=0, sigma=((),),
                           jumps=DiscreteJumpSpec((1e-9,), ((0.5,),)))
         report = density_mass_check(spec, Emm(theta=(), intensities=(2e-3,)), 100, seed=1)
-        assert report.details["std_error"] == 0.0
-        assert report.details["z"] == np.inf and not report.passed
+        (line,) = report.lines
+        assert line.label == "mass" and line.a.std_error == 0.0
+        assert line.z == np.inf and not report.passed
 
     def test_every_verdict_reads_one_z_rule(self):
         z = upliftemm.pricing._z

@@ -40,9 +40,9 @@ from workloads import WORKLOADS, generate
 
 # (verify, two-route, hedging) hash prefixes by workload
 RECORDED = {
-    "const-neglect": ("829066e113fe0a92", "cee04db1e8fe2973", "ac45556115303118"),
-    "tv-batch": ("d25c51b7e68534da", "bb7efd061faa6d21", "d218ece0195c14c1"),
-    "cont-cells": ("8d3e22410d3b1db4", "f237a7e512e3d6fa", "98babc91fcc395c9"),
+    "const-neglect": ("8085bfb68391077f", "4656bb3a9e2172fc", "ac45556115303118"),
+    "tv-batch": ("8a0ae1b16903a665", "7ac0a8c68ce7bf66", "d218ece0195c14c1"),
+    "cont-cells": ("5e66ddcdebbd8da0", "b8cdfdd2c31ba0a3", "98babc91fcc395c9"),
 }
 # the reduce --out and uplift --out hash prefixes by workload
 REDUCED = {
@@ -72,7 +72,7 @@ NO_DRIVERS = {
         {"horizon": 1.0, "rate": 0.03, "brownians": 1, "jumps": None,
          "stocks": [{"s0": 100.0, "alpha": 0.08, "sigma": [0.2]}]},
         {},
-        "f5cbca677a43a01a",
+        "62277b26d72fb5e8",
     ),
     "pure-jump": (
         {"horizon": 1.0, "rate": 0.02, "brownians": 0,
@@ -81,7 +81,7 @@ NO_DRIVERS = {
          "jumps": {"type": "discrete", "intensities": [2.0, 1.0],
                    "loadings": [[0.1, -0.2], [-0.15, 0.05]]}},
         {"retain": [0, 1]},
-        "a59cf5928255a827",
+        "b68d43edc8b69be6",
     ),
 }
 
