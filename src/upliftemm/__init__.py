@@ -16,7 +16,7 @@ load the Monte Carlo engine (``pricing``, ``stochastic``, ``blocks``,
 
 import importlib
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {

@@ -14,6 +14,7 @@ restriction's leg b is exact, so it draws no stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -88,8 +89,11 @@ class Payoff:
     "linear".  ``indicator_count`` pays 1{N_driver(T) == count}, times the
     terminal price of ``asset`` when one is given.  ``linear`` combines
     sub-payoffs with weights.  ``discounted`` multiplies by
-    exp(-integral of r over [0, T]).  An unknown kind, or a kind without
-    the fields it reads, raises ValueError when the payoff is made.
+    exp(-integral of r over [0, T]).  An unknown kind, a kind without the
+    fields it reads, or a field of the wrong type raises ValueError when
+    the payoff is made: ``asset``, ``driver`` and ``count`` are integers
+    (``count`` at least 0), ``strike`` and the weights finite numbers, and
+    ``discounted`` a bool.
     """
 
     kind: str
@@ -106,6 +110,20 @@ class Payoff:
         missing = [key for key in _PAYOFF_NEEDS[self.kind] if getattr(self, key) is None]
         if missing:
             raise ValueError(f"payoff kind {self.kind!r} needs {' and '.join(missing)}")
+        for key in ("asset", "driver", "count"):
+            val = getattr(self, key)
+            if val is not None and (isinstance(val, bool)
+                                    or not isinstance(val, numbers.Integral)):
+                raise ValueError(f"payoff {key} must be an integer, got {val!r}")
+        if self.count is not None and self.count < 0:
+            raise ValueError(f"payoff count must be at least 0, got {self.count}")
+        for what, val in (("strike", self.strike), *(("weight", w) for w, _ in self.terms)):
+            if val is not None and (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                                    or not math.isfinite(val)):
+                raise ValueError(f"payoff {what} must be a finite number, got {val!r}")
+        if not isinstance(self.discounted, bool):
+            raise ValueError(f"payoff discounted must be true or false, got {self.discounted!r}")
+        object.__setattr__(self, "terms", tuple((float(w), p) for w, p in self.terms))
 
     # convenience constructors
     @staticmethod
@@ -138,11 +156,7 @@ class Payoff:
 
     @staticmethod
     def linear(terms, discounted: bool = True) -> "Payoff":
-        return Payoff(
-            "linear",
-            terms=tuple((float(w), p) for w, p in terms),
-            discounted=discounted,
-        )
+        return Payoff("linear", terms=tuple(terms), discounted=discounted)
 
     def undiscounted_values(
         self, stocks: np.ndarray, counts: np.ndarray
@@ -792,15 +806,15 @@ def projection_consistency_check(
     n_inner: int,
     t: float | None = None,
     seed: int = DEFAULT_SEED,
-) -> "ProjectionReport":
+) -> CheckReport:
     """Conditional Monte Carlo check of the projection at time t.
 
     Given the retained information, the full price of each stock is its
     projected (reduced-market) price times a factor of the neglected
     randomness alone, whose mean is one.  The projected price cancels, so
-    outer path p's statistic is its inner mean factor against 1, in units
-    of its inner standard error, and the check reads only the ``inner``
-    counters of stream ids 0..n_outer-1: no reduced-market path is drawn.
+    stock i's line is the mean of its n_outer * n_inner factors against
+    exact 1, and the check reads only the ``inner`` counters of stream ids
+    0..n_outer-1: no reduced-market path is drawn.
     """
     if not _is_complete_neglect(fict.plan):
         raise PlanMismatch("projection supports complete-neglect plans")
@@ -810,49 +824,31 @@ def projection_consistency_check(
     t = 0.5 * spec.horizon if t is None else float(t)
     if not 0.0 <= t <= spec.horizon:
         raise ValueError(f"t must lie in [0, horizon], got {t:g}")
-    inner_mean_factors = np.empty((n_outer, spec.n))
-    inner_se_factors = np.empty((n_outer, spec.n))
+    means, m2 = np.empty((2, n_outer, spec.n))
     # the neglected drivers at their physical intensities
     chunks = _nested_factors(fict, spec.jumps.intensities, t, n_outer, n_inner, seed)
     for ids, factors, _ in chunks:
-        # each row's mean and ddof-1 deviation as np.std forms them, from
-        # one sum and one pass of squared deviations in sample order
+        # each outer path's mean and sum of squared deviations, from one sum
+        # and one pass of squared deviations in sample order
         mean = factors.sum(axis=-1) / n_inner
         factors -= mean[..., None]
         factors *= factors
-        var = factors.sum(axis=-1) / (n_inner - 1)
-        inner_mean_factors[ids] = mean
-        inner_se_factors[ids] = np.sqrt(var) / np.sqrt(n_inner)
+        means[ids] = mean
+        m2[ids] = factors.sum(axis=-1)
+    # the outer paths' moments pooled exactly (Chan, Golub and LeVeque,
+    # "Algorithms for computing the sample variance", Am. Statistician 1983)
+    grand = means.sum(axis=0) / n_outer
+    means -= grand
+    means *= means
+    n_paths = n_outer * n_inner
+    se = np.sqrt((m2.sum(axis=0) + n_inner * means.sum(axis=0)) / (n_paths - 1))
+    se /= np.sqrt(n_paths)
     # a factor with no neglected randomness is exactly 1, with z 0
-    z_scores = _z(inner_mean_factors, 1.0, inner_se_factors)
-    return ProjectionReport(
-        t=t,
-        inner_mean_factors=inner_mean_factors,
-        inner_se_factors=inner_se_factors,
-        z_scores=z_scores,
-        passed=bool(np.max(z_scores) < Z_LIMIT),
-    )
-
-
-@dataclass(frozen=True)
-class ProjectionReport:
-    t: float
-    inner_mean_factors: np.ndarray
-    inner_se_factors: np.ndarray
-    z_scores: np.ndarray
-    passed: bool
-
-    @property
-    def max_z(self) -> float:
-        return float(np.max(self.z_scores))
-
-    def to_json(self):
-        return {
-            "name": "projection",
-            "t": self.t,
-            "max_z": self.max_z,
-            "passed": bool(self.passed),
-        }
+    return CheckReport("projection", tuple(
+        ComparisonLine(f"stock_{i}", McReport(float(g), float(s), n_paths, seed, f"P, t={t}"),
+                       _exact(1.0, seed))
+        for i, (g, s) in enumerate(zip(grand, se))
+    ))
 
 
 # -- hedging ----------------------------------------------------------------------------
@@ -894,15 +890,20 @@ class Strategy:
 
 @dataclass(frozen=True)
 class HedgingReport:
+    """The hedging error and the total gain, unpriced when within 4 standard errors of 0."""
+
     error: McReport
     gain: McReport
-    gain_is_unpriced: bool
+
+    @property
+    def gain_is_unpriced(self) -> bool:
+        return _z(self.gain.estimate, 0.0, self.gain.std_error) < Z_LIMIT
 
     def to_json(self):
         return {
             "error": self.error.to_json(),
             "gain": self.gain.to_json(),
-            "gain_is_unpriced": bool(self.gain_is_unpriced),
+            "gain_is_unpriced": self.gain_is_unpriced,
         }
 
 
@@ -973,8 +974,4 @@ def hedging_error(
         values[lo:lo + B] = payoff.terminal_values(terminal, _block_counts(ctx, block), spec)
         del block, terms, terminal  # free them before the next block is simulated
     errors = (values - strategy.v0) - gains
-    gain = _mc_report(gains, seed, "Q*")
-    unpriced = _z(gain.estimate, 0.0, gain.std_error) < Z_LIMIT
-    return HedgingReport(
-        error=_mc_report(errors, seed, "Q*"), gain=gain, gain_is_unpriced=unpriced
-    )
+    return HedgingReport(error=_mc_report(errors, seed, "Q*"), gain=_mc_report(gains, seed, "Q*"))

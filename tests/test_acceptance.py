@@ -39,11 +39,11 @@ from upliftemm import (
     verify_uplift,
 )
 import upliftemm.blocks
+import upliftemm.pricing
 from upliftemm.cli import verify_suite
 from upliftemm.io import dump_json
 
 from conftest import (
-    LOADINGS,
     RATE,
     TARGET_SOLUTION,
     cell_probabilities,
@@ -260,22 +260,26 @@ def test_restriction_to_reduced_information(canonical):
     )
 
 
-def test_projected_price_matches_conditional_mc(canonical):
+def test_projected_price_matches_conditional_mc(canonical, monkeypatch):
     spec, plan, *_ = canonical
-    check = projection_consistency_check(
-        reduce_market(spec, plan), n_outer=100, n_inner=10_000, t=0.5, seed=304
-    )
-    assert check.passed, check.max_z
+    fict = reduce_market(spec, plan)
+    check = projection_consistency_check(fict, n_outer=100, n_inner=10_000, t=0.5, seed=304)
+    assert check.passed, check.to_json()
 
     # negative control: dropping the neglected compensator factor must fail
-    lam3, t = 3.0, 0.5
-    y3 = np.array([row[2] for row in LOADINGS])
-    wrong_mean = check.inner_mean_factors * np.exp(-y3 * lam3 * t)
-    wrong_z = np.abs(wrong_mean - 1.0) / check.inner_se_factors
-    assert np.max(wrong_z) > 4.0
+    correct = upliftemm.pricing._neglected_factors
+
+    def uncompensated(spec, model, outer_ids, n_inner, seed):
+        factors, counts = correct(spec, model, outer_ids, n_inner, seed)
+        return factors * np.exp(model.shift)[:, None], counts
+
+    monkeypatch.setattr(upliftemm.pricing, "_neglected_factors", uncompensated)
+    control = projection_consistency_check(fict, n_outer=100, n_inner=10_000, t=0.5, seed=304)
+    assert not control.passed
     report(
         "projected_price_matches_conditional_mc",
-        f"max z {check.max_z:.2f}, control z {np.max(wrong_z):.0f}",
+        f"max z {max(ln.z for ln in check.lines):.2f}, "
+        f"control z {min(ln.z for ln in control.lines):.0f}",
     )
 
 

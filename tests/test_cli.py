@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -397,8 +398,28 @@ class TestVerifySuite:
             ({"type": "bogus", "asset": 0}, "unknown payoff kind 'bogus'"),
             ({"type": "linear", "terms": [{"weight": 1, "type": "terminal"}]},
              "payoff kind 'terminal' needs asset"),
+            ({"type": "call", "asset": "x", "strike": 1},
+             "payoff asset must be an integer, got 'x'"),
+            ({"type": "call", "asset": 0, "strike": "a"},
+             "payoff strike must be a finite number, got 'a'"),
+            ({"type": "call", "asset": 1.0, "strike": 1},
+             "payoff asset must be an integer, got 1.0"),
+            ({"type": "terminal", "asset": True}, "payoff asset must be an integer, got True"),
+            ({"type": "indicator_count", "driver": 0, "count": 1.5},
+             "payoff count must be an integer, got 1.5"),
+            ({"type": "indicator_count", "driver": 0, "count": -1},
+             "payoff count must be at least 0, got -1"),
+            ({"type": "call", "asset": 0, "strike": math.nan},
+             "payoff strike must be a finite number, got nan"),
+            ({"type": "call", "asset": 0, "strike": 100.0, "discounted": "no"},
+             "payoff discounted must be true or false, got 'no'"),
+            ({"type": "linear", "terms": [{"weight": "nan", "type": "terminal", "asset": 0}]},
+             "payoff weight must be a finite number, got 'nan'"),
         ],
-        ids=["no-strike", "no-driver", "unknown-kind", "term-without-asset"],
+        ids=["no-strike", "no-driver", "unknown-kind", "term-without-asset",
+             "string-asset", "string-strike", "float-asset", "bool-asset",
+             "fractional-count", "negative-count", "nan-strike", "string-discounted",
+             "nan-string-weight"],
     )
     def test_malformed_payoff_is_config_error_unsimulated(
         self, workdir, monkeypatch, capsys, payoff, needs
@@ -406,7 +427,7 @@ class TestVerifySuite:
         emm_path = workdir / "emm.json"
         run("uplift", "-m", workdir / "market.json", "-p", workdir / "plan.json",
             "--out", emm_path)
-        dump_json(payoff, workdir / "bad.json")
+        (workdir / "bad.json").write_text(json.dumps(payoff))  # NaN as JSON's NaN
 
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before the payoff was checked")

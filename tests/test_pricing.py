@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -839,26 +840,59 @@ def test_z_on_arrays_is_the_scalar_rule_elementwise():
         assert type(one) is float and one == _scalar_z(*args)
 
 
+def _all_factors(fict, n_outer, n_inner, t, seed):
+    """The (n_outer, n, n_inner) factors of :func:`_nested_factors`, every
+    chunk joined."""
+    chunks = upliftemm.pricing._nested_factors(
+        fict, fict.original.jumps.intensities, t, n_outer, n_inner, seed
+    )
+    return np.concatenate([factors for _, factors, _ in chunks])
+
+
+def _plant(monkeypatch, defect):
+    """Plant an engine defect in the projection's factors: ``defect`` maps
+    the neglected model and the correct factors to the wrong ones."""
+    correct = upliftemm.pricing._neglected_factors
+
+    def planted(spec, model, outer_ids, n_inner, seed):
+        factors, counts = correct(spec, model, outer_ids, n_inner, seed)
+        return defect(model, factors), counts
+
+    monkeypatch.setattr(upliftemm.pricing, "_neglected_factors", planted)
+
+
+def _report_bytes(report):
+    return json.dumps(report.to_json()).encode()
+
+
+# the dropped-Brownian market's -1/2 int_0^0.5 sigma^2 drag, per stock
+DROPPED_DRAG = 0.5 * np.array([0.3**2 * 0.2 + 0.15**2 * 0.3, 0.25**2 * 0.5])
+
+
 class TestProjectionCheck:
     @pytest.mark.parametrize("name", ["const-neglect", "dropped-brownian"])
     def test_moments_and_z_match_np_std(self, name, monkeypatch):
-        # each row's mean and ddof-1 deviation, and its z, are np.std's and
-        # the scalar z rule's bit for bit
+        # stock i's line pools its n_outer * n_inner factors: their mean and
+        # np.std's ddof-1 standard error, against exact 1 by the z rule
         fict = _projection_fict(name, monkeypatch)
         n_outer, n_inner, t, seed = 300, 500, 0.5, 7
         report = projection_consistency_check(fict, n_outer, n_inner, t=t, seed=seed)
-        mean = np.empty(report.inner_mean_factors.shape)
-        se = np.empty(mean.shape)
-        chunks = upliftemm.pricing._nested_factors(
-            fict, fict.original.jumps.intensities, t, n_outer, n_inner, seed
-        )
-        for ids, factors, _ in chunks:
-            mean[ids] = factors.sum(axis=-1) / n_inner
-            se[ids] = np.std(factors, axis=-1, ddof=1) / np.sqrt(n_inner)
-        z = np.vectorize(_scalar_z, otypes=[float])(mean, 1.0, se)
-        assert np.array_equal(report.inner_mean_factors, mean)
-        assert np.array_equal(report.inner_se_factors, se)
-        assert np.array_equal(report.z_scores, z)
+        factors = _all_factors(fict, n_outer, n_inner, t, seed)
+        n = n_outer * n_inner
+        assert report.name == "projection"
+        assert [line.label for line in report.lines] == [
+            f"stock_{i}" for i in range(fict.original.n)
+        ]
+        for i, line in enumerate(report.lines):
+            flat = factors[:, i].ravel()
+            assert (line.a.n_paths, line.a.seed, line.a.measure) == (n, seed, "P, t=0.5")
+            assert line.b == upliftemm.pricing._exact(1.0, seed)
+            assert line.a.estimate == pytest.approx(np.mean(flat), rel=1e-12, abs=0)
+            assert line.a.std_error == pytest.approx(
+                np.std(flat, ddof=1) / np.sqrt(n), rel=1e-12, abs=0
+            )
+            assert line.z == _scalar_z(line.a.estimate, 1.0, line.a.std_error)
+        assert report.passed == all(line.z < 4.0 for line in report.lines)
 
     @pytest.mark.parametrize("name", ["const-neglect", "dropped-brownian"])
     def test_draws_every_inner_counter(self, name, monkeypatch):
@@ -886,19 +920,35 @@ class TestProjectionCheck:
         report = projection_consistency_check(
             reduce_market(spec, plan), n_outer=60, n_inner=4_000, t=0.5, seed=112
         )
-        assert report.passed, report.max_z
+        assert report.passed, report.to_json()
 
-    def test_negative_control_fails(self, uplifted):
-        # omitting the neglected compensator shifts every factor by e^{y lam t}
+    def test_negative_control_fails(self, uplifted, monkeypatch):
+        # omitting the neglected compensator e^{-y lam t} from every factor
         spec, plan, *_ = uplifted
+        _plant(monkeypatch, lambda model, factors: factors * np.exp(model.shift)[:, None])
         report = projection_consistency_check(
             reduce_market(spec, plan), n_outer=30, n_inner=4_000, t=0.5, seed=113
         )
-        lam3, t = 3.0, 0.5
-        y3 = np.array([0.2, -0.15, 0.25])
-        wrong_mean = report.inner_mean_factors * np.exp(-y3 * lam3 * t)
-        wrong_z = np.abs(wrong_mean - 1.0) / report.inner_se_factors
-        assert np.max(wrong_z) > 4.0
+        assert not report.passed
+        assert min(line.z for line in report.lines) > 4.0
+
+    def test_negative_control_bias_fails_at_every_seed(self, monkeypatch):
+        # a 1% bias on every factor fails at each MC seed at verify's
+        # 50 x 1,000
+        fict = _projection_fict("const-neglect", monkeypatch)
+        _plant(monkeypatch, lambda model, factors: factors * 1.01)
+        for seed in range(1, 31):
+            report = projection_consistency_check(fict, 50, 1_000, seed=seed)
+            assert not report.passed, seed
+
+    def test_no_false_alarm_over_seeds(self, monkeypatch):
+        # correct code at verify's 50 x 1,000: MC seeds 1-200 all pass,
+        # seeds 10 and 186 (the former max-over-outer-paths gate's FAILs)
+        # among them
+        fict = _projection_fict("const-neglect", monkeypatch)
+        failed = [seed for seed in range(1, 201)
+                  if not projection_consistency_check(fict, 50, 1_000, seed=seed).passed]
+        assert failed == []
 
     @pytest.mark.parametrize("t", [-0.1, 1.5])
     def test_time_outside_the_horizon_rejected(self, uplifted, t):
@@ -927,21 +977,17 @@ class TestProjectionCheck:
         report = projection_consistency_check(
             reduce_market(spec, plan), n_outer=20, n_inner=1_000, seed=125
         )
-        assert np.all(report.inner_mean_factors[:, 1] == 1.0)
-        assert np.all(report.z_scores[:, 1] == 0.0)
-        assert report.passed, report.max_z
+        line = report.lines[1]
+        assert (line.a.estimate, line.a.std_error, line.z) == (1.0, 0.0, 0.0)
+        assert report.lines[0].a.std_error > 0.0
+        assert report.passed, report.to_json()
 
     def test_outer_path_does_not_depend_on_chunking(self, uplifted, monkeypatch):
-        # outer path p draws from its own inner counters and is reduced
-        # along its own rows, so neither n_outer nor the chunk size moves it
+        # outer path p draws from its own inner counters, so n_outer does
+        # not move its factors, and the pooled moments do not depend on the
+        # chunk size
         spec, plan, emm, fict, fict_emm = uplifted
         n_inner = 1_000
-
-        def run(n_outer):
-            rep = projection_consistency_check(
-                fict, n_outer=n_outer, n_inner=n_inner, seed=124
-            )
-            return rep.inner_mean_factors, rep.inner_se_factors
 
         def nested():
             return cost_of_construction_check(
@@ -949,31 +995,32 @@ class TestProjectionCheck:
                 n_outer=20, n_inner=n_inner, n_direct=100, seed=124,
             ).lines[0].a
 
-        mean, se = run(50)
-        cost = nested()
-        few_mean, few_se = run(5)
-        assert np.array_equal(few_mean, mean[:5])
-        assert np.array_equal(few_se, se[:5])
+        def run():
+            return _report_bytes(
+                projection_consistency_check(fict, n_outer=50, n_inner=n_inner, seed=124)
+            )
+
+        factors = _all_factors(fict, 50, n_inner, 0.5, 124)
+        assert np.array_equal(_all_factors(fict, 5, n_inner, 0.5, 124), factors[:5])
+        report, cost = run(), nested()
         # one outer path a chunk (the per-path loop), then three a chunk
         # with a shorter last chunk
         for per_chunk in (1, 3):
             budget = per_chunk * spec.n * n_inner
             monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", budget)
-            chunked_mean, chunked_se = run(50)
-            assert np.array_equal(chunked_mean, mean)
-            assert np.array_equal(chunked_se, se)
+            assert np.array_equal(_all_factors(fict, 50, n_inner, 0.5, 124), factors)
+            assert run() == report
             assert nested() == cost
 
-    def test_dropped_brownian(self):
-        report = projection_consistency_check(
-            _dropped_brownian_fict(), n_outer=40, n_inner=4_000, t=0.5, seed=123
-        )
-        assert report.passed, report.max_z
+    def test_dropped_brownian(self, monkeypatch):
+        fict = _dropped_brownian_fict()
+        report = projection_consistency_check(fict, n_outer=40, n_inner=4_000, t=0.5, seed=123)
+        assert report.passed, report.to_json()
         # negative control: omitting the -1/2 int sigma^2 drag must fail
-        drag = 0.5 * np.array([0.3**2 * 0.2 + 0.15**2 * 0.3, 0.25**2 * 0.5])
-        wrong_mean = report.inner_mean_factors * np.exp(drag)
-        wrong_z = np.abs(wrong_mean - 1.0) / report.inner_se_factors
-        assert np.max(wrong_z) > 4.0
+        _plant(monkeypatch, lambda model, factors: factors * np.exp(DROPPED_DRAG)[:, None])
+        report = projection_consistency_check(fict, n_outer=40, n_inner=4_000, t=0.5, seed=123)
+        assert not report.passed
+        assert min(line.z for line in report.lines) > 4.0
 
     def test_dropped_brownian_chunks_within_the_budget(self, monkeypatch):
         # a dropped Brownian's normals and running Gaussian sums count
@@ -1003,14 +1050,13 @@ class TestProjectionCheck:
 
         _, kept_peak = run((0, 1))
         dropped, dropped_peak = run((0,))
-        assert dropped.passed, dropped.max_z
+        assert dropped.passed, dropped.to_json()
         assert dropped_peak <= 2 * kept_peak, (dropped_peak, kept_peak)
         plan = DiscretePlan(retain=(0,), neglect=(1,), keep_brownians=(0,))
         for budget in (1 << 10, 1 << 20):
             monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", budget)
             rep = projection_consistency_check(reduce_market(spec, plan), 50, 1_000, seed=5)
-            assert np.array_equal(rep.inner_mean_factors, dropped.inner_mean_factors)
-            assert np.array_equal(rep.inner_se_factors, dropped.inner_se_factors)
+            assert _report_bytes(rep) == _report_bytes(dropped)
 
 
 def _steps(n, first, last):
@@ -1156,12 +1202,9 @@ def _hedging_reference(spec, emm, strategy, payoff, n_paths, seed):
         c = c[0] * disc[-1] if payoff.discounted else c[0]
         errors.append((c - strategy.v0) - gain)
         gains.append(gain)
-    gain = upliftemm.pricing._mc_report(np.array(gains), seed, "Q*")
     return upliftemm.pricing.HedgingReport(
         error=upliftemm.pricing._mc_report(np.array(errors), seed, "Q*"),
-        gain=gain,
-        gain_is_unpriced=bool(upliftemm.pricing._z(gain.estimate, 0.0, gain.std_error)
-                              < upliftemm.pricing.Z_LIMIT),
+        gain=upliftemm.pricing._mc_report(np.array(gains), seed, "Q*"),
     )
 
 

@@ -40,7 +40,7 @@ from workloads import WORKLOADS, generate
 
 # (verify, two-route, hedging) hash prefixes by workload
 RECORDED = {
-    "const-neglect": ("8085bfb68391077f", "4656bb3a9e2172fc", "ac45556115303118"),
+    "const-neglect": ("c5e096364c5cda0d", "4656bb3a9e2172fc", "ac45556115303118"),
     "tv-batch": ("8a0ae1b16903a665", "7ac0a8c68ce7bf66", "d218ece0195c14c1"),
     "cont-cells": ("5e66ddcdebbd8da0", "b8cdfdd2c31ba0a3", "98babc91fcc395c9"),
 }
@@ -72,7 +72,7 @@ NO_DRIVERS = {
         {"horizon": 1.0, "rate": 0.03, "brownians": 1, "jumps": None,
          "stocks": [{"s0": 100.0, "alpha": 0.08, "sigma": [0.2]}]},
         {},
-        "62277b26d72fb5e8",
+        "428320d9c57a2c5f",
     ),
     "pure-jump": (
         {"horizon": 1.0, "rate": 0.02, "brownians": 0,
@@ -81,7 +81,7 @@ NO_DRIVERS = {
          "jumps": {"type": "discrete", "intensities": [2.0, 1.0],
                    "loadings": [[0.1, -0.2], [-0.15, 0.05]]}},
         {"retain": [0, 1]},
-        "b68d43edc8b69be6",
+        "51da6c12ba8bb2f7",
     ),
 }
 

@@ -4,8 +4,8 @@ For each benchmark workload, built by the benchmark's generator
 (`perfbench/workloads.py`, which this script only reads) at one generator
 seed, it runs `cli.verify_suite` with every check at each Monte Carlo seed
 and prints, per check, the seeds of the verifies it failed and its largest |z|
-(the largest z of its lines, or the projection check's "max_z") with the seed
-that gave it.  The uplift check reports no z and prints only its FAIL count.
+(the largest z of its lines) with the seed that gave it.  The uplift check
+reports no z and prints only its FAIL count.
 
 `--null-space EPS` audits a measure that is an EMM of the full market but
 not the consistent one, as a negative control: the uplift plus EPS times
@@ -52,12 +52,8 @@ def null_space_measure(spec, emm: Emm, eps: float) -> Emm:
 
 
 def worst_z(body) -> float | None:
-    """A check's largest |z|: its lines' z and the projection's "max_z";
-    None for a check that reports neither."""
-    found = [line["z"] for line in body.get("lines", ())]
-    if "max_z" in body:
-        found.append(body["max_z"])
-    return max(found, default=None)
+    """A check's largest |z| over its lines; None for a check without lines."""
+    return max((line["z"] for line in body.get("lines", ())), default=None)
 
 
 def sweep(name: str, args) -> None:
