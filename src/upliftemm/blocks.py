@@ -8,22 +8,26 @@ and the density only through each path's sums of per-event values up to
 each output time, added in event order by output interval or, with more
 output times than events on a path, by rank (:func:`_event_sums`).
 Every draw is addressed by its path's stream id, role and index within
-the path (:mod:`upliftemm.philox`), so a block makes two kernel calls
-for all of its paths: counts with normals, then one counter per
-candidate, whose thinning draw also marks it.  It sums on whole-block
-arrays, each path's sums in its own order, so a path's values do not
-depend on the block size (``_SEGMENT_BUDGET``, read at call time).  A
-block builds only the stock rows it is asked for (``stocks``): row i of a
-subset equals row i of the full block bit for bit, and a density-only
-block (``stocks=()``) computes Z, counts and increments but no stock
-path.  The entry points live in :mod:`upliftemm.stochastic`.
+the path (:mod:`upliftemm.philox`), so a joint block of the samples of
+one check (:class:`_Sample`; one sample but for the two-route check's
+two legs) makes two kernel calls for all of their paths: counts with
+normals, then one counter per candidate, whose thinning draw also marks
+it.  Each sample reads its own counters, at its own width.  Each
+sample's block then sums on whole-block arrays, each path's sums in its
+own order, so a path's values depend neither on the block size
+(``_SEGMENT_BUDGET`` over the samples' summed widths, read at call time)
+nor on the samples drawn with it.  A block builds only the stock rows it
+is asked for (``stocks``): row i of a subset equals row i of the full
+block bit for bit, and a density-only block (``stocks=()``) computes Z,
+counts and increments but no stock path.  The entry points live in
+:mod:`upliftemm.stochastic`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,12 +200,15 @@ def _segment_normals(seg: _Segments, z: np.ndarray):
 _SEGMENT_BUDGET = 1 << 15
 
 
-def _block_size(ctx: SimulationContext) -> int:
-    """Paths per block: the budget over a generous per-path width, the
-    shared grid's knots plus the candidate count's mean and three
-    deviations (which bounds the padded width of the candidate sort)."""
-    mean = ctx.majorant * ctx.horizon
-    width = len(ctx.base_knots) + mean + 3.0 * np.sqrt(mean) + 3.0
+def _block_size(*ctxs: SimulationContext) -> int:
+    """Paths per block of samples on contexts ``ctxs``: the budget over
+    their summed generous per-path widths, each the shared grid's knots
+    plus the candidate count's mean and three deviations (which bounds
+    the padded width of the candidate sort)."""
+    width = 0.0
+    for ctx in ctxs:
+        mean = ctx.majorant * ctx.horizon
+        width += len(ctx.base_knots) + mean + 3.0 * np.sqrt(mean) + 3.0
     return max(1, int(_SEGMENT_BUDGET // width))
 
 
@@ -253,39 +260,70 @@ def _stream_ids(first: int, count: int) -> np.ndarray:
     return np.uint64(first & MASK64) + np.arange(count, dtype=np.uint64)
 
 
-def _draw_marked_events(
-    ctx: SimulationContext, seed: int, sids: np.ndarray, u_count=None
-) -> _Block:
-    """The block of streams ``sids`` with only its accepted events: their
-    times (path-major, sorted within each path), rows, offsets, marks,
-    time order and intensities.
-
-    Path p's candidate count inverts the context's Poisson table at its
-    ``count`` uniform (``u_count``, drawn here when not given).  Candidate
-    j of path p reads one counter, ``event_times`` j: its time and its
-    thinning uniform, independent of every time, so the sorted times take
-    them in counter order.  It is accepted iff w = thin * majorant <=
-    total(t), and then w is uniform on [0, total(t)], so w also picks the
-    driver or region with probability lambda_m(t) / total(t) (Lewis and
-    Shedler, 1979), and a continuous mark's quantile is w / total(t)
-    rescaled within its region (:meth:`SimulationContext.marks_from_uniforms`).
-    """
-    B = len(sids)
-    n_cand = np.zeros(B, dtype=np.int64)
+def _candidates(ctx: SimulationContext, u_count):
+    """The candidate mask of a block whose paths drew the ``count``
+    uniforms ``u_count``: entry (p, j) is set iff path p has a candidate
+    j, its count inverting the context's Poisson table at its uniform; and
+    each set entry's path and candidate index, in mask order."""
+    n_cand = np.zeros(len(u_count), dtype=np.int64)
     if ctx.majorant > 0.0:
-        if u_count is None:
-            u_count = uniforms(seed, "count", 0, sids)[0]
         n_cand = poisson_counts(ctx.count_table, u_count)
-    # candidate j of path p is entry p * width + j of the candidate mask
     width = n_cand.max(initial=0)
     filled = np.arange(width) < n_cand[:, None]
     at = np.flatnonzero(filled)
     pid = at // width
-    j = at - pid * width
+    return filled, pid, at - pid * width
+
+
+def _draw_marked_events(samples, seed: int, lo: int, count: int):
+    """(block, res) for each :class:`_Sample`: its block of paths ``lo ..
+    lo + count - 1`` with only their accepted events (:func:`_marked_events`)
+    and increments, and their ``varies`` normals.  Two kernel calls serve
+    every path of every sample: the counts with the normals
+    (:func:`_path_draws`), then one counter per candidate.  A sample reads
+    exactly its own counters and inverts its own Poisson table."""
+    sids = [_stream_ids(s.first_stream + lo, count) for s in samples]
+    draws = _path_draws([s.ctx for s in samples], seed, sids)
+    cands = [_candidates(s.ctx, u_count) for s, (u_count, _, _) in zip(samples, draws)]
+    ends = np.cumsum([pid.size for _, pid, _ in cands])
+    u = None
+    if ends[-1]:
+        u = uniforms(seed, "event_times", _joined([j for _, _, j in cands]),
+                     _joined([sid[pid] for sid, (_, pid, _) in zip(sids, cands)]))
+    cands = [(filled, pid) for filled, pid, _ in cands]  # free the indices j before thinning
+    drawn = []
+    for s, (filled, pid), end, (_, dw, res) in zip(samples, cands, ends, draws):
+        block = _marked_events(s.ctx, filled, pid, None if u is None else u[:, end - pid.size:end])
+        block.first_stream, block.dw = s.first_stream + lo, dw
+        drawn.append((block, res))
+    return drawn
+
+
+def _joined(arrays) -> np.ndarray:
+    """The arrays end to end; a lone array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _marked_events(ctx: SimulationContext, filled, pid, u) -> _Block:
+    """A block with only its accepted events: their times (path-major,
+    sorted within each path), rows, offsets, marks, time order and
+    intensities, from the :func:`_candidates` mask ``filled`` and rows
+    ``pid`` and the candidates' (2, n_candidates) uniforms ``u``.
+
+    Candidate j of path p reads one counter, ``event_times`` j: its time
+    and its thinning uniform, independent of every time, so the sorted
+    times take them in counter order.  It is accepted iff w = thin *
+    majorant <= total(t), and then w is uniform on [0, total(t)], so w
+    also picks the driver or region with probability lambda_m(t) /
+    total(t) (Lewis and Shedler, 1979), and a continuous mark's quantile
+    is w / total(t) rescaled within its region
+    (:meth:`SimulationContext.marks_from_uniforms`).
+    """
+    B = len(filled)
     ev_times, w = np.zeros(0), np.zeros(0)
     accept, order, lam = np.zeros(0, dtype=bool), None, None
     if pid.size:
-        t, thin = uniforms(seed, "event_times", j, sids[pid])
+        t, thin = u
         pad = np.full(filled.shape, np.inf)
         pad[filled] = ctx.horizon * t
         pad.sort(axis=1)
@@ -375,20 +413,27 @@ def _sum_plan(pid, ev_off, times, out) -> _SumPlan:
     return _rank_plan(pid, ev_off, times, out)
 
 
-def _path_draws(ctx: SimulationContext, seed: int, sids: np.ndarray):
-    """Each path's ``count`` uniform and its :func:`_segment_normals` on
-    the shared grid, from one kernel call on a (1 + n_pairs, B) counter
-    grid: row 0 holds each path's counter (0, count, sid) and row 1 + j
-    its (j, brownian, sid), so the long axis is the innermost.  The
-    normals are Box-Muller pairs, one per ``brownian`` counter."""
-    seg = ctx.segments
-    j = np.arange(-1, (seg.n_normals + 1) // 2)
-    j[0] = 0
+def _path_draws(ctxs, seed: int, sids):
+    """Each sample's ``count`` uniforms and :func:`_segment_normals` on its
+    shared grid, for contexts ``ctxs`` on stream ids ``sids`` (one (B,)
+    array each), from one kernel call over their counter grids joined by
+    rows: row k holds sample k's counters (0, count, sid), then each
+    sample's (j, brownian, sid) rows follow in turn, so a sample reads its
+    own number of them and the long axis is the innermost.  The normals
+    are Box-Muller pairs, one per ``brownian`` counter."""
+    S = len(ctxs)
+    pairs = [(ctx.segments.n_normals + 1) // 2 for ctx in ctxs]
+    j = np.concatenate([np.zeros(S, dtype=np.int64), *map(np.arange, pairs)])
     roles = np.full(j.size, ROLE_IDS["brownian"])
-    roles[0] = ROLE_IDS["count"]
-    u = uniforms(seed, roles[:, None], j[:, None], sids)  # (2, 1 + n_pairs, B)
-    z = box_muller(u[:, 1:]).transpose(1, 0, 2).reshape(len(sids), -1)
-    return (u[0, 0], *_segment_normals(seg, z))
+    roles[:S] = ROLE_IDS["count"]
+    sid = sids[0] if S == 1 else np.stack(sids)[np.r_[:S, np.repeat(np.arange(S), pairs)]]
+    u = uniforms(seed, roles[:, None], j[:, None], sid)  # (2, S + pairs, B)
+    draws, lo = [], S
+    for k, (ctx, n_pairs) in enumerate(zip(ctxs, pairs)):
+        z = box_muller(u[:, lo:lo + n_pairs]).transpose(1, 0, 2).reshape(len(sids[k]), -1)
+        draws.append((u[0, k], *_segment_normals(ctx.segments, z)))
+        lo += n_pairs
+    return draws
 
 
 def _sum_d(a, b) -> np.ndarray:
@@ -447,25 +492,43 @@ def _event_sums(block: _Block, values) -> np.ndarray:
     return sums.reshape(lead + (B, n_out))
 
 
+class _Sample(NamedTuple):
+    """One sample of a block loop: its context, its first path's stream id,
+    the stock rows its blocks build (None: all n; (): none) and a
+    per-event hook (:func:`upliftemm.stochastic._terminal_sample`)."""
+
+    ctx: SimulationContext
+    first_stream: int = 0
+    stocks: Sequence[int] | None = None
+    event_values: Callable | None = None
+
+
+def _simulate_blocks(samples, seed: int, lo: int, count: int):
+    """Yield (lo, k, block): the paths ``lo .. lo + count - 1`` of each
+    sample k, drawn as one joint block (:func:`_draw_marked_events`).
+    Each sample's block is built and yielded before the next sample's, so
+    a consumer's work overlaps only its own block's arrays."""
+    drawn = _draw_marked_events(samples, seed, lo, count)
+    for k, sample in enumerate(samples):  # no block is held here: a consumer frees it
+        yield lo, k, _build_block(sample, *drawn.pop(0))
+
+
 def _simulate_block(
     ctx: SimulationContext, seed: int, first: int, count: int, stocks=None
 ) -> _Block:
-    """Simulate the paths of streams ``first .. first + count - 1``.
+    """The paths of streams ``first .. first + count - 1``: a joint block
+    of one sample."""
+    return next(_simulate_blocks([_Sample(ctx, first, stocks)], seed, 0, count))[2]
 
-    The block makes two kernel calls: each path's candidate count with
-    its normals, then each candidate's time and thinning uniform, which
-    also marks it.  Every draw is addressed by its path's stream id and
-    its index within the path, and everything else is done on whole-block
-    arrays, so path k's values do not depend on the block it is in.
-    ``stocks`` lists the stock rows the block builds, in that order, as
-    ``block.stocks[:, k]`` (None: all n).  Only those rows get Gaussian
-    sums, drift, jump factors, exp and s0; with ``()`` the block carries
-    only the density and the counts.
-    """
-    sids = _stream_ids(first, count)
-    u_count, dw, res = _path_draws(ctx, seed, sids)
-    block = _draw_marked_events(ctx, seed, sids, u_count)
-    block.first_stream, block.dw = first, dw
+
+def _build_block(sample: _Sample, block: _Block, res) -> _Block:
+    """Finish a sample's block of accepted events and increments, with its
+    ``varies`` normals ``res``, on whole-block arrays.  ``sample.stocks``
+    lists the stock rows it builds, in that order, as ``block.stocks[:,
+    k]`` (None: all n).  Only those rows get Gaussian sums, drift, jump
+    factors, exp and s0; with ``()`` the block carries only the density
+    and the counts."""
+    ctx, stocks, dw = sample.ctx, sample.stocks, block.dw
     ev_times, marks, order = block.ev_times, block.ev_marks, block.order
     block.sums = _sum_plan(block.pid, block.ev_off, ev_times, ctx.out_times)
     n, n_rows = ctx.n, len(ctx.segments.drag)  # -theta's row follows the stocks'

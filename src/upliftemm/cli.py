@@ -35,7 +35,7 @@ from .pricing import (
     restriction_check,
 )
 from .reduction import _is_complete_neglect, reduce_market
-from .stochastic import DEFAULT_SEED, SimulationContext, _blocks
+from .stochastic import DEFAULT_SEED, SimulationContext, _blocks, _Sample
 from .uplift import _check_emm_shape, build_uplifted_emm, Emm, verify_uplift
 
 SEED_ENV_VAR = "UPLIFTEMM_SEED"
@@ -173,7 +173,7 @@ def _cmd_simulate(args) -> int:
         spec, times, measure_emm=measure_emm, density_emm=density_emm
     )
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        for _, block in _blocks(ctx, _seed(args), 0, args.paths):
+        for _, _, block in _blocks([_Sample(ctx)], _seed(args), args.paths):
             mark = int if block.ev_marks.dtype.kind == "i" else float
             for p in range(len(block)):
                 lo, hi = block.ev_off[p], block.ev_off[p + 1]

@@ -88,6 +88,20 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
 
 
+# math.lgamma(k + 1.0) = log k! for k < len, extended on demand
+_LOG_FACT = np.zeros(1)
+
+
+def _log_factorials(top: int) -> np.ndarray:
+    """log k! for k = 0 .. top, each math.lgamma(k + 1.0), computed once
+    per k for the whole process."""
+    global _LOG_FACT
+    if _LOG_FACT.size <= top:
+        more = [math.lgamma(k + 1.0) for k in range(_LOG_FACT.size, top + 1)]
+        _LOG_FACT = np.concatenate([_LOG_FACT, more])
+    return _LOG_FACT[:top + 1]
+
+
 @dataclass(frozen=True)
 class PoissonTable:
     """A Poisson count's CDF and its bucket index, for draws by inversion
@@ -114,8 +128,7 @@ def poisson_cdf(mean: float) -> PoissonTable:
     cdf = np.ones(1)
     if mean > 0.0:
         top = int(mean + 15.0 * math.sqrt(mean) + 30.0)
-        log_fact = np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
-        log_pmf = np.arange(top + 1) * math.log(mean) - mean - log_fact
+        log_pmf = np.arange(top + 1) * math.log(mean) - mean - _log_factorials(top)
         cdf = np.cumsum(np.exp(log_pmf))
         cdf /= cdf[-1]
     n = 1 << min((8 * cdf.size - 1).bit_length(), 16)

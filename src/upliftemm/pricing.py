@@ -39,6 +39,7 @@ from .stochastic import (
     _block_counts,
     _blocks,
     _count_width,
+    _Sample,
     _terminal_sample,
     run_paths,  # unused here: the benchmark's tracer wraps pricing.run_paths
     simulate_terminal,
@@ -351,15 +352,14 @@ def _exact(value: float, seed: int, measure: str = "exact") -> McReport:
                     measure=measure)
 
 
-def _z(a, b, se):
-    """|a - b| in standard errors ``se``, elementwise over arrays (a float
-    of floats).  Where se is 0 it is 0 if a and b agree to rounding
-    (``ROUNDING_RTOL``), else inf.  Every Monte Carlo verdict is
-    z < Z_LIMIT."""
+def _z(a: float, b: float, se: float) -> float:
+    """|a - b| in standard errors ``se``.  With se 0 it is 0 if a and b
+    agree to rounding (``ROUNDING_RTOL``), else inf.  Every Monte Carlo
+    verdict is z < Z_LIMIT."""
     diff = abs(a - b)
-    z = np.where(diff <= ROUNDING_RTOL * np.maximum(abs(a), abs(b)), 0.0, np.inf)
-    np.divide(diff, se, out=z, where=se > 0)
-    return z if z.ndim else float(z)
+    if se > 0:
+        return diff / se
+    return 0.0 if diff <= ROUNDING_RTOL * max(abs(a), abs(b)) else math.inf
 
 
 def _require_paths(n_paths: int, least: int = 2) -> None:
@@ -501,18 +501,19 @@ def two_route_check(
     """Direct simulation under the measure vs density-weighted physical.
 
     One sample per route prices every payoff: under the measure on
-    streams [0, n), under P with the density on [n, 2n).  The two legs of
-    a line are independent and estimate the same expectation when the
-    measure change is correct; the lines share samples, so are correlated.
+    streams [0, n), under P with the density on [n, 2n), both drawn by one
+    block loop.  The two legs of a line are independent and estimate the
+    same expectation when the measure change is correct; the lines share
+    samples, so are correlated.
     """
     _require_paths(n_paths)
     for payoff in payoffs.values():
         _check_claim(spec, payoff)
     T = spec.horizon
-    direct = simulate_terminal(spec, [T], n_paths, seed, measure_emm=emm)
-    weighted = simulate_terminal(
-        spec, [T], n_paths, seed, density_emm=emm, stream_offset=n_paths
-    )
+    (direct, _), (weighted, _) = _terminal_sample([
+        _Sample(SimulationContext(spec, [T], measure_emm=emm), 0),
+        _Sample(SimulationContext(spec, [T], density_emm=emm), n_paths),
+    ], n_paths, seed)
     return CheckReport("two_route", tuple(
         ComparisonLine(label, _price(direct, spec, payoff), _price(weighted, spec, payoff))
         for label, payoff in payoffs.items()
@@ -528,7 +529,7 @@ def density_mass_check(
     """E[Z(T)] = 1 under the physical measure, within 4 standard errors."""
     _require_paths(n_paths)
     ctx = SimulationContext(spec, [spec.horizon], density_emm=emm)
-    sample, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=())
+    ((sample, _),) = _terminal_sample([_Sample(ctx, 0, ())], n_paths, seed)
     return _density_mass_report(_mc_report(sample.z_terminal(), seed, "P,Z*"))
 
 
@@ -590,11 +591,9 @@ def restriction_check(
         def in_cells(times, marks, order):  # one-hot of each mark's cell
             return (cell_index(fict.cells, marks)[:, None] == cols).astype(float)
 
-        full, full_counts = _terminal_sample(
-            ctx, n_paths, seed, 0, in_cells, stocks=()
-        )
+        ((full, full_counts),) = _terminal_sample([_Sample(ctx, 0, (), in_cells)], n_paths, seed)
     else:
-        full, _ = _terminal_sample(ctx, n_paths, seed, 0, stocks=())
+        ((full, _),) = _terminal_sample([_Sample(ctx, 0, ())], n_paths, seed)
         full_counts = full.counts
     physical = physical_emm(fict.spec)
     lines = []
@@ -954,7 +953,7 @@ def hedging_error(
     read = sorted(read - {None})
     stocks = None if len(read) == spec.n else read
     gains, values = np.empty(n_paths), np.empty(n_paths)
-    for lo, block in _blocks(ctx, seed, 0, n_paths, stocks):
+    for lo, _, block in _blocks([_Sample(ctx, 0, stocks)], seed, n_paths):
         B = len(block)
         if stocks is None:
             terms = np.diff(block.stocks * disc, axis=2)

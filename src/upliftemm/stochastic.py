@@ -11,11 +11,16 @@ path stream id, draw index), so every path is the same bit for bit
 however paths are chunked.
 
 Paths are simulated in blocks (:mod:`upliftemm.blocks`), one block after
-another on one thread, with two kernel calls for all of a block's paths.
-A path's values do not depend on the block size: :func:`simulate_path`
-is a block of one, and row k of :func:`simulate_terminal` equals it on
-stream ``stream_offset + k``.  It wraps ``_terminal_sample``, which also
-sums a per-event hook over each path's events in order (the restriction's
+another on one thread, by one loop, ``_blocks``, over the samples of one
+check: each a context, a first stream, the stock rows it builds and a
+per-event hook.  A joint block makes two kernel calls for every path of
+every sample, and each sample reads only its own counters.  The two-route
+check's legs are its two samples; every other consumer is the one-sample
+case.  A path's values depend neither on the block size nor on the
+samples drawn with it: :func:`simulate_path` is a block of one, and row k
+of :func:`simulate_terminal` equals it on stream ``stream_offset + k``.
+It wraps ``_terminal_sample``, which stacks each sample's rows, also sums
+its per-event hook over each path's events in order (the restriction's
 cell counts) and builds only the stock rows it is asked for, none in a
 sample that reads only Z, counts and increments.  ``_blocks`` yields the
 blocks themselves, which hedging reduces as they are made and whose rows
@@ -34,9 +39,10 @@ from .blocks import (
     PathBundle,
     _block_size,
     _draw_marked_events,
+    _Sample,
     _segment_gaussians,
     _simulate_block,
-    _stream_ids,
+    _simulate_blocks,
 )
 from .errors import NullMark, UnboundedIntensity
 from .model import JUMP_GRID_POINTS, ContinuousJumpSpec, DiscreteJumpSpec, MarketSpec
@@ -254,8 +260,8 @@ class SimulationContext:
     def sample_marks(self, streams: RngStreamSpec, times: np.ndarray) -> np.ndarray:
         """The marks of the events at ``times`` of the path on ``streams``,
         which read its thinning draws: those of a block of one."""
-        sid = _stream_ids(streams.stream_id, 1)
-        events = _draw_marked_events(self, streams.master_seed, sid)
+        ((events, _),) = _draw_marked_events([_Sample(self, streams.stream_id)],
+                                             streams.master_seed, 0, 1)
         return events.ev_marks[np.isin(events.ev_times, times)]
 
     def marks_from_uniforms(self, w: np.ndarray, times: np.ndarray, lam=None):
@@ -321,8 +327,8 @@ def sample_marked_point_process(
     size = _block_size(ctx)
     times, marks, per_path = [], [], []
     for lo in range(0, count, size):
-        sids = _stream_ids(streams.stream_id + lo, min(size, count - lo))
-        events = _draw_marked_events(ctx, streams.master_seed, sids)
+        ((events, _),) = _draw_marked_events([_Sample(ctx, streams.stream_id)],
+                                             streams.master_seed, lo, min(size, count - lo))
         times.append(events.ev_times)
         marks.append(events.ev_marks)
         per_path.append(np.diff(events.ev_off))
@@ -335,15 +341,14 @@ def sample_marked_point_process(
 # -- running blocks ----------------------------------------------------------------
 
 
-def _blocks(ctx: SimulationContext, master_seed: int, first_stream: int, n_paths: int,
-            stocks=None):
-    """Yield (row, block) covering ``n_paths`` consecutive streams in order,
-    each block building the ``stocks`` rows (None: all; (): none)."""
-    size = _block_size(ctx)
+def _blocks(samples, master_seed: int, n_paths: int):
+    """Yield (row, k, block): the blocks covering ``n_paths`` consecutive
+    streams of each :class:`~upliftemm.blocks._Sample` k from its first, in
+    order.  Each joint block holds one budget over the samples' summed
+    widths and yields its samples' blocks in turn."""
+    size = _block_size(*(s.ctx for s in samples))
     for lo in range(0, n_paths, size):
-        yield lo, _simulate_block(
-            ctx, master_seed, first_stream + lo, min(size, n_paths - lo), stocks
-        )
+        yield from _simulate_blocks(samples, master_seed, lo, min(size, n_paths - lo))
 
 
 # -- whole-path simulation ----------------------------------------------------------
@@ -413,7 +418,7 @@ def run_paths(
         spec, out_times, measure_emm=measure_emm, density_emm=density_emm
     )
     out = np.empty((n_paths, width))
-    for row, block in _blocks(ctx, master_seed, stream_offset, n_paths):
+    for row, _, block in _blocks([_Sample(ctx, stream_offset)], master_seed, n_paths):
         for p in range(len(block)):
             out[row + p, :] = per_path(block.bundle(ctx, p, master_seed))
         del block  # free it before the next block is simulated
@@ -438,53 +443,52 @@ def simulate_terminal(
     ctx = SimulationContext(
         spec, out_times, measure_emm=measure_emm, density_emm=density_emm
     )
-    return _terminal_sample(ctx, n_paths, master_seed, stream_offset)[0]
+    return _terminal_sample([_Sample(ctx, stream_offset)], n_paths, master_seed)[0][0]
 
 
-def _terminal_sample(ctx, n_paths, master_seed, stream_offset, event_values=None,
-                     stocks=None):
-    """:func:`simulate_terminal` on a built context, plus each path's sums
-    of ``event_values(times, marks, order)`` (``order`` sorts a block's
-    events by time, or None), an (n_events, k) array, over its events
-    ((n_paths, k), added in event order; None without the hook).  The
-    sample holds the ``stocks`` rows of :func:`_simulate_block`; with
-    ``()`` it is density-only: ``stocks`` is None and ``z``, ``counts``
-    and ``w_terminal`` are those of the full sample."""
-    spec = ctx.spec
-    out_times = ctx.out_times
-    n = spec.n if stocks is None else len(stocks)
-    n_out = len(out_times)
-    cw = _count_width(spec)
-    D = spec.n_brownians
-    with_z = ctx.density_emm is not None
-    pos_z = n * n_out
-    pos_c = pos_z + (n_out if with_z else 0)
-    pos_w = pos_c + cw
-    rows = np.empty((n_paths, pos_w + D))
-    sums = None
-    for lo, block in _blocks(ctx, master_seed, stream_offset, n_paths, stocks):
-        hi = lo + len(block)
-        if event_values is not None:
-            values = event_values(block.ev_times, block.ev_marks, block.order)
-            if sums is None:
-                sums = np.zeros((n_paths, values.shape[1]))
+def _terminal_sample(samples, n_paths: int, master_seed: int):
+    """:func:`simulate_terminal` for each :class:`~upliftemm.blocks._Sample`
+    of one block loop, as a list of (sample, sums).  ``sums`` are each
+    path's sums of the sample's ``event_values(times, marks, order)``
+    (``order`` sorts a block's events by time, or None), an (n_events, k)
+    array, over its events ((n_paths, k), added in event order; None
+    without the hook).  A sample holds the ``stocks`` rows of its blocks;
+    with ``()`` it is density-only: ``stocks`` is None and ``z``,
+    ``counts`` and ``w_terminal`` are those of the full sample."""
+    cols, rows, sums = [], [], [None] * len(samples)
+    for s in samples:
+        n = s.ctx.n if s.stocks is None else len(s.stocks)
+        n_out, with_z = len(s.ctx.out_times), s.ctx.density_emm is not None
+        pos_z = n * n_out
+        pos_c = pos_z + (n_out if with_z else 0)
+        pos_w = pos_c + _count_width(s.ctx.spec)
+        cols.append((n, pos_z, pos_c, pos_w))
+        rows.append(np.empty((n_paths, pos_w + s.ctx.n_brownians)))
+    for lo, k, block in _blocks(samples, master_seed, n_paths):
+        (n, pos_z, pos_c, pos_w), out, hi = cols[k], rows[k], lo + len(block)
+        if samples[k].event_values is not None:
+            values = samples[k].event_values(block.ev_times, block.ev_marks, block.order)
+            if sums[k] is None:
+                sums[k] = np.zeros((n_paths, values.shape[1]))
             for c, col in enumerate(values.T):
-                sums[lo:hi, c] = np.bincount(block.pid, weights=col, minlength=hi - lo)
+                sums[k][lo:hi, c] = np.bincount(block.pid, weights=col, minlength=hi - lo)
         if n:
-            rows[lo:hi, :pos_z] = block.stocks.reshape(hi - lo, pos_z)
-        if with_z:
-            rows[lo:hi, pos_z:pos_c] = block.z
-        rows[lo:hi, pos_c:pos_w] = _block_counts(ctx, block)
-        rows[lo:hi, pos_w:] = np.cumsum(block.dw, axis=1)[:, -1]
+            out[lo:hi, :pos_z] = block.stocks.reshape(hi - lo, pos_z)
+        if block.z is not None:
+            out[lo:hi, pos_z:pos_c] = block.z
+        out[lo:hi, pos_c:pos_w] = _block_counts(samples[k].ctx, block)
+        out[lo:hi, pos_w:] = np.cumsum(block.dw, axis=1)[:, -1]
         del block  # free it before the next block is simulated
-    sample = TerminalSample(
-        out_times=out_times,
-        stocks=rows[:, :pos_z].reshape(n_paths, n, n_out) if n else None,
-        z=rows[:, pos_z:pos_c] if with_z else None,
-        counts=rows[:, pos_c:pos_w],
-        w_terminal=rows[:, pos_w:],
-        seed=master_seed,
-        measure="Q" if ctx.measure_emm is not None else "P",
-    )
-    return sample, sums
-
+    results = []
+    for s, out, (n, pos_z, pos_c, pos_w), path_sums in zip(samples, rows, cols, sums):
+        sample = TerminalSample(
+            out_times=s.ctx.out_times,
+            stocks=out[:, :pos_z].reshape(n_paths, n, len(s.ctx.out_times)) if n else None,
+            z=out[:, pos_z:pos_c] if pos_c > pos_z else None,
+            counts=out[:, pos_c:pos_w],
+            w_terminal=out[:, pos_w:],
+            seed=master_seed,
+            measure="Q" if s.ctx.measure_emm is not None else "P",
+        )
+        results.append((sample, path_sums))
+    return results

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,17 @@ def make_four_driver_market() -> MarketSpec:
             loadings=[row + [y] for row, y in zip(LOADINGS, [0.15, 0.3, -0.2])],
         ),
     )
+
+
+def make_theta_knot_market() -> MarketSpec:
+    """The three-stock market with drifts that step at t = 0.3 and 0.6, so
+    the uplifted theta has knots that the constant sigma lacks: a path
+    weighted by the density draws three segments' normals (two pairs),
+    one under the measure a single segment's (one pair)."""
+    base = make_three_stock_market()
+    steps = [0.0, 0.3, 0.6, 1.0]
+    alpha = [TimeFunction.piecewise(steps, [a, a + 0.03, a - 0.02]) for a in EXCESS + RATE]
+    return dataclasses.replace(base, alpha=alpha)
 
 
 @pytest.fixture
@@ -249,9 +261,9 @@ def block_rows(ctx, seed: int, n_paths: int, first_stream: int = 0):
     """Each path of the engine's blocks in stream order, as (block, row,
     event times, event marks): row p of a block is stream
     ``block.first_stream + p``."""
-    from upliftemm.stochastic import _blocks
+    from upliftemm.stochastic import _blocks, _Sample
 
-    for _, block in _blocks(ctx, seed, first_stream, n_paths):
+    for _, _, block in _blocks([_Sample(ctx, first_stream)], seed, n_paths):
         for p in range(len(block)):
             lo, hi = block.ev_off[p], block.ev_off[p + 1]
             yield block, p, block.ev_times[lo:hi], block.ev_marks[lo:hi]

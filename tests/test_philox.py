@@ -1,5 +1,6 @@
 """The counter-based generator and the transforms the engine draws with."""
 
+import math
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import upliftemm
+import upliftemm.philox
 from upliftemm import RngStreamSpec
 from upliftemm.philox import (
     ROLE_IDS,
@@ -84,6 +86,22 @@ def test_indexed_search_gives_the_binary_search_count(mean):
     ])
     u = u[u < 1.0]  # the uniforms' range, [0, 1 - 2**-53]
     assert np.array_equal(poisson_counts(table, u), np.searchsorted(cdf, u, side="right"))
+
+
+def test_tables_keep_the_per_entry_log_factorials(monkeypatch):
+    # the shared log-factorial table gives every CDF the bits of one
+    # math.lgamma call per entry, whichever tables were built before it
+    def per_entry(mean):
+        top = int(mean + 15.0 * math.sqrt(mean) + 30.0)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+        cdf = np.cumsum(np.exp(np.arange(top + 1) * math.log(mean) - mean - log_fact))
+        return cdf / cdf[-1]
+
+    monkeypatch.setattr(upliftemm.philox, "_LOG_FACT", np.zeros(1))
+    for mean in (6.0, 1e3, 1e-3, 1e5, 0.5, 1e3):  # the table grows, then is read within
+        want = per_entry(mean)
+        got = poisson_cdf(mean).cdf
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), mean
 
 
 def test_a_zero_mean_counts_zero():

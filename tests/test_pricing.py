@@ -44,12 +44,17 @@ from upliftemm.errors import (
     ShapeMismatch,
     TooFewPaths,
 )
-from upliftemm.stochastic import SimulationContext, _terminal_sample
+from upliftemm.stochastic import SimulationContext, _Sample, _terminal_sample
 from upliftemm.pricing import _event_probability, _neglected_factor_model
 from upliftemm.timefns import integrate_product
 from upliftemm.uplift import cell_index
 
-from conftest import block_rows, make_three_stock_market, make_uniform_mark_market
+from conftest import (
+    block_rows,
+    make_theta_knot_market,
+    make_three_stock_market,
+    make_uniform_mark_market,
+)
 
 N_MC = 20_000
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -129,6 +134,7 @@ def _forbid_simulation(monkeypatch):
 
     monkeypatch.setattr(upliftemm.pricing, "simulate_terminal", simulated)
     monkeypatch.setattr(upliftemm.pricing, "_terminal_sample", simulated)
+    monkeypatch.setattr(upliftemm.pricing, "_blocks", simulated)
 
 
 class TestCountColumns:
@@ -392,13 +398,15 @@ class TestTwoRoute:
         n, seed = 500, 109
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return simulate_terminal(*args, **kwargs)
+        def counting(samples, *args):
+            calls.append([(s.first_stream, s.ctx.measure_emm, s.ctx.density_emm)
+                          for s in samples])
+            return _terminal_sample(samples, *args)
 
-        monkeypatch.setattr(upliftemm.pricing, "simulate_terminal", counting)
+        monkeypatch.setattr(upliftemm.pricing, "_terminal_sample", counting)
         report = two_route_check(spec, emm, book, n, seed)
-        assert [kw.get("stream_offset", 0) for kw in calls] == [0, n]
+        # one joint loop: Q* on streams [0, n), P with the density on [n, 2n)
+        assert calls == [[(0, emm, None), (n, None, emm)]]
         monkeypatch.undo()
         weighted = simulate_terminal(
             spec, [1.0], n, seed, density_emm=emm, stream_offset=n
@@ -408,6 +416,35 @@ class TestTwoRoute:
             values = weighted.z_terminal() * payoff.values(weighted, spec)
             assert line.b.estimate == np.sum(values) / n
             assert line.b.measure == "P,Z-weighted"
+
+    @pytest.mark.parametrize("market", ["const-neglect", "tv-batch", "cont-cells", "theta-knots"])
+    def test_joint_loop_is_the_two_separate_legs(self, market, monkeypatch):
+        # many joint blocks give the report of two legs simulated alone
+        if market == "theta-knots":  # the weighted leg draws more normals
+            spec, plan = make_theta_knot_market(), DiscretePlan(retain=(0, 1), neglect=(2,))
+            book = {"call": Payoff.call(0, 100.0), "quiet": Payoff.indicator_count(2, 0)}
+        else:
+            monkeypatch.setattr(sys, "dont_write_bytecode", True)
+            monkeypatch.syspath_prepend(str(PERFBENCH))
+            from workloads import generate
+
+            gen = generate(market, 2001)
+            spec, plan = market_from_json(gen["market"]), plan_from_json(gen["plan"])
+            book = {k: Payoff.from_json(v) for k, v in gen["book"].items()}
+        emm, _, _ = build_uplifted_emm(spec, plan)
+        n, seed, T = 300, 17, spec.horizon
+        direct = simulate_terminal(spec, [T], n, seed, measure_emm=emm)
+        weighted = simulate_terminal(spec, [T], n, seed, density_emm=emm, stream_offset=n)
+        want = [upliftemm.pricing.ComparisonLine(
+            label, upliftemm.pricing._price(direct, spec, payoff),
+            upliftemm.pricing._price(weighted, spec, payoff),
+        ) for label, payoff in book.items()]
+        monkeypatch.setattr(upliftemm.blocks, "_SEGMENT_BUDGET", 1 << 10)
+        ctxs = [SimulationContext(spec, [T], measure_emm=emm),
+                SimulationContext(spec, [T], density_emm=emm)]
+        assert upliftemm.blocks._block_size(*ctxs) * 4 < n  # several joint blocks
+        report = two_route_check(spec, emm, book, n, seed)
+        assert report.lines == tuple(want)
 
     def test_density_mass(self, uplifted):
         spec, _, emm, _, _ = uplifted
@@ -474,7 +511,7 @@ class TestRestriction:
         _, fict, fict_emm = build_uplifted_emm(spec, plan_from_json(gen["plan"]))
         n, seed = 10_000, 11
         ctx = SimulationContext(fict.spec, [spec.horizon], density_emm=fict_emm)
-        reduced, _ = _terminal_sample(ctx, n, seed, n, stocks=())
+        ((reduced, _),) = _terminal_sample([_Sample(ctx, n, ())], n, seed)
         events = restriction_events(fict)
         assert len(events) == 3
         for ev in events:
@@ -539,10 +576,10 @@ class TestRestriction:
         # the full market's side counts the marks inside cell 0, not every event
         emm, _, _ = build_uplifted_emm(spec, plan)
         ctx = SimulationContext(spec, [1.0], density_emm=emm)
-        full, in_cells = _terminal_sample(
-            ctx, N_MC, seed, 0,
+        ((full, in_cells),) = _terminal_sample([_Sample(
+            ctx, 0, None,
             lambda t, y, order: (cell_index(plan.cells, y) == 0)[:, None].astype(float),
-        )
+        )], N_MC, seed)
         quiet = full.z_terminal() * (in_cells[:, 0] == 0)
         assert lines["first_retained_quiet"]["a"]["estimate"] == np.sum(quiet) / N_MC
         assert np.all(in_cells[:, 0] <= full.counts[:, 0])
@@ -825,19 +862,15 @@ def _scalar_z(a, b, se):
     return 0.0 if diff <= upliftemm.pricing.ROUNDING_RTOL * max(abs(a), abs(b)) else math.inf
 
 
-def test_z_on_arrays_is_the_scalar_rule_elementwise():
-    a = np.array([1.02, 0.97, 1.0, 1.0 + 1e-14, 1.5, 0.0, 2.0, 1.0])
-    b = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0 + 1e-3])
-    se = np.array([0.01, 0.02, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-300])
+def test_z_is_the_scalar_rule():
+    a = [1.02, 0.97, 1.0, 1.0 + 1e-14, 1.5, 0.0, 2.0, 1.0]
+    b = [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0 + 1e-3]
+    se = [0.01, 0.02, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-300]
     want = [_scalar_z(*args) for args in zip(a, b, se)]
     assert want[2:6] == [0.0, 0.0, math.inf, 0.0]  # se 0: legs that agree give 0, others inf
-    got = upliftemm.pricing._z(a, b, se)
-    assert got.dtype == np.float64 and np.array_equal(got, want)
-    assert np.array_equal(upliftemm.pricing._z(a.reshape(2, 4), 1.0, se.reshape(2, 4)),
-                          np.reshape([_scalar_z(x, 1.0, s) for x, s in zip(a, se)], (2, 4)))
-    for args in zip(a, b, se):
-        one = upliftemm.pricing._z(*(float(x) for x in args))
-        assert type(one) is float and one == _scalar_z(*args)
+    for args, z in zip(zip(a, b, se), want):
+        one = upliftemm.pricing._z(*args)
+        assert type(one) is float and one == z
 
 
 def _all_factors(fict, n_outer, n_inner, t, seed):
@@ -1147,14 +1180,14 @@ class TestHedging:
     def test_simulates_only_the_held_and_claimed_stocks(self, uplifted, monkeypatch):
         spec, _, emm, _, _ = uplifted
         shapes = []
-        simulate = upliftemm.stochastic._simulate_block
+        simulate = upliftemm.stochastic._simulate_blocks
 
         def spy(*args):
-            block = simulate(*args)
-            shapes.append(block.stocks.shape)
-            return block
+            for lo, k, block in simulate(*args):
+                shapes.append(block.stocks.shape)
+                yield lo, k, block
 
-        monkeypatch.setattr(upliftemm.stochastic, "_simulate_block", spy)
+        monkeypatch.setattr(upliftemm.stochastic, "_simulate_blocks", spy)
         strat = Strategy(holdings=(_steps(8, 0.6, 0.4), 0.0, 0.0), v0=10.0)
         hedging_error(spec, emm, strat, Payoff.call(0, 100.0), 600, seed=123)
         assert sum(s[0] for s in shapes) == 600

@@ -44,7 +44,9 @@ from upliftemm.blocks import (
     _rank_plan,
     _path_draws,
     _per_driver,
+    _Sample,
     _simulate_block,
+    _simulate_blocks,
     _stream_ids,
 )
 from upliftemm.philox import box_muller, poisson_counts
@@ -59,6 +61,7 @@ from conftest import (
     block_rows,
     doleans_dade_eval,
     empirical_intensity_test,
+    make_theta_knot_market,
     project_price_closed_form,
     rn_density_path,
     stock_path_exact,
@@ -106,7 +109,7 @@ class TestPoissonSampling:
                     simulate_path(ctx, RngStreamSpec(3, sid))
             with pytest.raises(UnboundedIntensity):
                 for sid in range(5):
-                    _draw_marked_events(ctx, 3, _stream_ids(sid, 1))
+                    _draw_marked_events([_Sample(ctx, sid)], 3, 0, 1)
 
     def test_majorant_covers_a_left_limit(self):
         # the summed intensity rises to 5.413 as t rises to 0.5, where the
@@ -739,7 +742,7 @@ class TestBlockDraws:
         ctx = _draw_context(name, request)
         seed, first, count = 23, 40, 150
         block = _simulate_block(ctx, seed, first, count)
-        _, _, res = _path_draws(ctx, seed, _stream_ids(first, count))
+        ((_, _, res),) = _path_draws([ctx], seed, [_stream_ids(first, count)])
         n_cand = 0
         for p in range(count):
             times, marks, dw, res_p, cand = _per_path_draws(ctx, seed, first + p)
@@ -771,6 +774,45 @@ class TestBlockDraws:
             # (1 + n_pairs, B), then (2, N_cand) when there are candidates
             assert len(calls) == (2 if block.ev_times.size else 1)
             assert calls[0][-1] == 150
+
+    @pytest.mark.parametrize("market", ["three_stock", "theta_knots", "cell_measure"])
+    def test_a_joint_block_draws_the_legs_counters_in_two_calls(
+        self, market, request, monkeypatch
+    ):
+        # both two-route legs in one joint block: two kernel calls, exactly
+        # the counters the legs draw alone, and the legs' blocks bit for bit
+        if market == "cell_measure":
+            spec = request.getfixturevalue("uniform_mark_market")
+            plan = ContinuousPlan(cells=((-0.5, 0.0),), neglect_remainder=True)
+        else:
+            spec = (make_theta_knot_market() if market == "theta_knots"
+                    else request.getfixturevalue("three_stock_market"))
+            plan = request.getfixturevalue("neglect_plan")
+        emm, _, _ = build_uplifted_emm(spec, plan)
+        samples = [_Sample(SimulationContext(spec, [1.0], measure_emm=emm), 40),
+                   _Sample(SimulationContext(spec, [1.0], density_emm=emm), 190)]
+        normals = [s.ctx.segments.n_normals for s in samples]
+        assert (normals[0] < normals[1]) == (market == "theta_knots")
+        calls = []
+        kernel = upliftemm.philox.philox4x32
+
+        def counted(counter, key):
+            words = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+            calls.append(np.stack([w.ravel() for w in words], axis=1))
+            return kernel(counter, key)
+
+        monkeypatch.setattr(upliftemm.philox, "philox4x32", counted)
+        joint = list(_simulate_blocks(samples, 23, 0, 150))
+        assert len(calls) == 2
+        drawn = sorted(map(tuple, np.concatenate(calls).tolist()))
+        calls.clear()
+        alone = [_simulate_block(s.ctx, 23, s.first_stream, 150) for s in samples]
+        assert len(calls) == 4
+        assert drawn == sorted(map(tuple, np.concatenate(calls).tolist()))
+        for (lo, k, block), one in zip(joint, alone):
+            assert (lo, block.first_stream) == (0, samples[k].first_stream)
+            for attr in ("dw", "ev_times", "ev_marks", "ev_off", "stocks", "z"):
+                assert _same_bits(getattr(block, attr), getattr(one, attr)), (k, attr)
 
     @pytest.mark.parametrize("name", DRAW_CONTEXTS + ["constant"])
     def test_a_block_draws_one_counter_per_candidate(self, name, request, monkeypatch):
@@ -843,14 +885,14 @@ class TestBlockDraws:
 
         full_ctx = SimulationContext(spec, [0.5, 1.0], density_emm=emm)
         n_paths, seed = _block_size(full_ctx) + 5, 61  # across a block boundary
-        full, full_sums = _terminal_sample(full_ctx, n_paths, seed, 9, hook)
+        ((full, full_sums),) = _terminal_sample([_Sample(full_ctx, 9, None, hook)], n_paths, seed)
 
         def no_compensator(*args):
             raise AssertionError("a density-only sample integrated a compensator")
 
         monkeypatch.setattr(SimulationContext, "_jump_compensator", no_compensator)
         ctx = SimulationContext(spec, [0.5, 1.0], density_emm=emm)
-        dens, dens_sums = _terminal_sample(ctx, n_paths, seed, 9, hook, stocks=())
+        ((dens, dens_sums),) = _terminal_sample([_Sample(ctx, 9, (), hook)], n_paths, seed)
         assert dens.stocks is None and full.stocks is not None
         for name in ("z", "counts", "w_terminal"):
             assert np.array_equal(getattr(dens, name), getattr(full, name)), name
@@ -1172,7 +1214,7 @@ class TestNoDrivers:
         plan = ContinuousPlan(cells=(), neglect_remainder=True)
         _, fict, fict_emm = build_uplifted_emm(spec, plan)
         ctx = SimulationContext(fict.spec, [1.0], density_emm=fict_emm)
-        sample, _ = _terminal_sample(ctx, 500, 9, 0, stocks=())
+        ((sample, _),) = _terminal_sample([_Sample(ctx, 0, ())], 500, 9)
         theta = fict_emm.theta[0].constant_value
         want = np.exp(-theta * sample.w_terminal[:, 0] - 0.5 * theta ** 2)
         assert np.allclose(sample.z_terminal(), want, rtol=1e-12)

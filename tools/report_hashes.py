@@ -3,7 +3,8 @@
 The canonical 1e4-path verify reports (generator seed 2001, MC seed 11),
 the sorted-key two-route and hedging reports at the benchmark's path counts
 and generated MC seed (hedging is the one report with several output
-times), the `upliftemm reduce --out` and `upliftemm uplift --out` files,
+times), the two-route report at 5,000 paths and that seed (several joint
+blocks of both legs), the `upliftemm reduce --out` and `upliftemm uplift --out` files,
 then `upliftemm simulate` at 3,000 paths and seed 7 (several blocks)
 under P, under the uplifted measure (q) and under P with its density
 (pz), at output times 0.5,1.0 and at the horizon alone.  Last, the
@@ -43,6 +44,12 @@ RECORDED = {
     "const-neglect": ("c5e096364c5cda0d", "4656bb3a9e2172fc", "ac45556115303118"),
     "tv-batch": ("8a0ae1b16903a665", "7ac0a8c68ce7bf66", "d218ece0195c14c1"),
     "cont-cells": ("5e66ddcdebbd8da0", "b8cdfdd2c31ba0a3", "98babc91fcc395c9"),
+}
+# the two-route hash prefixes at 5,000 paths by workload
+ROUTE_5000 = {
+    "const-neglect": "ca82897e30569734",
+    "tv-batch": "ee616bcac4b63f84",
+    "cont-cells": "0673b8460984f2d8",
 }
 # the reduce --out and uplift --out hash prefixes by workload
 REDUCED = {
@@ -134,6 +141,9 @@ def main(tmp: Path):
                 *(json.dumps(rep.to_json(), sort_keys=True).encode() for rep in (route, hedge)))
         for what, doc, want in zip(("verify", "two-route", "hedging"), docs, wants):
             show(name, what, doc, want)
+        route = pricing.two_route_check(spec, emm, book, 5000, gen["mc_seed"])
+        show(name, "two-route 5000", json.dumps(route.to_json(), sort_keys=True).encode(),
+             ROUTE_5000[name])
         quiet_cli("reduce", "-m", market, "-p", plan, "--out", fict_file)
         quiet_cli("uplift", "-m", market, "-p", plan, "--out", emm_file)
         for what, file, want in zip(("reduce", "uplift"), (fict_file, emm_file), REDUCED[name]):
